@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Optional
@@ -86,6 +87,9 @@ class Archive:
         return iter(self.nodes)
 
     def node(self, node_id: int) -> AgentNode:
+        """O(1) by position; scans only where ids are not positions (no-open-ended)."""
+        if 0 <= node_id < len(self.nodes) and self.nodes[node_id].id == node_id:
+            return self.nodes[node_id]
         for n in self.nodes:
             if n.id == node_id:
                 return n
@@ -152,14 +156,24 @@ def children_of(archive: Archive, node_id: int) -> list[int]:
     return [n.id for n in archive.nodes if n.parent_id == node_id]
 
 
+def child_index(archive: Archive) -> dict[int, list[int]]:
+    """Children of every node that has any, each list in ascending id order."""
+    index: dict[int, list[int]] = {}
+    for n in archive.nodes:
+        if n.parent_id is not None:
+            index.setdefault(n.parent_id, []).append(n.id)
+    return index
+
+
 def descendants(archive: Archive, node_id: int) -> set[int]:
     """All nodes reachable by child edges from `node_id`, excluding itself."""
     archive.node(node_id)
+    index = child_index(archive)
     out: set[int] = set()
     frontier = [node_id]
     while frontier:
         current = frontier.pop()
-        for child in children_of(archive, current):
+        for child in index.get(current, ()):
             if child not in out:
                 out.add(child)
                 frontier.append(child)
@@ -209,10 +223,9 @@ def check_consistency(archive: Archive) -> None:
                 raise ArchiveError(f"node {n.id} has invalid parent {n.parent_id}")
     elif len(archive.nodes) != 1:
         raise ArchiveError("no-open-ended archive must hold exactly one node")
+    counts = Counter(c.parent_id for c in archive.nodes if c.compiled)
     for n in archive.nodes:
-        actual = sum(
-            1 for c in archive.nodes if c.parent_id == n.id and c.compiled
-        )
+        actual = counts[n.id]
         if actual != n.compiled_children:
             raise ArchiveError(
                 f"node {n.id} stores compiled_children={n.compiled_children}, "

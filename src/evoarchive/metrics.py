@@ -10,13 +10,15 @@ operations below.
 from __future__ import annotations
 
 import csv
+import operator
 from dataclasses import dataclass
+from functools import reduce
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .archive import Archive, descendants, lineage, tree_distance
+from .archive import Archive, child_index, lineage
 from .engine import read_events
 from .evaluation import node_selection_score
 
@@ -64,38 +66,67 @@ def growth_score(archive: Archive, node_id: int, params: GrowthScoreParams) -> f
     """Depth-discounted mean improvement achieved by a node's descendants.
 
     For each descendant j of i: (score_j - score_i) * gamma**dist(i, j),
-    averaged over all descendants. Scores are selection scores.
+    averaged over all descendants. Scores are selection scores. The terms
+    are summed in ascending id order, so the result is bit-stable. Costs
+    O(n) for the child index plus O(s log s) for a subtree of s nodes.
     """
-    offspring = descendants(archive, node_id)
-    if not offspring:
+    archive.node(node_id)
+    return _growth(
+        child_index(archive),
+        lambda j: node_selection_score(archive.node(j)),
+        node_id,
+        params.gamma,
+    )
+
+
+def _growth(
+    children: dict[int, list[int]],
+    score: Callable[[int], float],
+    node_id: int,
+    gamma: float,
+) -> float:
+    """`growth_score` over a prebuilt child index and a score lookup."""
+    walked: list[tuple[int, int]] = []
+    frontier = [(node_id, 0)]
+    while frontier:
+        current, dist = frontier.pop()
+        for child in children.get(current, ()):
+            walked.append((child, dist + 1))
+            frontier.append((child, dist + 1))
+    if not walked:
         raise ValueError(f"node {node_id} has no descendants")
-    base = node_selection_score(archive.node(node_id))
+    walked.sort()
+    base = score(node_id)
     total = 0.0
-    for j in sorted(offspring):
-        delta = node_selection_score(archive.node(j)) - base
-        total += delta * params.gamma ** tree_distance(archive, node_id, j)
-    return total / len(offspring)
+    for j, dist in walked:
+        delta = score(j) - base
+        total += delta * gamma ** dist
+    return total / len(walked)
 
 
 def transfer_select(archive: Archive, params: GrowthScoreParams) -> int:
     """Node with the highest growth score among those with enough descendants.
 
-    Ties break toward the lowest id.
+    Ties break toward the lowest id. Each node's selection score is computed
+    once and descendant counts come from one bottom-up pass, so the cost is
+    the sum of the eligible subtrees' sizes: O(n * mean depth), O(n^2) on a
+    chain.
     """
-    best_id: Optional[int] = None
-    best_score = -np.inf
-    for node in archive:
-        offspring = descendants(archive, node.id)
-        if len(offspring) < params.min_descendants:
-            continue
-        score = growth_score(archive, node.id, params)
-        if score > best_score:
-            best_id, best_score = node.id, score
-    if best_id is None:
+    children = child_index(archive)
+    # Parents precede their children, so descending ids visit subtrees first.
+    counts: dict[int, int] = {}
+    for node in reversed(archive.nodes):
+        counts[node.id] = sum(1 + counts[c] for c in children.get(node.id, ()))
+    eligible = [n.id for n in archive if counts[n.id] >= params.min_descendants]
+    if not eligible:
         raise ValueError(
             f"no node has at least {params.min_descendants} descendants"
         )
-    return best_id
+    scores = {n.id: node_selection_score(n) for n in archive}
+    # max keeps the first of equal keys: the lowest id.
+    return max(
+        eligible, key=lambda i: _growth(children, scores.__getitem__, i, params.gamma)
+    )
 
 
 def bootstrap_ci(
@@ -137,16 +168,36 @@ class ProgressSeries:
 def _series_from_records(
     records: list[tuple[int, int, Optional[int], float]], iterations: int
 ) -> ProgressSeries:
-    """records: (node_id, iteration, parent_id, selection_score), add order."""
+    """records: (node_id, iteration, parent_id, selection_score), add order.
+
+    The average adds scores left to right in add order with plain float
+    addition (not the compensated ``sum()`` of Python 3.12+), so the series
+    does not depend on the interpreter version.
+    """
     if not records:
         raise ValueError("no archived agents in input")
     best_so_far: list[float] = []
     avg: list[float] = []
-    for t in range(iterations + 1):
-        present = [r for r in records if r[1] <= t]
-        scores = [r[3] for r in present]
-        best_so_far.append(max(scores))
-        avg.append(sum(scores) / len(scores))
+    if all(a[1] <= b[1] for a, b in zip(records, records[1:])):
+        # Engine logs add in iteration order, so the agents present at t are
+        # a prefix: a running sum and best give the scan's values in O(n + T).
+        k, total, best = 0, 0, records[0][3]
+        for t in range(iterations + 1):
+            while k < len(records) and records[k][1] <= t:
+                score = records[k][3]
+                total += score
+                if score > best:
+                    best = score
+                k += 1
+            if k == 0:
+                raise ValueError(f"no archived agents by iteration {t}")
+            best_so_far.append(best)
+            avg.append(total / k)
+    else:
+        for t in range(iterations + 1):
+            scores = [r[3] for r in records if r[1] <= t]
+            best_so_far.append(max(scores))
+            avg.append(reduce(operator.add, scores, 0) / len(scores))
 
     best_score = max(r[3] for r in records)
     best_id = min(r[0] for r in records if r[3] == best_score)

@@ -118,6 +118,15 @@ def test_replace_sole_node_keeps_size_one():
     assert [n.id for n in arch.nodes] == [1]
 
 
+def test_node_lookup_finds_sole_node_after_replace():
+    arch = Archive(mode_tag="no-open-ended")
+    add_node(arch, make_node(0, None))
+    replace_sole_node(arch, make_node(7, 0, score=0.9))
+    assert arch.node(7).scores["main"].train == 0.9
+    with pytest.raises(KeyError):
+        arch.node(0)
+
+
 # --- tree queries ------------------------------------------------------------
 
 

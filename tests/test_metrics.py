@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import csv
+from typing import Optional
 
 import numpy as np
 import pytest
 
+import evoarchive.metrics as metrics_mod
 from evoarchive.archive import Archive, add_node, lineage
 from evoarchive.engine import run
+from evoarchive.evaluation import node_selection_score
 from evoarchive.metrics import (
     GrowthScoreParams,
     ImpAtKRequest,
@@ -213,6 +216,116 @@ def test_growth_and_transfer_match_brute_force_on_500_trees():
                 transfer_select(arch, params)
         else:
             assert transfer_select(arch, params) == expected
+
+
+# --- bit-exactness against the original quadratic implementation --------------
+
+
+def _scan_children(arch: Archive, node_id: int) -> list[int]:
+    return [n.id for n in arch.nodes if n.parent_id == node_id]
+
+
+def _scan_descendants(arch: Archive, node_id: int) -> set[int]:
+    out: set[int] = set()
+    frontier = [node_id]
+    while frontier:
+        for child in _scan_children(arch, frontier.pop()):
+            if child not in out:
+                out.add(child)
+                frontier.append(child)
+    return out
+
+
+def _walk_distance(arch: Archive, ancestor: int, descendant: int) -> int:
+    steps, current = 0, descendant
+    while current != ancestor:
+        current, steps = arch.node(current).parent_id, steps + 1
+    return steps
+
+
+def frozen_growth_score(arch: Archive, node_id: int, params: GrowthScoreParams) -> float:
+    """growth_score as first released: every float operation in its order."""
+    offspring = _scan_descendants(arch, node_id)
+    if not offspring:
+        raise ValueError(f"node {node_id} has no descendants")
+    base = node_selection_score(arch.node(node_id))
+    total = 0.0
+    for j in sorted(offspring):
+        delta = node_selection_score(arch.node(j)) - base
+        total += delta * params.gamma ** _walk_distance(arch, node_id, j)
+    return total / len(offspring)
+
+
+def frozen_transfer_select(arch: Archive, params: GrowthScoreParams) -> Optional[int]:
+    """transfer_select as first released; None where it raised ValueError."""
+    best_id: Optional[int] = None
+    best_score = -np.inf
+    for node in arch:
+        if len(_scan_descendants(arch, node.id)) < params.min_descendants:
+            continue
+        score = frozen_growth_score(arch, node.id, params)
+        if score > best_score:
+            best_id, best_score = node.id, score
+    return best_id
+
+
+def deep_tree_archive(rng: np.random.Generator, size: int) -> Archive:
+    """Random tree whose parents are drawn from the last few nodes: deep lineages."""
+    arch = Archive(mode_tag="full")
+    add_node(arch, make_node(0, None, score=float(rng.random())))
+    for node_id in range(1, size):
+        parent = int(rng.integers(max(0, node_id - 4), node_id))
+        add_node(arch, make_node(node_id, parent, score=float(rng.random())))
+    return arch
+
+
+@pytest.mark.parametrize("gamma", [0.6, 0.37, 1.0])
+def test_growth_and_transfer_bit_identical_to_frozen_implementation(gamma):
+    rng = np.random.default_rng(404)
+    for shape in (random_tree_archive, deep_tree_archive):
+        for _ in range(25):
+            arch = shape(rng, int(rng.integers(2, 201)))
+            min_descendants = int(rng.integers(1, 6))
+            params = GrowthScoreParams(gamma=gamma, min_descendants=min_descendants)
+            for node in arch.nodes:
+                if _scan_children(arch, node.id):
+                    assert growth_score(arch, node.id, params) == frozen_growth_score(
+                        arch, node.id, params
+                    )
+            expected = frozen_transfer_select(arch, params)
+            if expected is None:
+                with pytest.raises(ValueError):
+                    transfer_select(arch, params)
+            else:
+                assert transfer_select(arch, params) == expected
+
+
+def test_transfer_exact_tie_picks_lowest_id():
+    # nodes 1 and 2 root identical subtrees; 2's children get the lower ids
+    arch = Archive()
+    add_node(arch, make_node(0, None, score=0.5))
+    add_node(arch, make_node(1, 0, score=0.25))
+    add_node(arch, make_node(2, 0, score=0.25))
+    for node_id, parent in ((3, 2), (4, 2), (5, 1), (6, 2), (7, 1), (8, 1)):
+        add_node(arch, make_node(node_id, parent, score=0.75))
+    params = GrowthScoreParams(gamma=0.6, min_descendants=3)
+    assert growth_score(arch, 1, params) == growth_score(arch, 2, params)
+    assert growth_score(arch, 1, params) > growth_score(arch, 0, params)
+    assert transfer_select(arch, params) == frozen_transfer_select(arch, params) == 1
+
+
+def test_transfer_scores_each_node_once(monkeypatch):
+    calls = 0
+
+    def counting(node):
+        nonlocal calls
+        calls += 1
+        return node_selection_score(node)
+
+    arch = random_tree_archive(np.random.default_rng(505), 2000)
+    monkeypatch.setattr(metrics_mod, "node_selection_score", counting)
+    transfer_select(arch, GrowthScoreParams())
+    assert calls == len(arch) == 2000
 
 
 # --- bootstrap -----------------------------------------------------------------------
