@@ -151,11 +151,6 @@ def replace_sole_node(archive: Archive, node: AgentNode) -> Archive:
     return archive
 
 
-def children_of(archive: Archive, node_id: int) -> list[int]:
-    archive.node(node_id)
-    return [n.id for n in archive.nodes if n.parent_id == node_id]
-
-
 def child_index(archive: Archive) -> dict[int, list[int]]:
     """Children of every node that has any, each list in ascending id order."""
     index: dict[int, list[int]] = {}

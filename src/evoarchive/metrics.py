@@ -10,9 +10,7 @@ operations below.
 from __future__ import annotations
 
 import csv
-import operator
 from dataclasses import dataclass
-from functools import reduce
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -170,34 +168,30 @@ def _series_from_records(
 ) -> ProgressSeries:
     """records: (node_id, iteration, parent_id, selection_score), add order.
 
-    The average adds scores left to right in add order with plain float
-    addition (not the compensated ``sum()`` of Python 3.12+), so the series
-    does not depend on the interpreter version.
+    The agents present at iteration t are a prefix of the records in
+    iteration order (add order within an iteration; engine logs are already
+    in that order), so a running sum and best give the series in O(n + T).
+    The average adds scores left to right with plain float addition (not the
+    compensated ``sum()`` of Python 3.12+), so it does not depend on the
+    interpreter version.
     """
     if not records:
         raise ValueError("no archived agents in input")
+    ordered = sorted(records, key=lambda r: r[1])
     best_so_far: list[float] = []
     avg: list[float] = []
-    if all(a[1] <= b[1] for a, b in zip(records, records[1:])):
-        # Engine logs add in iteration order, so the agents present at t are
-        # a prefix: a running sum and best give the scan's values in O(n + T).
-        k, total, best = 0, 0, records[0][3]
-        for t in range(iterations + 1):
-            while k < len(records) and records[k][1] <= t:
-                score = records[k][3]
-                total += score
-                if score > best:
-                    best = score
-                k += 1
-            if k == 0:
-                raise ValueError(f"no archived agents by iteration {t}")
-            best_so_far.append(best)
-            avg.append(total / k)
-    else:
-        for t in range(iterations + 1):
-            scores = [r[3] for r in records if r[1] <= t]
-            best_so_far.append(max(scores))
-            avg.append(reduce(operator.add, scores, 0) / len(scores))
+    k, total, best = 0, 0, ordered[0][3]
+    for t in range(iterations + 1):
+        while k < len(ordered) and ordered[k][1] <= t:
+            score = ordered[k][3]
+            total += score
+            if score > best:
+                best = score
+            k += 1
+        if k == 0:
+            raise ValueError(f"no archived agents by iteration {t}")
+        best_so_far.append(best)
+        avg.append(total / k)
 
     best_score = max(r[3] for r in records)
     best_id = min(r[0] for r in records if r[3] == best_score)
