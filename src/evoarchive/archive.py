@@ -22,10 +22,10 @@ from typing import Iterator, Optional
 
 
 class ArchiveError(Exception):
-    """Engine-logic corruption (duplicate id, dangling parent): abort the run."""
+    """Engine-logic corruption (duplicate id, dangling parent); base of ArchiveLoadError."""
 
 
-class ArchiveLoadError(Exception):
+class ArchiveLoadError(ArchiveError):
     """Persisted state is corrupt or incomplete; names the offending record."""
 
 

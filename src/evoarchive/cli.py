@@ -22,9 +22,15 @@ from .config import (
     parse_config,
 )
 from .evaluation import node_selection_score
+from .generation import GenerationError
 from .rng import substream
+from .selection import POLICY_KEYS
 
 ANALYZE_METRICS = ("impk", "transfer", "ci", "progress", "tree")
+
+# Failures of `run`, `resume` and `analyze` that exit 1 with a one-line
+# message: corrupt or inconsistent state, a failing backend, unreadable files.
+RUNTIME_FAILURES = (engine.EngineError, archive_mod.ArchiveError, GenerationError, OSError)
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -37,12 +43,12 @@ def _parser() -> argparse.ArgumentParser:
     run_p.add_argument("--mode", default=None, help="override the algorithm mode")
     run_p.add_argument("--iterations", type=int, default=None, help="override T")
     # selection policy overrides, mirroring the config keys under "policy"
-    run_p.add_argument("--policy-variant", default=None)
-    run_p.add_argument("--policy-sharpness", type=float, default=None)
-    run_p.add_argument("--policy-midpoint-pool-size", type=int, default=None)
-    run_p.add_argument("--policy-temperature", type=float, default=None)
-    run_p.add_argument("--policy-exploration-weight", type=float, default=None)
-    run_p.add_argument("--policy-stagnation-boost", action="store_true", default=None)
+    for key, kind in POLICY_KEYS.items():
+        flag = "--policy-" + key.replace("_", "-")
+        if kind is bool:
+            run_p.add_argument(flag, action="store_true", default=None)
+        else:
+            run_p.add_argument(flag, type=kind, default=None)
 
     resume_p = sub.add_parser("resume", help="continue an interrupted run")
     resume_p.add_argument("--state", required=True, help="state directory of the run")
@@ -74,14 +80,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         _, _, raw = load_config(args.config)
         overrides = {"seed": args.seed, "mode": args.mode, "iterations": args.iterations}
         doc = effective_config_doc(raw, overrides)
-        policy_overrides = {
-            "variant": args.policy_variant,
-            "sharpness": args.policy_sharpness,
-            "midpoint_pool_size": args.policy_midpoint_pool_size,
-            "temperature": args.policy_temperature,
-            "exploration_weight": args.policy_exploration_weight,
-            "stagnation_boost": args.policy_stagnation_boost,
-        }
+        policy_overrides = {key: getattr(args, f"policy_{key}") for key in POLICY_KEYS}
         if any(v is not None for v in policy_overrides.values()):
             policy = dict(doc.get("policy", {"variant": "score-child-prop"}))
             policy.update({k: v for k, v in policy_overrides.items() if v is not None})
@@ -96,13 +95,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     (config.state_dir / "config.json").write_text(
         json.dumps(doc, sort_keys=True, indent=1) + "\n", encoding="utf-8"
     )
-    try:
-        state = engine.run(
-            config, evaluator_specs=evaluator_specs, run_id=digest[:12]
-        )
-    except engine.EngineError as exc:
-        print(f"run halted: {exc}", file=sys.stderr)
-        return 1
+    state = engine.run(config, evaluator_specs=evaluator_specs, run_id=digest[:12])
     print(f"run {state.run_id} complete: {state.iteration} iterations, "
           f"archive size {len(state.archive)}")
     return 0
@@ -135,11 +128,7 @@ def _cmd_resume(args: argparse.Namespace) -> int:
     if state_doc["completed"]:
         print("run already completed; nothing to resume")
         return 0
-    try:
-        state = engine.resume(config, evaluator_specs=evaluator_specs)
-    except engine.EngineError as exc:
-        print(f"resume halted: {exc}", file=sys.stderr)
-        return 1
+    state = engine.resume(config, evaluator_specs=evaluator_specs)
     print(f"run {state.run_id} complete: {state.iteration} iterations, "
           f"archive size {len(state.archive)}")
     return 0
@@ -151,11 +140,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     if not state_dir.exists():
         print(f"no state directory {state_dir}", file=sys.stderr)
         return 2
-    try:
-        arch = archive_mod.load(state_dir / "archive")
-    except archive_mod.ArchiveLoadError as exc:
-        print(f"corrupt state: {exc}", file=sys.stderr)
-        return 1
+    arch = archive_mod.load(state_dir / "archive")
 
     if args.metric == "tree":
         metrics.export_tree_dot(arch, out)
@@ -245,12 +230,13 @@ def _impk_row(arch: archive_mod.Archive, variant: str) -> dict | None:
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "resume":
-        return _cmd_resume(args)
-    if args.command == "analyze":
-        return _cmd_analyze(args)
+    commands = {"run": _cmd_run, "resume": _cmd_resume, "analyze": _cmd_analyze}
+    if args.command in commands:
+        try:
+            return commands[args.command](args)
+        except RUNTIME_FAILURES as exc:
+            print(f"{args.command} halted: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return 1
     if args.command == "demo-config":
         doc = demo_config(args.state_dir, args.iterations, args.seed)
         Path(args.out).write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")

@@ -15,7 +15,7 @@ from typing import Any, Optional
 from .engine import MODES, RunConfig
 from .evaluation import DomainSpec, Gate, StagedEvalPolicy
 from .sandbox import SandboxLimits
-from .selection import VARIANTS, ScoreChildPropParams, SelectionPolicy
+from .selection import SelectionPolicy, checked_type
 
 
 class ConfigError(Exception):
@@ -25,12 +25,10 @@ class ConfigError(Exception):
 def _require(mapping: dict, key: str, kind, context: str):
     if key not in mapping:
         raise ConfigError(f"missing key '{context}{key}'")
-    value = mapping[key]
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
-    if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
-        raise ConfigError(f"key '{context}{key}' must be {kind.__name__}")
-    return value
+    try:
+        return checked_type(mapping[key], kind, context + key)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _optional(mapping: dict, key: str, kind, default, context: str):
@@ -46,29 +44,8 @@ def _reject_unknown(mapping: dict, allowed: set[str], context: str) -> None:
 
 
 def _parse_policy(spec: dict) -> SelectionPolicy:
-    context = "policy."
-    _reject_unknown(
-        spec,
-        {"variant", "sharpness", "midpoint_pool_size", "temperature",
-         "exploration_weight", "stagnation_boost"},
-        context,
-    )
-    variant = _require(spec, "variant", str, context)
-    if variant not in VARIANTS:
-        raise ConfigError(f"key 'policy.variant' must be one of {VARIANTS}, got {variant!r}")
     try:
-        if variant == "score-child-prop":
-            params = ScoreChildPropParams(
-                sharpness=_optional(spec, "sharpness", float, 10.0, context),
-                midpoint_pool_size=_optional(spec, "midpoint_pool_size", int, 3, context),
-            )
-            return SelectionPolicy(variant=variant, params=params)
-        return SelectionPolicy(
-            variant=variant,
-            temperature=_optional(spec, "temperature", float, 1.0, context),
-            exploration_weight=_optional(spec, "exploration_weight", float, 1.0, context),
-            stagnation_boost=_optional(spec, "stagnation_boost", bool, False, context),
-        )
+        return SelectionPolicy.from_dict(spec)
     except ValueError as exc:
         raise ConfigError(f"key 'policy': {exc}") from exc
 

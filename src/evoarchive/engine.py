@@ -38,8 +38,8 @@ from .evaluation import (
     CommandEvaluator,
     evaluate_full,
     multi_domain_evaluate,
+    node_selection_score,
     reports_to_scores,
-    selection_score,
 )
 from .generation import (
     ExternalProcessBackend,
@@ -152,15 +152,19 @@ def _now() -> str:
 # --- wiring -------------------------------------------------------------------
 
 
+def _landscape(config: RunConfig) -> TwoPeakLandscape:
+    """The synthetic surface shared by the simulated backend and evaluator."""
+    return TwoPeakLandscape(**config.backend.get("landscape", {}))
+
+
 def build_backend(config: RunConfig, root_payload_ref: str):
     spec = dict(config.backend)
     kind = spec.pop("kind", "simulated")
     if kind == "simulated":
-        landscape_spec = spec.pop("landscape", {})
-        landscape = TwoPeakLandscape(**landscape_spec) if landscape_spec else TwoPeakLandscape()
+        spec.pop("landscape", None)
         return SimulatedBackend(
             master_seed=config.seed,
-            landscape=landscape,
+            landscape=_landscape(config),
             self_improve=config.mode != "no-self-improve",
             root_payload_ref=root_payload_ref,
             evolve_selection_policy=config.mode == "modifiable-selection",
@@ -187,9 +191,7 @@ def build_evaluators(config: RunConfig, evaluator_specs: dict[str, dict]) -> dic
         spec = dict(evaluator_specs.get(domain.name, {"kind": "synthetic"}))
         kind = spec.pop("kind", "synthetic")
         if kind == "synthetic":
-            landscape_spec = dict(config.backend).get("landscape", {})
-            landscape = TwoPeakLandscape(**landscape_spec) if landscape_spec else TwoPeakLandscape()
-            evaluators[domain.name] = SyntheticEvaluator(landscape)
+            evaluators[domain.name] = SyntheticEvaluator(_landscape(config))
         elif kind == "command":
             evaluators[domain.name] = CommandEvaluator(spec["command"])
         else:
@@ -330,7 +332,7 @@ def _start(runtime: _Runtime, run_id: str) -> RunState:
             {
                 "event": "evaluation", "time": _now(), "iteration": 0, "node_id": 0,
                 "payload_ref": ROOT_PAYLOAD_KEY,
-                "selection_score": selection_score(root, config.domains),
+                "selection_score": node_selection_score(root),
                 **_jsonable_eval(eval_event),
             },
             {
@@ -410,9 +412,7 @@ def _step(runtime: _Runtime, state: RunState) -> RunState:
     events: list[dict] = []
 
     policy, selector_id, fallback = _choose_policy(runtime, state)
-    view = [
-        (selection_score(n, config.domains), n.compiled_children) for n in state.archive
-    ]
+    view = [(node_selection_score(n), n.compiled_children) for n in state.archive]
     breakdown = selection_distribution(view, policy)
     sel_stream = stream_id("sel", iteration)
     rng = substream(config.seed, sel_stream)
@@ -489,7 +489,7 @@ def _step(runtime: _Runtime, state: RunState) -> RunState:
             {
                 "event": "evaluation", "time": _now(), "iteration": iteration,
                 "node_id": node.id, "payload_ref": node.payload_ref,
-                "selection_score": selection_score(node, config.domains),
+                "selection_score": node_selection_score(node),
                 **_jsonable_eval(outcome["eval_event"]),
             }
         )
@@ -559,6 +559,7 @@ def load_state(config: RunConfig) -> RunState:
         raise IntegrityError(f"no state file at {state_path}")
     doc = json.loads(state_path.read_text(encoding="utf-8"))
     arch = archive_mod.load(config.state_dir / "archive")
+    _check_score_coverage(arch, config.domains)
     event_log = config.state_dir / "events.jsonl"
     _check_log_integrity(event_log, arch, doc["iteration"], config.mode)
     return RunState(
@@ -569,6 +570,28 @@ def load_state(config: RunConfig) -> RunState:
         next_node_id=doc["next_node_id"],
         completed=doc["completed"],
     )
+
+
+_RECORD_KINDS = {
+    None: "no record",
+    False: "a record without a validation score",
+    True: "a record with a validation score",
+}
+
+
+def _check_score_coverage(arch: Archive, domains: list[DomainSpec]) -> None:
+    """Every node holds a record for exactly the configured domains, with a
+    validation score exactly where the domain has a validation split, so its
+    `node_selection_score` is the configured selection score."""
+    expected = {d.name: d.has_validation for d in domains}
+    for node in arch:
+        held = {name: s.validation is not None for name, s in node.scores.items()}
+        for name in sorted(expected.keys() | held.keys()):
+            if held.get(name) != expected.get(name):
+                raise IntegrityError(
+                    f"node {node.id} holds {_RECORD_KINDS[held.get(name)]} for domain "
+                    f"{name!r}; the config expects {_RECORD_KINDS[expected.get(name)]}"
+                )
 
 
 def _check_log_integrity(

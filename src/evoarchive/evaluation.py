@@ -158,18 +158,11 @@ def staged_evaluate(
     limits: SandboxLimits,
     concurrency: int = 1,
 ) -> ScoreReport:
-    """Evaluate the subset, apply the gate, then the rest only if it passed."""
-    policy = domain.staged
-    subset = domain.task_ids[: policy.subset_size]
-    per_task = _score_batch(evaluator, subset, payload_ref, limits, concurrency)
-    successes = sum(1 for s in per_task.values() if s > 0.0)
-    if not policy.gate.passes(successes, policy.subset_size):
-        aggregate = sum(per_task.values()) / policy.full_size
-        return ScoreReport(per_task, gated_out=True, aggregate=aggregate, full_count=policy.full_size)
-    rest = domain.task_ids[policy.subset_size : policy.full_size]
-    per_task.update(_score_batch(evaluator, rest, payload_ref, limits, concurrency))
-    aggregate = sum(per_task.values()) / policy.full_size
-    return ScoreReport(per_task, gated_out=False, aggregate=aggregate, full_count=policy.full_size)
+    """One-domain `multi_domain_evaluate`: subset, gate, then the rest only if it passed."""
+    reports, _ = multi_domain_evaluate(
+        payload_ref, [domain], {domain.name: evaluator}, limits, concurrency
+    )
+    return reports[domain.name]
 
 
 def evaluate_full(
@@ -216,48 +209,32 @@ def multi_domain_evaluate(
     for domain in domains:
         policy = domain.staged
         per_task = subset_scores[domain.name]
-        if any_gate_failed:
-            aggregate = sum(per_task.values()) / policy.full_size
-            reports[domain.name] = ScoreReport(
-                per_task, gated_out=True, aggregate=aggregate, full_count=policy.full_size
+        if not any_gate_failed:
+            rest = domain.task_ids[policy.subset_size : policy.full_size]
+            per_task.update(
+                _score_batch(evaluators[domain.name], rest, payload_ref, limits, concurrency)
             )
-            continue
-        rest = domain.task_ids[policy.subset_size : policy.full_size]
-        per_task.update(_score_batch(evaluators[domain.name], rest, payload_ref, limits, concurrency))
-        aggregate = sum(per_task.values()) / policy.full_size
         reports[domain.name] = ScoreReport(
-            per_task, gated_out=False, aggregate=aggregate, full_count=policy.full_size
+            per_task,
+            gated_out=any_gate_failed,
+            aggregate=sum(per_task.values()) / policy.full_size,
+            full_count=policy.full_size,
         )
 
     combined = sum(r.aggregate for r in reports.values()) / len(reports)
     return reports, combined
 
 
-def selection_score(node: AgentNode, domains: Sequence[DomainSpec]) -> float:
-    """Score that drives parent selection: validation where defined, else train."""
-    if not node.scores:
-        raise ValueError(f"node {node.id} has no evaluation record")
-    components = []
-    for domain in domains:
-        if domain.name not in node.scores:
-            raise ValueError(f"node {node.id} has no record for domain {domain.name!r}")
-        record = node.scores[domain.name]
-        if domain.has_validation:
-            if record.validation is None:
-                raise ValueError(
-                    f"domain {domain.name!r} expects a validation score on node {node.id}"
-                )
-            components.append(record.validation)
-        else:
-            components.append(record.train)
-    return sum(components) / len(components)
-
-
 def node_selection_score(node: AgentNode) -> float:
-    """Selection score from a node's stored records alone (validation-else-train)."""
+    """Score that drives parent selection: validation where defined, else train.
+
+    The mean over the node's domains, summed in domain-name order: a node
+    built in memory holds its domains in config order and a reloaded one in
+    sorted order, so name order is the one both give the same bits for.
+    """
     if not node.scores:
         raise ValueError(f"node {node.id} has no evaluation record")
-    values = [s.selection_component() for s in node.scores.values()]
+    values = [node.scores[name].selection_component() for name in sorted(node.scores)]
     return sum(values) / len(values)
 
 

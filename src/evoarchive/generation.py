@@ -28,7 +28,7 @@ from .evaluation import Evaluator
 from .landscape import DEFAULT_LANDSCAPE, TwoPeakLandscape
 from .rng import substream
 from .sandbox import SandboxLimits, SandboxSpawnError, sandbox_execute
-from .selection import ScoreChildPropParams, SelectionPolicy
+from .selection import SelectionPolicy
 
 logger = logging.getLogger(__name__)
 
@@ -268,25 +268,7 @@ class SimulatedBackend:
     def selection_policy_of(self, payload_ref: str) -> SelectionPolicy:
         """Selection routine carried by an agent payload; raises when absent/invalid."""
         genome = SimulatedAgentGenome.from_payload(payload_ref)
-        return policy_from_spec(genome.selection_policy)
-
-
-def policy_from_spec(spec: Optional[dict]) -> SelectionPolicy:
-    if not isinstance(spec, dict):
-        raise ValueError(f"no usable selection policy: {spec!r}")
-    variant = spec["variant"]
-    if variant == "score-child-prop":
-        params = ScoreChildPropParams(
-            sharpness=float(spec.get("sharpness", 10.0)),
-            midpoint_pool_size=int(spec.get("midpoint_pool_size", 3)),
-        )
-        return SelectionPolicy(variant=variant, params=params)
-    return SelectionPolicy(
-        variant=variant,
-        temperature=float(spec.get("temperature", 1.0)),
-        exploration_weight=float(spec.get("exploration_weight", 1.0)),
-        stagnation_boost=bool(spec.get("stagnation_boost", False)),
-    )
+        return SelectionPolicy.from_dict(genome.selection_policy)
 
 
 def _mutate_policy_spec(spec: Optional[dict], rng: np.random.Generator) -> Optional[dict]:
@@ -310,7 +292,15 @@ def _mutate_policy_spec(spec: Optional[dict], rng: np.random.Generator) -> Optio
     return {"variant": variant}
 
 
-class ExternalProcessBackend:
+class _PolicyFileBackend:
+    """Backends whose agents carry their selection routine as `selection_policy.json`."""
+
+    def selection_policy_of(self, payload_ref: str) -> SelectionPolicy:
+        spec_path = Path(payload_ref) / "selection_policy.json"
+        return SelectionPolicy.from_dict(json.loads(spec_path.read_text(encoding="utf-8")))
+
+
+class ExternalProcessBackend(_PolicyFileBackend):
     """Child generation via a configured command running inside the sandbox.
 
     The command receives one JSON request on stdin (parent payload locator,
@@ -348,12 +338,8 @@ class ExternalProcessBackend:
             return GenerationResult(request.child_payload_ref, False, log, wall)
         return GenerationResult(request.child_payload_ref, False, "", wall)
 
-    def selection_policy_of(self, payload_ref: str) -> SelectionPolicy:
-        spec_path = Path(payload_ref) / "selection_policy.json"
-        return policy_from_spec(json.loads(spec_path.read_text(encoding="utf-8")))
 
-
-class ModelClientBackend:
+class ModelClientBackend(_PolicyFileBackend):
     """Child generation through one HTTPS request per child.
 
     One request carries the parent payload bundle, evaluation summaries,
@@ -438,10 +424,6 @@ class ModelClientBackend:
             log = _write_validity_log(child_dir, False, f"malformed response: {exc}")
             return GenerationResult(str(child_dir), False, log, time.monotonic() - start)
         return GenerationResult(str(child_dir), False, "", time.monotonic() - start)
-
-    def selection_policy_of(self, payload_ref: str) -> SelectionPolicy:
-        spec_path = Path(payload_ref) / "selection_policy.json"
-        return policy_from_spec(json.loads(spec_path.read_text(encoding="utf-8")))
 
 
 def generate_child(

@@ -14,8 +14,8 @@ with an optional stagnation boost.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass, field, fields
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -25,6 +25,28 @@ STAGNATION_VARIANCE = 0.01
 STAGNATION_FACTOR = 1.4
 
 PROBABILITY_TOL = 1e-12
+
+# The selection-policy document: every key it accepts and that key's JSON
+# type. "variant" is required; the defaults of the others are the dataclass
+# field defaults below. score-child-prop reads the ScoreChildPropParams keys,
+# every other variant the remaining SelectionPolicy keys.
+POLICY_KEYS: dict[str, type] = {
+    "variant": str,
+    "sharpness": float,
+    "midpoint_pool_size": int,
+    "temperature": float,
+    "exploration_weight": float,
+    "stagnation_boost": bool,
+}
+
+
+def checked_type(value: Any, kind: type, key: str) -> Any:
+    """`value` as a JSON `kind`: an int is also a float, a bool is only a bool."""
+    if kind is float and isinstance(value, int) and not isinstance(value, bool):
+        return float(value)
+    if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
+        raise ValueError(f"key '{key}' must be {kind.__name__}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -58,6 +80,33 @@ class SelectionPolicy:
             raise ValueError("exploration_weight must be non-negative")
         if self.stagnation_boost and self.variant != "ucb":
             raise ValueError("stagnation_boost applies only to the ucb variant")
+
+    @classmethod
+    def from_dict(cls, spec: Any) -> "SelectionPolicy":
+        """Policy from its document (see POLICY_KEYS); ValueError names the bad key.
+
+        Keys the variant does not read are accepted and ignored unchecked.
+        """
+        if not isinstance(spec, dict):
+            raise ValueError(f"selection policy must be an object, got {spec!r}")
+        unknown = sorted(set(spec) - set(POLICY_KEYS))
+        if unknown:
+            raise ValueError(f"unknown key '{unknown[0]}'")
+        if "variant" not in spec:
+            raise ValueError("missing key 'variant'")
+        variant = checked_type(spec["variant"], str, "variant")
+        if variant not in VARIANTS:
+            raise ValueError(f"key 'variant' must be one of {VARIANTS}, got {variant!r}")
+        scp = variant == "score-child-prop"
+        param_keys = {f.name for f in fields(ScoreChildPropParams)}
+        values = {
+            key: checked_type(spec[key], kind, key)
+            for key, kind in POLICY_KEYS.items()
+            if key in spec and key != "variant" and (key in param_keys) == scp
+        }
+        if scp:
+            return cls(variant=variant, params=ScoreChildPropParams(**values))
+        return cls(variant=variant, **values)
 
 
 @dataclass

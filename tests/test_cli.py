@@ -10,6 +10,7 @@ import pytest
 from evoarchive.archive import fingerprint, load
 from evoarchive.cli import main
 from evoarchive.config import ConfigError, demo_config, parse_config
+from evoarchive.selection import SelectionPolicy
 
 
 def write_config(tmp_path: Path, **overrides) -> Path:
@@ -104,6 +105,27 @@ def test_resume_refuses_mismatched_config_hash(tmp_path, capsys):
 
 def test_resume_missing_state_dir(tmp_path, capsys):
     assert main(["resume", "--state", str(tmp_path / "missing")]) == 2
+
+
+def test_resume_without_state_file_exits_1(tmp_path, capsys):
+    config_path = write_config(tmp_path)
+    assert main(["run", "--config", str(config_path)]) == 0
+    (tmp_path / "state" / "state.json").unlink()
+    assert main(["resume", "--state", str(tmp_path / "state")]) == 1
+    err = capsys.readouterr().err
+    assert "state.json" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_missing_generation_command_exits_1(tmp_path, capsys):
+    config_path = write_config(
+        tmp_path, backend={"kind": "external-process",
+                           "command": [str(tmp_path / "no-such-generator")]},
+    )
+    assert main(["run", "--config", str(config_path)]) == 1
+    err = capsys.readouterr().err
+    assert "GenerationError" in err and "no-such-generator" in err
+    assert len(err.strip().splitlines()) == 1
 
 
 # --- analyze ------------------------------------------------------------------
@@ -224,6 +246,27 @@ def test_analyze_never_mutates_state(finished_run, tmp_path):
     assert (finished_run / "events.jsonl").read_bytes() == log_before
 
 
+@pytest.mark.parametrize("command", ["resume", "analyze"])
+def test_inconsistent_archive_exits_1(finished_run, tmp_path, capsys, command):
+    record = finished_run / "archive" / "nodes" / "node_000000.json"
+    doc = json.loads(record.read_text())
+    doc["compiled_children"] += 1
+    record.write_text(json.dumps(doc))
+    state_path = finished_run / "state.json"
+    state = json.loads(state_path.read_text())
+    state["completed"] = False  # as if the run had been interrupted
+    state_path.write_text(json.dumps(state))
+    argv = {
+        "resume": ["resume", "--state", str(finished_run)],
+        "analyze": ["analyze", "--state", str(finished_run), "--metric", "tree",
+                    "--out", str(tmp_path / "t.dot")],
+    }[command]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "ArchiveError" in err and "compiled_children" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_analyze_missing_state(tmp_path, capsys):
     assert main(["analyze", "--state", str(tmp_path / "nope"), "--metric", "tree",
                  "--out", str(tmp_path / "t.dot")]) == 2
@@ -236,6 +279,32 @@ def test_policy_flags_mirror_config_keys(tmp_path):
     effective = json.loads((tmp_path / "state" / "config.json").read_text())
     assert effective["policy"]["variant"] == "softmax"
     assert effective["policy"]["temperature"] == 0.25
+
+
+@pytest.mark.parametrize(
+    "policy",
+    [
+        {"variant": "score-child-prop", "sharpness": 4.5, "midpoint_pool_size": 2},
+        {"variant": "score-child-prop"},
+        {"variant": "uniform-random"},
+        {"variant": "softmax", "temperature": 0.25},
+        {"variant": "ucb", "exploration_weight": 1.5, "stagnation_boost": True},
+        {"variant": "ucb", "exploration_weight": 0},
+    ],
+)
+def test_policy_config_flags_and_from_dict_agree(tmp_path, policy):
+    doc = demo_config(state_dir=str(tmp_path / "state"), iterations=1)
+    from_config, _ = parse_config({**doc, "policy": policy})
+    del doc["policy"]
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(doc), encoding="utf-8")
+    flags = []
+    for key, value in policy.items():
+        flag = "--policy-" + key.replace("_", "-")
+        flags += [flag] if value is True else [flag, str(value)]
+    assert main(["run", "--config", str(config_path), *flags]) == 0
+    from_flags, _ = parse_config(json.loads((tmp_path / "state" / "config.json").read_text()))
+    assert from_config.policy == from_flags.policy == SelectionPolicy.from_dict(policy)
 
 
 def test_demo_config_twenty_iterations_under_a_minute(tmp_path):

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import pytest
 
-from evoarchive.archive import fingerprint
+from evoarchive import archive as archive_mod
+from evoarchive.archive import DomainScores, fingerprint
 from evoarchive.engine import (
     EngineError,
     IntegrityError,
@@ -16,7 +18,13 @@ from evoarchive.engine import (
     run,
     step,
 )
-from evoarchive.evaluation import DomainSpec, Gate, StagedEvalPolicy
+from evoarchive.evaluation import (
+    DomainSpec,
+    Gate,
+    StagedEvalPolicy,
+    SyntheticEvaluator,
+    node_selection_score,
+)
 from evoarchive.generation import GenerationResult, SimulatedAgentGenome
 from evoarchive.sandbox import SandboxLimits
 from evoarchive.selection import SelectionPolicy
@@ -24,13 +32,15 @@ from evoarchive.selection import SelectionPolicy
 LIMITS = SandboxLimits(wall_clock_seconds=10.0, cpu_seconds=10, max_output_bytes=100_000)
 
 
-def landscape_domain(n_tasks: int = 3, subset: int = 1) -> DomainSpec:
+def landscape_domain(n_tasks: int = 3, subset: int = 1, has_validation: bool = False) -> DomainSpec:
     return DomainSpec(
         name="landscape",
         task_ids=tuple(f"probe-{i}" for i in range(n_tasks)),
         staged=StagedEvalPolicy(
             subset_size=subset, full_size=n_tasks, gate=Gate(kind="min-successes", count=1)
         ),
+        has_validation=has_validation,
+        validation_task_ids=("probe-val",) if has_validation else (),
     )
 
 
@@ -204,6 +214,21 @@ def test_modifiable_selection_falls_back_to_uniform_without_policy(tmp_path):
     assert all(e["fallback"] and e["policy"] == "uniform-random" for e in selections)
 
 
+def test_modifiable_selection_malformed_payload_policy_falls_back(tmp_path):
+    # a payload policy follows the config rules: the string "false" is not a
+    # bool, so the routine is malformed and selection falls back to uniform
+    config = make_config(
+        tmp_path, mode="modifiable-selection", iterations=3,
+        initial={"task_skill": [0.0, 0.0], "meta_capability": 0.3,
+                 "compile_probability": 0.0,
+                 "selection_policy": {"variant": "ucb", "stagnation_boost": "false"}},
+    )
+    state = run(config)
+    selections = [e for e in events_of(state) if e["event"] == "selection"]
+    assert len(selections) == 3
+    assert all(e["fallback"] and e["policy"] == "uniform-random" for e in selections)
+
+
 # --- iterations_left ----------------------------------------------------------------
 
 
@@ -358,3 +383,79 @@ def test_run_config_rejects_bad_values(tmp_path):
         make_config(tmp_path, parents_per_iteration=0)
     with pytest.raises(ValueError):
         make_config(tmp_path, domains=[])
+
+
+# --- selection score across domains ----------------------------------------------
+
+
+def _three_domain_config(tmp_path: Path) -> RunConfig:
+    # configured out of name order, so config order and name order differ
+    def domain(name: str, has_validation: bool = False) -> DomainSpec:
+        return DomainSpec(
+            name=name,
+            task_ids=tuple(f"{name}-{i}" for i in range(3)),
+            staged=StagedEvalPolicy(
+                subset_size=1, full_size=3, gate=Gate(kind="min-successes", count=1)
+            ),
+            has_validation=has_validation,
+            validation_task_ids=(f"{name}-val",) if has_validation else (),
+        )
+
+    return make_config(
+        tmp_path, iterations=60, seed=3, parents_per_iteration=2,
+        domains=[domain("c"), domain("a", has_validation=True), domain("b")],
+    )
+
+
+def _three_domain_evaluators() -> dict:
+    surface = SyntheticEvaluator()
+    return {
+        "c": surface,
+        "a": lambda task, ref, limits: surface(task, ref, limits) ** 2,
+        "b": lambda task, ref, limits: math.sqrt(surface(task, ref, limits)) * 0.9,
+    }
+
+
+def test_logged_selection_score_matches_reloaded_nodes(tmp_path):
+    config = _three_domain_config(tmp_path)
+    state = run(config, evaluators=_three_domain_evaluators())
+    arch = archive_mod.load(config.state_dir / "archive")
+    evaluations = [e for e in events_of(state) if e["event"] == "evaluation"]
+    assert len(evaluations) == len(arch) > 60
+    for event in evaluations:
+        assert event["selection_score"] == node_selection_score(arch.node(event["node_id"]))
+
+
+def test_three_domain_split_run_equals_uninterrupted(tmp_path):
+    full = _three_domain_config(tmp_path / "full")
+    run(full, evaluators=_three_domain_evaluators())
+    split = _three_domain_config(tmp_path / "split")
+    run(split, evaluators=_three_domain_evaluators(), stop_after=25)
+    assert resume(split, evaluators=_three_domain_evaluators()).completed
+    assert fingerprint(split.state_dir / "archive") == fingerprint(full.state_dir / "archive")
+
+
+@pytest.mark.parametrize(
+    "has_validation, scores, message",
+    [
+        (False, {}, "holds no record for domain 'landscape'"),
+        (False, {"landscape": DomainScores(0.5), "extra": DomainScores(0.5)},
+         "holds a record without a validation score for domain 'extra'; "
+         "the config expects no record"),
+        (True, {"landscape": DomainScores(0.5)},
+         "holds a record without a validation score for domain 'landscape'; "
+         "the config expects a record with a validation score"),
+        (False, {"landscape": DomainScores(0.5, validation=0.4)},
+         "holds a record with a validation score for domain 'landscape'"),
+    ],
+)
+def test_load_state_checks_score_coverage(tmp_path, has_validation, scores, message):
+    config = make_config(tmp_path, iterations=3,
+                         domains=[landscape_domain(has_validation=has_validation)])
+    run(config, stop_after=1)
+    assert load_state(config).iteration == 1  # engine-built nodes pass the check
+    arch = archive_mod.load(config.state_dir / "archive")
+    arch.node(0).scores = scores
+    archive_mod.persist(arch, config.state_dir / "archive", run_id="run")
+    with pytest.raises(IntegrityError, match=f"node 0 {message}"):
+        load_state(config)

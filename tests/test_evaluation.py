@@ -18,7 +18,6 @@ from evoarchive.evaluation import (
     evaluate_full,
     multi_domain_evaluate,
     node_selection_score,
-    selection_score,
     staged_evaluate,
 )
 from evoarchive.generation import SimulatedAgentGenome
@@ -174,13 +173,12 @@ def _node(scores: dict[str, DomainScores]) -> AgentNode:
 
 def test_validation_preferred_over_train():
     node = _node({"d": DomainScores(train=0.2, validation=0.7)})
-    domain = make_domain("d", has_validation=True, n_validation=2)
-    assert selection_score(node, [domain]) == pytest.approx(0.7)
+    assert node_selection_score(node) == pytest.approx(0.7)
 
 
 def test_train_used_without_validation():
     node = _node({"d": DomainScores(train=0.35)})
-    assert selection_score(node, [make_domain("d")]) == pytest.approx(0.35)
+    assert node_selection_score(node) == pytest.approx(0.35)
 
 
 def test_mixed_pair_mean():
@@ -188,15 +186,14 @@ def test_mixed_pair_mean():
         "v": DomainScores(train=0.1, validation=0.6),
         "t": DomainScores(train=0.2),
     })
-    domains = [make_domain("v", has_validation=True, n_validation=1), make_domain("t")]
-    assert selection_score(node, domains) == pytest.approx(0.4)
     assert node_selection_score(node) == pytest.approx(0.4)
+    # the sum runs in domain-name order, whatever order the node holds them in
+    reordered = _node(dict(reversed(list(node.scores.items()))))
+    assert node_selection_score(reordered) == node_selection_score(node)
 
 
 def test_no_evaluation_record_errors():
     node = _node({})
-    with pytest.raises(ValueError):
-        selection_score(node, [make_domain("d")])
     with pytest.raises(ValueError):
         node_selection_score(node)
 

@@ -16,13 +16,13 @@ from evoarchive.generation import (
     SimulatedAgentGenome,
     SimulatedBackend,
     generate_child,
-    policy_from_spec,
     snapshot_payload,
     validate_child,
     SMOKE_TASK,
 )
 from evoarchive.landscape import TwoPeakLandscape
 from evoarchive.sandbox import SandboxLimits
+from evoarchive.selection import SelectionPolicy
 
 LIMITS = SandboxLimits(wall_clock_seconds=10.0, cpu_seconds=10, max_output_bytes=100_000)
 
@@ -154,16 +154,16 @@ def test_selection_policy_survives_and_mutates(tmp_path):
         result = generate_child(backend, request, SyntheticEvaluator(), LIMITS)
         spec = SimulatedAgentGenome.from_payload(result.child_payload_ref).selection_policy
         seen.add(spec["variant"])
-        policy_from_spec(spec)  # every evolved spec must parse
+        SelectionPolicy.from_dict(spec)  # every evolved spec must parse
     assert "uniform-random" in seen
     assert len(seen) > 1  # mutation actually explores other variants
 
 
-def test_policy_from_spec_rejects_garbage():
+def test_policy_from_dict_rejects_garbage():
     with pytest.raises(ValueError):
-        policy_from_spec(None)
+        SelectionPolicy.from_dict(None)
     with pytest.raises(Exception):
-        policy_from_spec({"variant": "not-a-variant"})
+        SelectionPolicy.from_dict({"variant": "not-a-variant"})
 
 
 def test_snapshot_payload_hardlinks_and_writes_delta(tmp_path):

@@ -322,3 +322,44 @@ def test_policy_validation():
         ScoreChildPropParams(sharpness=0.0)
     with pytest.raises(ValueError):
         ScoreChildPropParams(midpoint_pool_size=0)
+
+
+@pytest.mark.parametrize(
+    "spec, expected",
+    [
+        ({"variant": "score-child-prop"}, SCP),
+        ({"variant": "score-child-prop", "sharpness": 4, "midpoint_pool_size": 2},
+         SelectionPolicy(params=ScoreChildPropParams(sharpness=4.0, midpoint_pool_size=2))),
+        # keys the variant does not read are accepted and left unchecked
+        ({"variant": "softmax", "temperature": 0.5, "sharpness": "steep"},
+         SelectionPolicy(variant="softmax", temperature=0.5)),
+        ({"variant": "score-child-prop", "stagnation_boost": "yes"}, SCP),
+        ({"variant": "ucb", "exploration_weight": 0, "stagnation_boost": True},
+         SelectionPolicy(variant="ucb", exploration_weight=0.0, stagnation_boost=True)),
+    ],
+)
+def test_policy_from_dict_accepts(spec, expected):
+    policy = SelectionPolicy.from_dict(spec)
+    assert policy == expected
+    assert type(policy.temperature) is float and type(policy.params.sharpness) is float
+
+
+@pytest.mark.parametrize(
+    "spec, key",
+    [
+        ({}, "variant"),
+        ({"variant": 3}, "variant"),
+        ({"variant": "nope"}, "variant"),
+        ({"variant": "ucb", "wat": 1}, "wat"),
+        ({"variant": "ucb", "stagnation_boost": "false"}, "stagnation_boost"),
+        ({"variant": "ucb", "stagnation_boost": 1}, "stagnation_boost"),
+        ({"variant": "softmax", "temperature": True}, "temperature"),
+        ({"variant": "softmax", "temperature": "0.5"}, "temperature"),
+        ({"variant": "score-child-prop", "midpoint_pool_size": 2.0}, "midpoint_pool_size"),
+        ({"variant": "score-child-prop", "sharpness": 0}, "sharpness"),
+        ({"variant": "softmax", "stagnation_boost": True}, "stagnation_boost"),
+    ],
+)
+def test_policy_from_dict_rejects_naming_the_key(spec, key):
+    with pytest.raises(ValueError, match=key):
+        SelectionPolicy.from_dict(spec)
