@@ -116,20 +116,19 @@ def _cmd_resume(args: argparse.Namespace) -> int:
     if config.payload_dir is None or not Path(config.payload_dir).exists():
         config.payload_dir = state_dir / "payloads"
 
-    state_doc = json.loads((state_dir / "state.json").read_text(encoding="utf-8"))
+    recorded = engine.recorded_run_id(state_dir / "events.jsonl")
     expected = config_hash(raw)[:12]
-    if state_doc["run_id"] != expected:
+    if recorded != expected:
         print(
             f"refusing to resume: config hash {expected} does not match "
-            f"recorded run id {state_doc['run_id']}",
+            f"recorded run id {recorded}",
             file=sys.stderr,
         )
         return 2
-    if state_doc["completed"]:
-        print("run already completed; nothing to resume")
-        return 0
+    completed = engine.load_state(config).completed
     state = engine.resume(config, evaluator_specs=evaluator_specs)
-    print(f"run {state.run_id} complete: {state.iteration} iterations, "
+    print("run already completed; nothing to resume" if completed else
+          f"run {state.run_id} complete: {state.iteration} iterations, "
           f"archive size {len(state.archive)}")
     return 0
 

@@ -81,6 +81,11 @@ def _parse_domain(spec: dict, index: int) -> tuple[DomainSpec, dict]:
     validation = tuple(_optional(spec, "validation_task_ids", list, [], context))
     evaluator = _optional(spec, "evaluator", dict, {"kind": "synthetic"}, context)
     _reject_unknown(evaluator, {"kind", "command"}, context + "evaluator.")
+    evaluator_kind = _optional(evaluator, "kind", str, "synthetic", context + "evaluator.")
+    if evaluator_kind not in ("synthetic", "command"):
+        raise ConfigError(f"key '{context}evaluator.kind' must be 'synthetic' or 'command'")
+    if evaluator_kind == "command":
+        _require(evaluator, "command", list, context + "evaluator.")
     try:
         domain = DomainSpec(
             name=name,
@@ -124,6 +129,7 @@ _BACKEND_KEYS = {
     "external-process": {"kind", "command"},
     "model-client": {"kind", "url", "token_env"},
 }
+_BACKEND_REQUIRED = {"external-process": ("command", list), "model-client": ("url", str)}
 
 
 def parse_config(doc: dict, base_dir: Optional[Path] = None) -> tuple[RunConfig, dict[str, dict]]:
@@ -141,6 +147,8 @@ def parse_config(doc: dict, base_dir: Optional[Path] = None) -> tuple[RunConfig,
     if kind not in _BACKEND_KEYS:
         raise ConfigError(f"key 'backend.kind' must be one of {sorted(_BACKEND_KEYS)}")
     _reject_unknown(backend, _BACKEND_KEYS[kind], "backend.")
+    if kind in _BACKEND_REQUIRED:
+        _require(backend, *_BACKEND_REQUIRED[kind], "backend.")
 
     domain_specs = _require(doc, "domains", list, "")
     domains = []

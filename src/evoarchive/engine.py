@@ -14,8 +14,8 @@ Five modes share one loop body:
 
 One master seed derives a named substream per decision (selection,
 per-child generation), so concurrency and resume cannot reorder draws.
-State (archive, config snapshot, event log) is persisted after every
-iteration; resuming from it replays the exact same trajectory.
+The event log records how far a run got (``archive/`` is a view of it);
+resuming replays its committed iterations and continues the same trajectory.
 """
 
 from __future__ import annotations
@@ -23,13 +23,14 @@ from __future__ import annotations
 import datetime as _dt
 import json
 import logging
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
 from . import archive as archive_mod
-from .archive import AgentNode, Archive
+from .archive import AgentNode, Archive, ArchiveError, DomainScores
 from .evaluation import (
     DomainSpec,
     Evaluator,
@@ -285,19 +286,6 @@ def _evaluate_payload(
     return scores, {"scores": scores, "detail": detail}
 
 
-def _persist(config: RunConfig, state: RunState) -> None:
-    archive_mod.persist(state.archive, config.state_dir / "archive", run_id=state.run_id)
-    state_doc = {
-        "iteration": state.iteration,
-        "completed": state.completed,
-        "run_id": state.run_id,
-        "next_node_id": state.next_node_id,
-    }
-    (config.state_dir / "state.json").write_text(
-        json.dumps(state_doc, sort_keys=True, indent=1) + "\n", encoding="utf-8"
-    )
-
-
 def _start(runtime: _Runtime, run_id: str) -> RunState:
     config = runtime.config
     config.state_dir.mkdir(parents=True, exist_ok=True)
@@ -342,7 +330,7 @@ def _start(runtime: _Runtime, run_id: str) -> RunState:
             {"event": "iteration_complete", "time": _now(), "iteration": 0},
         ],
     )
-    _persist(config, state)
+    archive_mod.persist(state.archive, config.state_dir / "archive", run_id=state.run_id)
     return state
 
 
@@ -519,7 +507,7 @@ def _step(runtime: _Runtime, state: RunState) -> RunState:
     if state.completed:
         events.append({"event": "run_complete", "time": _now(), "iteration": iteration})
     append_events(state.event_log, events)
-    _persist(config, state)
+    archive_mod.persist(state.archive, config.state_dir / "archive", run_id=state.run_id)
     return state
 
 
@@ -553,23 +541,62 @@ def run(
 
 
 def load_state(config: RunConfig) -> RunState:
-    """Load persisted state for `config`, verifying log/archive integrity."""
-    state_path = config.state_dir / "state.json"
-    if not state_path.exists():
-        raise IntegrityError(f"no state file at {state_path}")
-    doc = json.loads(state_path.read_text(encoding="utf-8"))
-    arch = archive_mod.load(config.state_dir / "archive")
-    _check_score_coverage(arch, config.domains)
+    """Rebuild the run's state from its event log alone; writes nothing."""
+    return _replay(config)[0]
+
+
+def recorded_run_id(event_log: Path) -> str:
+    """The run id of the log's first event, its `run_start`."""
+    try:
+        with open(event_log, "rb") as fh:
+            return json.loads(fh.readline())["run_id"]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise IntegrityError(f"line 1 of {event_log} is not a run_start event: {exc!r}") from exc
+
+
+def _replay(config: RunConfig) -> tuple[RunState, int]:
+    """Apply the log up to its last complete `iteration_complete` or `run_complete`
+    line, the commit point; returns the state and those lines' length in bytes."""
     event_log = config.state_dir / "events.jsonl"
-    _check_log_integrity(event_log, arch, doc["iteration"], config.mode)
-    return RunState(
-        archive=arch,
-        iteration=doc["iteration"],
-        event_log=event_log,
-        run_id=doc["run_id"],
-        next_node_id=doc["next_node_id"],
-        completed=doc["completed"],
-    )
+    lines = event_log.read_bytes().splitlines(keepends=True)
+    end = len(lines)
+    while end and not _is_commit(lines[end - 1]):
+        end -= 1
+    state = RunState(Archive(mode_tag=config.mode), -1, event_log, recorded_run_id(event_log), 0)
+    scores: dict[int, dict[str, DomainScores]] = {}
+    for lineno, line in enumerate(lines[:end], start=1):
+        try:
+            _apply_event(state, json.loads(line), scores)
+        except (ValueError, KeyError, TypeError, ArchiveError) as exc:
+            raise IntegrityError(f"bad event at line {lineno} of {event_log}: {exc!r}") from exc
+    if state.iteration < 0:
+        raise IntegrityError(f"{event_log} holds no completed iteration")
+    state.completed = state.iteration >= config.iterations
+    _check_score_coverage(state.archive, config.domains)
+    return state, sum(map(len, lines[:end]))
+
+
+def _is_commit(line: bytes) -> bool:
+    try:
+        kind = json.loads(line)["event"]
+    except (ValueError, KeyError, TypeError):
+        return False
+    return line.endswith(b"\n") and kind in ("iteration_complete", "run_complete")
+
+
+def _apply_event(state: RunState, event: dict, scores: dict[int, dict[str, DomainScores]]) -> None:
+    kind = event["event"]
+    if kind == "evaluation":
+        scores[event["node_id"]] = {k: DomainScores(**s) for k, s in event["scores"].items()}
+    elif kind in ("archive_add", "archive_replace"):
+        node = AgentNode(event["node_id"], event["parent_id"], event["payload_ref"],
+                         compiled=True, scores=scores.pop(event["node_id"]),
+                         created_at_iteration=event["iteration"])
+        insert = archive_mod.add_node if kind == "archive_add" else archive_mod.replace_sole_node
+        insert(state.archive, node)
+        state.next_node_id = node.id + 1
+    elif kind == "iteration_complete":
+        state.iteration = event["iteration"]
 
 
 _RECORD_KINDS = {
@@ -594,55 +621,17 @@ def _check_score_coverage(arch: Archive, domains: list[DomainSpec]) -> None:
                 )
 
 
-def _check_log_integrity(
-    event_log: Path, arch: Archive, iteration: int, mode: str
-) -> None:
-    events = read_events(event_log)
-    added: list[int] = []
-    last_complete = -1
-    for index, event in enumerate(events, start=1):
-        kind = event.get("event")
-        if kind in ("archive_add", "archive_replace"):
-            node_id = event["node_id"]
-            if added and node_id <= added[-1]:
-                raise IntegrityError(
-                    f"event {index} ({kind}) adds node {node_id} out of order"
-                )
-            added.append(node_id)
-        elif kind == "iteration_complete":
-            last_complete = event["iteration"]
-    if last_complete != iteration:
-        raise IntegrityError(
-            f"state says iteration {iteration} but log's last complete iteration "
-            f"is {last_complete}"
-        )
-    if mode == "no-open-ended":
-        if len(arch) != 1 or (added and arch.nodes[0].id != added[-1]):
-            raise IntegrityError(
-                f"archive node {arch.nodes[0].id if arch.nodes else None} does not "
-                f"match last replacement {added[-1] if added else None}"
-            )
-        return
-    archive_ids = [n.id for n in arch.nodes]
-    if archive_ids != added:
-        for position, (got, want) in enumerate(zip(added, archive_ids)):
-            if got != want:
-                raise IntegrityError(
-                    f"log add #{position + 1} is node {got}, archive holds {want}"
-                )
-        raise IntegrityError(
-            f"log records {len(added)} adds, archive holds {len(archive_ids)} nodes"
-        )
-
-
 def resume(
     config: RunConfig,
     backend=None,
     evaluators: Optional[dict[str, Evaluator]] = None,
     evaluator_specs: Optional[dict[str, dict]] = None,
 ) -> RunState:
-    """Continue a persisted run to completion; no-op if already complete."""
-    state = load_state(config)
+    """Cut the log back to its last commit, rewrite `archive/` from it (also
+    for a completed run) and continue the run to completion."""
+    state, committed = _replay(config)
+    os.truncate(state.event_log, committed)
+    archive_mod.persist(state.archive, config.state_dir / "archive", run_id=state.run_id)
     if state.completed:
         logger.info("run %s already completed at iteration %d; nothing to resume",
                     state.run_id, state.iteration)

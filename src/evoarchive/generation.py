@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import logging
 import os
+import shutil
 import time
 import urllib.error
 import urllib.request
@@ -119,8 +120,7 @@ def snapshot_payload(parent_dir: str | Path, child_dir: str | Path) -> None:
             target.mkdir(parents=True, exist_ok=True)
         else:
             target.parent.mkdir(parents=True, exist_ok=True)
-            if not target.exists():
-                os.link(entry, target)
+            os.link(entry, target)
 
 
 def validate_child(
@@ -433,6 +433,9 @@ def generate_child(
     limits: SandboxLimits,
 ) -> GenerationResult:
     """Run the backend, then settle the compiled flag via the validity check."""
+    # a retried iteration must not see files an interrupted attempt left behind
+    if os.path.exists(request.child_payload_ref):
+        shutil.rmtree(request.child_payload_ref)
     result = backend.generate(request)
     if result.validity_log:
         # the backend already recorded a breach; the child stays non-compiled

@@ -9,7 +9,8 @@ import pytest
 
 from evoarchive.archive import fingerprint, load
 from evoarchive.cli import main
-from evoarchive.config import ConfigError, demo_config, parse_config
+from evoarchive.config import ConfigError, demo_config, load_config, parse_config
+from evoarchive.engine import load_state
 from evoarchive.selection import SelectionPolicy
 
 
@@ -51,8 +52,7 @@ def test_flag_overrides_take_precedence(tmp_path):
     config_path = write_config(tmp_path)
     assert main(["run", "--config", str(config_path), "--iterations", "2",
                  "--mode", "no-open-ended"]) == 0
-    state = json.loads((tmp_path / "state" / "state.json").read_text())
-    assert state["iteration"] == 2
+    assert load_state(load_config(tmp_path / "state" / "config.json")[0]).iteration == 2
     arch = load(tmp_path / "state" / "archive")
     assert arch.mode_tag == "no-open-ended"
     assert len(arch) == 1
@@ -107,13 +107,32 @@ def test_resume_missing_state_dir(tmp_path, capsys):
     assert main(["resume", "--state", str(tmp_path / "missing")]) == 2
 
 
-def test_resume_without_state_file_exits_1(tmp_path, capsys):
+def test_resume_without_event_log_exits_1(tmp_path, capsys):
     config_path = write_config(tmp_path)
     assert main(["run", "--config", str(config_path)]) == 0
-    (tmp_path / "state" / "state.json").unlink()
+    (tmp_path / "state" / "events.jsonl").unlink()
     assert main(["resume", "--state", str(tmp_path / "state")]) == 1
     err = capsys.readouterr().err
-    assert "state.json" in err
+    assert "events.jsonl" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "backend, evaluator, key",
+    [
+        ({"kind": "external-process"}, {"kind": "synthetic"}, "backend.command"),
+        ({"kind": "model-client"}, {"kind": "synthetic"}, "backend.url"),
+        ({"kind": "simulated"}, {"kind": "command"}, "domains[0].evaluator.command"),
+        ({"kind": "simulated"}, {"kind": "bogus"}, "domains[0].evaluator.kind"),
+    ],
+)
+def test_missing_backend_or_evaluator_key_exits_2(tmp_path, capsys, backend, evaluator, key):
+    doc = demo_config(state_dir=str(tmp_path / "state"), iterations=2)
+    doc["domains"][0]["evaluator"] = evaluator
+    config_path = write_config(tmp_path, backend=backend, domains=doc["domains"])
+    assert main(["run", "--config", str(config_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"'{key}'" in err
     assert len(err.strip().splitlines()) == 1
 
 
@@ -246,25 +265,31 @@ def test_analyze_never_mutates_state(finished_run, tmp_path):
     assert (finished_run / "events.jsonl").read_bytes() == log_before
 
 
-@pytest.mark.parametrize("command", ["resume", "analyze"])
-def test_inconsistent_archive_exits_1(finished_run, tmp_path, capsys, command):
-    record = finished_run / "archive" / "nodes" / "node_000000.json"
+def tamper_root_record(state_dir: Path) -> None:
+    record = state_dir / "archive" / "nodes" / "node_000000.json"
     doc = json.loads(record.read_text())
     doc["compiled_children"] += 1
     record.write_text(json.dumps(doc))
-    state_path = finished_run / "state.json"
-    state = json.loads(state_path.read_text())
-    state["completed"] = False  # as if the run had been interrupted
-    state_path.write_text(json.dumps(state))
-    argv = {
-        "resume": ["resume", "--state", str(finished_run)],
-        "analyze": ["analyze", "--state", str(finished_run), "--metric", "tree",
-                    "--out", str(tmp_path / "t.dot")],
-    }[command]
-    assert main(argv) == 1
+
+
+# resume rebuilds archive/ instead (test_resume_rewrites_inconsistent_archive)
+@pytest.mark.parametrize("command", ["analyze"])
+def test_inconsistent_archive_exits_1(finished_run, tmp_path, capsys, command):
+    tamper_root_record(finished_run)
+    assert main([command, "--state", str(finished_run), "--metric", "tree",
+                 "--out", str(tmp_path / "t.dot")]) == 1
     err = capsys.readouterr().err
     assert "ArchiveError" in err and "compiled_children" in err
     assert len(err.strip().splitlines()) == 1
+
+
+def test_resume_rewrites_inconsistent_archive(finished_run):
+    # archive/ is a view of the event log: resume rebuilds it
+    before = fingerprint(finished_run / "archive")
+    tamper_root_record(finished_run)
+    assert main(["resume", "--state", str(finished_run)]) == 0
+    assert fingerprint(finished_run / "archive") == before
+    load(finished_run / "archive")
 
 
 def test_analyze_missing_state(tmp_path, capsys):
@@ -316,8 +341,7 @@ def test_demo_config_twenty_iterations_under_a_minute(tmp_path):
     start = time.monotonic()
     assert main(["run", "--config", str(out)]) == 0
     assert time.monotonic() - start < 60.0
-    state = json.loads((tmp_path / "run" / "state.json").read_text())
-    assert state["iteration"] == 20
+    assert load_state(load_config(out)[0]).iteration == 20
 
 
 # --- demo-config ----------------------------------------------------------------

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 from pathlib import Path
 
@@ -310,16 +311,23 @@ def test_resume_of_completed_run_is_noop(tmp_path, caplog):
     assert fingerprint(config.state_dir / "archive") == before
 
 
+def log_lines(state) -> int:
+    return len(Path(state.event_log).read_bytes().splitlines())
+
+
 def test_resume_detects_archive_log_mismatch(tmp_path):
     config = make_config(tmp_path, iterations=4)
     state = run(config, stop_after=2)
     assert len(state.archive) >= 1
-    # tamper: claim an extra archived node in the log
+    # tamper: a committed iteration adds a node whose id skips ahead
+    scores = {"landscape": {"train": 0.5, "validation": None, "test": None}}
     append_events(state.event_log, [
-        {"event": "archive_add", "iteration": 2, "node_id": 99, "parent_id": 0,
+        {"event": "evaluation", "iteration": 3, "node_id": 99, "scores": scores},
+        {"event": "archive_add", "iteration": 3, "node_id": 99, "parent_id": 0,
          "payload_ref": "x"},
+        {"event": "iteration_complete", "iteration": 3},
     ])
-    with pytest.raises(IntegrityError):
+    with pytest.raises(IntegrityError, match=f"line {log_lines(state) - 1} .*node id 99"):
         load_state(config)
 
 
@@ -328,7 +336,8 @@ def test_resume_detects_corrupt_event_line(tmp_path):
     state = run(config, stop_after=2)
     with open(state.event_log, "a") as fh:
         fh.write("{not json\n")
-    with pytest.raises(IntegrityError, match="line"):
+    append_events(state.event_log, [{"event": "iteration_complete", "iteration": 3}])
+    with pytest.raises(IntegrityError, match=f"line {log_lines(state) - 1} "):
         load_state(config)
 
 
@@ -454,8 +463,12 @@ def test_load_state_checks_score_coverage(tmp_path, has_validation, scores, mess
                          domains=[landscape_domain(has_validation=has_validation)])
     run(config, stop_after=1)
     assert load_state(config).iteration == 1  # engine-built nodes pass the check
-    arch = archive_mod.load(config.state_dir / "archive")
-    arch.node(0).scores = scores
-    archive_mod.persist(arch, config.state_dir / "archive", run_id="run")
+    # tamper with the root's committed evaluation event
+    event_log = config.state_dir / "events.jsonl"
+    events = read_events(event_log)
+    root_eval = next(e for e in events if e["event"] == "evaluation" and e["node_id"] == 0)
+    root_eval["scores"] = {name: dataclasses.asdict(s) for name, s in scores.items()}
+    event_log.unlink()
+    append_events(event_log, events)
     with pytest.raises(IntegrityError, match=f"node 0 {message}"):
         load_state(config)

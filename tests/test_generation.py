@@ -62,6 +62,18 @@ def test_zero_mutation_scale_clones_parent(tmp_path):
     assert child.meta_capability == parent_genome.meta_capability
 
 
+def test_generation_starts_from_an_empty_child_directory(tmp_path):
+    # a retried iteration reuses the child directory an interrupted one began
+    parent = write_parent(tmp_path)
+    request = request_for(tmp_path, parent)
+    stray = Path(request.child_payload_ref) / "stale.txt"
+    stray.parent.mkdir()
+    stray.write_text("left by an interrupted attempt", encoding="utf-8")
+    result = generate_child(SimulatedBackend(master_seed=1), request, SyntheticEvaluator(), LIMITS)
+    assert result.compiled
+    assert not stray.exists()
+
+
 def test_compile_probability_zero_never_compiles(tmp_path):
     parent = write_parent(tmp_path, compile_probability=0.0)
     backend = SimulatedBackend(master_seed=3)
