@@ -1,4 +1,7 @@
-"""Operator entry point: launch/resume runs, inspect archives, export metrics.
+"""Operator entry point: launch/resume runs, export metrics.
+
+`analyze` replays the committed event log only (`engine.replay`), so it
+reports a live or crashed run at its last committed iteration.
 
 Exit codes: 0 success, 1 runtime failure (state stays resumable),
 2 invalid configuration or arguments.
@@ -116,18 +119,18 @@ def _cmd_resume(args: argparse.Namespace) -> int:
     if config.payload_dir is None or not Path(config.payload_dir).exists():
         config.payload_dir = state_dir / "payloads"
 
-    recorded = engine.recorded_run_id(state_dir / "events.jsonl")
+    recorded = engine.replay(state_dir / "events.jsonl")
     expected = config_hash(raw)[:12]
-    if recorded != expected:
+    if recorded.run_id != expected:
         print(
             f"refusing to resume: config hash {expected} does not match "
-            f"recorded run id {recorded}",
+            f"recorded run id {recorded.run_id}",
             file=sys.stderr,
         )
         return 2
-    completed = engine.load_state(config).completed
     state = engine.resume(config, evaluator_specs=evaluator_specs)
-    print("run already completed; nothing to resume" if completed else
+    print("run already completed; nothing to resume"
+          if recorded.iteration >= config.iterations else
           f"run {state.run_id} complete: {state.iteration} iterations, "
           f"archive size {len(state.archive)}")
     return 0
@@ -139,7 +142,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     if not state_dir.exists():
         print(f"no state directory {state_dir}", file=sys.stderr)
         return 2
-    arch = archive_mod.load(state_dir / "archive")
+    arch = engine.replay(state_dir / "events.jsonl").archive
 
     if args.metric == "tree":
         metrics.export_tree_dot(arch, out)

@@ -24,6 +24,7 @@ import datetime as _dt
 import json
 import logging
 import os
+import shutil
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -133,17 +134,33 @@ def append_events(path: Path, events: list[dict]) -> None:
 
 
 def read_events(path: Path) -> list[dict]:
-    events = []
-    with open(path, encoding="utf-8") as fh:
+    """The committed events: the log's lines up to its last newline-terminated
+    `iteration_complete` or `run_complete` line, the commit point."""
+    return _read_committed(path)[0]
+
+
+def _read_committed(path: Path) -> tuple[list[dict], int]:
+    """`read_events` and the length in bytes of the lines it kept. The lines
+    after the last commit (an unfinished batch, a torn line) are dropped; a
+    malformed line before it raises IntegrityError naming the line."""
+    events: list[dict] = []
+    kept = size = 0
+    error: Optional[IntegrityError] = None
+    with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
             try:
-                events.append(json.loads(line))
-            except json.JSONDecodeError as exc:
-                raise IntegrityError(f"corrupt event at line {lineno}: {exc}") from exc
-    return events
+                event = json.loads(line)
+                kind = event["event"]
+            except (ValueError, KeyError, TypeError) as exc:
+                error = error or IntegrityError(
+                    f"corrupt event at line {lineno} of {path}: {exc!r}")
+                continue
+            events.append(event)
+            if kind in ("iteration_complete", "run_complete") and line.endswith(b"\n"):
+                if error is not None:
+                    raise error
+                kept, size = len(events), fh.tell()
+    return events[:kept], size
 
 
 def _now() -> str:
@@ -234,20 +251,19 @@ class _Runtime:
 
 def _init_root_payload(config: RunConfig) -> str:
     root_dir = config.payload_dir / ROOT_PAYLOAD_KEY
-    if root_dir.exists() and any(root_dir.iterdir()):
-        return str(root_dir)
-    initial = dict(config.initial)
-    source = initial.pop("payload_ref", None)
-    if source:
-        snapshot_payload(source, root_dir)
-        return str(root_dir)
-    genome = SimulatedAgentGenome(
-        task_skill=[float(v) for v in initial.get("task_skill", [0.0, 0.0])],
-        meta_capability=float(initial.get("meta_capability", 0.15)),
-        compile_probability=float(initial.get("compile_probability", 0.95)),
-        selection_policy=initial.get("selection_policy"),
-    )
-    genome.write_payload(root_dir)
+    # an interrupted earlier start may have left a partial root behind
+    if root_dir.exists():
+        shutil.rmtree(root_dir)
+    initial = config.initial
+    if initial.get("payload_ref"):
+        snapshot_payload(initial["payload_ref"], root_dir)
+    else:
+        SimulatedAgentGenome(
+            task_skill=[float(v) for v in initial.get("task_skill", [0.0, 0.0])],
+            meta_capability=float(initial.get("meta_capability", 0.15)),
+            compile_probability=float(initial.get("compile_probability", 0.95)),
+            selection_policy=initial.get("selection_policy"),
+        ).write_payload(root_dir)
     return str(root_dir)
 
 
@@ -540,53 +556,43 @@ def run(
     return state
 
 
+def replay(event_log: Path) -> RunState:
+    """Rebuild a run's state (mode and run id from `run_start`) from its committed
+    events alone; writes nothing. `completed` needs the config: see `load_state`."""
+    return _replay(Path(event_log))[0]
+
+
 def load_state(config: RunConfig) -> RunState:
-    """Rebuild the run's state from its event log alone; writes nothing."""
-    return _replay(config)[0]
+    """`replay` of the run's event log, checked against its config."""
+    return _replay(config.state_dir / "events.jsonl", config)[0]
 
 
-def recorded_run_id(event_log: Path) -> str:
-    """The run id of the log's first event, its `run_start`."""
-    try:
-        with open(event_log, "rb") as fh:
-            return json.loads(fh.readline())["run_id"]
-    except (ValueError, KeyError, TypeError) as exc:
-        raise IntegrityError(f"line 1 of {event_log} is not a run_start event: {exc!r}") from exc
-
-
-def _replay(config: RunConfig) -> tuple[RunState, int]:
-    """Apply the log up to its last complete `iteration_complete` or `run_complete`
-    line, the commit point; returns the state and those lines' length in bytes."""
-    event_log = config.state_dir / "events.jsonl"
-    lines = event_log.read_bytes().splitlines(keepends=True)
-    end = len(lines)
-    while end and not _is_commit(lines[end - 1]):
-        end -= 1
-    state = RunState(Archive(mode_tag=config.mode), -1, event_log, recorded_run_id(event_log), 0)
+def _replay(event_log: Path, config: Optional[RunConfig] = None) -> tuple[RunState, int]:
+    """`replay` and the committed lines' length in bytes. With a config, also
+    sets `completed` from its T and checks the nodes' scores against its domains."""
+    events, committed = _read_committed(event_log)
+    state = RunState(Archive(), -1, event_log, "", 0)
     scores: dict[int, dict[str, DomainScores]] = {}
-    for lineno, line in enumerate(lines[:end], start=1):
+    for lineno, event in enumerate(events, start=1):
         try:
-            _apply_event(state, json.loads(line), scores)
+            if (lineno == 1) != (event["event"] == "run_start"):
+                raise ValueError("run_start must be the first event, and only the first")
+            _apply_event(state, event, scores)
         except (ValueError, KeyError, TypeError, ArchiveError) as exc:
             raise IntegrityError(f"bad event at line {lineno} of {event_log}: {exc!r}") from exc
     if state.iteration < 0:
         raise IntegrityError(f"{event_log} holds no completed iteration")
-    state.completed = state.iteration >= config.iterations
-    _check_score_coverage(state.archive, config.domains)
-    return state, sum(map(len, lines[:end]))
-
-
-def _is_commit(line: bytes) -> bool:
-    try:
-        kind = json.loads(line)["event"]
-    except (ValueError, KeyError, TypeError):
-        return False
-    return line.endswith(b"\n") and kind in ("iteration_complete", "run_complete")
+    if config is not None:
+        state.completed = state.iteration >= config.iterations
+        _check_score_coverage(state.archive, config.domains)
+    return state, committed
 
 
 def _apply_event(state: RunState, event: dict, scores: dict[int, dict[str, DomainScores]]) -> None:
     kind = event["event"]
-    if kind == "evaluation":
+    if kind == "run_start":
+        state.archive.mode_tag, state.run_id = event["mode"], event["run_id"]
+    elif kind == "evaluation":
         scores[event["node_id"]] = {k: DomainScores(**s) for k, s in event["scores"].items()}
     elif kind in ("archive_add", "archive_replace"):
         node = AgentNode(event["node_id"], event["parent_id"], event["payload_ref"],
@@ -629,7 +635,7 @@ def resume(
 ) -> RunState:
     """Cut the log back to its last commit, rewrite `archive/` from it (also
     for a completed run) and continue the run to completion."""
-    state, committed = _replay(config)
+    state, committed = _replay(config.state_dir / "events.jsonl", config)
     os.truncate(state.event_log, committed)
     archive_mod.persist(state.archive, config.state_dir / "archive", run_id=state.run_id)
     if state.completed:

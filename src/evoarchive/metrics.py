@@ -1,10 +1,10 @@
 """Run analytics: improvement@k, lineage-discounted growth, bootstrap CIs,
 progress series, and CSV/DOT exports.
 
-All functions are read-only over archives and event logs. The score feeding
-the growth computation is the selection score (validation when recorded,
-else train); both that choice and the discount base are documented on the
-operations below.
+All functions are read-only over archives and the committed events of event
+logs (`engine.read_events`). The score feeding the growth computation is the
+selection score (validation when recorded, else train); both that choice and
+the discount base are documented on the operations below.
 """
 
 from __future__ import annotations
@@ -203,28 +203,23 @@ def _series_from_records(
     return ProgressSeries(best_so_far=best_so_far, avg_compiled=avg, best_lineage=path)
 
 
-def progress_series(event_log: str | Path, iterations: Optional[int] = None) -> ProgressSeries:
-    """Per-iteration best-so-far and compiled-average, from the run's event log."""
+def progress_series(event_log: str | Path) -> ProgressSeries:
+    """Per-iteration best-so-far and compiled-average over the log's committed
+    events, from iteration 0 to the last committed iteration."""
     events = read_events(Path(event_log))
     scores: dict[int, float] = {}
     records: list[tuple[int, int, Optional[int], float]] = []
-    total = 0
     for event in events:
-        kind = event.get("event")
-        if kind == "run_start":
-            total = event["iterations"]
-        elif kind == "evaluation":
+        kind = event["event"]
+        if kind == "evaluation":
             scores[event["node_id"]] = event["selection_score"]
         elif kind in ("archive_add", "archive_replace"):
             node_id = event["node_id"]
             records.append(
                 (node_id, event["iteration"], event.get("parent_id"), scores[node_id])
             )
-        elif kind == "iteration_complete":
-            total = max(total, event["iteration"])
-    if iterations is None:
-        iterations = total
-    return _series_from_records(records, iterations)
+    # the last committed event is the last committed iteration's commit line
+    return _series_from_records(records, events[-1]["iteration"] if events else 0)
 
 
 def progress_series_from_archive(archive: Archive, iterations: int) -> ProgressSeries:

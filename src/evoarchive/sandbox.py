@@ -127,8 +127,6 @@ def sandbox_execute(
     command: Sequence[str],
     limits: SandboxLimits,
     stdin_data: Optional[bytes] = None,
-    cwd: Optional[str] = None,
-    env: Optional[dict[str, str]] = None,
 ) -> SandboxOutcome:
     """Run `command` under `limits`; the process cannot outlive the timeout."""
     start = time.monotonic()
@@ -138,8 +136,6 @@ def sandbox_execute(
             stdin=subprocess.PIPE,
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
-            cwd=cwd,
-            env=env,
             start_new_session=True,
             preexec_fn=_make_preexec(limits),
         )

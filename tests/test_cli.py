@@ -3,15 +3,18 @@ from __future__ import annotations
 import csv
 import json
 import math
+import shutil
 from pathlib import Path
 
 import pytest
 
 from evoarchive.archive import fingerprint, load
-from evoarchive.cli import main
+from evoarchive.cli import ANALYZE_METRICS, main
 from evoarchive.config import ConfigError, demo_config, load_config, parse_config
-from evoarchive.engine import load_state
+from evoarchive.engine import append_events, load_state, run
 from evoarchive.selection import SelectionPolicy
+
+from test_engine import make_config
 
 
 def write_config(tmp_path: Path, **overrides) -> Path:
@@ -272,15 +275,61 @@ def tamper_root_record(state_dir: Path) -> None:
     record.write_text(json.dumps(doc))
 
 
-# resume rebuilds archive/ instead (test_resume_rewrites_inconsistent_archive)
-@pytest.mark.parametrize("command", ["analyze"])
-def test_inconsistent_archive_exits_1(finished_run, tmp_path, capsys, command):
+def test_analyze_ignores_tampered_archive(finished_run, tmp_path):
+    # analyze replays the event log; archive/ is written, never read back
+    before, after = tmp_path / "before.dot", tmp_path / "after.dot"
+    assert main(["analyze", "--state", str(finished_run), "--metric", "tree",
+                 "--out", str(before)]) == 0
     tamper_root_record(finished_run)
-    assert main([command, "--state", str(finished_run), "--metric", "tree",
+    assert main(["analyze", "--state", str(finished_run), "--metric", "tree",
+                 "--out", str(after)]) == 0
+    assert after.read_bytes() == before.read_bytes()
+
+
+def test_analyze_corrupt_committed_line_exits_1(finished_run, tmp_path, capsys):
+    event_log = finished_run / "events.jsonl"
+    lines = event_log.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[2] = '{"event": "archive_add", "node_id": 0\n'  # the root's add, committed
+    event_log.write_text("".join(lines), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["analyze", "--state", str(finished_run), "--metric", "tree",
                  "--out", str(tmp_path / "t.dot")]) == 1
     err = capsys.readouterr().err
-    assert "ArchiveError" in err and "compiled_children" in err
     assert len(err.strip().splitlines()) == 1
+    assert "IntegrityError" in err and "line 3 " in err
+
+
+def analyze_all(state_dir: Path, out_dir: Path) -> dict[str, bytes]:
+    out_dir.mkdir()
+    outputs = {}
+    for metric in ANALYZE_METRICS:
+        out = out_dir / metric
+        assert main(["analyze", "--state", str(state_dir), "--metric", metric,
+                     "--out", str(out)]) == 0
+        outputs[metric] = out.read_bytes()
+    return outputs
+
+
+def test_analyze_crashed_run_reports_last_commit(tmp_path):
+    config = make_config(tmp_path, iterations=12, seed=4)
+    state = run(config, stop_after=8)
+    committed = analyze_all(config.state_dir, tmp_path / "committed")
+    # a run killed during iteration 9: its batch lacks the commit line, the
+    # last line is torn, and archive/ was never rewritten
+    node_id = state.next_node_id
+    scores = {"landscape": {"train": 1.0, "validation": None, "test": None}}
+    append_events(state.event_log, [
+        {"event": "evaluation", "iteration": 9, "node_id": node_id, "payload_ref": "x",
+         "selection_score": 1.0, "scores": scores},
+        {"event": "archive_add", "iteration": 9, "node_id": node_id, "parent_id": 0,
+         "payload_ref": "x"},
+    ])
+    with open(state.event_log, "a", encoding="utf-8") as fh:
+        fh.write('{"event": "iteration_compl')
+    shutil.rmtree(config.state_dir / "archive")
+    assert analyze_all(config.state_dir, tmp_path / "crashed") == committed
+    rows = committed["progress"].decode().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == [str(t) for t in range(8 + 1)]
 
 
 def test_resume_rewrites_inconsistent_archive(finished_run):

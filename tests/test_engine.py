@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
 from pathlib import Path
 
 import pytest
@@ -339,6 +340,53 @@ def test_resume_detects_corrupt_event_line(tmp_path):
     append_events(state.event_log, [{"event": "iteration_complete", "iteration": 3}])
     with pytest.raises(IntegrityError, match=f"line {log_lines(state) - 1} "):
         load_state(config)
+
+
+def test_read_events_returns_committed_events_only(tmp_path):
+    event_log = tmp_path / "events.jsonl"
+    event_log.write_text(
+        '{"event": "run_start"}\n'
+        '{"event": "iteration_complete", "iteration": 0}\n'
+        '{"event": "archive_add", "node_id": 1}\n'
+        '{"event": "iteration_complete", "iteration": 1}'  # unterminated: not a commit
+    )
+    assert read_events(event_log) == [
+        {"event": "run_start"}, {"event": "iteration_complete", "iteration": 0},
+    ]
+    event_log.write_text(
+        '{"event": "run_start"}\n'
+        '{"event": "archive_add", "node_id"\n'
+        '{"event": "iteration_complete", "iteration": 0}\n'
+        '{"event": "selec'
+    )
+    with pytest.raises(IntegrityError, match="corrupt event at line 2 "):
+        read_events(event_log)
+
+
+def test_run_rebuilds_partial_root_payload(tmp_path, monkeypatch):
+    source = tmp_path / "source"
+    SimulatedAgentGenome([0.0, 0.0], 0.3, 0.9).write_payload(source)
+    (source / "notes.txt").write_text("a second file to snapshot", encoding="utf-8")
+    initial = {"payload_ref": str(source)}
+    clean = make_config(tmp_path / "clean", iterations=3, initial=initial)
+    run(clean)
+    config = make_config(tmp_path / "killed", iterations=3, initial=initial)
+    real_link, links = os.link, []
+
+    def link_then_die(src, dst):
+        links.append(dst)
+        if len(links) == 2:
+            raise OSError("killed while snapshotting the root")
+        real_link(src, dst)
+
+    with monkeypatch.context() as patches:
+        patches.setattr(os, "link", link_then_die)
+        with pytest.raises(OSError, match="snapshotting"):
+            run(config)
+    assert run(config).completed
+    assert fingerprint(config.state_dir / "archive") == fingerprint(clean.state_dir / "archive")
+    root = config.payload_dir / "agent_root"
+    assert sorted(p.name for p in root.iterdir()) == sorted(p.name for p in source.iterdir())
 
 
 def test_halted_state_is_resumable_after_backend_failure(tmp_path):
