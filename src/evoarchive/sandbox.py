@@ -2,22 +2,38 @@
 
 Every spawned command runs in its own session/process group so a timeout
 kill takes the whole tree down with it. Wall-clock and CPU limits are hard;
-output beyond the byte cap is discarded and marked. Where the platform
-allows it, the command also gets a fresh empty network namespace.
+output beyond the byte cap is discarded and marked.
+
+The limits are applied by an argv prefix that execs into the command, so no
+Python code runs in the child and the spawn keeps CPython's vfork path:
+
+    unshare -n -- /bin/sh -c 'ulimit -S -t N && ulimit -H -t N+1 && exec "$@"' sh ARGV...
+
+``unshare`` (from util-linux) gives the command a fresh, empty network
+namespace. It joins the prefix only when a one-time probe (``unshare -n
+true``) succeeded; where ``unshare`` is missing or not permitted, commands
+run without isolation, one warning is logged, and every outcome reports
+``network_isolated=False``. The shell sets the soft CPU limit to N seconds
+(SIGXCPU, exit status -24) and the hard limit to N+1 (SIGKILL if SIGXCPU is
+caught or ignored); the soft limit goes first because lowering the hard limit
+below an unlimited soft limit fails. Both are in force before the command's
+first instruction, so every process it forks inherits them. ``exec`` keeps the
+pid and the process group, so exit statuses and the group kill are those of
+the command itself.
+
+One ``selectors`` loop in the calling thread writes stdin, drains stdout and
+stderr under the byte cap and stops at the wall-clock deadline.
 """
 
 from __future__ import annotations
 
-import ctypes
-import ctypes.util
 import functools
 import logging
 import os
-import resource
+import selectors
+import shutil
 import signal
 import subprocess
-import sys
-import threading
 import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -26,21 +42,8 @@ logger = logging.getLogger(__name__)
 
 TRUNCATION_MARKER = b"...[output truncated]"
 
-_CLONE_NEWNET = 0x40000000
-
-_PROBE_CODE = (
-    "import ctypes, ctypes.util, sys;"
-    "name = ctypes.util.find_library('c');"
-    "sys.exit(1) if not name else None;"
-    "libc = ctypes.CDLL(name, use_errno=True);"
-    f"sys.exit(0 if libc.unshare({_CLONE_NEWNET}) == 0 else 1)"
-)
-
-# loaded in the parent ahead of time: dlopen after fork is not safe
-_LIBC = None
-_libc_name = ctypes.util.find_library("c")
-if _libc_name:
-    _LIBC = ctypes.CDLL(_libc_name, use_errno=True)
+_UNSHARE = ("unshare", "-n", "--")
+_CHUNK = 65536
 
 
 class SandboxSpawnError(Exception):
@@ -73,7 +76,7 @@ class SandboxOutcome:
     elapsed: float
     timed_out: bool = False
     output_truncated: bool = False
-    network_isolated: bool = True
+    network_isolated: bool = False
 
     @property
     def limit_breached(self) -> bool:
@@ -82,45 +85,79 @@ class SandboxOutcome:
 
 @functools.lru_cache(maxsize=1)
 def network_isolation_available() -> bool:
-    """Whether this environment lets us unshare the network namespace."""
+    """Whether ``unshare -n`` works here; probed once per process."""
     try:
-        probe = subprocess.run(
-            [sys.executable, "-c", _PROBE_CODE], capture_output=True, timeout=15
-        )
+        probe = subprocess.run([*_UNSHARE, "true"], capture_output=True, timeout=15)
+        available = probe.returncode == 0
     except (OSError, subprocess.TimeoutExpired):
-        return False
-    available = probe.returncode == 0
+        available = False
     if not available:
         logger.warning("network namespace isolation unavailable; commands run without it")
     return available
 
 
-def _make_preexec(limits: SandboxLimits):
-    def preexec() -> None:
-        resource.setrlimit(
-            resource.RLIMIT_CPU, (limits.cpu_seconds, limits.cpu_seconds + 1)
-        )
-        if _LIBC is not None:
-            _LIBC.unshare(_CLONE_NEWNET)  # best effort; probed separately
-
-    return preexec
+def _limit_prefix(limits: SandboxLimits, isolated: bool) -> list[str]:
+    n = limits.cpu_seconds
+    shim = f'ulimit -S -t {n} && ulimit -H -t {n + 1} && exec "$@"'
+    return [*(_UNSHARE if isolated else ()), "/bin/sh", "-c", shim, "sh"]
 
 
-def _drain(pipe, cap: int, chunks: list[bytes], truncated: list[bool]) -> None:
-    remaining = cap
-    while True:
-        block = pipe.read(65536)
-        if not block:
-            break
-        if remaining > 0:
-            take = block[:remaining]
-            chunks.append(take)
-            remaining -= len(take)
-            if remaining == 0 and len(block) > len(take):
-                truncated[0] = True
-        else:
-            truncated[0] = True
-    pipe.close()
+class _Capture:
+    """One output stream, kept up to `cap` bytes; the rest is read and dropped."""
+
+    def __init__(self, cap: int):
+        self.remaining = cap
+        self.chunks: list[bytes] = []
+        self.truncated = False
+
+    def feed(self, block: bytes) -> None:
+        if len(block) > self.remaining:
+            self.truncated = True
+            block = block[: self.remaining]
+        if block:
+            self.chunks.append(block)
+            self.remaining -= len(block)
+
+    def value(self) -> bytes:
+        data = b"".join(self.chunks)
+        return data + TRUNCATION_MARKER if self.truncated else data
+
+
+def _pump(
+    proc: subprocess.Popen,
+    stdin_data: Optional[bytes],
+    captures: dict[int, _Capture],
+    deadline: float,
+) -> bool:
+    """Move bytes until every pipe is done; False if the deadline came first."""
+    pending = memoryview(stdin_data or b"")
+    with selectors.DefaultSelector() as sel:
+        if proc.stdin is not None:
+            os.set_blocking(proc.stdin.fileno(), False)
+            sel.register(proc.stdin.fileno(), selectors.EVENT_WRITE)
+        for fd in captures:
+            sel.register(fd, selectors.EVENT_READ)
+        while sel.get_map():
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                return False
+            for key, _ in sel.select(remaining):
+                fd = key.fd
+                if fd in captures:
+                    block = os.read(fd, _CHUNK)
+                    if block:
+                        captures[fd].feed(block)
+                    else:
+                        sel.unregister(fd)
+                    continue
+                try:
+                    pending = pending[os.write(fd, pending[:_CHUNK]):]
+                except BrokenPipeError:
+                    pending = pending[:0]
+                if not pending:
+                    sel.unregister(fd)
+                    proc.stdin.close()
+    return True
 
 
 def sandbox_execute(
@@ -129,72 +166,52 @@ def sandbox_execute(
     stdin_data: Optional[bytes] = None,
 ) -> SandboxOutcome:
     """Run `command` under `limits`; the process cannot outlive the timeout."""
+    argv = list(command)
+    if not argv or shutil.which(argv[0]) is None:
+        raise SandboxSpawnError(f"failed to spawn {command!r}: not an executable file")
+    isolated = network_isolation_available()
     start = time.monotonic()
     try:
         proc = subprocess.Popen(
-            list(command),
-            stdin=subprocess.PIPE,
+            _limit_prefix(limits, isolated) + argv,
+            stdin=subprocess.PIPE if stdin_data else subprocess.DEVNULL,
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             start_new_session=True,
-            preexec_fn=_make_preexec(limits),
+            bufsize=0,
         )
     except (OSError, ValueError) as exc:
         raise SandboxSpawnError(f"failed to spawn {command!r}: {exc}") from exc
 
-    out_chunks: list[bytes] = []
-    err_chunks: list[bytes] = []
-    out_trunc = [False]
-    err_trunc = [False]
-    readers = [
-        threading.Thread(
-            target=_drain, args=(proc.stdout, limits.max_output_bytes, out_chunks, out_trunc)
-        ),
-        threading.Thread(
-            target=_drain, args=(proc.stderr, limits.max_output_bytes, err_chunks, err_trunc)
-        ),
-    ]
-    for r in readers:
-        r.start()
-
-    if stdin_data is not None:
-        try:
-            proc.stdin.write(stdin_data)
-        except BrokenPipeError:
-            pass
+    out = _Capture(limits.max_output_bytes)
+    err = _Capture(limits.max_output_bytes)
+    deadline = start + limits.wall_clock_seconds
     try:
-        proc.stdin.close()
-    except BrokenPipeError:
-        pass
-
-    timed_out = False
-    try:
-        proc.wait(timeout=limits.wall_clock_seconds)
-    except subprocess.TimeoutExpired:
-        timed_out = True
+        finished = _pump(
+            proc, stdin_data, {proc.stdout.fileno(): out, proc.stderr.fileno(): err}, deadline
+        )
+        if finished:
+            try:
+                proc.wait(timeout=max(deadline - time.monotonic(), 0.0))
+            except subprocess.TimeoutExpired:
+                finished = False
+    finally:
+        # a timeout ends here, and so does anything the command left running
         _kill_group(proc)
+        for pipe in (proc.stdin, proc.stdout, proc.stderr):
+            if pipe is not None:
+                pipe.close()
         proc.wait()
-    for r in readers:
-        r.join()
-    # belt and braces: nothing from the group may survive the call
-    _kill_group(proc)
     elapsed = time.monotonic() - start
 
-    stdout = b"".join(out_chunks)
-    stderr = b"".join(err_chunks)
-    if out_trunc[0]:
-        stdout += TRUNCATION_MARKER
-    if err_trunc[0]:
-        stderr += TRUNCATION_MARKER
-
     return SandboxOutcome(
-        exit_status=None if timed_out else proc.returncode,
-        stdout=stdout,
-        stderr=stderr,
+        exit_status=proc.returncode if finished else None,
+        stdout=out.value(),
+        stderr=err.value(),
         elapsed=elapsed,
-        timed_out=timed_out,
-        output_truncated=out_trunc[0] or err_trunc[0],
-        network_isolated=network_isolation_available(),
+        timed_out=not finished,
+        output_truncated=out.truncated or err.truncated,
+        network_isolated=isolated,
     )
 
 

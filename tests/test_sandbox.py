@@ -120,3 +120,117 @@ def test_stdin_reaches_command():
         stdin_data=b"hello",
     )
     assert outcome.stdout.strip() == b"HELLO"
+
+
+def test_unread_stdin_does_not_extend_timeout():
+    limits = SandboxLimits(wall_clock_seconds=1.0)
+    start = time.monotonic()
+    outcome = sandbox_execute(["sleep", "30"], limits, stdin_data=b"x" * 300_000)
+    elapsed = time.monotonic() - start
+    assert outcome.timed_out
+    assert outcome.exit_status is None
+    assert elapsed < limits.wall_clock_seconds + 1.0
+
+
+def test_large_stdin_and_output_flow_together():
+    # the command echoes its input back, so neither side may block the other
+    data = bytes(range(256)) * 2000
+    outcome = sandbox_execute(["cat"], SandboxLimits(wall_clock_seconds=20), stdin_data=data)
+    assert outcome.exit_status == 0
+    assert outcome.stdout == data
+
+
+def _read_net_namespace(outcome) -> str:
+    assert outcome.exit_status == 0, outcome.stderr
+    return outcome.stdout.decode().strip()
+
+
+def test_network_isolated_reports_this_call(monkeypatch):
+    from evoarchive import sandbox
+
+    monkeypatch.setattr(sandbox, "network_isolation_available", lambda: False)
+    outcome = sandbox_execute(["readlink", "/proc/self/ns/net"], SandboxLimits())
+    assert _read_net_namespace(outcome) == os.readlink("/proc/self/ns/net")
+    assert not outcome.network_isolated
+
+
+def test_network_namespace_differs_when_isolated():
+    from evoarchive.sandbox import network_isolation_available
+
+    if not network_isolation_available():
+        pytest.skip("unshare -n is not available here")
+    outcome = sandbox_execute(["readlink", "/proc/self/ns/net"], SandboxLimits())
+    assert _read_net_namespace(outcome) != os.readlink("/proc/self/ns/net")
+    assert outcome.network_isolated
+
+
+_PRINT_CPU_LIMITS = "import resource; print(*resource.getrlimit(resource.RLIMIT_CPU))"
+
+
+def test_child_sees_soft_and_hard_cpu_limits():
+    outcome = sandbox_execute(
+        [sys.executable, "-c", _PRINT_CPU_LIMITS], SandboxLimits(cpu_seconds=7)
+    )
+    assert outcome.stdout.split() == [b"7", b"8"]
+
+
+def test_grandchild_forked_first_inherits_cpu_limits():
+    code = (
+        "import os\n"
+        "pid = os.fork()\n"
+        "if pid == 0:\n"
+        f"    {_PRINT_CPU_LIMITS}\n"
+        "    os._exit(0)\n"
+        "os.waitpid(pid, 0)\n"
+    )
+    outcome = sandbox_execute([sys.executable, "-c", code], SandboxLimits(cpu_seconds=5))
+    assert outcome.exit_status == 0
+    assert outcome.stdout.split() == [b"5", b"6"]
+
+
+@pytest.mark.parametrize(
+    "script, status",
+    [("exit 3", 3), ("kill -9 $$", -9), ("while :; do :; done", -24)],
+)
+def test_exit_status_passes_through(script, status):
+    outcome = sandbox_execute(
+        ["sh", "-c", script], SandboxLimits(wall_clock_seconds=30, cpu_seconds=1)
+    )
+    assert not outcome.timed_out
+    assert outcome.exit_status == status
+
+
+def test_non_executable_file_is_a_spawn_error(tmp_path):
+    script = tmp_path / "script.sh"
+    script.write_text("#!/bin/sh\necho hi\n")
+    script.chmod(0o644)
+    with pytest.raises(SandboxSpawnError):
+        sandbox_execute([str(script)], SandboxLimits())
+
+
+def test_missing_binary_on_path_is_a_spawn_error():
+    with pytest.raises(SandboxSpawnError):
+        sandbox_execute(["evoarchive-no-such-command"], SandboxLimits())
+
+
+def test_concurrent_calls_from_threads():
+    from concurrent.futures import ThreadPoolExecutor
+
+    def worker(thread: int) -> list[tuple[int, bytes]]:
+        results = []
+        for call in range(25):
+            outcome = sandbox_execute(
+                ["echo", f"{thread}-{call}"], SandboxLimits(wall_clock_seconds=30)
+            )
+            results.append((outcome.exit_status, outcome.stdout))
+        return results
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            per_thread = list(pool.map(worker, range(8), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    for thread, results in enumerate(per_thread):
+        assert results == [(0, f"{thread}-{call}\n".encode()) for call in range(25)]
