@@ -1,6 +1,8 @@
 """Operator entry point: launch/resume runs, export metrics.
 
-`analyze` replays the committed event log only (`engine.replay`), so it
+`analyze` parses the committed event log once (`engine.read_events`) and
+reads nothing else: `engine.replay` folds those events into the archive, and
+`--metric progress` derives its series from the same events. It therefore
 reports a live or crashed run at its last committed iteration.
 
 Exit codes: 0 success, 1 runtime failure (state stays resumable),
@@ -116,10 +118,12 @@ def _cmd_resume(args: argparse.Namespace) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     config.state_dir = state_dir
-    if config.payload_dir is None or not Path(config.payload_dir).exists():
+    if raw.get("payload_dir") is None:
+        # the snapshot's own payloads, not those of the run it was copied from
         config.payload_dir = state_dir / "payloads"
 
-    recorded = engine.replay(state_dir / "events.jsonl")
+    event_log = state_dir / "events.jsonl"
+    recorded = engine.replay(engine.read_events(event_log), event_log)
     expected = config_hash(raw)[:12]
     if recorded.run_id != expected:
         print(
@@ -142,12 +146,15 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     if not state_dir.exists():
         print(f"no state directory {state_dir}", file=sys.stderr)
         return 2
-    arch = engine.replay(state_dir / "events.jsonl").archive
+    event_log = state_dir / "events.jsonl"
+    events = engine.read_events(event_log)
+    arch = engine.replay(events, event_log).archive
+    series = metrics.progress_series(events) if args.metric == "progress" else None
+    del events  # the other metrics read only the archive
 
     if args.metric == "tree":
         metrics.export_tree_dot(arch, out)
     elif args.metric == "progress":
-        series = metrics.progress_series(state_dir / "events.jsonl")
         metrics.export_progress_csv(series, out)
     elif args.metric == "transfer":
         params = metrics.GrowthScoreParams(

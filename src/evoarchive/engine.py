@@ -126,6 +126,11 @@ class RunState:
 # --- event log ----------------------------------------------------------------
 
 
+# Log lines skip `json.loads`'s per-call encoding detection and set-up.
+_DECODER = json.JSONDecoder()
+_JSON_WHITESPACE = " \t\n\r"
+
+
 def append_events(path: Path, events: list[dict]) -> None:
     with open(path, "a", encoding="utf-8") as fh:
         for event in events:
@@ -142,14 +147,19 @@ def read_events(path: Path) -> list[dict]:
 def _read_committed(path: Path) -> tuple[list[dict], int]:
     """`read_events` and the length in bytes of the lines it kept. The lines
     after the last commit (an unfinished batch, a torn line) are dropped; a
-    malformed line before it raises IntegrityError naming the line."""
+    malformed line before it raises IntegrityError naming the line. A line is
+    one strict UTF-8 JSON object padded by JSON whitespace; unlike `json.loads`
+    on bytes, no other encoding is detected."""
     events: list[dict] = []
     kept = size = 0
     error: Optional[IntegrityError] = None
     with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             try:
-                event = json.loads(line)
+                text = line.decode("utf-8").strip(_JSON_WHITESPACE)
+                event, end = _DECODER.raw_decode(text)
+                if end != len(text):
+                    raise json.JSONDecodeError("Extra data", text, end)
                 kind = event["event"]
             except (ValueError, KeyError, TypeError) as exc:
                 error = error or IntegrityError(
@@ -556,21 +566,11 @@ def run(
     return state
 
 
-def replay(event_log: Path) -> RunState:
-    """Rebuild a run's state (mode and run id from `run_start`) from its committed
-    events alone; writes nothing. `completed` needs the config: see `load_state`."""
-    return _replay(Path(event_log))[0]
-
-
-def load_state(config: RunConfig) -> RunState:
-    """`replay` of the run's event log, checked against its config."""
-    return _replay(config.state_dir / "events.jsonl", config)[0]
-
-
-def _replay(event_log: Path, config: Optional[RunConfig] = None) -> tuple[RunState, int]:
-    """`replay` and the committed lines' length in bytes. With a config, also
-    sets `completed` from its T and checks the nodes' scores against its domains."""
-    events, committed = _read_committed(event_log)
+def replay(events: list[dict], event_log: Path) -> RunState:
+    """Rebuild a run's state (mode and run id from `run_start`) from the committed
+    events that `read_events` returned for `event_log`; writes nothing. Errors
+    name lines of `event_log`. `completed` needs the config: see `load_state`."""
+    event_log = Path(event_log)
     state = RunState(Archive(), -1, event_log, "", 0)
     scores: dict[int, dict[str, DomainScores]] = {}
     for lineno, event in enumerate(events, start=1):
@@ -582,9 +582,22 @@ def _replay(event_log: Path, config: Optional[RunConfig] = None) -> tuple[RunSta
             raise IntegrityError(f"bad event at line {lineno} of {event_log}: {exc!r}") from exc
     if state.iteration < 0:
         raise IntegrityError(f"{event_log} holds no completed iteration")
-    if config is not None:
-        state.completed = state.iteration >= config.iterations
-        _check_score_coverage(state.archive, config.domains)
+    return state
+
+
+def load_state(config: RunConfig) -> RunState:
+    """`replay` of the run's event log, checked against its config."""
+    return _load_checked(config)[0]
+
+
+def _load_checked(config: RunConfig) -> tuple[RunState, int]:
+    """`load_state` and the committed lines' length in bytes: sets `completed`
+    from the config's T and checks the nodes' scores against its domains."""
+    event_log = config.state_dir / "events.jsonl"
+    events, committed = _read_committed(event_log)
+    state = replay(events, event_log)
+    state.completed = state.iteration >= config.iterations
+    _check_score_coverage(state.archive, config.domains)
     return state, committed
 
 
@@ -635,7 +648,7 @@ def resume(
 ) -> RunState:
     """Cut the log back to its last commit, rewrite `archive/` from it (also
     for a completed run) and continue the run to completion."""
-    state, committed = _replay(config.state_dir / "events.jsonl", config)
+    state, committed = _load_checked(config)
     os.truncate(state.event_log, committed)
     archive_mod.persist(state.archive, config.state_dir / "archive", run_id=state.run_id)
     if state.completed:

@@ -1,10 +1,11 @@
 """Run analytics: improvement@k, lineage-discounted growth, bootstrap CIs,
 progress series, and CSV/DOT exports.
 
-All functions are read-only over archives and the committed events of event
-logs (`engine.read_events`). The score feeding the growth computation is the
-selection score (validation when recorded, else train); both that choice and
-the discount base are documented on the operations below.
+All functions are read-only over archives and over the committed events
+that the caller parsed once from an event log (`engine.read_events`). The
+score feeding the growth computation is the selection score (validation
+when recorded, else train); both that choice and the discount base are
+documented on the operations below.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .archive import Archive, child_index, lineage
-from .engine import read_events
+from .archive import Archive, child_index
 from .evaluation import node_selection_score
 
 
@@ -127,6 +127,10 @@ def transfer_select(archive: Archive, params: GrowthScoreParams) -> int:
     )
 
 
+# Resampled rows drawn and reduced at once by `bootstrap_ci`.
+_BOOTSTRAP_CHUNK_ROWS = 64
+
+
 def bootstrap_ci(
     samples: Sequence[float],
     rng: np.random.Generator,
@@ -146,11 +150,16 @@ def bootstrap_ci(
     if not 0.0 < level < 100.0:
         raise ValueError("level must be in (0, 100)")
     point = float(statistic(data))
-    indices = rng.integers(0, data.size, size=(resamples, data.size))
-    if statistic is np.median:
-        stats = np.median(data[indices], axis=1)
-    else:
-        stats = np.apply_along_axis(statistic, 1, data[indices])
+    # Rows are drawn and reduced a chunk at a time, so memory stays at a few
+    # chunks of n indices; the draws are those of one (resamples, n) call.
+    stats = np.empty(resamples)
+    for start in range(0, resamples, _BOOTSTRAP_CHUNK_ROWS):
+        rows = min(_BOOTSTRAP_CHUNK_ROWS, resamples - start)
+        resampled = data[rng.integers(0, data.size, size=(rows, data.size))]
+        if statistic is np.median:
+            stats[start:start + rows] = np.median(resampled, axis=1)
+        else:
+            stats[start:start + rows] = np.apply_along_axis(statistic, 1, resampled)
     tail = (100.0 - level) / 2.0
     lower, upper = np.percentile(stats, [tail, 100.0 - tail])
     return point, float(lower), float(upper)
@@ -203,10 +212,10 @@ def _series_from_records(
     return ProgressSeries(best_so_far=best_so_far, avg_compiled=avg, best_lineage=path)
 
 
-def progress_series(event_log: str | Path) -> ProgressSeries:
-    """Per-iteration best-so-far and compiled-average over the log's committed
-    events, from iteration 0 to the last committed iteration."""
-    events = read_events(Path(event_log))
+def progress_series(events: list[dict]) -> ProgressSeries:
+    """Per-iteration best-so-far and compiled-average over a log's committed
+    events (as `engine.read_events` returns them), from iteration 0 to the
+    last committed iteration."""
     scores: dict[int, float] = {}
     records: list[tuple[int, int, Optional[int], float]] = []
     for event in events:
@@ -220,19 +229,6 @@ def progress_series(event_log: str | Path) -> ProgressSeries:
             )
     # the last committed event is the last committed iteration's commit line
     return _series_from_records(records, events[-1]["iteration"] if events else 0)
-
-
-def progress_series_from_archive(archive: Archive, iterations: int) -> ProgressSeries:
-    """Same series recomputed from the persisted archive (archive-keeping modes)."""
-    records = [
-        (n.id, n.created_at_iteration, n.parent_id, node_selection_score(n))
-        for n in archive
-    ]
-    series = _series_from_records(records, iterations)
-    best_score = max(r[3] for r in records)
-    best_id = min(r[0] for r in records if r[3] == best_score)
-    series.best_lineage = lineage(archive, best_id)
-    return series
 
 
 # --- exports -------------------------------------------------------------------

@@ -10,10 +10,10 @@ Python code runs in the child and the spawn keeps CPython's vfork path:
     unshare -n -- /bin/sh -c 'ulimit -S -t N && ulimit -H -t N+1 && exec "$@"' sh ARGV...
 
 ``unshare`` (from util-linux) gives the command a fresh, empty network
-namespace. It joins the prefix only when a one-time probe (``unshare -n
-true``) succeeded; where ``unshare`` is missing or not permitted, commands
-run without isolation, one warning is logged, and every outcome reports
-``network_isolated=False``. The shell sets the soft CPU limit to N seconds
+namespace. It joins the prefix, by the absolute path found on ``PATH`` once,
+only when a one-time probe (``unshare -n -- true``) succeeded; where
+``unshare`` is missing or not permitted, commands run without isolation,
+one warning is logged, and every outcome reports ``network_isolated=False``. The shell sets the soft CPU limit to N seconds
 (SIGXCPU, exit status -24) and the hard limit to N+1 (SIGKILL if SIGXCPU is
 caught or ignored); the soft limit goes first because lowering the hard limit
 below an unlimited soft limit fails. Both are in force before the command's
@@ -42,7 +42,6 @@ logger = logging.getLogger(__name__)
 
 TRUNCATION_MARKER = b"...[output truncated]"
 
-_UNSHARE = ("unshare", "-n", "--")
 _CHUNK = 65536
 
 
@@ -84,22 +83,31 @@ class SandboxOutcome:
 
 
 @functools.lru_cache(maxsize=1)
-def network_isolation_available() -> bool:
-    """Whether ``unshare -n`` works here; probed once per process."""
+def _unshare_prefix() -> tuple[str, ...]:
+    """``unshare -n --`` naming the binary by the absolute path that the
+    one-time probe ran, or () where that probe failed."""
+    unshare = shutil.which("unshare")
     try:
-        probe = subprocess.run([*_UNSHARE, "true"], capture_output=True, timeout=15)
-        available = probe.returncode == 0
+        available = unshare is not None and subprocess.run(
+            [unshare, "-n", "--", "true"], capture_output=True, timeout=15
+        ).returncode == 0
     except (OSError, subprocess.TimeoutExpired):
         available = False
     if not available:
         logger.warning("network namespace isolation unavailable; commands run without it")
-    return available
+        return ()
+    return (unshare, "-n", "--")
+
+
+def network_isolation_available() -> bool:
+    """Whether ``unshare -n`` works here; probed once per process."""
+    return bool(_unshare_prefix())
 
 
 def _limit_prefix(limits: SandboxLimits, isolated: bool) -> list[str]:
     n = limits.cpu_seconds
     shim = f'ulimit -S -t {n} && ulimit -H -t {n + 1} && exec "$@"'
-    return [*(_UNSHARE if isolated else ()), "/bin/sh", "-c", shim, "sh"]
+    return [*(_unshare_prefix() if isolated else ()), "/bin/sh", "-c", shim, "sh"]
 
 
 class _Capture:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import math
 import shutil
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from evoarchive.archive import fingerprint, load
+from evoarchive import engine
 from evoarchive.cli import ANALYZE_METRICS, main
 from evoarchive.config import ConfigError, demo_config, load_config, parse_config
 from evoarchive.engine import append_events, load_state, run
@@ -104,6 +106,38 @@ def test_resume_refuses_mismatched_config_hash(tmp_path, capsys):
     snapshot.write_text(json.dumps(doc))
     assert main(["resume", "--state", str(tmp_path / "state")]) == 2
     assert "hash" in capsys.readouterr().err
+
+
+def tree_state(root: Path) -> str:
+    """Hash of every file's path, content, inode and mtime under `root`."""
+    digest = hashlib.sha256()
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        stat = path.stat()
+        digest.update(f"{path.relative_to(root)}:{stat.st_ino}:{stat.st_mtime_ns}:".encode())
+        digest.update(hashlib.sha256(path.read_bytes()).digest())
+    return digest.hexdigest()
+
+
+def test_resume_of_a_copied_state_dir_writes_its_own_payloads(tmp_path):
+    config_path = write_config(tmp_path / "a", iterations=6, seed=4)
+    assert main(["run", "--config", str(config_path)]) == 0
+    original, copy = tmp_path / "a" / "state", tmp_path / "b"
+    shutil.copytree(original, copy)
+    # config.json names the original state_dir by its absolute path
+    assert json.loads((copy / "config.json").read_text())["state_dir"] == str(original)
+    event_log = copy / "events.jsonl"
+    lines = event_log.read_bytes().splitlines(keepends=True)
+    events = [json.loads(line) for line in lines]
+    cut = next(i for i, e in enumerate(events)
+               if e["event"] == "iteration_complete" and e["iteration"] == 2)
+    event_log.write_bytes(b"".join(lines[:cut + 1]))
+    payloads_before = tree_state(original / "payloads")
+    copied_payloads = tree_state(copy / "payloads")
+
+    assert main(["resume", "--state", str(copy)]) == 0
+    assert tree_state(original / "payloads") == payloads_before
+    assert tree_state(copy / "payloads") != copied_payloads
+    assert fingerprint(copy / "archive") == fingerprint(original / "archive")
 
 
 def test_resume_missing_state_dir(tmp_path, capsys):
@@ -297,6 +331,21 @@ def test_analyze_corrupt_committed_line_exits_1(finished_run, tmp_path, capsys):
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1
     assert "IntegrityError" in err and "line 3 " in err
+
+
+@pytest.mark.parametrize("metric", ANALYZE_METRICS)
+def test_analyze_parses_the_log_once(finished_run, tmp_path, monkeypatch, metric):
+    parses = []
+
+    def counting(path):
+        parses.append(path)
+        return read_committed(path)
+
+    read_committed = engine._read_committed
+    monkeypatch.setattr(engine, "_read_committed", counting)
+    assert main(["analyze", "--state", str(finished_run), "--metric", metric,
+                 "--out", str(tmp_path / "out")]) == 0
+    assert parses == [finished_run / "events.jsonl"]
 
 
 def analyze_all(state_dir: Path, out_dir: Path) -> dict[str, bytes]:

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import dataclasses
+import io
+import json
 import math
 import os
+import re
 from pathlib import Path
 
 import pytest
@@ -10,6 +13,7 @@ import pytest
 from evoarchive import archive as archive_mod
 from evoarchive.archive import DomainScores, fingerprint
 from evoarchive.engine import (
+    _read_committed,
     EngineError,
     IntegrityError,
     RunConfig,
@@ -361,6 +365,82 @@ def test_read_events_returns_committed_events_only(tmp_path):
     )
     with pytest.raises(IntegrityError, match="corrupt event at line 2 "):
         read_events(event_log)
+
+
+def committed_by_json_loads(data: bytes) -> tuple[list[dict], int] | int:
+    """Oracle: the commit rule over `json.loads` of each line. Returns the kept
+    events and their byte length, or the number of the line an error names."""
+    events, kept, size, offset, error = [], 0, 0, 0, None
+    for lineno, line in enumerate(io.BytesIO(data), start=1):
+        offset += len(line)
+        try:
+            event = json.loads(line)
+            kind = event["event"]
+        except (ValueError, KeyError, TypeError):
+            error = error or lineno
+            continue
+        events.append(event)
+        if kind in ("iteration_complete", "run_complete") and line.endswith(b"\n"):
+            if error is not None:
+                return error
+            kept, size = len(events), offset
+    return events[:kept], size
+
+
+def committed_by_engine(path: Path) -> tuple[list[dict], int] | int:
+    try:
+        return _read_committed(path)
+    except IntegrityError as exc:
+        return int(re.match(r"corrupt event at line (\d+) ", str(exc)).group(1))
+
+
+LOG_HEAD = b'{"event": "run_start"}\n{"event": "iteration_complete", "iteration": 0}\n'
+COMMIT = b'{"event": "iteration_complete", "iteration": 1}\n'
+EDGE_LINES = {
+    "blank": b"\n",
+    "json whitespace padding": b' \t {"event": "archive_add"}\r \t\n',
+    "vertical tab padding": b'\x0b{"event": "archive_add"}\n',
+    "form feed padding": b'{"event": "archive_add"}\x0c\n',
+    "array": b'[{"event": "archive_add"}]\n',
+    "string": b'"event"\n',
+    "null": b"null\n",
+    "no event key": b'{"kind": "archive_add"}\n',
+    "trailing garbage": b'{"event": "archive_add"} x\n',
+    "second object": b'{"event": "archive_add"}{}\n',
+    "invalid utf-8": b'{"event": "archive_add", "note": "\xff"}\n',
+    "non-ascii": '{"event": "archive_add", "note": "caf\u00e9 \u2713"}\n'.encode(),
+    "non-ascii commit": '{"event": "iteration_complete", "iteration": 1, "n": "\u00e9"}\n'.encode(),
+    "torn": b'{"event": "iteration_compl',
+    "unterminated commit": b'{"event": "iteration_complete", "iteration": 1}',
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_LINES))
+@pytest.mark.parametrize("position", ["before commit", "after commit", "at end"])
+def test_read_committed_matches_json_loads_per_line(tmp_path, name, position):
+    line = EDGE_LINES[name]
+    if position != "at end" and not line.endswith(b"\n"):
+        line += b"\n"  # only the last line can lack its newline
+    body = {"before commit": line + COMMIT, "after commit": COMMIT + line + COMMIT,
+            "at end": COMMIT + line}[position]
+    event_log = tmp_path / "events.jsonl"
+    event_log.write_bytes(LOG_HEAD + body)
+    expected = committed_by_json_loads(LOG_HEAD + body)
+    assert committed_by_engine(event_log) == expected
+    if isinstance(expected, tuple):
+        assert read_events(event_log) == expected[0]
+
+
+@pytest.mark.parametrize("line", [
+    b'\xef\xbb\xbf{"event": "archive_add"}\n',  # UTF-8 byte-order mark
+    b'{"event": "archive_add", "note": "\xed\xa0\x80"}\n',  # encoded lone surrogate
+])
+def test_log_lines_are_plain_utf8(tmp_path, line):
+    # `json.loads` of the bytes accepts these; the engine never writes them
+    json.loads(line)
+    event_log = tmp_path / "events.jsonl"
+    event_log.write_bytes(LOG_HEAD + line + COMMIT)
+    assert committed_by_engine(event_log) == 3
 
 
 def test_run_rebuilds_partial_root_payload(tmp_path, monkeypatch):

@@ -8,7 +8,7 @@ import pytest
 
 import evoarchive.metrics as metrics_mod
 from evoarchive.archive import Archive, add_node, lineage
-from evoarchive.engine import run
+from evoarchive.engine import read_events, run
 from evoarchive.evaluation import node_selection_score
 from evoarchive.metrics import (
     GrowthScoreParams,
@@ -20,7 +20,6 @@ from evoarchive.metrics import (
     growth_score,
     improvement_at_k,
     progress_series,
-    progress_series_from_archive,
     transfer_select,
 )
 from evoarchive.rng import substream
@@ -374,6 +373,28 @@ def test_bootstrap_level_shrinks_interval():
     assert high50 - low50 <= high95 - low95
 
 
+def one_shot_bootstrap(samples, rng, resamples, statistic=np.median):
+    """Oracle: the bootstrap with every resampled row drawn in one call."""
+    data = np.asarray(samples, dtype=float)
+    indices = rng.integers(0, data.size, size=(resamples, data.size))
+    if statistic is np.median:
+        stats = np.median(data[indices], axis=1)
+    else:
+        stats = np.apply_along_axis(statistic, 1, data[indices])
+    lower, upper = np.percentile(stats, [2.5, 97.5])
+    return float(statistic(data)), float(lower), float(upper)
+
+
+@pytest.mark.parametrize("statistic", [np.median, lambda row: float(row.mean())])
+@pytest.mark.parametrize("extra", [-1, 1, 7])
+@pytest.mark.parametrize("size", [1, 2, 37])
+def test_bootstrap_chunks_equal_one_shot_draws(statistic, extra, size):
+    resamples = 2 * metrics_mod._BOOTSTRAP_CHUNK_ROWS + extra
+    samples = np.random.default_rng(size).random(size).tolist()
+    chunked = bootstrap_ci(samples, substream(3, "chunks"), resamples, statistic=statistic)
+    assert chunked == one_shot_bootstrap(samples, substream(3, "chunks"), resamples, statistic)
+
+
 # --- progress series -------------------------------------------------------------------
 
 
@@ -382,7 +403,7 @@ def test_single_node_run_flat_series(tmp_path):
         "task_skill": [0.0, 0.0], "meta_capability": 0.3, "compile_probability": 0.0,
     })
     state = run(config)
-    series = progress_series(state.event_log)
+    series = progress_series(read_events(state.event_log))
     root_score = state.archive.node(0).scores["landscape"].train
     assert series.best_so_far == [root_score] * 3
     assert series.avg_compiled == [root_score] * 3
@@ -391,18 +412,34 @@ def test_single_node_run_flat_series(tmp_path):
 
 def test_best_so_far_non_decreasing_and_avg_in_range(tmp_path):
     state = run(make_config(tmp_path, iterations=10, seed=5))
-    series = progress_series(state.event_log)
+    series = progress_series(read_events(state.event_log))
     assert len(series.best_so_far) == 11
     for earlier, later in zip(series.best_so_far, series.best_so_far[1:]):
         assert later >= earlier
     assert all(0.0 <= v <= 1.0 for v in series.avg_compiled)
 
 
+def series_from_archive(arch: Archive, iterations: int) -> metrics_mod.ProgressSeries:
+    """Oracle: the series recomputed from an archive, one iteration at a time.
+    Scores add in id order, which is add order and iteration order."""
+    best_so_far, avg = [], []
+    for t in range(iterations + 1):
+        present = [node_selection_score(n) for n in arch if n.created_at_iteration <= t]
+        total = 0
+        for score in present:
+            total += score
+        best_so_far.append(max(present))
+        avg.append(total / len(present))
+    best_score = max(node_selection_score(n) for n in arch)
+    best_id = min(n.id for n in arch if node_selection_score(n) == best_score)
+    return metrics_mod.ProgressSeries(best_so_far, avg, lineage(arch, best_id))
+
+
 def test_series_from_log_equals_series_from_archive(tmp_path):
     config = make_config(tmp_path, iterations=10, seed=6)
     state = run(config)
-    from_log = progress_series(state.event_log)
-    from_archive = progress_series_from_archive(state.archive, config.iterations)
+    from_log = progress_series(read_events(state.event_log))
+    from_archive = series_from_archive(state.archive, config.iterations)
     assert from_log.best_so_far == from_archive.best_so_far
     assert from_log.avg_compiled == from_archive.avg_compiled
     assert from_log.best_lineage == from_archive.best_lineage
@@ -416,7 +453,7 @@ def test_series_from_log_equals_series_from_archive(tmp_path):
 
 def test_progress_csv_row_count(tmp_path):
     state = run(make_config(tmp_path, iterations=7))
-    series = progress_series(state.event_log)
+    series = progress_series(read_events(state.event_log))
     out = tmp_path / "progress.csv"
     export_progress_csv(series, out)
     with open(out) as fh:
