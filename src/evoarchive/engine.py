@@ -14,8 +14,9 @@ Five modes share one loop body:
 
 One master seed derives a named substream per decision (selection,
 per-child generation), so concurrency and resume cannot reorder draws.
-The event log records how far a run got (``archive/`` is a view of it);
-resuming replays its committed iterations and continues the same trajectory.
+The event log records how far a run got; resuming replays its committed
+iterations and continues the same trajectory. ``archive/``, a view of the log,
+is written as `run`, `resume` or `step` returns: mid-run it is missing or stale.
 """
 
 from __future__ import annotations
@@ -317,8 +318,9 @@ def _start(runtime: _Runtime, run_id: str) -> RunState:
     config.state_dir.mkdir(parents=True, exist_ok=True)
     config.payload_dir.mkdir(parents=True, exist_ok=True)
     event_log = config.state_dir / "events.jsonl"
-    if event_log.exists():
-        event_log.unlink()
+    event_log.unlink(missing_ok=True)
+    if (config.state_dir / "archive").exists():
+        shutil.rmtree(config.state_dir / "archive")
 
     root_path = _init_root_payload(config)
     ok, cause = validate_child(root_path, SMOKE_TASK, config.limits, runtime.smoke_probe)
@@ -356,7 +358,6 @@ def _start(runtime: _Runtime, run_id: str) -> RunState:
             {"event": "iteration_complete", "time": _now(), "iteration": 0},
         ],
     )
-    archive_mod.persist(state.archive, config.state_dir / "archive", run_id=state.run_id)
     return state
 
 
@@ -533,7 +534,6 @@ def _step(runtime: _Runtime, state: RunState) -> RunState:
     if state.completed:
         events.append({"event": "run_complete", "time": _now(), "iteration": iteration})
     append_events(state.event_log, events)
-    archive_mod.persist(state.archive, config.state_dir / "archive", run_id=state.run_id)
     return state
 
 
@@ -544,9 +544,10 @@ def step(
     evaluators: Optional[dict[str, Evaluator]] = None,
     evaluator_specs: Optional[dict[str, dict]] = None,
 ) -> RunState:
-    """Apply one iteration to `state`. Requires iteration < T."""
-    runtime = _Runtime(config, backend, evaluators, evaluator_specs)
-    return _step(runtime, state)
+    """Apply one iteration to `state`, then write `archive/`. Requires iteration < T."""
+    state = _step(_Runtime(config, backend, evaluators, evaluator_specs), state)
+    archive_mod.persist(state.archive, config.state_dir / "archive", run_id=state.run_id)
+    return state
 
 
 def run(
@@ -557,12 +558,13 @@ def run(
     run_id: Optional[str] = None,
     stop_after: Optional[int] = None,
 ) -> RunState:
-    """Evaluate the root at t=0, then run T iterations (or up to stop_after)."""
+    """Evaluate the root at t=0, run T iterations (or stop_after), write `archive/`."""
     runtime = _Runtime(config, backend, evaluators, evaluator_specs)
     state = _start(runtime, run_id or "run")
     limit = config.iterations if stop_after is None else min(stop_after, config.iterations)
     while state.iteration < limit:
         state = _step(runtime, state)
+    archive_mod.persist(state.archive, config.state_dir / "archive", run_id=state.run_id)
     return state
 
 
@@ -646,20 +648,18 @@ def resume(
     evaluators: Optional[dict[str, Evaluator]] = None,
     evaluator_specs: Optional[dict[str, dict]] = None,
 ) -> RunState:
-    """Cut the log back to its last commit, rewrite `archive/` from it (also
-    for a completed run) and continue the run to completion."""
+    """Cut the log back to its last commit, continue the run to completion and
+    rewrite `archive/` from it; for a completed run that rebuilds `archive/` alone."""
     state, committed = _load_checked(config)
     os.truncate(state.event_log, committed)
-    archive_mod.persist(state.archive, config.state_dir / "archive", run_id=state.run_id)
     if state.completed:
         logger.info("run %s already completed at iteration %d; nothing to resume",
                     state.run_id, state.iteration)
-        return state
-    runtime = _Runtime(config, backend, evaluators, evaluator_specs)
-    append_events(
-        state.event_log,
-        [{"event": "resume", "time": _now(), "iteration": state.iteration}],
-    )
-    while state.iteration < config.iterations:
-        state = _step(runtime, state)
+    else:
+        runtime = _Runtime(config, backend, evaluators, evaluator_specs)
+        append_events(state.event_log,
+                      [{"event": "resume", "time": _now(), "iteration": state.iteration}])
+        while state.iteration < config.iterations:
+            state = _step(runtime, state)
+    archive_mod.persist(state.archive, config.state_dir / "archive", run_id=state.run_id)
     return state

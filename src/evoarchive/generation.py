@@ -403,6 +403,9 @@ class ModelClientBackend(_PolicyFileBackend):
                 "eval_results_ref": request.eval_results_ref,
             }
             generated = self.transport(instruction_doc)
+            if not isinstance(generated, dict):
+                raise GenerationError(
+                    f"instruction-generation response is not a JSON object: {generated!r:.200}")
             instruction = generated.get("instruction", instruction)
         doc = {
             "kind": "modification",
@@ -416,14 +419,23 @@ class ModelClientBackend(_PolicyFileBackend):
         child_dir.mkdir(parents=True, exist_ok=True)
         try:
             bundle = response["child_payload"]
-            for rel, content in bundle.items():
-                target = child_dir / rel
+            files = [(_bundle_target(child_dir, rel), content) for rel, content in bundle.items()]
+            for target, content in files:
                 target.parent.mkdir(parents=True, exist_ok=True)
                 target.write_text(content, encoding="utf-8")
-        except (KeyError, TypeError, AttributeError) as exc:
+        except (KeyError, TypeError, AttributeError, ValueError) as exc:
             log = _write_validity_log(child_dir, False, f"malformed response: {exc}")
             return GenerationResult(str(child_dir), False, log, time.monotonic() - start)
         return GenerationResult(str(child_dir), False, "", time.monotonic() - start)
+
+
+def _bundle_target(child_dir: Path, rel: str) -> Path:
+    """Where bundle key `rel` is written: a relative path strictly inside `child_dir`."""
+    root = child_dir.resolve()
+    target = (root / rel).resolve()
+    if not rel or os.path.isabs(rel) or target == root or not target.is_relative_to(root):
+        raise ValueError(f"bundle key {rel!r} is not a relative path inside the child directory")
+    return target
 
 
 def generate_child(

@@ -1,4 +1,4 @@
-"""Kill a run at every write boundary of an iteration, then resume it.
+"""Kill a run, or a resume, at every write boundary, then resume it.
 
 A kill is a `Killed` exception raised from a patched write: nothing in the
 engine catches it, so the state directory is left as a dead process would
@@ -75,27 +75,37 @@ def kill_on_call(monkeypatch, owner, name: str, call: int, action) -> None:
     monkeypatch.setattr(owner, name, patched)
 
 
-# _start makes the first append_events and persist call, iteration k the (k+1)-th
+# _start makes the first append_events call, iteration k the (k+1)-th; `archive/`
+# is written once, by the persist call just before `run` returns
 KILL_CALL = KILL_AT + 1
 
 
 def log_committed_archive_stale(monkeypatch):
-    kill_on_call(monkeypatch, archive_mod, "persist", KILL_CALL, lambda real, *a, **k: None)
+    # the log is ahead of `archive/`, which this run has not written yet
+    def action(real, path, events):
+        real(path, events)
+        assert not (Path(path).parent / "archive").exists()
+
+    kill_on_call(monkeypatch, engine, "append_events", KILL_CALL, action)
 
 
 def last_commit_archive_stale(monkeypatch):
     # the log says the run is complete; only resume can bring archive/ up to it
-    kill_on_call(monkeypatch, archive_mod, "persist", ITERATIONS + 1, lambda real, *a, **k: None)
+    kill_on_call(monkeypatch, archive_mod, "persist", 1, lambda real, *a, **k: None)
 
 
 def records_written_manifest_stale(monkeypatch):
+    # every node record is written, the manifest is not: the earlier one stays, if any
     def action(real, arch, location, **kwargs):
         manifest = Path(location) / "manifest.json"
-        old = manifest.read_bytes()
+        old = manifest.read_bytes() if manifest.exists() else None
         real(arch, location, **kwargs)
-        manifest.write_bytes(old)
+        if old is None:
+            manifest.unlink()
+        else:
+            manifest.write_bytes(old)
 
-    kill_on_call(monkeypatch, archive_mod, "persist", KILL_CALL, action)
+    kill_on_call(monkeypatch, archive_mod, "persist", 1, action)
 
 
 def manifest_torn(monkeypatch):
@@ -104,13 +114,13 @@ def manifest_torn(monkeypatch):
         manifest = Path(location) / "manifest.json"
         manifest.write_bytes(manifest.read_bytes()[:40])
 
-    kill_on_call(monkeypatch, archive_mod, "persist", KILL_CALL, action)
+    kill_on_call(monkeypatch, archive_mod, "persist", 1, action)
 
 
 def manifest_missing(monkeypatch):
-    # the very first persist, before any manifest exists
+    # dies after the first node record: the other records and the manifest are missing
     def action(real, arch, location, **kwargs):
-        real(arch, location, **kwargs)
+        real(archive_mod.Archive(arch.mode_tag, arch.nodes[:1]), location, **kwargs)
         (Path(location) / "manifest.json").unlink()
 
     kill_on_call(monkeypatch, archive_mod, "persist", 1, action)
@@ -178,21 +188,56 @@ def uninterrupted(tmp_path_factory) -> dict:
     return out
 
 
+def kill(monkeypatch, boundary, call, *args) -> None:
+    with monkeypatch.context() as patches:
+        boundary(patches)
+        with pytest.raises(Killed):
+            call(*args)
+
+
+def assert_resumes_uninterrupted(config: RunConfig, uninterrupted: dict) -> None:
+    state = resume(config)
+    assert state.completed and state.iteration == ITERATIONS
+    want_fingerprint, want_events = uninterrupted[config.mode]
+    assert fingerprint(config.state_dir / "archive") == want_fingerprint
+    assert comparable(config.state_dir / "events.jsonl") == want_events
+    assert not list(config.payload_dir.rglob("stale.txt"))
+
+
 @pytest.mark.parametrize("mode, has_validation", SHAPES)
 @pytest.mark.parametrize("boundary", BOUNDARIES, ids=lambda b: b.__name__)
 def test_resume_after_kill(tmp_path, monkeypatch, uninterrupted, boundary, mode,
                            has_validation):
     config = make_config(tmp_path / "state", mode, has_validation)
-    with monkeypatch.context() as patches:
-        boundary(patches)
-        with pytest.raises(Killed):
-            run(config)
-    state = resume(config)
-    assert state.completed and state.iteration == ITERATIONS
-    want_fingerprint, want_events = uninterrupted[mode]
-    assert fingerprint(config.state_dir / "archive") == want_fingerprint
-    assert comparable(config.state_dir / "events.jsonl") == want_events
-    assert not list(config.payload_dir.rglob("stale.txt"))
+    kill(monkeypatch, boundary, run, config)
+    assert_resumes_uninterrupted(config, uninterrupted)
+
+
+@pytest.mark.parametrize("mode, has_validation", SHAPES)
+@pytest.mark.parametrize("boundary", [records_written_manifest_stale, manifest_torn],
+                         ids=lambda b: b.__name__)
+def test_resume_killed_in_its_persist_resumes_again(tmp_path, monkeypatch, uninterrupted,
+                                                    boundary, mode, has_validation):
+    # the first resume continues the run and dies writing over the archive/
+    # that run left; the second finds the log complete and only rebuilds archive/
+    config = make_config(tmp_path / "state", mode, has_validation)
+    run(config, stop_after=KILL_AT)
+    kill(monkeypatch, boundary, resume, config)
+    assert read_events(config.state_dir / "events.jsonl")[-1]["event"] == "run_complete"
+    assert_resumes_uninterrupted(config, uninterrupted)
+
+
+@pytest.mark.parametrize("mode, has_validation", SHAPES)
+def test_killed_run_in_a_used_state_dir_resumes(tmp_path, monkeypatch, uninterrupted, mode,
+                                                has_validation):
+    earlier = make_config(tmp_path / "state", mode, has_validation)
+    earlier.seed = 6
+    run(earlier)
+    assert fingerprint(earlier.state_dir / "archive") != uninterrupted[mode][0]
+    config = make_config(tmp_path / "state", mode, has_validation)
+    # the assertion in log_committed_archive_stale: the earlier run's archive/ is gone
+    kill(monkeypatch, log_committed_archive_stale, run, config)
+    assert_resumes_uninterrupted(config, uninterrupted)
 
 
 def test_corrupt_committed_line_exits_1(tmp_path, capsys):

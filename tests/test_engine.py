@@ -316,6 +316,35 @@ def test_resume_of_completed_run_is_noop(tmp_path, caplog):
     assert fingerprint(config.state_dir / "archive") == before
 
 
+def test_each_call_writes_archive_once(tmp_path, monkeypatch):
+    real, calls = archive_mod.persist, []
+
+    def counting_persist(*args, **kwargs):
+        calls.append(1)
+        real(*args, **kwargs)
+
+    monkeypatch.setattr(archive_mod, "persist", counting_persist)
+
+    def assert_one_write(config: RunConfig) -> None:
+        assert len(calls) == 1
+        calls.clear()
+        written = archive_mod.load(config.state_dir / "archive")
+        assert [n.id for n in written] == [n.id for n in load_state(config).archive]
+
+    config = make_config(tmp_path / "whole", iterations=4)
+    run(config)
+    assert_one_write(config)
+    config = make_config(tmp_path / "split", iterations=4)
+    state = run(config, stop_after=1)
+    assert_one_write(config)
+    step(state, config)
+    assert_one_write(config)
+    assert resume(config).completed  # continues an interrupted run
+    assert_one_write(config)
+    resume(config)  # a completed run
+    assert_one_write(config)
+
+
 def log_lines(state) -> int:
     return len(Path(state.event_log).read_bytes().splitlines())
 

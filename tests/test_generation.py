@@ -11,6 +11,7 @@ from scipy import stats
 from evoarchive.evaluation import SyntheticEvaluator, CommandEvaluator
 from evoarchive.generation import (
     ExternalProcessBackend,
+    GenerationError,
     GenerationRequest,
     ModelClientBackend,
     SimulatedAgentGenome,
@@ -321,6 +322,51 @@ def test_model_client_malformed_response_not_compiled(tmp_path):
         backend, request_for(tmp_path, parent), SyntheticEvaluator(), LIMITS
     )
     assert not result.compiled
+
+
+@pytest.mark.parametrize("key", ["../escaped.txt", "sub/../../escaped.txt",
+                                 "{tmp}/escaped_absolute.txt", "", ".", "sub/.."])
+def test_model_client_rejects_bundle_key_outside_child(tmp_path, key):
+    parent = write_parent(tmp_path)
+    genome = (parent / "genome.json").read_text()
+    key = key.format(tmp=tmp_path)
+    backend = ModelClientBackend(
+        url="https://example.invalid/generate",
+        transport=lambda doc: {"child_payload": {"genome.json": genome, key: "x"}},
+    )
+    request = request_for(tmp_path, parent)
+    result = generate_child(backend, request, SyntheticEvaluator(), LIMITS)
+    assert not result.compiled
+    assert "malformed response" in Path(result.validity_log).read_text()
+    assert not list(tmp_path.glob("escaped*"))
+    # the keys are checked before any file is written
+    assert list(Path(request.child_payload_ref).iterdir()) == []
+
+
+def test_model_client_writes_nested_bundle_keys_inside_child(tmp_path):
+    parent = write_parent(tmp_path)
+    genome = (parent / "genome.json").read_text()
+    backend = ModelClientBackend(
+        url="https://example.invalid/generate",
+        transport=lambda doc: {"child_payload": {"genome.json": genome,
+                                                 "tools/../notes/a.txt": "a"}},
+    )
+    request = request_for(tmp_path, parent)
+    result = generate_child(backend, request, SyntheticEvaluator(), LIMITS)
+    assert result.compiled
+    assert (Path(request.child_payload_ref) / "notes" / "a.txt").read_text() == "a"
+
+
+@pytest.mark.parametrize("generated", [["improve"], "improve", None, 3])
+def test_model_client_non_object_instruction_response_is_generation_error(tmp_path, generated):
+    parent = write_parent(tmp_path)
+    backend = ModelClientBackend(
+        url="https://example.invalid/generate",
+        instruction_template="TEMPLATE {code}",
+        transport=lambda doc: generated,
+    )
+    with pytest.raises(GenerationError, match="not a JSON object"):
+        backend.generate(request_for(tmp_path, parent))
 
 
 def test_generation_request_validation(tmp_path):
