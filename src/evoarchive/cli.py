@@ -6,7 +6,7 @@ reads nothing else: `engine.replay` folds those events into the archive, and
 reports a live or crashed run at its last committed iteration.
 
 Exit codes: 0 success, 1 runtime failure (state stays resumable),
-2 invalid configuration or arguments.
+2 invalid configuration or arguments (such as an `analyze` flag out of range).
 """
 
 from __future__ import annotations
@@ -32,6 +32,16 @@ from .rng import substream
 from .selection import POLICY_KEYS
 
 ANALYZE_METRICS = ("impk", "transfer", "ci", "progress", "tree")
+
+# analyze's numeric flags and the values that `metrics.GrowthScoreParams`
+# (--gamma, --min-descendants) and `metrics.bootstrap_ci` (--resamples,
+# --level) accept; any other value exits 2 before the state is read
+ANALYZE_RANGES = {
+    "gamma": ("in (0, 1]", lambda v: 0.0 < v <= 1.0),
+    "min_descendants": (">= 1", lambda v: v >= 1),
+    "resamples": (">= 1", lambda v: v >= 1),
+    "level": ("in (0, 100)", lambda v: 0.0 < v < 100.0),
+}
 
 # Failures of `run`, `resume` and `analyze` that exit 1 with a one-line
 # message: corrupt or inconsistent state, a failing backend, unreadable files.
@@ -141,6 +151,12 @@ def _cmd_resume(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
+    for name, (allowed, accepts) in ANALYZE_RANGES.items():
+        value = getattr(args, name)
+        if not accepts(value):
+            flag = "--" + name.replace("_", "-")
+            print(f"invalid argument {flag} {value}: must be {allowed}", file=sys.stderr)
+            return 2
     state_dir = Path(args.state)
     out = Path(args.out)
     if not state_dir.exists():

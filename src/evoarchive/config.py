@@ -14,6 +14,7 @@ from typing import Any, Optional
 
 from .engine import MODES, RunConfig
 from .evaluation import DomainSpec, Gate, StagedEvalPolicy
+from .generation import SimulatedAgentGenome
 from .sandbox import SandboxLimits
 from .selection import SelectionPolicy, checked_type
 
@@ -115,6 +116,34 @@ def _parse_limits(spec: dict) -> SandboxLimits:
         raise ConfigError(f"key 'limits': {exc}") from exc
 
 
+def _parse_initial(spec: dict) -> dict:
+    """The root agent's genome keys, checked as `SimulatedAgentGenome` checks them.
+    `selection_policy` is agent payload: a malformed one is not a config error,
+    the agent's selection routine fails at run time and falls back to uniform."""
+    context = "initial."
+    _reject_unknown(
+        spec,
+        {"task_skill", "meta_capability", "compile_probability", "payload_ref",
+         "selection_policy"},
+        context,
+    )
+    _optional(spec, "payload_ref", str, None, context)
+    try:
+        skill = [checked_type(v, float, f"{context}task_skill[{i}]")
+                 for i, v in enumerate(_optional(spec, "task_skill", list, [], context))]
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    try:
+        SimulatedAgentGenome(
+            task_skill=skill,
+            meta_capability=_optional(spec, "meta_capability", float, 0.0, context),
+            compile_probability=_optional(spec, "compile_probability", float, 0.0, context),
+        )
+    except ValueError as exc:
+        raise ConfigError(f"key 'initial': {exc}") from None
+    return spec
+
+
 _TOP_KEYS = {
     "mode", "iterations", "seed", "state_dir", "payload_dir", "policy", "domains",
     "backend", "initial", "parents_per_iteration", "concurrency", "limits",
@@ -177,7 +206,7 @@ def parse_config(doc: dict, base_dir: Optional[Path] = None) -> tuple[RunConfig,
             policy=_parse_policy(_optional(doc, "policy", dict, {"variant": "score-child-prop"}, "")),
             domains=domains,
             backend=backend,
-            initial=_optional(doc, "initial", dict, {}, ""),
+            initial=_parse_initial(_optional(doc, "initial", dict, {}, "")),
             parents_per_iteration=_optional(doc, "parents_per_iteration", int, 1, ""),
             concurrency=_optional(doc, "concurrency", int, 1, ""),
             limits=_parse_limits(_optional(doc, "limits", dict, {}, "")),

@@ -14,9 +14,13 @@ Five modes share one loop body:
 
 One master seed derives a named substream per decision (selection,
 per-child generation), so concurrency and resume cannot reorder draws.
-The event log records how far a run got; resuming replays its committed
-iterations and continues the same trajectory. ``archive/``, a view of the log,
-is written as `run`, `resume` or `step` returns: mid-run it is missing or stale.
+The event log records how far a run got, and its events are the only way run
+state changes: each iteration builds its batch of events, folds it into the
+live `RunState` by the same `_apply_event` that `replay` uses, then appends
+it, so a live state is always the one its log replays to. Resuming replays
+the committed iterations and continues the same trajectory. ``archive/``, a
+view of the log, is written as `run`, `resume` or `step` returns: mid-run it
+is missing or stale.
 """
 
 from __future__ import annotations
@@ -36,13 +40,11 @@ from .archive import AgentNode, Archive, ArchiveError, DomainScores
 from .evaluation import (
     DomainSpec,
     Evaluator,
-    ScoreReport,
     SyntheticEvaluator,
     CommandEvaluator,
     evaluate_full,
     multi_domain_evaluate,
     node_selection_score,
-    reports_to_scores,
 )
 from .generation import (
     ExternalProcessBackend,
@@ -278,39 +280,48 @@ def _init_root_payload(config: RunConfig) -> str:
     return str(root_dir)
 
 
-def _evaluate_payload(
-    runtime: _Runtime, payload_ref: str, task_concurrency: int
-) -> tuple[dict[str, ScoreReport], dict]:
+def _evaluate_payload(runtime: _Runtime, payload_ref: str, task_concurrency: int) -> dict:
+    """The fields of the payload's `evaluation` event, `selection_score` aside."""
     config = runtime.config
     reports, combined = multi_domain_evaluate(
         payload_ref, config.domains, runtime.evaluators, config.limits, task_concurrency
     )
     any_gated = any(r.gated_out for r in reports.values())
-    validation_reports: dict[str, ScoreReport] = {}
+    validation: dict[str, float] = {}
     for domain in config.domains:
-        if not domain.has_validation:
-            continue
-        if any_gated:
-            validation_reports[domain.name] = ScoreReport(
-                per_task={}, gated_out=True, aggregate=0.0,
-                full_count=len(domain.validation_task_ids),
-            )
-        else:
-            validation_reports[domain.name] = evaluate_full(
+        if domain.has_validation:
+            validation[domain.name] = 0.0 if any_gated else evaluate_full(
                 payload_ref,
                 domain.validation_task_ids,
                 runtime.evaluators[domain.name],
                 config.limits,
                 task_concurrency,
-            )
-    scores = reports_to_scores(reports, validation_reports)
-    detail = {
+            ).aggregate
+    return {
+        "scores": {
+            name: {"train": r.aggregate, "validation": validation.get(name), "test": None}
+            for name, r in reports.items()
+        },
         "combined": combined,
         "gated_out": {name: r.gated_out for name, r in reports.items()},
         "aggregates": {name: r.aggregate for name, r in reports.items()},
-        "validation": {name: r.aggregate for name, r in validation_reports.items()},
+        "validation": validation,
     }
-    return scores, {"scores": scores, "detail": detail}
+
+
+def _commit(state: RunState, events: list[dict]) -> None:
+    """Fold a batch into `state` by `replay`'s fold, then append it to the log:
+    the one way a live run's state changes. Each `evaluation` event gets the
+    `selection_score` of its node as archived. An inconsistent batch raises
+    before anything is appended, and leaves `state` half folded."""
+    scores: dict[int, dict[str, DomainScores]] = {}
+    evaluations = {e["node_id"]: e for e in events if e["event"] == "evaluation"}
+    for event in events:
+        _apply_event(state, event, scores)
+        if event["event"] in ("archive_add", "archive_replace"):
+            node = state.archive.latest()
+            evaluations[node.id]["selection_score"] = node_selection_score(node)
+    append_events(state.event_log, events)
 
 
 def _start(runtime: _Runtime, run_id: str) -> RunState:
@@ -327,47 +338,24 @@ def _start(runtime: _Runtime, run_id: str) -> RunState:
     if not ok:
         raise EngineError(f"initial agent payload failed validity check: {cause}")
 
-    scores, eval_event = _evaluate_payload(runtime, root_path, config.concurrency)
-    root = AgentNode(
-        id=0, parent_id=None, payload_ref=ROOT_PAYLOAD_KEY, compiled=True,
-        scores=scores, created_at_iteration=0,
-    )
-    arch = Archive(mode_tag=config.mode)
-    archive_mod.add_node(arch, root)
-
-    state = RunState(
-        archive=arch, iteration=0, event_log=event_log, run_id=run_id, next_node_id=1
-    )
-    append_events(
-        event_log,
-        [
-            {
-                "event": "run_start", "time": _now(), "run_id": run_id,
-                "mode": config.mode, "seed": config.seed, "iterations": config.iterations,
-            },
-            {
-                "event": "evaluation", "time": _now(), "iteration": 0, "node_id": 0,
-                "payload_ref": ROOT_PAYLOAD_KEY,
-                "selection_score": node_selection_score(root),
-                **_jsonable_eval(eval_event),
-            },
-            {
-                "event": "archive_add", "time": _now(), "iteration": 0, "node_id": 0,
-                "parent_id": None, "payload_ref": ROOT_PAYLOAD_KEY,
-            },
-            {"event": "iteration_complete", "time": _now(), "iteration": 0},
-        ],
-    )
+    evaluation = _evaluate_payload(runtime, root_path, config.concurrency)
+    state = _empty_state(event_log)
+    _commit(state, [
+        {
+            "event": "run_start", "time": _now(), "run_id": run_id,
+            "mode": config.mode, "seed": config.seed, "iterations": config.iterations,
+        },
+        {
+            "event": "evaluation", "time": _now(), "iteration": 0, "node_id": 0,
+            "payload_ref": ROOT_PAYLOAD_KEY, **evaluation,
+        },
+        {
+            "event": "archive_add", "time": _now(), "iteration": 0, "node_id": 0,
+            "parent_id": None, "payload_ref": ROOT_PAYLOAD_KEY,
+        },
+        {"event": "iteration_complete", "time": _now(), "iteration": 0},
+    ])
     return state
-
-
-def _jsonable_eval(eval_event: dict) -> dict:
-    detail = eval_event["detail"]
-    scores = {
-        name: {"train": s.train, "validation": s.validation, "test": s.test}
-        for name, s in eval_event["scores"].items()
-    }
-    return {"scores": scores, **detail}
 
 
 def _choose_policy(
@@ -408,14 +396,12 @@ def _child_slot(
         "child_key": child_key,
         "request": request,
         "result": result,
-        "scores": None,
-        "eval_event": None,
+        "evaluation": None,
     }
     if result.compiled:
         task_concurrency = 1 if config.parents_per_iteration > 1 else config.concurrency
-        scores, eval_event = _evaluate_payload(runtime, result.child_payload_ref, task_concurrency)
-        out["scores"] = scores
-        out["eval_event"] = eval_event
+        out["evaluation"] = _evaluate_payload(
+            runtime, result.child_payload_ref, task_concurrency)
     return out
 
 
@@ -463,6 +449,7 @@ def _step(runtime: _Runtime, state: RunState) -> RunState:
     else:
         outcomes = [_child_slot(runtime, state, iteration, j, parent) for j, parent in slots]
 
+    node_id = state.next_node_id
     for j, outcome in enumerate(outcomes):
         parent = outcome["parent"]
         result = outcome["result"]
@@ -492,48 +479,25 @@ def _step(runtime: _Runtime, state: RunState) -> RunState:
             )
             continue
 
-        node = AgentNode(
-            id=state.next_node_id,
-            parent_id=parent.id,
-            payload_ref=child_key,
-            compiled=True,
-            scores=outcome["scores"],
-            created_at_iteration=iteration,
-        )
         events.append(
             {
                 "event": "evaluation", "time": _now(), "iteration": iteration,
-                "node_id": node.id, "payload_ref": node.payload_ref,
-                "selection_score": node_selection_score(node),
-                **_jsonable_eval(outcome["eval_event"]),
+                "node_id": node_id, "payload_ref": child_key, **outcome["evaluation"],
             }
         )
-        if config.mode == "no-open-ended":
-            archive_mod.replace_sole_node(state.archive, node)
-            events.append(
-                {
-                    "event": "archive_replace", "time": _now(), "iteration": iteration,
-                    "node_id": node.id, "parent_id": parent.id,
-                    "payload_ref": node.payload_ref,
-                }
-            )
-        else:
-            archive_mod.add_node(state.archive, node)
-            events.append(
-                {
-                    "event": "archive_add", "time": _now(), "iteration": iteration,
-                    "node_id": node.id, "parent_id": parent.id,
-                    "payload_ref": node.payload_ref,
-                }
-            )
-        state.next_node_id += 1
+        events.append(
+            {
+                "event": "archive_replace" if config.mode == "no-open-ended" else "archive_add",
+                "time": _now(), "iteration": iteration, "node_id": node_id,
+                "parent_id": parent.id, "payload_ref": child_key,
+            }
+        )
+        node_id += 1
 
     events.append({"event": "iteration_complete", "time": _now(), "iteration": iteration})
-    state.iteration = iteration
-    state.completed = iteration >= config.iterations
-    if state.completed:
+    if iteration >= config.iterations:
         events.append({"event": "run_complete", "time": _now(), "iteration": iteration})
-    append_events(state.event_log, events)
+    _commit(state, events)
     return state
 
 
@@ -568,12 +532,18 @@ def run(
     return state
 
 
+def _empty_state(event_log: Path) -> RunState:
+    """The state before a run's first event."""
+    return RunState(Archive(), -1, event_log, "", 0)
+
+
 def replay(events: list[dict], event_log: Path) -> RunState:
     """Rebuild a run's state (mode and run id from `run_start`) from the committed
     events that `read_events` returned for `event_log`; writes nothing. Errors
-    name lines of `event_log`. `completed` needs the config: see `load_state`."""
+    name lines of `event_log`. `completed` is set by a `run_complete` event;
+    `load_state` sets it from the config's T instead."""
     event_log = Path(event_log)
-    state = RunState(Archive(), -1, event_log, "", 0)
+    state = _empty_state(event_log)
     scores: dict[int, dict[str, DomainScores]] = {}
     for lineno, event in enumerate(events, start=1):
         try:
@@ -618,6 +588,8 @@ def _apply_event(state: RunState, event: dict, scores: dict[int, dict[str, Domai
         state.next_node_id = node.id + 1
     elif kind == "iteration_complete":
         state.iteration = event["iteration"]
+    elif kind == "run_complete":
+        state.completed = True
 
 
 _RECORD_KINDS = {

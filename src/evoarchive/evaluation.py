@@ -23,9 +23,9 @@ import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, Sequence
 
-from .archive import AgentNode, DomainScores
+from .archive import AgentNode
 from .landscape import DEFAULT_LANDSCAPE, TwoPeakLandscape
 from .sandbox import SandboxLimits, SandboxSpawnError, sandbox_execute
 
@@ -236,19 +236,6 @@ def node_selection_score(node: AgentNode) -> float:
         raise ValueError(f"node {node.id} has no evaluation record")
     values = [node.scores[name].selection_component() for name in sorted(node.scores)]
     return sum(values) / len(values)
-
-
-def reports_to_scores(
-    reports: Mapping[str, ScoreReport],
-    validation_reports: Optional[Mapping[str, ScoreReport]] = None,
-) -> dict[str, DomainScores]:
-    out: dict[str, DomainScores] = {}
-    for name, report in reports.items():
-        validation = None
-        if validation_reports and name in validation_reports:
-            validation = validation_reports[name].aggregate
-        out[name] = DomainScores(train=report.aggregate, validation=validation)
-    return out
 
 
 # --- evaluator implementations ----------------------------------------------

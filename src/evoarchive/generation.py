@@ -419,10 +419,14 @@ class ModelClientBackend(_PolicyFileBackend):
         child_dir.mkdir(parents=True, exist_ok=True)
         try:
             bundle = response["child_payload"]
-            files = [(_bundle_target(child_dir, rel), content) for rel, content in bundle.items()]
-            for target, content in files:
-                target.parent.mkdir(parents=True, exist_ok=True)
-                target.write_text(content, encoding="utf-8")
+            targets = {rel: _bundle_target(child_dir, rel) for rel in bundle}
+            files = set(targets.values())
+            for rel, target in targets.items():
+                if files.intersection(target.parents):
+                    raise ValueError(f"bundle key {rel!r} lies below another file key")
+            for rel, content in bundle.items():
+                targets[rel].parent.mkdir(parents=True, exist_ok=True)
+                targets[rel].write_text(content, encoding="utf-8")
         except (KeyError, TypeError, AttributeError, ValueError) as exc:
             log = _write_validity_log(child_dir, False, f"malformed response: {exc}")
             return GenerationResult(str(child_dir), False, log, time.monotonic() - start)

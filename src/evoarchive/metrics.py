@@ -149,6 +149,8 @@ def bootstrap_ci(
         raise ValueError("empty sample set")
     if not 0.0 < level < 100.0:
         raise ValueError("level must be in (0, 100)")
+    if resamples < 1:
+        raise ValueError("resamples must be >= 1")
     point = float(statistic(data))
     # Rows are drawn and reduced a chunk at a time, so memory stays at a few
     # chunks of n indices; the draws are those of one (resamples, n) call.

@@ -173,6 +173,41 @@ def test_missing_backend_or_evaluator_key_exits_2(tmp_path, capsys, backend, eva
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "initial, key",
+    [
+        ({"meta_capability": 2}, "meta_capability"),
+        ({"compile_probability": -0.5}, "compile_probability"),
+        ({"compile_probability": "x"}, "initial.compile_probability"),
+        ({"task_skill": "ab"}, "initial.task_skill"),
+        ({"task_skill": [0.0, "ab"]}, "initial.task_skill[1]"),
+        ({"task_skill": [0.0, float("inf")]}, "task_skill"),
+        ({"payload_ref": 3}, "initial.payload_ref"),
+        ({"bogus": 1}, "initial.bogus"),
+    ],
+)
+def test_bad_initial_exits_2_and_keeps_the_earlier_run(tmp_path, capsys, initial, key):
+    assert main(["run", "--config", str(write_config(tmp_path / "a"))]) == 0
+    state = tmp_path / "a" / "state"
+    before = tree_state(state)
+    doc = demo_config(state_dir=str(state), iterations=6, seed=11)
+    capsys.readouterr()
+    assert main(["run", "--config", str(write_config(tmp_path / "b", **{
+        **doc, "initial": {**doc["initial"], **initial}}))]) == 2
+    err = capsys.readouterr().err
+    assert key in err and "initial" in err
+    assert len(err.strip().splitlines()) == 1
+    # nothing in the state directory was touched: the earlier run still resumes
+    assert tree_state(state) == before
+    assert main(["resume", "--state", str(state)]) == 0
+
+
+def test_malformed_initial_selection_policy_is_not_a_config_error(tmp_path):
+    # agent payload: the run's selection routine falls back to uniform instead
+    doc = demo_config(state_dir=str(tmp_path / "state"), iterations=2)
+    parse_config({**doc, "initial": {**doc["initial"], "selection_policy": "junk"}})
+
+
 def test_missing_generation_command_exits_1(tmp_path, capsys):
     config_path = write_config(
         tmp_path, backend={"kind": "external-process",
@@ -393,6 +428,30 @@ def test_resume_rewrites_inconsistent_archive(finished_run):
 def test_analyze_missing_state(tmp_path, capsys):
     assert main(["analyze", "--state", str(tmp_path / "nope"), "--metric", "tree",
                  "--out", str(tmp_path / "t.dot")]) == 2
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--gamma", "0"),
+        ("--gamma", "1.5"),
+        ("--min-descendants", "0"),
+        ("--level", "100"),
+        ("--level", "0"),
+        ("--resamples", "0"),
+        ("--resamples", "-3"),
+    ],
+)
+@pytest.mark.parametrize("metric", ["transfer", "ci"])
+def test_analyze_out_of_range_argument_exits_2(finished_run, tmp_path, capsys, metric,
+                                               flag, value):
+    out = tmp_path / "out.csv"
+    assert main(["analyze", "--state", str(finished_run), "--metric", metric,
+                 "--out", str(out), flag, value]) == 2
+    err = capsys.readouterr().err
+    assert flag in err
+    assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
 
 
 def test_policy_flags_mirror_config_keys(tmp_path):

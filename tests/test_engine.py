@@ -16,10 +16,12 @@ from evoarchive.engine import (
     _read_committed,
     EngineError,
     IntegrityError,
+    MODES,
     RunConfig,
     append_events,
     load_state,
     read_events,
+    replay,
     resume,
     run,
     step,
@@ -343,6 +345,31 @@ def test_each_call_writes_archive_once(tmp_path, monkeypatch):
     assert_one_write(config)
     resume(config)  # a completed run
     assert_one_write(config)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_live_state_is_the_replayed_log(tmp_path, mode):
+    # a live run changes its state only by folding the batches it logs, so after
+    # every call it is the state that replaying its log rebuilds
+    config = make_config(tmp_path, mode=mode, iterations=6, parents_per_iteration=3,
+                         domains=[landscape_domain(has_validation=True)])
+
+    def assert_replays(state) -> None:
+        replayed = replay(read_events(state.event_log), state.event_log)
+        assert replayed.archive.mode_tag == state.archive.mode_tag == mode
+        assert replayed.archive.nodes == state.archive.nodes
+        assert all(s.validation is not None for n in state.archive for s in n.scores.values())
+        assert ((replayed.iteration, replayed.run_id, replayed.next_node_id, replayed.completed)
+                == (state.iteration, state.run_id, state.next_node_id, state.completed))
+
+    state = run(config, run_id="live", stop_after=2)
+    assert_replays(state)
+    for _ in range(2):
+        state = step(state, config)
+        assert_replays(state)
+    state = resume(config)
+    assert state.completed and state.next_node_id > 6
+    assert_replays(state)
 
 
 def log_lines(state) -> int:

@@ -343,6 +343,23 @@ def test_model_client_rejects_bundle_key_outside_child(tmp_path, key):
     assert list(Path(request.child_payload_ref).iterdir()) == []
 
 
+@pytest.mark.parametrize("keys", [("notes", "notes/a.txt"), ("notes/a.txt", "notes")])
+def test_model_client_rejects_bundle_key_below_a_file_key(tmp_path, keys):
+    parent = write_parent(tmp_path)
+    genome = (parent / "genome.json").read_text()
+    bundle = {"genome.json": genome, **{key: "x" for key in keys}}
+    backend = ModelClientBackend(
+        url="https://example.invalid/generate",
+        transport=lambda doc: {"child_payload": bundle},
+    )
+    request = request_for(tmp_path, parent)
+    result = generate_child(backend, request, SyntheticEvaluator(), LIMITS)
+    assert not result.compiled
+    log = Path(result.validity_log).read_text()
+    assert "malformed response" in log and "'notes/a.txt'" in log
+    assert list(Path(request.child_payload_ref).iterdir()) == []
+
+
 def test_model_client_writes_nested_bundle_keys_inside_child(tmp_path):
     parent = write_parent(tmp_path)
     genome = (parent / "genome.json").read_text()

@@ -366,6 +366,12 @@ def test_bootstrap_rejects_empty():
         bootstrap_ci([], substream(1, "x"))
 
 
+@pytest.mark.parametrize("resamples", [0, -3])
+def test_bootstrap_rejects_no_resamples(resamples):
+    with pytest.raises(ValueError, match="resamples"):
+        bootstrap_ci([0.1, 0.2], substream(1, "x"), resamples=resamples)
+
+
 def test_bootstrap_level_shrinks_interval():
     samples = np.random.default_rng(5).random(30).tolist()
     _, low95, high95 = bootstrap_ci(samples, substream(4, "a"), level=95.0)
