@@ -2,8 +2,9 @@
 
 `analyze` parses the committed event log once (`engine.read_events`) and
 reads nothing else: `engine.replay` folds those events into the archive, and
-`--metric progress` derives its series from the same events. It therefore
-reports a live or crashed run at its last committed iteration.
+`--metric progress` and `--metric impk` read the same events (impk takes every
+agent the run archived, including those a `no-open-ended` run replaced). It
+therefore reports a live or crashed run at its last committed iteration.
 
 Exit codes: 0 success, 1 runtime failure (state stays resumable),
 2 invalid configuration or arguments (such as an `analyze` flag out of range).
@@ -18,6 +19,7 @@ from pathlib import Path
 
 from . import archive as archive_mod
 from . import engine, metrics
+from .archive import AgentNode, DomainScores
 from .config import (
     ConfigError,
     config_hash,
@@ -166,6 +168,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     events = engine.read_events(event_log)
     arch = engine.replay(events, event_log).archive
     series = metrics.progress_series(events) if args.metric == "progress" else None
+    agents = _archived_agents(events) if args.metric == "impk" else None
     del events  # the other metrics read only the archive
 
     if args.metric == "tree":
@@ -202,7 +205,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             out,
         )
     elif args.metric == "impk":
-        row = _impk_row(arch, args.impk_variant)
+        row = _impk_row(agents, args.impk_variant)
         if row is None:
             return 1
         metrics.export_scalars_csv([row], out)
@@ -210,9 +213,20 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def _impk_row(arch: archive_mod.Archive, variant: str) -> dict | None:
-    root = arch.node(0)
-    generated = [n for n in arch if n.id != 0]
+def _archived_agents(events: list[dict]) -> list[AgentNode]:
+    """Every agent the run archived, in id order: the root and each child an
+    `archive_add` or `archive_replace` event took in, with the scores of its
+    `evaluation` event. Outside `no-open-ended` mode these are the archive."""
+    scores = {e["node_id"]: e["scores"] for e in events if e["event"] == "evaluation"}
+    return [
+        AgentNode(e["node_id"], e["parent_id"], e["payload_ref"], compiled=True,
+                  scores={k: DomainScores(**s) for k, s in scores[e["node_id"]].items()})
+        for e in events if e["event"] in ("archive_add", "archive_replace")
+    ]
+
+
+def _impk_row(agents: list[AgentNode], variant: str) -> dict | None:
+    root, *generated = agents
     if variant == "max":
         initial = node_selection_score(root)
         request = metrics.ImpAtKRequest(

@@ -122,8 +122,12 @@ class RunState:
     iteration: int
     event_log: Path
     run_id: str
-    next_node_id: int
     completed: bool = False
+
+    @property
+    def next_node_id(self) -> int:
+        """The id the next archived agent gets: node ids count up from the root's 0."""
+        return self.archive.latest().id + 1 if len(self.archive) else 0
 
 
 # --- event log ----------------------------------------------------------------
@@ -281,23 +285,26 @@ def _init_root_payload(config: RunConfig) -> str:
 
 
 def _evaluate_payload(runtime: _Runtime, payload_ref: str, task_concurrency: int) -> dict:
-    """The fields of the payload's `evaluation` event, `selection_score` aside."""
+    """The fields of the `evaluation` event of the payload under key `payload_ref`,
+    node id and `selection_score` aside."""
     config = runtime.config
+    path = payload_path(config, payload_ref)
     reports, combined = multi_domain_evaluate(
-        payload_ref, config.domains, runtime.evaluators, config.limits, task_concurrency
+        path, config.domains, runtime.evaluators, config.limits, task_concurrency
     )
     any_gated = any(r.gated_out for r in reports.values())
     validation: dict[str, float] = {}
     for domain in config.domains:
         if domain.has_validation:
             validation[domain.name] = 0.0 if any_gated else evaluate_full(
-                payload_ref,
+                path,
                 domain.validation_task_ids,
                 runtime.evaluators[domain.name],
                 config.limits,
                 task_concurrency,
             ).aggregate
     return {
+        "payload_ref": payload_ref,
         "scores": {
             name: {"train": r.aggregate, "validation": validation.get(name), "test": None}
             for name, r in reports.items()
@@ -307,6 +314,19 @@ def _evaluate_payload(runtime: _Runtime, payload_ref: str, task_concurrency: int
         "aggregates": {name: r.aggregate for name, r in reports.items()},
         "validation": validation,
     }
+
+
+def _archive_events(iteration: int, node_id: int, parent_id: Optional[int], evaluation: dict,
+                    replace: bool = False) -> list[dict]:
+    """The `evaluation` and `archive_add` (or `archive_replace`) events that
+    archive an agent evaluated as `evaluation` under id `node_id`."""
+    return [
+        {"event": "evaluation", "time": _now(), "iteration": iteration, "node_id": node_id,
+         **evaluation},
+        {"event": "archive_replace" if replace else "archive_add", "time": _now(),
+         "iteration": iteration, "node_id": node_id, "parent_id": parent_id,
+         "payload_ref": evaluation["payload_ref"]},
+    ]
 
 
 def _commit(state: RunState, events: list[dict]) -> None:
@@ -338,21 +358,14 @@ def _start(runtime: _Runtime, run_id: str) -> RunState:
     if not ok:
         raise EngineError(f"initial agent payload failed validity check: {cause}")
 
-    evaluation = _evaluate_payload(runtime, root_path, config.concurrency)
+    evaluation = _evaluate_payload(runtime, ROOT_PAYLOAD_KEY, config.concurrency)
     state = _empty_state(event_log)
     _commit(state, [
         {
             "event": "run_start", "time": _now(), "run_id": run_id,
             "mode": config.mode, "seed": config.seed, "iterations": config.iterations,
         },
-        {
-            "event": "evaluation", "time": _now(), "iteration": 0, "node_id": 0,
-            "payload_ref": ROOT_PAYLOAD_KEY, **evaluation,
-        },
-        {
-            "event": "archive_add", "time": _now(), "iteration": 0, "node_id": 0,
-            "parent_id": None, "payload_ref": ROOT_PAYLOAD_KEY,
-        },
+        *_archive_events(0, 0, None, evaluation),
         {"event": "iteration_complete", "time": _now(), "iteration": 0},
     ])
     return state
@@ -377,10 +390,11 @@ def _choose_policy(
 
 def _child_slot(
     runtime: _Runtime, state: RunState, iteration: int, slot: int, parent: AgentNode
-) -> dict:
-    """Generate and evaluate one child; pure with respect to shared state."""
+) -> tuple[list[dict], Optional[dict]]:
+    """Generate, settle and evaluate one child; pure with respect to shared state.
+    Returns the slot's `generation`, `validation` and (for a child that did not
+    compile) `archive_reject` events, and a compiled child's evaluation fields."""
     config = runtime.config
-    modifier_id = 0 if config.mode == "no-self-improve" else parent.id
     child_key = f"cand_{iteration:05d}_{slot}"
     request = GenerationRequest(
         parent_payload_ref=payload_path(config, parent.payload_ref),
@@ -390,19 +404,23 @@ def _child_slot(
         child_payload_ref=payload_path(config, child_key),
     )
     result = generate_child(runtime.backend, request, runtime.smoke_probe, config.limits)
-    out: dict = {
-        "parent": parent,
-        "modifier_id": modifier_id,
-        "child_key": child_key,
-        "request": request,
-        "result": result,
-        "evaluation": None,
-    }
-    if result.compiled:
-        task_concurrency = 1 if config.parents_per_iteration > 1 else config.concurrency
-        out["evaluation"] = _evaluate_payload(
-            runtime, result.child_payload_ref, task_concurrency)
-    return out
+    head = {"time": _now(), "iteration": iteration, "slot": slot}
+    events = [
+        {
+            "event": "generation", **head, "parent_id": parent.id,
+            "modifier_id": 0 if config.mode == "no-self-improve" else parent.id,
+            "child_payload": child_key, "compiled": result.compiled,
+            "wall_time": result.wall_time, "validity_log": Path(result.validity_log).name,
+            "rng": request.rng_stream_id,
+        },
+        {"event": "validation", **head, "payload_ref": child_key, "ok": result.compiled},
+    ]
+    if not result.compiled:
+        events.append({"event": "archive_reject", **head, "parent_id": parent.id,
+                       "payload_ref": child_key})
+        return events, None
+    task_concurrency = 1 if config.parents_per_iteration > 1 else config.concurrency
+    return events, _evaluate_payload(runtime, child_key, task_concurrency)
 
 
 def _step(runtime: _Runtime, state: RunState) -> RunState:
@@ -438,61 +456,22 @@ def _step(runtime: _Runtime, state: RunState) -> RunState:
                 }
             )
 
-    slots = list(enumerate(parents))
+    def slot(j: int) -> tuple[list[dict], Optional[dict]]:
+        return _child_slot(runtime, state, iteration, j, parents[j])
+
     if config.parents_per_iteration > 1 and config.concurrency > 1:
         with ThreadPoolExecutor(max_workers=config.concurrency) as pool:
-            futures = [
-                pool.submit(_child_slot, runtime, state, iteration, j, parent)
-                for j, parent in slots
-            ]
-            outcomes = [f.result() for f in futures]
+            outcomes = list(pool.map(slot, range(len(parents))))
     else:
-        outcomes = [_child_slot(runtime, state, iteration, j, parent) for j, parent in slots]
+        outcomes = [slot(j) for j in range(len(parents))]
 
     node_id = state.next_node_id
-    for j, outcome in enumerate(outcomes):
-        parent = outcome["parent"]
-        result = outcome["result"]
-        child_key = outcome["child_key"]
-        validity_name = Path(result.validity_log).name if result.validity_log else ""
-        events.append(
-            {
-                "event": "generation", "time": _now(), "iteration": iteration,
-                "slot": j, "parent_id": parent.id, "modifier_id": outcome["modifier_id"],
-                "child_payload": child_key, "compiled": result.compiled,
-                "wall_time": result.wall_time, "validity_log": validity_name,
-                "rng": outcome["request"].rng_stream_id,
-            }
-        )
-        events.append(
-            {
-                "event": "validation", "time": _now(), "iteration": iteration,
-                "slot": j, "payload_ref": child_key, "ok": result.compiled,
-            }
-        )
-        if not result.compiled:
-            events.append(
-                {
-                    "event": "archive_reject", "time": _now(), "iteration": iteration,
-                    "slot": j, "parent_id": parent.id, "payload_ref": child_key,
-                }
-            )
-            continue
-
-        events.append(
-            {
-                "event": "evaluation", "time": _now(), "iteration": iteration,
-                "node_id": node_id, "payload_ref": child_key, **outcome["evaluation"],
-            }
-        )
-        events.append(
-            {
-                "event": "archive_replace" if config.mode == "no-open-ended" else "archive_add",
-                "time": _now(), "iteration": iteration, "node_id": node_id,
-                "parent_id": parent.id, "payload_ref": child_key,
-            }
-        )
-        node_id += 1
+    for parent, (slot_events, evaluation) in zip(parents, outcomes):
+        events.extend(slot_events)
+        if evaluation is not None:
+            events.extend(_archive_events(iteration, node_id, parent.id, evaluation,
+                                          replace=config.mode == "no-open-ended"))
+            node_id += 1
 
     events.append({"event": "iteration_complete", "time": _now(), "iteration": iteration})
     if iteration >= config.iterations:
@@ -534,7 +513,7 @@ def run(
 
 def _empty_state(event_log: Path) -> RunState:
     """The state before a run's first event."""
-    return RunState(Archive(), -1, event_log, "", 0)
+    return RunState(Archive(), -1, event_log, "")
 
 
 def replay(events: list[dict], event_log: Path) -> RunState:
@@ -585,7 +564,6 @@ def _apply_event(state: RunState, event: dict, scores: dict[int, dict[str, Domai
                          created_at_iteration=event["iteration"])
         insert = archive_mod.add_node if kind == "archive_add" else archive_mod.replace_sole_node
         insert(state.archive, node)
-        state.next_node_id = node.id + 1
     elif kind == "iteration_complete":
         state.iteration = event["iteration"]
     elif kind == "run_complete":

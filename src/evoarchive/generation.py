@@ -5,9 +5,18 @@ on the synthetic fitness surface, used for tests and desk-scale runs),
 external-process (a configured command run inside the sandbox), and
 model-client (one HTTPS request per child against a remote endpoint).
 
-A child is "compiled" only if `validate_child` accepts it: the payload
-must load and produce a well-formed answer to one smoke task within the
-resource limits. Non-compiled children never enter the archive.
+A backend's `generate(request)` writes the child payload at
+`request.child_payload_ref` and returns None, or the cause of a breach
+(``"timeout"``, ``"exit 9"``, ``"malformed response: ..."``) when it could
+not produce a child; it raises `GenerationError` only when it cannot go on
+at all. `generate_child` settles everything else in one place: it times the
+backend, probes a child that reported no breach, writes the child's one
+validity log and builds its `GenerationResult`.
+
+A child is "compiled" only if no breach was reported and `validate_child`
+accepts it: the payload must load and produce a well-formed answer to one
+smoke task within the resource limits. Non-compiled children never enter
+the archive.
 """
 
 from __future__ import annotations
@@ -53,7 +62,7 @@ class GenerationRequest:
             raise ValueError("iterations_left must be non-negative")
 
 
-@dataclass
+@dataclass(frozen=True)
 class GenerationResult:
     child_payload_ref: str
     compiled: bool
@@ -210,8 +219,7 @@ class SimulatedBackend:
             ).meta_capability
         return self._root_meta
 
-    def generate(self, request: GenerationRequest) -> GenerationResult:
-        start = time.monotonic()
+    def generate(self, request: GenerationRequest) -> None:
         rng = substream(self.master_seed, request.rng_stream_id)
         parent = SimulatedAgentGenome.from_payload(request.parent_payload_ref)
         meta_acting = self._acting_meta(parent)
@@ -257,13 +265,6 @@ class SimulatedBackend:
             child.write_payload(child_dir)
         else:
             genome_path.write_text("{broken payload", encoding="utf-8")
-
-        return GenerationResult(
-            child_payload_ref=str(child_dir),
-            compiled=False,  # settled by generate_child via validate_child
-            validity_log="",
-            wall_time=time.monotonic() - start,
-        )
 
     def selection_policy_of(self, payload_ref: str) -> SelectionPolicy:
         """Selection routine carried by an agent payload; raises when absent/invalid."""
@@ -315,8 +316,7 @@ class ExternalProcessBackend(_PolicyFileBackend):
         self.argv = tuple(argv)
         self.limits = limits
 
-    def generate(self, request: GenerationRequest) -> GenerationResult:
-        start = time.monotonic()
+    def generate(self, request: GenerationRequest) -> Optional[str]:
         Path(request.child_payload_ref).mkdir(parents=True, exist_ok=True)
         doc = {
             "parent_payload_ref": request.parent_payload_ref,
@@ -331,12 +331,9 @@ class ExternalProcessBackend(_PolicyFileBackend):
             )
         except SandboxSpawnError as exc:
             raise GenerationError(str(exc)) from exc
-        wall = time.monotonic() - start
-        if outcome.timed_out or outcome.exit_status != 0:
-            breach = "timeout" if outcome.timed_out else f"exit {outcome.exit_status}"
-            log = _write_validity_log(request.child_payload_ref, False, breach)
-            return GenerationResult(request.child_payload_ref, False, log, wall)
-        return GenerationResult(request.child_payload_ref, False, "", wall)
+        if outcome.timed_out:
+            return "timeout"
+        return f"exit {outcome.exit_status}" if outcome.exit_status != 0 else None
 
 
 class ModelClientBackend(_PolicyFileBackend):
@@ -386,14 +383,17 @@ class ModelClientBackend(_PolicyFileBackend):
     @staticmethod
     def _bundle(payload_ref: str) -> dict[str, str]:
         root = Path(payload_ref)
-        return {
-            str(p.relative_to(root)): p.read_text(encoding="utf-8")
-            for p in sorted(root.rglob("*"))
-            if p.is_file()
-        }
+        bundle = {}
+        for path in sorted(root.rglob("*")):
+            if path.is_file():
+                try:
+                    bundle[str(path.relative_to(root))] = path.read_text(encoding="utf-8")
+                except UnicodeDecodeError as exc:
+                    raise GenerationError(
+                        f"payload file {path} is not UTF-8 text: {exc}") from exc
+        return bundle
 
-    def generate(self, request: GenerationRequest) -> GenerationResult:
-        start = time.monotonic()
+    def generate(self, request: GenerationRequest) -> Optional[str]:
         instruction = "Modify any part of the agent payload to improve it."
         if self.instruction_template is not None:
             instruction_doc = {
@@ -428,9 +428,8 @@ class ModelClientBackend(_PolicyFileBackend):
                 targets[rel].parent.mkdir(parents=True, exist_ok=True)
                 targets[rel].write_text(content, encoding="utf-8")
         except (KeyError, TypeError, AttributeError, ValueError) as exc:
-            log = _write_validity_log(child_dir, False, f"malformed response: {exc}")
-            return GenerationResult(str(child_dir), False, log, time.monotonic() - start)
-        return GenerationResult(str(child_dir), False, "", time.monotonic() - start)
+            return f"malformed response: {exc}"
+        return None
 
 
 def _bundle_target(child_dir: Path, rel: str) -> Path:
@@ -448,16 +447,22 @@ def generate_child(
     smoke_probe: Evaluator,
     limits: SandboxLimits,
 ) -> GenerationResult:
-    """Run the backend, then settle the compiled flag via the validity check."""
+    """Run the backend into an empty child directory and settle the child.
+
+    `wall_time` is the time `backend.generate` took. A breach the backend
+    reports is the child's cause and the child is never probed; otherwise
+    `validate_child` decides. Either way the cause goes to the child's one
+    validity log, ``<child>.validity.log`` beside the child directory.
+    """
     # a retried iteration must not see files an interrupted attempt left behind
     if os.path.exists(request.child_payload_ref):
         shutil.rmtree(request.child_payload_ref)
-    result = backend.generate(request)
-    if result.validity_log:
-        # the backend already recorded a breach; the child stays non-compiled
-        result.compiled = False
-        return result
-    ok, cause = validate_child(result.child_payload_ref, SMOKE_TASK, limits, smoke_probe)
-    result.compiled = ok
-    result.validity_log = _write_validity_log(result.child_payload_ref, ok, cause)
-    return result
+    start = time.monotonic()
+    breach = backend.generate(request)
+    wall_time = time.monotonic() - start
+    if breach:
+        compiled, cause = False, breach
+    else:
+        compiled, cause = validate_child(request.child_payload_ref, SMOKE_TASK, limits, smoke_probe)
+    log = _write_validity_log(request.child_payload_ref, compiled, cause)
+    return GenerationResult(request.child_payload_ref, compiled, log, wall_time)

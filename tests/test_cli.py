@@ -14,6 +14,7 @@ from evoarchive import engine
 from evoarchive.cli import ANALYZE_METRICS, main
 from evoarchive.config import ConfigError, demo_config, load_config, parse_config
 from evoarchive.engine import append_events, load_state, run
+from evoarchive.generation import SimulatedAgentGenome
 from evoarchive.selection import SelectionPolicy
 
 from test_engine import make_config
@@ -219,6 +220,23 @@ def test_missing_generation_command_exits_1(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+def test_model_client_non_utf8_payload_file_exits_1(tmp_path, capsys):
+    # the parent bundle is read before any request is sent; the endpoint is local
+    root = tmp_path / "root_agent"
+    SimulatedAgentGenome([0.0, 0.0, 0.0], 0.05, 0.95).write_payload(root)
+    (root / "blob.bin").write_bytes(b"\x89PNG\r\n\x1a\n\xff")
+    config_path = write_config(
+        tmp_path, initial={"payload_ref": str(root)},
+        backend={"kind": "model-client", "url": "http://127.0.0.1:9/generate"},
+    )
+    for command in (["run", "--config", str(config_path)],
+                    ["resume", "--state", str(tmp_path / "state")]):
+        assert main(command) == 1
+        err = capsys.readouterr().err
+        assert "GenerationError" in err and "blob.bin" in err
+        assert len(err.strip().splitlines()) == 1
+
+
 # --- analyze ------------------------------------------------------------------
 
 
@@ -318,6 +336,27 @@ def test_analyze_impk_max_variant(finished_run, tmp_path):
     assert float(row["improvement_at_k"]) == pytest.approx(
         max(scores[1:]) - scores[0] if len(scores) > 1 else 0.0
     )
+
+
+def test_analyze_impk_no_open_ended_takes_every_archived_child(tmp_path):
+    # the archive holds only the newest child; impk ranges over every child
+    # the run archived, each with the selection score its evaluation logged
+    config_path = write_config(tmp_path, mode="no-open-ended", iterations=8)
+    assert main(["run", "--config", str(config_path)]) == 0
+    state = tmp_path / "state"
+    scores = {e["node_id"]: e["selection_score"]
+              for e in engine.read_events(state / "events.jsonl")
+              if e["event"] == "evaluation"}
+    assert len(load(state / "archive")) == 1 and len(scores) > 2
+    out = tmp_path / "impk.csv"
+    assert main(["analyze", "--state", str(state), "--metric", "impk",
+                 "--out", str(out)]) == 0
+    with open(out) as fh:
+        row = next(csv.DictReader(fh))
+    generated = [score for node_id, score in scores.items() if node_id != 0]
+    assert int(row["k"]) == len(generated)
+    assert float(row["initial_score"]) == scores[0]
+    assert float(row["improvement_at_k"]) == max(generated) - scores[0]
 
 
 def test_analyze_impk_validation_variant_needs_validation(finished_run, tmp_path, capsys):
@@ -452,6 +491,27 @@ def test_analyze_out_of_range_argument_exits_2(finished_run, tmp_path, capsys, m
     assert flag in err
     assert len(err.strip().splitlines()) == 1
     assert not out.exists()
+
+
+ANALYZE_SWEEP = [
+    *(["--metric", metric] for metric in ANALYZE_METRICS if metric != "impk"),
+    *(["--metric", "impk", "--impk-variant", variant]
+      for variant in ("max", "validation-selected")),
+]
+
+
+@pytest.mark.parametrize("mode", engine.MODES)
+def test_analyze_every_metric_of_every_mode_exits_cleanly(tmp_path, capsys, mode):
+    # a finished run of any mode: each analysis succeeds, or fails with one line
+    assert main(["run", "--config", str(write_config(tmp_path, mode=mode))]) == 0
+    for index, metric_args in enumerate(ANALYZE_SWEEP):
+        capsys.readouterr()
+        code = main(["analyze", "--state", str(tmp_path / "state"), *metric_args,
+                     "--out", str(tmp_path / f"out{index}")])
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert code == 0 or (code == 1 and len(err.strip().splitlines()) == 1), (
+            metric_args, code, err)
 
 
 def test_policy_flags_mirror_config_keys(tmp_path):

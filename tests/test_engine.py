@@ -33,7 +33,7 @@ from evoarchive.evaluation import (
     SyntheticEvaluator,
     node_selection_score,
 )
-from evoarchive.generation import GenerationResult, SimulatedAgentGenome
+from evoarchive.generation import SimulatedAgentGenome
 from evoarchive.sandbox import SandboxLimits
 from evoarchive.selection import SelectionPolicy
 
@@ -99,7 +99,7 @@ class AlwaysInvalidBackend:
         child = Path(request.child_payload_ref)
         child.mkdir(parents=True, exist_ok=True)
         (child / "genome.json").write_text("{broken", encoding="utf-8")
-        return GenerationResult(str(child), False, "", 0.0)
+        return None  # no breach reported: the validity probe rejects the child
 
 
 def test_always_invalid_backend_leaves_root_only(tmp_path):

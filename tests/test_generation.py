@@ -47,6 +47,18 @@ def request_for(tmp_path: Path, parent: Path, name: str = "child", stream: str =
     )
 
 
+class UncalledProbe:
+    """A smoke probe for children whose backend reported a breach: they are
+    never probed, so any call is recorded and fails the test."""
+
+    def __init__(self):
+        self.calls: list[str] = []
+
+    def __call__(self, task_id, payload_ref, limits):
+        self.calls.append(payload_ref)
+        raise AssertionError(f"breached child {payload_ref} was probed")
+
+
 # --- simulated backend -----------------------------------------------------------
 
 
@@ -249,21 +261,21 @@ def test_external_backend_timeout_named_in_validity_log(tmp_path):
     backend = ExternalProcessBackend(
         [sys.executable, "-c", "import time; time.sleep(30)"], limits
     )
-    result = generate_child(
-        backend, request_for(tmp_path, parent), SyntheticEvaluator(), limits
-    )
+    probe = UncalledProbe()
+    result = generate_child(backend, request_for(tmp_path, parent), probe, limits)
     assert not result.compiled
-    assert "timeout" in Path(result.validity_log).read_text()
+    assert Path(result.validity_log).read_text() == "compiled=False\ncause=timeout\n"
+    assert probe.calls == []
 
 
 def test_external_backend_nonzero_exit_not_compiled(tmp_path):
     parent = write_parent(tmp_path)
     backend = ExternalProcessBackend([sys.executable, "-c", "import sys; sys.exit(9)"], LIMITS)
-    result = generate_child(
-        backend, request_for(tmp_path, parent), SyntheticEvaluator(), LIMITS
-    )
+    probe = UncalledProbe()
+    result = generate_child(backend, request_for(tmp_path, parent), probe, LIMITS)
     assert not result.compiled
-    assert "exit 9" in Path(result.validity_log).read_text()
+    assert Path(result.validity_log).read_text() == "compiled=False\ncause=exit 9\n"
+    assert probe.calls == []
 
 
 # --- model client backend ------------------------------------------------------------
@@ -318,10 +330,12 @@ def test_model_client_malformed_response_not_compiled(tmp_path):
     backend = ModelClientBackend(
         url="https://example.invalid/generate", transport=lambda doc: {"nope": 1}
     )
-    result = generate_child(
-        backend, request_for(tmp_path, parent), SyntheticEvaluator(), LIMITS
-    )
+    probe = UncalledProbe()
+    result = generate_child(backend, request_for(tmp_path, parent), probe, LIMITS)
     assert not result.compiled
+    assert Path(result.validity_log).read_text() == (
+        "compiled=False\ncause=malformed response: 'child_payload'\n")
+    assert probe.calls == []
 
 
 @pytest.mark.parametrize("key", ["../escaped.txt", "sub/../../escaped.txt",
@@ -384,6 +398,17 @@ def test_model_client_non_object_instruction_response_is_generation_error(tmp_pa
     )
     with pytest.raises(GenerationError, match="not a JSON object"):
         backend.generate(request_for(tmp_path, parent))
+
+
+def test_model_client_non_utf8_payload_file_is_generation_error(tmp_path):
+    parent = write_parent(tmp_path)
+    (parent / "blob.bin").write_bytes(b"\x89PNG\r\n\x1a\n\xff")
+    sent: list[dict] = []
+    backend = ModelClientBackend(url="https://example.invalid/generate",
+                                 transport=lambda doc: sent.append(doc) or {})
+    with pytest.raises(GenerationError, match=r"blob\.bin is not UTF-8 text"):
+        generate_child(backend, request_for(tmp_path, parent), SyntheticEvaluator(), LIMITS)
+    assert sent == []
 
 
 def test_generation_request_validation(tmp_path):
