@@ -1,4 +1,4 @@
-"""Rooted tree of agent variants: scores, lineage queries, durable storage.
+"""Rooted tree of agent variants: scores, child index, byte-stable storage.
 
 The archive is append-only in archive-keeping modes. Ids are assigned in
 creation order starting at 0 (the root) and never reused, so references
@@ -158,45 +158,6 @@ def child_index(archive: Archive) -> dict[int, list[int]]:
         if n.parent_id is not None:
             index.setdefault(n.parent_id, []).append(n.id)
     return index
-
-
-def descendants(archive: Archive, node_id: int) -> set[int]:
-    """All nodes reachable by child edges from `node_id`, excluding itself."""
-    archive.node(node_id)
-    index = child_index(archive)
-    out: set[int] = set()
-    frontier = [node_id]
-    while frontier:
-        current = frontier.pop()
-        for child in index.get(current, ()):
-            if child not in out:
-                out.add(child)
-                frontier.append(child)
-    return out
-
-
-def tree_distance(archive: Archive, ancestor: int, descendant: int) -> int:
-    """Edge count on the unique path from `ancestor` down to `descendant`."""
-    archive.node(ancestor)
-    steps = 0
-    current: Optional[int] = descendant
-    while current is not None:
-        if current == ancestor:
-            return steps
-        current = archive.node(current).parent_id
-        steps += 1
-    raise ValueError(f"node {descendant} is not a descendant of {ancestor}")
-
-
-def lineage(archive: Archive, node_id: int) -> list[int]:
-    """Path of ids from the root to `node_id`, root first."""
-    path = [node_id]
-    current = archive.node(node_id).parent_id
-    while current is not None:
-        path.append(current)
-        current = archive.node(current).parent_id
-    path.reverse()
-    return path
 
 
 def check_consistency(archive: Archive) -> None:

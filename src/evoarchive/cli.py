@@ -1,10 +1,12 @@
 """Operator entry point: launch/resume runs, export metrics.
 
 `analyze` parses the committed event log once (`engine.read_events`) and
-reads nothing else: `engine.replay` folds those events into the archive, and
-`--metric progress` and `--metric impk` read the same events (impk takes every
-agent the run archived, including those a `no-open-ended` run replaced). It
-therefore reports a live or crashed run at its last committed iteration.
+reads nothing else: `engine.replay` folds those events into the run's state,
+whose archive feeds `tree`, `transfer` and `ci`, and whose `archived` agents
+feed `progress` and `impk` (every agent the run archived, including those a
+`no-open-ended` run replaced). It therefore reports a live or crashed run at
+its last committed iteration. `resume` parses the log once too: the engine
+checks the recorded run id against the config's hash on that one load.
 
 Exit codes: 0 success, 1 runtime failure (state stays resumable),
 2 invalid configuration or arguments (such as an `analyze` flag out of range).
@@ -19,7 +21,7 @@ from pathlib import Path
 
 from . import archive as archive_mod
 from . import engine, metrics
-from .archive import AgentNode, DomainScores
+from .archive import AgentNode
 from .config import (
     ConfigError,
     config_hash,
@@ -134,19 +136,17 @@ def _cmd_resume(args: argparse.Namespace) -> int:
         # the snapshot's own payloads, not those of the run it was copied from
         config.payload_dir = state_dir / "payloads"
 
-    event_log = state_dir / "events.jsonl"
-    recorded = engine.replay(engine.read_events(event_log), event_log)
-    expected = config_hash(raw)[:12]
-    if recorded.run_id != expected:
+    try:
+        state = engine.resume(config, evaluator_specs=evaluator_specs,
+                              run_id=config_hash(raw)[:12])
+    except engine.RunIdMismatch as exc:
         print(
-            f"refusing to resume: config hash {expected} does not match "
-            f"recorded run id {recorded.run_id}",
+            f"refusing to resume: config hash {exc.expected} does not match "
+            f"recorded run id {exc.recorded}",
             file=sys.stderr,
         )
         return 2
-    state = engine.resume(config, evaluator_specs=evaluator_specs)
-    print("run already completed; nothing to resume"
-          if recorded.iteration >= config.iterations else
+    print("run already completed; nothing to resume" if state.already_complete else
           f"run {state.run_id} complete: {state.iteration} iterations, "
           f"archive size {len(state.archive)}")
     return 0
@@ -165,16 +165,14 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         print(f"no state directory {state_dir}", file=sys.stderr)
         return 2
     event_log = state_dir / "events.jsonl"
-    events = engine.read_events(event_log)
-    arch = engine.replay(events, event_log).archive
-    series = metrics.progress_series(events) if args.metric == "progress" else None
-    agents = _archived_agents(events) if args.metric == "impk" else None
-    del events  # the other metrics read only the archive
+    state = engine.replay(engine.read_events(event_log), event_log)
+    arch = state.archive
 
     if args.metric == "tree":
         metrics.export_tree_dot(arch, out)
     elif args.metric == "progress":
-        metrics.export_progress_csv(series, out)
+        metrics.export_progress_csv(metrics.progress_series(state.archived, state.iteration),
+                                    out)
     elif args.metric == "transfer":
         params = metrics.GrowthScoreParams(
             gamma=args.gamma, min_descendants=args.min_descendants
@@ -205,24 +203,12 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             out,
         )
     elif args.metric == "impk":
-        row = _impk_row(agents, args.impk_variant)
+        row = _impk_row(state.archived, args.impk_variant)
         if row is None:
             return 1
         metrics.export_scalars_csv([row], out)
     print(f"wrote {out}")
     return 0
-
-
-def _archived_agents(events: list[dict]) -> list[AgentNode]:
-    """Every agent the run archived, in id order: the root and each child an
-    `archive_add` or `archive_replace` event took in, with the scores of its
-    `evaluation` event. Outside `no-open-ended` mode these are the archive."""
-    scores = {e["node_id"]: e["scores"] for e in events if e["event"] == "evaluation"}
-    return [
-        AgentNode(e["node_id"], e["parent_id"], e["payload_ref"], compiled=True,
-                  scores={k: DomainScores(**s) for k, s in scores[e["node_id"]].items()})
-        for e in events if e["event"] in ("archive_add", "archive_replace")
-    ]
 
 
 def _impk_row(agents: list[AgentNode], variant: str) -> dict | None:

@@ -17,7 +17,9 @@ per-child generation), so concurrency and resume cannot reorder draws.
 The event log records how far a run got, and its events are the only way run
 state changes: each iteration builds its batch of events, folds it into the
 live `RunState` by the same `_apply_event` that `replay` uses, then appends
-it, so a live state is always the one its log replays to. Resuming replays
+it, so a live state is always the one its log replays to. That fold is the
+one reader of event kinds: `RunState.archived` keeps every agent it archived,
+which is what the CLI's `progress` and `impk` metrics read. Resuming replays
 the committed iterations and continues the same trajectory. ``archive/``, a
 view of the log, is written as `run`, `resume` or `step` returns: mid-run it
 is missing or stale.
@@ -83,6 +85,14 @@ class IntegrityError(EngineError):
     """Persisted run state is inconsistent; names the first bad event."""
 
 
+class RunIdMismatch(EngineError):
+    """`resume` was asked for one run id and the log records another."""
+
+    def __init__(self, expected: str, recorded: str):
+        super().__init__(f"expected run id {expected}, the log records {recorded}")
+        self.expected, self.recorded = expected, recorded
+
+
 @dataclass
 class RunConfig:
     mode: str
@@ -118,11 +128,20 @@ class RunConfig:
 
 @dataclass
 class RunState:
+    """A run as its committed events fold: `completed` once `run_complete` is
+    logged, and `archived` every agent an `archive_add` or `archive_replace`
+    took in, in id order. Outside `no-open-ended` mode `archived` holds the
+    archive's own nodes; in it, also every agent a later one replaced.
+    `already_complete` is no event's: `resume` sets it when the log it loaded
+    already held `run_complete`, so it ran nothing."""
+
     archive: Archive
     iteration: int
     event_log: Path
     run_id: str
     completed: bool = False
+    archived: list[AgentNode] = field(default_factory=list)
+    already_complete: bool = False
 
     @property
     def next_node_id(self) -> int:
@@ -339,7 +358,7 @@ def _commit(state: RunState, events: list[dict]) -> None:
     for event in events:
         _apply_event(state, event, scores)
         if event["event"] in ("archive_add", "archive_replace"):
-            node = state.archive.latest()
+            node = state.archived[-1]
             evaluations[node.id]["selection_score"] = node_selection_score(node)
     append_events(state.event_log, events)
 
@@ -519,8 +538,7 @@ def _empty_state(event_log: Path) -> RunState:
 def replay(events: list[dict], event_log: Path) -> RunState:
     """Rebuild a run's state (mode and run id from `run_start`) from the committed
     events that `read_events` returned for `event_log`; writes nothing. Errors
-    name lines of `event_log`. `completed` is set by a `run_complete` event;
-    `load_state` sets it from the config's T instead."""
+    name lines of `event_log`. `completed` is set by a `run_complete` event."""
     event_log = Path(event_log)
     state = _empty_state(event_log)
     scores: dict[int, dict[str, DomainScores]] = {}
@@ -541,13 +559,15 @@ def load_state(config: RunConfig) -> RunState:
     return _load_checked(config)[0]
 
 
-def _load_checked(config: RunConfig) -> tuple[RunState, int]:
-    """`load_state` and the committed lines' length in bytes: sets `completed`
-    from the config's T and checks the nodes' scores against its domains."""
+def _load_checked(config: RunConfig, run_id: Optional[str] = None) -> tuple[RunState, int]:
+    """`load_state` and the committed lines' length in bytes: checks the logged
+    run id against `run_id` (if given), then the nodes' scores against the
+    config's domains."""
     event_log = config.state_dir / "events.jsonl"
     events, committed = _read_committed(event_log)
     state = replay(events, event_log)
-    state.completed = state.iteration >= config.iterations
+    if run_id is not None and run_id != state.run_id:
+        raise RunIdMismatch(run_id, state.run_id)
     _check_score_coverage(state.archive, config.domains)
     return state, committed
 
@@ -564,6 +584,7 @@ def _apply_event(state: RunState, event: dict, scores: dict[int, dict[str, Domai
                          created_at_iteration=event["iteration"])
         insert = archive_mod.add_node if kind == "archive_add" else archive_mod.replace_sole_node
         insert(state.archive, node)
+        state.archived.append(node)
     elif kind == "iteration_complete":
         state.iteration = event["iteration"]
     elif kind == "run_complete":
@@ -597,19 +618,26 @@ def resume(
     backend=None,
     evaluators: Optional[dict[str, Evaluator]] = None,
     evaluator_specs: Optional[dict[str, dict]] = None,
+    run_id: Optional[str] = None,
 ) -> RunState:
     """Cut the log back to its last commit, continue the run to completion and
-    rewrite `archive/` from it; for a completed run that rebuilds `archive/` alone."""
-    state, committed = _load_checked(config)
+    rewrite `archive/` from it; for a completed run that rebuilds `archive/` alone
+    and sets `already_complete`. A `run_id` other than the logged one raises
+    RunIdMismatch before any check of the config's domains or any write."""
+    state, committed = _load_checked(config, run_id)
     os.truncate(state.event_log, committed)
     if state.completed:
         logger.info("run %s already completed at iteration %d; nothing to resume",
                     state.run_id, state.iteration)
+        state.already_complete = True
     else:
         runtime = _Runtime(config, backend, evaluators, evaluator_specs)
         append_events(state.event_log,
                       [{"event": "resume", "time": _now(), "iteration": state.iteration}])
         while state.iteration < config.iterations:
             state = _step(runtime, state)
+        if not state.completed:  # killed between its last commit and `run_complete`
+            _commit(state, [{"event": "run_complete", "time": _now(),
+                             "iteration": state.iteration}])
     archive_mod.persist(state.archive, config.state_dir / "archive", run_id=state.run_id)
     return state

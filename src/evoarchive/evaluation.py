@@ -151,20 +151,6 @@ def _score_batch(
         return {t: f.result() for t, f in futures.items()}
 
 
-def staged_evaluate(
-    payload_ref: str,
-    domain: DomainSpec,
-    evaluator: Evaluator,
-    limits: SandboxLimits,
-    concurrency: int = 1,
-) -> ScoreReport:
-    """One-domain `multi_domain_evaluate`: subset, gate, then the rest only if it passed."""
-    reports, _ = multi_domain_evaluate(
-        payload_ref, [domain], {domain.name: evaluator}, limits, concurrency
-    )
-    return reports[domain.name]
-
-
 def evaluate_full(
     payload_ref: str,
     task_ids: Sequence[str],

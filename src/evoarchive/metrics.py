@@ -1,11 +1,11 @@
 """Run analytics: improvement@k, lineage-discounted growth, bootstrap CIs,
 progress series, and CSV/DOT exports.
 
-All functions are read-only over archives and over the committed events
-that the caller parsed once from an event log (`engine.read_events`). The
-score feeding the growth computation is the selection score (validation
-when recorded, else train); both that choice and the discount base are
-documented on the operations below.
+All functions are read-only over archives and over the agents that
+`engine.replay` folded from a run's committed events (`RunState.archived`);
+none reads the event log itself. The score feeding the growth computation
+is the selection score (validation when recorded, else train); both that
+choice and the discount base are documented on the operations below.
 """
 
 from __future__ import annotations
@@ -13,11 +13,11 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .archive import Archive, child_index
+from .archive import AgentNode, Archive, child_index
 from .evaluation import node_selection_score
 
 
@@ -171,30 +171,32 @@ def bootstrap_ci(
 class ProgressSeries:
     best_so_far: list[float]
     avg_compiled: list[float]
-    best_lineage: list[int]
 
 
-def _series_from_records(
-    records: list[tuple[int, int, Optional[int], float]], iterations: int
-) -> ProgressSeries:
-    """records: (node_id, iteration, parent_id, selection_score), add order.
+def progress_series(agents: Sequence[AgentNode], iterations: int) -> ProgressSeries:
+    """Per-iteration best-so-far and compiled-average, from iteration 0 to
+    `iterations`, over every agent a run archived (`RunState.archived`): an
+    agent counts from its `created_at_iteration`, with its selection score.
 
-    The agents present at iteration t are a prefix of the records in
-    iteration order (add order within an iteration; engine logs are already
-    in that order), so a running sum and best give the series in O(n + T).
+    The agents present at iteration t are a prefix of the agents in
+    iteration order (id order within an iteration; `archived` is already in
+    that order), so a running sum and best give the series in O(n + T).
     The average adds scores left to right with plain float addition (not the
     compensated ``sum()`` of Python 3.12+), so it does not depend on the
     interpreter version.
     """
-    if not records:
+    if not agents:
         raise ValueError("no archived agents in input")
-    ordered = sorted(records, key=lambda r: r[1])
+    ordered = sorted(
+        ((n.created_at_iteration, node_selection_score(n)) for n in agents),
+        key=lambda r: r[0],
+    )
     best_so_far: list[float] = []
     avg: list[float] = []
-    k, total, best = 0, 0, ordered[0][3]
+    k, total, best = 0, 0, ordered[0][1]
     for t in range(iterations + 1):
-        while k < len(ordered) and ordered[k][1] <= t:
-            score = ordered[k][3]
+        while k < len(ordered) and ordered[k][0] <= t:
+            score = ordered[k][1]
             total += score
             if score > best:
                 best = score
@@ -203,34 +205,7 @@ def _series_from_records(
             raise ValueError(f"no archived agents by iteration {t}")
         best_so_far.append(best)
         avg.append(total / k)
-
-    best_score = max(r[3] for r in records)
-    best_id = min(r[0] for r in records if r[3] == best_score)
-    parents = {r[0]: r[2] for r in records}
-    path = [best_id]
-    while parents.get(path[-1]) is not None:
-        path.append(parents[path[-1]])
-    path.reverse()
-    return ProgressSeries(best_so_far=best_so_far, avg_compiled=avg, best_lineage=path)
-
-
-def progress_series(events: list[dict]) -> ProgressSeries:
-    """Per-iteration best-so-far and compiled-average over a log's committed
-    events (as `engine.read_events` returns them), from iteration 0 to the
-    last committed iteration."""
-    scores: dict[int, float] = {}
-    records: list[tuple[int, int, Optional[int], float]] = []
-    for event in events:
-        kind = event["event"]
-        if kind == "evaluation":
-            scores[event["node_id"]] = event["selection_score"]
-        elif kind in ("archive_add", "archive_replace"):
-            node_id = event["node_id"]
-            records.append(
-                (node_id, event["iteration"], event.get("parent_id"), scores[node_id])
-            )
-    # the last committed event is the last committed iteration's commit line
-    return _series_from_records(records, events[-1]["iteration"] if events else 0)
+    return ProgressSeries(best_so_far=best_so_far, avg_compiled=avg)
 
 
 # --- exports -------------------------------------------------------------------

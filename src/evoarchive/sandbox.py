@@ -77,10 +77,6 @@ class SandboxOutcome:
     output_truncated: bool = False
     network_isolated: bool = False
 
-    @property
-    def limit_breached(self) -> bool:
-        return self.timed_out or self.output_truncated
-
 
 @functools.lru_cache(maxsize=1)
 def _unshare_prefix() -> tuple[str, ...]:

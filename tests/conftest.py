@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from evoarchive.archive import AgentNode, Archive, DomainScores, add_node
+from evoarchive.evaluation import DomainSpec, Evaluator, ScoreReport, multi_domain_evaluate
+from evoarchive.sandbox import SandboxLimits
 
 
 def make_node(
@@ -32,6 +34,20 @@ def random_tree_archive(rng: np.random.Generator, size: int) -> Archive:
         parent = int(rng.integers(0, node_id))
         add_node(arch, make_node(node_id, parent, score=float(rng.random())))
     return arch
+
+
+def staged_evaluate(
+    payload_ref: str,
+    domain: DomainSpec,
+    evaluator: Evaluator,
+    limits: SandboxLimits,
+    concurrency: int = 1,
+) -> ScoreReport:
+    """One-domain `multi_domain_evaluate`: subset, gate, then the rest only if it passed."""
+    reports, _ = multi_domain_evaluate(
+        payload_ref, [domain], {domain.name: evaluator}, limits, concurrency
+    )
+    return reports[domain.name]
 
 
 @pytest.fixture

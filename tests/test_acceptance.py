@@ -28,7 +28,6 @@ from evoarchive.evaluation import (
     StagedEvalPolicy,
     multi_domain_evaluate,
     node_selection_score,
-    staged_evaluate,
 )
 from evoarchive.metrics import (
     GrowthScoreParams,
@@ -47,7 +46,7 @@ from evoarchive.selection import (
     weights_to_distribution,
 )
 
-from conftest import random_tree_archive
+from conftest import random_tree_archive, staged_evaluate
 from test_engine import LIMITS, landscape_domain
 from test_metrics import brute_descendants, brute_growth, brute_improvement, brute_transfer
 

@@ -15,13 +15,11 @@ from evoarchive.archive import (
     DomainScores,
     add_node,
     check_consistency,
-    descendants,
+    child_index,
     fingerprint,
-    lineage,
     load,
     persist,
     replace_sole_node,
-    tree_distance,
 )
 
 from conftest import make_node, random_tree_archive
@@ -130,73 +128,23 @@ def test_node_lookup_finds_sole_node_after_replace():
 # --- tree queries ------------------------------------------------------------
 
 
-def test_descendants_of_leaf_is_empty():
-    arch = Archive()
-    add_node(arch, make_node(0, None))
-    add_node(arch, make_node(1, 0))
-    assert descendants(arch, 1) == set()
-
-
-def test_descendants_of_chain_root():
-    arch = Archive()
-    add_node(arch, make_node(0, None))
-    add_node(arch, make_node(1, 0))
-    add_node(arch, make_node(2, 1))
-    assert descendants(arch, 0) == {1, 2}
-
-
-def test_descendants_unknown_id():
-    arch = Archive()
-    add_node(arch, make_node(0, None))
-    with pytest.raises(KeyError):
-        descendants(arch, 5)
-
-
-def test_tree_distance_basics():
-    arch = Archive()
-    add_node(arch, make_node(0, None))
-    add_node(arch, make_node(1, 0))
-    add_node(arch, make_node(2, 1))
-    add_node(arch, make_node(3, 2))
-    assert tree_distance(arch, 0, 1) == 1
-    assert tree_distance(arch, 0, 3) == 3
-    assert tree_distance(arch, 2, 2) == 0
-
-
-def test_tree_distance_rejects_non_descendant():
-    arch = Archive()
-    add_node(arch, make_node(0, None))
-    add_node(arch, make_node(1, 0))
-    add_node(arch, make_node(2, 0))
-    with pytest.raises(ValueError):
-        tree_distance(arch, 1, 2)
-
-
-def test_lineage_basics():
-    arch = Archive()
-    add_node(arch, make_node(0, None))
-    add_node(arch, make_node(1, 0))
-    add_node(arch, make_node(2, 1))
-    assert lineage(arch, 0) == [0]
-    assert lineage(arch, 2) == [0, 1, 2]
-
-
 @given(st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=80, deadline=None)
 def test_queries_match_oracles_on_random_trees(size: int, seed: int):
     arch = random_tree_archive(np.random.default_rng(seed), size)
+    index = child_index(arch)
     for node in arch.nodes:
-        offspring = descendants(arch, node.id)
+        children = index.get(node.id, [])
+        assert children == sorted(children)
+        for child in children:
+            assert bfs_depth_oracle(arch, child) == bfs_depth_oracle(arch, node.id) + 1
+        # walking the index reaches exactly the nodes the edge scans reach
+        offspring, frontier = set(), list(children)
+        while frontier:
+            current = frontier.pop()
+            offspring.add(current)
+            frontier.extend(index.get(current, ()))
         assert offspring == reachable_oracle(arch, node.id)
-        for j in offspring:
-            expected = bfs_depth_oracle(arch, j) - bfs_depth_oracle(arch, node.id)
-            assert tree_distance(arch, node.id, j) == expected
-        # reversing parent links yields the same lineage path
-        path = lineage(arch, node.id)
-        walked = [node.id]
-        while arch.node(walked[-1]).parent_id is not None:
-            walked.append(arch.node(walked[-1]).parent_id)
-        assert path == list(reversed(walked))
 
 
 @given(st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=2**32 - 1))

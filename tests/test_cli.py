@@ -9,15 +9,21 @@ from pathlib import Path
 
 import pytest
 
-from evoarchive.archive import fingerprint, load
+from evoarchive.archive import AgentNode, DomainScores, fingerprint, load
 from evoarchive import engine
-from evoarchive.cli import ANALYZE_METRICS, main
+from evoarchive.cli import ANALYZE_METRICS, _impk_row, main
 from evoarchive.config import ConfigError, demo_config, load_config, parse_config
 from evoarchive.engine import append_events, load_state, run
 from evoarchive.generation import SimulatedAgentGenome
+from evoarchive.metrics import export_scalars_csv
 from evoarchive.selection import SelectionPolicy
 
-from test_engine import make_config
+from test_engine import (
+    _three_domain_config,
+    _three_domain_evaluators,
+    landscape_domain,
+    make_config,
+)
 
 
 def write_config(tmp_path: Path, **overrides) -> Path:
@@ -98,17 +104,6 @@ def test_resume_completed_run_is_noop(tmp_path, capsys):
     assert "nothing to resume" in capsys.readouterr().out
 
 
-def test_resume_refuses_mismatched_config_hash(tmp_path, capsys):
-    config_path = write_config(tmp_path)
-    main(["run", "--config", str(config_path)])
-    snapshot = tmp_path / "state" / "config.json"
-    doc = json.loads(snapshot.read_text())
-    doc["seed"] = 12345
-    snapshot.write_text(json.dumps(doc))
-    assert main(["resume", "--state", str(tmp_path / "state")]) == 2
-    assert "hash" in capsys.readouterr().err
-
-
 def tree_state(root: Path) -> str:
     """Hash of every file's path, content, inode and mtime under `root`."""
     digest = hashlib.sha256()
@@ -119,6 +114,53 @@ def tree_state(root: Path) -> str:
     return digest.hexdigest()
 
 
+def cut_log_after(event_log: Path, iteration: int) -> None:
+    """Cut the log back to the commit line of `iteration`, as a kill would leave it."""
+    lines = event_log.read_bytes().splitlines(keepends=True)
+    events = [json.loads(line) for line in lines]
+    cut = next(i for i, e in enumerate(events)
+               if e["event"] == "iteration_complete" and e["iteration"] == iteration)
+    event_log.write_bytes(b"".join(lines[:cut + 1]))
+
+
+def _add_validation_split(doc: dict) -> None:
+    doc["domains"][0].update(has_validation=True, validation_task_ids=["probe-4"])
+
+
+def _add_domain(doc: dict) -> None:
+    doc["domains"].append({**doc["domains"][0], "name": "second"})
+
+
+def assert_resume_refuses_edited_snapshot(tmp_path, capsys, edit) -> None:
+    config_path = write_config(tmp_path)
+    main(["run", "--config", str(config_path)])
+    state = tmp_path / "state"
+    with open(state / "events.jsonl", "a", encoding="utf-8") as fh:
+        fh.write('{"event": "resume", "iter')  # a torn line that resume would cut off
+    snapshot = state / "config.json"
+    doc = json.loads(snapshot.read_text())
+    edit(doc)
+    snapshot.write_text(json.dumps(doc))
+    log_before = (state / "events.jsonl").read_bytes()
+    archive_before = tree_state(state / "archive")
+    capsys.readouterr()
+    assert main(["resume", "--state", str(state)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("refusing to resume: config hash ") and len(err.splitlines()) == 1
+    assert (state / "events.jsonl").read_bytes() == log_before
+    assert tree_state(state / "archive") == archive_before
+
+
+def test_resume_refuses_mismatched_config_hash(tmp_path, capsys):
+    assert_resume_refuses_edited_snapshot(tmp_path, capsys, lambda doc: doc.update(seed=12345))
+
+
+@pytest.mark.parametrize("edit", [_add_validation_split, _add_domain])
+def test_resume_refuses_a_changed_domain_by_its_hash(tmp_path, capsys, edit):
+    # the logged scores no longer cover the edited domains either; the hash is checked first
+    assert_resume_refuses_edited_snapshot(tmp_path, capsys, edit)
+
+
 def test_resume_of_a_copied_state_dir_writes_its_own_payloads(tmp_path):
     config_path = write_config(tmp_path / "a", iterations=6, seed=4)
     assert main(["run", "--config", str(config_path)]) == 0
@@ -126,12 +168,7 @@ def test_resume_of_a_copied_state_dir_writes_its_own_payloads(tmp_path):
     shutil.copytree(original, copy)
     # config.json names the original state_dir by its absolute path
     assert json.loads((copy / "config.json").read_text())["state_dir"] == str(original)
-    event_log = copy / "events.jsonl"
-    lines = event_log.read_bytes().splitlines(keepends=True)
-    events = [json.loads(line) for line in lines]
-    cut = next(i for i, e in enumerate(events)
-               if e["event"] == "iteration_complete" and e["iteration"] == 2)
-    event_log.write_bytes(b"".join(lines[:cut + 1]))
+    cut_log_after(copy / "events.jsonl", 2)
     payloads_before = tree_state(original / "payloads")
     copied_payloads = tree_state(copy / "payloads")
 
@@ -139,6 +176,29 @@ def test_resume_of_a_copied_state_dir_writes_its_own_payloads(tmp_path):
     assert tree_state(original / "payloads") == payloads_before
     assert tree_state(copy / "payloads") != copied_payloads
     assert fingerprint(copy / "archive") == fingerprint(original / "archive")
+
+
+@pytest.mark.parametrize("interrupted", [False, True])
+def test_resume_parses_the_log_once(tmp_path, monkeypatch, capsys, interrupted):
+    assert main(["run", "--config", str(write_config(tmp_path))]) == 0
+    state = tmp_path / "state"
+    if interrupted:
+        cut_log_after(state / "events.jsonl", 2)
+    parses = []
+
+    def counting(path):
+        parses.append(path)
+        return read_committed(path)
+
+    read_committed = engine._read_committed
+    monkeypatch.setattr(engine, "_read_committed", counting)
+    capsys.readouterr()
+    assert main(["resume", "--state", str(state)]) == 0
+    assert parses == [state / "events.jsonl"]
+    out = capsys.readouterr().out
+    assert ("nothing to resume" in out) != interrupted
+    monkeypatch.undo()
+    assert load_state(load_config(state / "config.json")[0]).completed
 
 
 def test_resume_missing_state_dir(tmp_path, capsys):
@@ -491,6 +551,73 @@ def test_analyze_out_of_range_argument_exits_2(finished_run, tmp_path, capsys, m
     assert flag in err
     assert len(err.strip().splitlines()) == 1
     assert not out.exists()
+
+
+# --- reference oracle: progress and impk as read straight from the log ------------------
+
+
+def oracle_progress_csv(events: list[dict], out: Path) -> None:
+    """The progress export built from the `evaluation`, `archive_add` and
+    `archive_replace` events, each agent with its logged `selection_score`."""
+    scores, records = {}, []
+    for event in events:
+        if event["event"] == "evaluation":
+            scores[event["node_id"]] = event["selection_score"]
+        elif event["event"] in ("archive_add", "archive_replace"):
+            records.append((event["iteration"], scores[event["node_id"]]))
+    records.sort(key=lambda r: r[0])
+    with open(out, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["iteration", "best_so_far", "avg_compiled"])
+        k, total, best = 0, 0, records[0][1]
+        for t in range(events[-1]["iteration"] + 1):
+            while k < len(records) and records[k][0] <= t:
+                total += records[k][1]
+                best = max(best, records[k][1])
+                k += 1
+            writer.writerow([t, repr(best), repr(total / k)])
+
+
+def oracle_archived_agents(events: list[dict]) -> list[AgentNode]:
+    """Every agent an `archive_add` or `archive_replace` event took in, with the
+    scores of its `evaluation` event."""
+    scores = {e["node_id"]: e["scores"] for e in events if e["event"] == "evaluation"}
+    return [
+        AgentNode(e["node_id"], e["parent_id"], e["payload_ref"], compiled=True,
+                  scores={k: DomainScores(**v) for k, v in scores[e["node_id"]].items()})
+        for e in events if e["event"] in ("archive_add", "archive_replace")
+    ]
+
+
+@pytest.mark.parametrize("shape", ["no-open-ended", "three-domain-validation"])
+def test_analyze_progress_and_impk_match_the_log_oracle(tmp_path, shape):
+    if shape == "no-open-ended":
+        config = make_config(tmp_path, mode="no-open-ended", iterations=12, seed=5,
+                             parents_per_iteration=2,
+                             domains=[landscape_domain(has_validation=True)])
+        state = run(config, stop_after=9)  # a live run, reported at its last commit
+    else:
+        config = _three_domain_config(tmp_path)
+        state = run(config, evaluators=_three_domain_evaluators())
+    events = engine.read_events(state.event_log)
+    if shape == "no-open-ended":
+        # the oracle also takes the agents that the archive no longer holds
+        assert len(oracle_archived_agents(events)) > len(state.archive) == 1
+
+    expected, out = tmp_path / "expected", tmp_path / "out"
+    oracle_progress_csv(events, expected)
+    assert main(["analyze", "--state", str(config.state_dir), "--metric", "progress",
+                 "--out", str(out)]) == 0
+    assert out.read_bytes() == expected.read_bytes()
+    for variant in ("max", "validation-selected"):
+        row = _impk_row(oracle_archived_agents(events), variant)
+        code = main(["analyze", "--state", str(config.state_dir), "--metric", "impk",
+                     "--impk-variant", variant, "--out", str(out)])
+        if row is None:
+            assert code == 1
+            continue
+        export_scalars_csv([row], expected)
+        assert code == 0 and out.read_bytes() == expected.read_bytes()
 
 
 ANALYZE_SWEEP = [

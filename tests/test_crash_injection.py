@@ -152,6 +152,15 @@ def batch_without_commit(monkeypatch):
     kill_on_call(monkeypatch, engine, "append_events", KILL_CALL, action)
 
 
+def run_complete_missing(monkeypatch):
+    # the final batch is written through its iteration_complete line, which
+    # commits it, but the run_complete line after it is not
+    def action(real, path, events):
+        real(path, [e for e in events if e["event"] != "run_complete"])
+
+    kill_on_call(monkeypatch, engine, "append_events", ITERATIONS + 1, action)
+
+
 def partial_child_directory(monkeypatch):
     # dies while generating the second child of iteration KILL_AT
     def action(real, backend, request, *args):
@@ -172,6 +181,7 @@ BOUNDARIES = [
     log_line_torn,
     log_newline_missing,
     batch_without_commit,
+    run_complete_missing,
     partial_child_directory,
 ]
 SHAPES = [("full", True), ("no-open-ended", False)]

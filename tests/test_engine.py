@@ -18,6 +18,7 @@ from evoarchive.engine import (
     IntegrityError,
     MODES,
     RunConfig,
+    RunIdMismatch,
     append_events,
     load_state,
     read_events,
@@ -318,6 +319,23 @@ def test_resume_of_completed_run_is_noop(tmp_path, caplog):
     assert fingerprint(config.state_dir / "archive") == before
 
 
+def test_resume_checks_the_run_id_before_any_write(tmp_path):
+    config = make_config(tmp_path, iterations=3)
+    run(config, run_id="abc", stop_after=1)
+    with open(config.state_dir / "events.jsonl", "a", encoding="utf-8") as fh:
+        fh.write('{"event": "resume", "iter')  # a torn line that resume would cut off
+    log_before = (config.state_dir / "events.jsonl").read_bytes()
+    archive_before = fingerprint(config.state_dir / "archive")
+    with pytest.raises(RunIdMismatch) as caught:
+        resume(config, run_id="xyz")
+    assert (caught.value.expected, caught.value.recorded) == ("xyz", "abc")
+    assert (config.state_dir / "events.jsonl").read_bytes() == log_before
+    assert fingerprint(config.state_dir / "archive") == archive_before
+    state = resume(config, run_id="abc")
+    assert state.completed and not state.already_complete
+    assert resume(config, run_id="abc").already_complete
+
+
 def test_each_call_writes_archive_once(tmp_path, monkeypatch):
     real, calls = archive_mod.persist, []
 
@@ -358,6 +376,9 @@ def test_live_state_is_the_replayed_log(tmp_path, mode):
         replayed = replay(read_events(state.event_log), state.event_log)
         assert replayed.archive.mode_tag == state.archive.mode_tag == mode
         assert replayed.archive.nodes == state.archive.nodes
+        assert replayed.archived == state.archived
+        if mode != "no-open-ended":
+            assert all(a is n for a, n in zip(state.archived, state.archive.nodes, strict=True))
         assert all(s.validation is not None for n in state.archive for s in n.scores.values())
         assert ((replayed.iteration, replayed.run_id, replayed.next_node_id, replayed.completed)
                 == (state.iteration, state.run_id, state.next_node_id, state.completed))
@@ -656,3 +677,25 @@ def test_load_state_checks_score_coverage(tmp_path, has_validation, scores, mess
     append_events(event_log, events)
     with pytest.raises(IntegrityError, match=f"node 0 {message}"):
         load_state(config)
+
+
+# --- structure -------------------------------------------------------------------------
+
+
+def test_only_the_engine_reads_event_kinds():
+    # the event schema lives behind the engine's fold: no other module names
+    # the `event` key or a kind that changes run state
+    import ast
+
+    import evoarchive
+
+    read_kinds = {"event", "run_start", "archive_add", "archive_replace",
+                  "iteration_complete", "run_complete"}
+    readers = []
+    for path in sorted(Path(evoarchive.__file__).parent.glob("*.py")):
+        if path.name == "engine.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Constant) and node.value in read_kinds:
+                readers.append(f"{path.name}:{node.lineno} {node.value!r}")
+    assert readers == []

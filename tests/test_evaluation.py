@@ -18,10 +18,11 @@ from evoarchive.evaluation import (
     evaluate_full,
     multi_domain_evaluate,
     node_selection_score,
-    staged_evaluate,
 )
 from evoarchive.generation import SimulatedAgentGenome
 from evoarchive.sandbox import SandboxLimits
+
+from conftest import staged_evaluate
 
 LIMITS = SandboxLimits(wall_clock_seconds=10.0, cpu_seconds=10, max_output_bytes=100_000)
 

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 import evoarchive.metrics as metrics_mod
-from evoarchive.archive import Archive, add_node, lineage
-from evoarchive.engine import read_events, run
+from evoarchive.archive import Archive, add_node
+from evoarchive.engine import read_events, replay, run
 from evoarchive.evaluation import node_selection_score
 from evoarchive.metrics import (
     GrowthScoreParams,
@@ -409,16 +409,15 @@ def test_single_node_run_flat_series(tmp_path):
         "task_skill": [0.0, 0.0], "meta_capability": 0.3, "compile_probability": 0.0,
     })
     state = run(config)
-    series = progress_series(read_events(state.event_log))
+    series = progress_series(state.archived, state.iteration)
     root_score = state.archive.node(0).scores["landscape"].train
     assert series.best_so_far == [root_score] * 3
     assert series.avg_compiled == [root_score] * 3
-    assert series.best_lineage == [0]
 
 
 def test_best_so_far_non_decreasing_and_avg_in_range(tmp_path):
     state = run(make_config(tmp_path, iterations=10, seed=5))
-    series = progress_series(read_events(state.event_log))
+    series = progress_series(state.archived, state.iteration)
     assert len(series.best_so_far) == 11
     for earlier, later in zip(series.best_so_far, series.best_so_far[1:]):
         assert later >= earlier
@@ -436,22 +435,16 @@ def series_from_archive(arch: Archive, iterations: int) -> metrics_mod.ProgressS
             total += score
         best_so_far.append(max(present))
         avg.append(total / len(present))
-    best_score = max(node_selection_score(n) for n in arch)
-    best_id = min(n.id for n in arch if node_selection_score(n) == best_score)
-    return metrics_mod.ProgressSeries(best_so_far, avg, lineage(arch, best_id))
+    return metrics_mod.ProgressSeries(best_so_far, avg)
 
 
 def test_series_from_log_equals_series_from_archive(tmp_path):
     config = make_config(tmp_path, iterations=10, seed=6)
     state = run(config)
-    from_log = progress_series(read_events(state.event_log))
+    replayed = replay(read_events(state.event_log), state.event_log)
+    from_log = progress_series(replayed.archived, replayed.iteration)
     from_archive = series_from_archive(state.archive, config.iterations)
-    assert from_log.best_so_far == from_archive.best_so_far
-    assert from_log.avg_compiled == from_archive.avg_compiled
-    assert from_log.best_lineage == from_archive.best_lineage
-    assert from_archive.best_lineage == lineage(
-        state.archive, from_archive.best_lineage[-1]
-    )
+    assert from_log == from_archive
 
 
 # --- exports ------------------------------------------------------------------------
@@ -459,7 +452,7 @@ def test_series_from_log_equals_series_from_archive(tmp_path):
 
 def test_progress_csv_row_count(tmp_path):
     state = run(make_config(tmp_path, iterations=7))
-    series = progress_series(read_events(state.event_log))
+    series = progress_series(state.archived, state.iteration)
     out = tmp_path / "progress.csv"
     export_progress_csv(series, out)
     with open(out) as fh:

@@ -28,7 +28,7 @@ def test_limits_validation():
 def test_exit_zero_success():
     outcome = sandbox_execute(["true"], SandboxLimits(wall_clock_seconds=10))
     assert outcome.exit_status == 0
-    assert not outcome.limit_breached
+    assert not (outcome.timed_out or outcome.output_truncated)
 
 
 def test_captures_stdout_and_stderr():
@@ -211,6 +211,19 @@ def test_non_executable_file_is_a_spawn_error(tmp_path):
 def test_missing_binary_on_path_is_a_spawn_error():
     with pytest.raises(SandboxSpawnError):
         sandbox_execute(["evoarchive-no-such-command"], SandboxLimits())
+
+
+def test_relative_command_removed_after_a_call_is_a_spawn_error(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    tool = tmp_path / "bin" / "tool"
+    tool.parent.mkdir()
+    tool.write_text("#!/bin/sh\necho found\n")
+    tool.chmod(0o755)
+    limits = SandboxLimits(wall_clock_seconds=10)
+    assert sandbox_execute(["bin/tool"], limits).stdout == b"found\n"
+    tool.unlink()
+    with pytest.raises(SandboxSpawnError):
+        sandbox_execute(["bin/tool"], limits)
 
 
 def test_concurrent_calls_from_threads():
