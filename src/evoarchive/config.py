@@ -1,8 +1,13 @@
 """Run configuration file: schema validation, hashing, and defaults.
 
-One JSON file fully describes a run. Unknown keys are rejected everywhere
-so typos fail loudly before anything starts, and the effective config is
-re-serialized into the state directory for reproducibility.
+One JSON file fully describes a run. Each section's keys and their JSON
+types are listed once below, and `selection.read_keys` reads every section
+by its table: unknown keys are rejected everywhere and every value is
+checked, so a bad config fails loudly before anything starts. An absent key
+takes the default of the object its section builds (`RunConfig`, `Gate`,
+`SandboxLimits`, `TwoPeakLandscape`, `SimulatedBackend`, the root genome of
+`generation.initial_genome`). The effective config is re-serialized into
+the state directory for reproducibility.
 """
 
 from __future__ import annotations
@@ -10,212 +15,160 @@ from __future__ import annotations
 import hashlib
 import json
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
-from .engine import MODES, RunConfig
-from .evaluation import DomainSpec, Gate, StagedEvalPolicy
-from .generation import SimulatedAgentGenome
+from .engine import RunConfig
+from .evaluation import CommandEvaluator, DomainSpec, Gate, StagedEvalPolicy
+from .generation import ExternalProcessBackend, initial_genome
 from .sandbox import SandboxLimits
-from .selection import SelectionPolicy, checked_type
+from .selection import SelectionPolicy, checked_type, read_keys
 
 
 class ConfigError(Exception):
     """Invalid config; the message names the offending key."""
 
 
-def _require(mapping: dict, key: str, kind, context: str):
-    if key not in mapping:
-        raise ConfigError(f"missing key '{context}{key}'")
-    try:
-        return checked_type(mapping[key], kind, context + key)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
-def _optional(mapping: dict, key: str, kind, default, context: str):
-    if key not in mapping:
-        return default
-    return _require(mapping, key, kind, context)
-
-
-def _reject_unknown(mapping: dict, allowed: set[str], context: str) -> None:
-    unknown = set(mapping) - allowed
-    if unknown:
-        raise ConfigError(f"unknown key '{context}{sorted(unknown)[0]}'")
-
-
-def _parse_policy(spec: dict) -> SelectionPolicy:
-    try:
-        return SelectionPolicy.from_dict(spec)
-    except ValueError as exc:
-        raise ConfigError(f"key 'policy': {exc}") from exc
-
-
-def _parse_gate(spec: dict, context: str) -> Gate:
-    _reject_unknown(spec, {"kind", "count", "fraction", "strict"}, context)
-    kind = _require(spec, "kind", str, context)
-    try:
-        return Gate(
-            kind=kind,
-            count=_optional(spec, "count", int, 1, context),
-            fraction=_optional(spec, "fraction", float, 0.4, context),
-            strict=_optional(spec, "strict", bool, True, context),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"key '{context}kind': {exc}") from exc
-
-
-def _parse_domain(spec: dict, index: int) -> tuple[DomainSpec, dict]:
-    context = f"domains[{index}]."
-    _reject_unknown(
-        spec,
-        {"name", "task_ids", "subset_size", "full_size", "gate",
-         "has_validation", "validation_task_ids", "evaluator"},
-        context,
-    )
-    name = _require(spec, "name", str, context)
-    task_ids = tuple(_require(spec, "task_ids", list, context))
-    subset = _require(spec, "subset_size", int, context)
-    full = _optional(spec, "full_size", int, len(task_ids), context)
-    gate = _parse_gate(_require(spec, "gate", dict, context), context + "gate.")
-    has_validation = _optional(spec, "has_validation", bool, False, context)
-    validation = tuple(_optional(spec, "validation_task_ids", list, [], context))
-    evaluator = _optional(spec, "evaluator", dict, {"kind": "synthetic"}, context)
-    _reject_unknown(evaluator, {"kind", "command"}, context + "evaluator.")
-    evaluator_kind = _optional(evaluator, "kind", str, "synthetic", context + "evaluator.")
-    if evaluator_kind not in ("synthetic", "command"):
-        raise ConfigError(f"key '{context}evaluator.kind' must be 'synthetic' or 'command'")
-    if evaluator_kind == "command":
-        _require(evaluator, "command", list, context + "evaluator.")
-    try:
-        domain = DomainSpec(
-            name=name,
-            task_ids=task_ids,
-            staged=StagedEvalPolicy(subset_size=subset, full_size=full, gate=gate),
-            has_validation=has_validation,
-            validation_task_ids=validation,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"key '{context[:-1]}': {exc}") from exc
-    return domain, evaluator
-
-
-def _parse_limits(spec: dict) -> SandboxLimits:
-    context = "limits."
-    _reject_unknown(
-        spec, {"wall_clock_seconds", "cpu_seconds", "max_output_bytes", "network"}, context
-    )
-    try:
-        return SandboxLimits(
-            wall_clock_seconds=_optional(spec, "wall_clock_seconds", float, 60.0, context),
-            cpu_seconds=_optional(spec, "cpu_seconds", int, 60, context),
-            max_output_bytes=_optional(spec, "max_output_bytes", int, 1_000_000, context),
-            network=_optional(spec, "network", str, "disabled", context),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"key 'limits': {exc}") from exc
-
-
-def _parse_initial(spec: dict) -> dict:
-    """The root agent's genome keys, checked as `SimulatedAgentGenome` checks them.
-    `selection_policy` is agent payload: a malformed one is not a config error,
-    the agent's selection routine fails at run time and falls back to uniform."""
-    context = "initial."
-    _reject_unknown(
-        spec,
-        {"task_skill", "meta_capability", "compile_probability", "payload_ref",
-         "selection_policy"},
-        context,
-    )
-    _optional(spec, "payload_ref", str, None, context)
-    try:
-        skill = [checked_type(v, float, f"{context}task_skill[{i}]")
-                 for i, v in enumerate(_optional(spec, "task_skill", list, [], context))]
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    try:
-        SimulatedAgentGenome(
-            task_skill=skill,
-            meta_capability=_optional(spec, "meta_capability", float, 0.0, context),
-            compile_probability=_optional(spec, "compile_probability", float, 0.0, context),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"key 'initial': {exc}") from None
-    return spec
-
-
-_TOP_KEYS = {
-    "mode", "iterations", "seed", "state_dir", "payload_dir", "policy", "domains",
-    "backend", "initial", "parents_per_iteration", "concurrency", "limits",
-    "instruction_template",
+TOP_KEYS: dict[str, Any] = {
+    "mode": str,
+    "iterations": int,
+    "seed": int,
+    "state_dir": str,
+    "payload_dir": str,
+    "policy": dict,
+    "domains": list[dict],
+    "backend": dict,
+    "initial": dict,
+    "parents_per_iteration": int,
+    "concurrency": int,
+    "limits": dict,
+    "instruction_template": str,
+}
+DOMAIN_KEYS: dict[str, Any] = {
+    "name": str,
+    "task_ids": list[str],
+    "subset_size": int,
+    "full_size": int,
+    "gate": dict,
+    "has_validation": bool,
+    "validation_task_ids": list[str],
+    "evaluator": dict,
+}
+GATE_KEYS: dict[str, Any] = {"kind": str, "count": int, "fraction": float, "strict": bool}
+LIMITS_KEYS: dict[str, Any] = {
+    "wall_clock_seconds": float,
+    "cpu_seconds": int,
+    "max_output_bytes": int,
+    "network": str,
+}
+# `selection_policy` is agent payload: a malformed one is not a config error,
+# the agent's selection routine fails at run time and falls back to uniform
+INITIAL_KEYS: dict[str, Any] = {
+    "task_skill": list[float],
+    "meta_capability": float,
+    "compile_probability": float,
+    "payload_ref": str,
+    "selection_policy": Any,
+}
+LANDSCAPE_KEYS: dict[str, Any] = {
+    "base_level": float,
+    "local_center": list[float],
+    "local_height": float,
+    "local_width": float,
+    "global_center": list[float],
+    "global_height": float,
+    "global_width": float,
+}
+SIMULATED_BACKEND_KEYS: dict[str, Any] = {
+    "kind": str,
+    "landscape": dict,
+    "step_sigma": float,
+    "bold_probability": float,
+    "bold_base": float,
+    "bold_meta_gain": float,
+    "meta_sigma": float,
+    "meta_drift": float,
+    "max_probes": int,
+    "mutation_scale": float,
+}
+# each kind of backend and of evaluator: its keys and the keys it requires
+BACKEND_KINDS: dict[str, tuple[dict[str, Any], tuple[str, ...]]] = {
+    "simulated": (SIMULATED_BACKEND_KEYS, ()),
+    "external-process": ({"kind": str, "command": list[str]}, ("command",)),
+    "model-client": ({"kind": str, "url": str, "token_env": str}, ("url",)),
+}
+EVALUATOR_KINDS: dict[str, tuple[dict[str, Any], tuple[str, ...]]] = {
+    "synthetic": ({"kind": str}, ()),
+    "command": ({"kind": str, "command": list[str]}, ("command",)),
 }
 
-_BACKEND_KEYS = {
-    "simulated": {
-        "kind", "landscape", "step_sigma", "bold_probability", "bold_base", "bold_meta_gain",
-        "meta_sigma", "meta_drift", "max_probes", "mutation_scale",
-    },
-    "external-process": {"kind", "command"},
-    "model-client": {"kind", "url", "token_env"},
-}
-_BACKEND_REQUIRED = {"external-process": ("command", list), "model-client": ("url", str)}
+
+def _build(context: str, make: Callable, *args, **kwargs):
+    """`make(*args, **kwargs)`; its ValueError is a ConfigError naming `context`."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"key '{context}': {exc}") from None
+
+
+def _read_kind(spec: dict, kinds: dict, default: str, context: str) -> dict:
+    """`spec` read by the table of its `kind`, which is `default` when absent."""
+    kind = checked_type(spec.get("kind", default), str, context + "kind")
+    if kind not in kinds:
+        raise ValueError(f"key '{context}kind' must be one of {sorted(kinds)}, got {kind!r}")
+    keys, required = kinds[kind]
+    return read_keys(spec, keys, context, required)
+
+
+def _parse_domain(spec: dict, context: str) -> tuple[DomainSpec, dict]:
+    values = read_keys(spec, DOMAIN_KEYS, context, ("name", "task_ids", "subset_size", "gate"))
+    gate = _build(context + "gate", Gate,
+                  **read_keys(values.pop("gate"), GATE_KEYS, context + "gate.", ("kind",)))
+    evaluator = _read_kind(values.pop("evaluator", {}), EVALUATOR_KINDS, "synthetic",
+                           context + "evaluator.")
+    if "command" in evaluator:
+        _build(context + "evaluator.command", CommandEvaluator, evaluator["command"])
+    values = {key: tuple(v) if isinstance(v, list) else v for key, v in values.items()}
+    staged = _build(context[:-1], StagedEvalPolicy, values.pop("subset_size"),
+                    values.pop("full_size", len(values["task_ids"])), gate)
+    return _build(context[:-1], DomainSpec, staged=staged, **values), evaluator
 
 
 def parse_config(doc: dict, base_dir: Optional[Path] = None) -> tuple[RunConfig, dict[str, dict]]:
     """Validate a config document; returns the run config plus evaluator specs."""
-    if not isinstance(doc, dict):
-        raise ConfigError("config root must be an object")
-    _reject_unknown(doc, _TOP_KEYS, "")
-
-    mode = _require(doc, "mode", str, "")
-    if mode not in MODES:
-        raise ConfigError(f"key 'mode' must be one of {MODES}, got {mode!r}")
-
-    backend = _optional(doc, "backend", dict, {"kind": "simulated"}, "")
-    kind = backend.get("kind", "simulated")
-    if kind not in _BACKEND_KEYS:
-        raise ConfigError(f"key 'backend.kind' must be one of {sorted(_BACKEND_KEYS)}")
-    _reject_unknown(backend, _BACKEND_KEYS[kind], "backend.")
-    if kind in _BACKEND_REQUIRED:
-        _require(backend, *_BACKEND_REQUIRED[kind], "backend.")
-
-    domain_specs = _require(doc, "domains", list, "")
-    domains = []
-    evaluator_specs: dict[str, dict] = {}
-    for index, spec in enumerate(domain_specs):
-        domain, evaluator = _parse_domain(spec, index)
-        domains.append(domain)
-        evaluator_specs[domain.name] = evaluator
-
-    state_dir = Path(_require(doc, "state_dir", str, ""))
-    if base_dir is not None and not state_dir.is_absolute():
-        state_dir = base_dir / state_dir
-    payload_dir = _optional(doc, "payload_dir", str, None, "")
-    if payload_dir is not None:
-        payload_dir = Path(payload_dir)
-        if base_dir is not None and not payload_dir.is_absolute():
-            payload_dir = base_dir / payload_dir
-    template = _optional(doc, "instruction_template", str, None, "")
-
     try:
-        config = RunConfig(
-            mode=mode,
-            iterations=_require(doc, "iterations", int, ""),
-            seed=_require(doc, "seed", int, ""),
-            state_dir=state_dir,
-            policy=_parse_policy(_optional(doc, "policy", dict, {"variant": "score-child-prop"}, "")),
-            domains=domains,
-            backend=backend,
-            initial=_parse_initial(_optional(doc, "initial", dict, {}, "")),
-            parents_per_iteration=_optional(doc, "parents_per_iteration", int, 1, ""),
-            concurrency=_optional(doc, "concurrency", int, 1, ""),
-            limits=_parse_limits(_optional(doc, "limits", dict, {}, "")),
-            payload_dir=payload_dir,
-            instruction_template=Path(template) if template else None,
-        )
+        values = read_keys(doc, TOP_KEYS, "",
+                           ("mode", "iterations", "seed", "state_dir", "domains"))
+        domains = [_parse_domain(spec, f"domains[{i}].")
+                   for i, spec in enumerate(values["domains"])]
+        values["domains"] = [domain for domain, _ in domains]
+        for key in ("state_dir", "payload_dir"):
+            if key in values:
+                path = Path(values[key])
+                if base_dir is not None and not path.is_absolute():
+                    path = base_dir / path
+                values[key] = path
+        template = values.pop("instruction_template", None)
+        if template:
+            values["instruction_template"] = Path(template)
+        if "policy" in values:
+            values["policy"] = _build("policy", SelectionPolicy.from_dict, values["policy"])
+        if "limits" in values:
+            values["limits"] = _build("limits", SandboxLimits,
+                                      **read_keys(values["limits"], LIMITS_KEYS, "limits."))
+        if "initial" in values:
+            read_keys(values["initial"], INITIAL_KEYS, "initial.")
+            _build("initial", initial_genome, values["initial"])
+        if "backend" in values:
+            backend = _read_kind(values["backend"], BACKEND_KINDS, "simulated", "backend.")
+            if "landscape" in backend:
+                read_keys(backend["landscape"], LANDSCAPE_KEYS, "backend.landscape.")
+        config = RunConfig(**values)
+        if "command" in config.backend:
+            _build("backend.command", ExternalProcessBackend, config.backend["command"],
+                   config.limits)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return config, evaluator_specs
+    return config, {domain.name: evaluator for domain, evaluator in domains}
 
 
 def load_config(path: str | Path) -> tuple[RunConfig, dict[str, dict], dict]:

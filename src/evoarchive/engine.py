@@ -52,9 +52,9 @@ from .generation import (
     ExternalProcessBackend,
     GenerationRequest,
     ModelClientBackend,
-    SimulatedAgentGenome,
     SimulatedBackend,
     generate_child,
+    initial_genome,
     snapshot_payload,
     validate_child,
     SMOKE_TASK,
@@ -99,8 +99,8 @@ class RunConfig:
     iterations: int
     seed: int
     state_dir: Path
-    policy: SelectionPolicy
     domains: list[DomainSpec]
+    policy: SelectionPolicy = field(default_factory=SelectionPolicy)
     backend: dict = field(default_factory=lambda: {"kind": "simulated"})
     initial: dict = field(default_factory=dict)
     parents_per_iteration: int = 1
@@ -294,12 +294,7 @@ def _init_root_payload(config: RunConfig) -> str:
     if initial.get("payload_ref"):
         snapshot_payload(initial["payload_ref"], root_dir)
     else:
-        SimulatedAgentGenome(
-            task_skill=[float(v) for v in initial.get("task_skill", [0.0, 0.0])],
-            meta_capability=float(initial.get("meta_capability", 0.15)),
-            compile_probability=float(initial.get("compile_probability", 0.95)),
-            selection_policy=initial.get("selection_policy"),
-        ).write_payload(root_dir)
+        initial_genome(initial).write_payload(root_dir)
     return str(root_dir)
 
 

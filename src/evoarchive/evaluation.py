@@ -103,6 +103,8 @@ class DomainSpec:
             raise ValueError("full_size exceeds number of tasks")
         if self.has_validation and not self.validation_task_ids:
             raise ValueError("has_validation requires validation_task_ids")
+        if self.validation_task_ids and not self.has_validation:
+            raise ValueError("validation_task_ids requires has_validation")
         if self.validation_task_ids and len(set(self.validation_task_ids)) != len(
             self.validation_task_ids
         ):

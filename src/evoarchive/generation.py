@@ -104,18 +104,35 @@ class SimulatedAgentGenome:
 
     @classmethod
     def from_payload(cls, payload_ref: str | Path) -> "SimulatedAgentGenome":
-        raw = json.loads((Path(payload_ref) / "genome.json").read_text(encoding="utf-8"))
-        return cls(
-            task_skill=[float(v) for v in raw["task_skill"]],
-            meta_capability=float(raw["meta_capability"]),
-            compile_probability=float(raw["compile_probability"]),
-            selection_policy=raw.get("selection_policy"),
-        )
+        """The genome in the payload's `genome.json`. GenerationError names a file
+        that is torn, not UTF-8 or not a genome; OSError one that cannot be read."""
+        path = Path(payload_ref) / "genome.json"
+        try:
+            raw = json.loads(path.read_text(encoding="utf-8"))
+            return cls(
+                task_skill=[float(v) for v in raw["task_skill"]],
+                meta_capability=float(raw["meta_capability"]),
+                compile_probability=float(raw["compile_probability"]),
+                selection_policy=raw.get("selection_policy"),
+            )
+        except (ValueError, KeyError, TypeError) as exc:
+            raise GenerationError(f"unreadable genome {path}: {exc!r}") from exc
 
     def write_payload(self, payload_ref: str | Path) -> None:
         path = Path(payload_ref)
         path.mkdir(parents=True, exist_ok=True)
         (path / "genome.json").write_text(self.to_json(), encoding="utf-8")
+
+
+def initial_genome(initial: dict) -> SimulatedAgentGenome:
+    """The root agent's genome as a config's `initial` section describes it;
+    its `payload_ref` key, when set, replaces this genome with a copied payload."""
+    return SimulatedAgentGenome(
+        task_skill=[float(v) for v in initial.get("task_skill", [0.0, 0.0])],
+        meta_capability=float(initial.get("meta_capability", 0.15)),
+        compile_probability=float(initial.get("compile_probability", 0.95)),
+        selection_policy=initial.get("selection_policy"),
+    )
 
 
 def snapshot_payload(parent_dir: str | Path, child_dir: str | Path) -> None:

@@ -30,7 +30,7 @@ PROBABILITY_TOL = 1e-12
 # type. "variant" is required; the defaults of the others are the dataclass
 # field defaults below. score-child-prop reads the ScoreChildPropParams keys,
 # every other variant the remaining SelectionPolicy keys.
-POLICY_KEYS: dict[str, type] = {
+POLICY_KEYS: dict[str, Any] = {
     "variant": str,
     "sharpness": float,
     "midpoint_pool_size": int,
@@ -40,13 +40,38 @@ POLICY_KEYS: dict[str, type] = {
 }
 
 
-def checked_type(value: Any, kind: type, key: str) -> Any:
-    """`value` as a JSON `kind`: an int is also a float, a bool is only a bool."""
+def checked_type(value: Any, kind: Any, key: str) -> Any:
+    """`value` as a JSON `kind`: an int is also a float, a bool is only a bool,
+    `list[T]` is a list whose items (named `key[i]`) are `T`, `Any` is anything."""
+    if kind is Any:
+        return value
+    if getattr(kind, "__origin__", None) is list:
+        if not isinstance(value, list):
+            raise ValueError(f"key '{key}' must be list")
+        return [checked_type(v, kind.__args__[0], f"{key}[{i}]") for i, v in enumerate(value)]
     if kind is float and isinstance(value, int) and not isinstance(value, bool):
         return float(value)
     if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
         raise ValueError(f"key '{key}' must be {kind.__name__}")
     return value
+
+
+def read_keys(
+    spec: Any, keys: dict[str, Any], context: str = "", required: Sequence[str] = ()
+) -> dict[str, Any]:
+    """The keys present in the document `spec`, each checked as its type in `keys`
+    (see `checked_type`). ValueError rejects a non-object `spec`, and names an unknown
+    key, a missing `required` key or a mistyped value, prefixed by `context`."""
+    if not isinstance(spec, dict):
+        raise ValueError(f"expected an object, got {spec!r:.80}")
+    unknown = sorted(set(spec) - set(keys))
+    if unknown:
+        raise ValueError(f"unknown key '{context}{unknown[0]}'")
+    missing = [key for key in required if key not in spec]
+    if missing:
+        raise ValueError(f"missing key '{context}{missing[0]}'")
+    return {key: checked_type(spec[key], kind, context + key)
+            for key, kind in keys.items() if key in spec}
 
 
 @dataclass(frozen=True)
@@ -87,23 +112,15 @@ class SelectionPolicy:
 
         Keys the variant does not read are accepted and ignored unchecked.
         """
-        if not isinstance(spec, dict):
-            raise ValueError(f"selection policy must be an object, got {spec!r}")
-        unknown = sorted(set(spec) - set(POLICY_KEYS))
-        if unknown:
-            raise ValueError(f"unknown key '{unknown[0]}'")
-        if "variant" not in spec:
-            raise ValueError("missing key 'variant'")
-        variant = checked_type(spec["variant"], str, "variant")
+        variant = read_keys(spec, {**dict.fromkeys(POLICY_KEYS, Any), "variant": str},
+                            required=("variant",))["variant"]
         if variant not in VARIANTS:
             raise ValueError(f"key 'variant' must be one of {VARIANTS}, got {variant!r}")
         scp = variant == "score-child-prop"
         param_keys = {f.name for f in fields(ScoreChildPropParams)}
-        values = {
-            key: checked_type(spec[key], kind, key)
-            for key, kind in POLICY_KEYS.items()
-            if key in spec and key != "variant" and (key in param_keys) == scp
-        }
+        read = {key: kind for key, kind in POLICY_KEYS.items()
+                if key != "variant" and (key in param_keys) == scp}
+        values = read_keys({key: spec[key] for key in read if key in spec}, read)
         if scp:
             return cls(variant=variant, params=ScoreChildPropParams(**values))
         return cls(variant=variant, **values)

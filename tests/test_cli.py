@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
+import inspect
 import json
 import math
 import shutil
+import typing
 from pathlib import Path
 
 import pytest
@@ -12,10 +15,23 @@ import pytest
 from evoarchive.archive import AgentNode, DomainScores, fingerprint, load
 from evoarchive import engine
 from evoarchive.cli import ANALYZE_METRICS, _impk_row, main
-from evoarchive.config import ConfigError, demo_config, load_config, parse_config
+from evoarchive.config import (
+    GATE_KEYS,
+    INITIAL_KEYS,
+    LANDSCAPE_KEYS,
+    LIMITS_KEYS,
+    SIMULATED_BACKEND_KEYS,
+    ConfigError,
+    demo_config,
+    load_config,
+    parse_config,
+)
 from evoarchive.engine import append_events, load_state, run
-from evoarchive.generation import SimulatedAgentGenome
+from evoarchive.evaluation import Gate
+from evoarchive.generation import SimulatedAgentGenome, SimulatedBackend
+from evoarchive.landscape import TwoPeakLandscape
 from evoarchive.metrics import export_scalars_csv
+from evoarchive.sandbox import SandboxLimits
 from evoarchive.selection import SelectionPolicy
 
 from test_engine import (
@@ -215,6 +231,20 @@ def test_resume_without_event_log_exits_1(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("content", [b'{"task', b"\xff\xfe{}"])
+def test_torn_payload_genome_halts_resume_in_one_line(tmp_path, capsys, content):
+    assert main(["run", "--config", str(write_config(tmp_path))]) == 0
+    state = tmp_path / "state"
+    cut_log_after(state / "events.jsonl", 3)
+    for genome in (state / "payloads").rglob("genome.json"):
+        genome.write_bytes(content)
+    capsys.readouterr()
+    assert main(["resume", "--state", str(state)]) == 1
+    err = capsys.readouterr().err
+    assert "GenerationError" in err and "genome.json" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 @pytest.mark.parametrize(
     "backend, evaluator, key",
     [
@@ -248,19 +278,77 @@ def test_missing_backend_or_evaluator_key_exits_2(tmp_path, capsys, backend, eva
     ],
 )
 def test_bad_initial_exits_2_and_keeps_the_earlier_run(tmp_path, capsys, initial, key):
+    doc = demo_config(iterations=6, seed=11)
+    doc["initial"].update(initial)
+    err = rejected_before_the_state_is_touched(tmp_path, capsys, doc)
+    assert key in err and "initial" in err
+
+
+def rejected_before_the_state_is_touched(tmp_path, capsys, doc: dict) -> str:
+    """The one stderr line of `run` of `doc` over an earlier run's state
+    directory, which exits 2 and leaves that run's files as they were."""
     assert main(["run", "--config", str(write_config(tmp_path / "a"))]) == 0
     state = tmp_path / "a" / "state"
     before = tree_state(state)
-    doc = demo_config(state_dir=str(state), iterations=6, seed=11)
     capsys.readouterr()
     assert main(["run", "--config", str(write_config(tmp_path / "b", **{
-        **doc, "initial": {**doc["initial"], **initial}}))]) == 2
+        **doc, "state_dir": str(state)}))]) == 2
     err = capsys.readouterr().err
-    assert key in err and "initial" in err
     assert len(err.strip().splitlines()) == 1
     # nothing in the state directory was touched: the earlier run still resumes
     assert tree_state(state) == before
     assert main(["resume", "--state", str(state)]) == 0
+    return err
+
+
+@pytest.mark.parametrize(
+    "path, value, key",
+    [
+        (("domains",), [3], "domains[0]"),
+        (("iterations",), "6", "iterations"),
+        (("concurrency",), 1.5, "concurrency"),
+        (("instruction_template",), ["t"], "instruction_template"),
+        (("domains", 0, "task_ids"), [1, 2, 3], "domains[0].task_ids[0]"),
+        (("domains", 0, "validation_task_ids"), ["probe-4"], "domains[0]"),
+        (("domains", 0, "gate", "count"), "1", "domains[0].gate.count"),
+        (("domains", 0, "gate", "kind"), "most", "domains[0].gate"),
+        (("domains", 0, "evaluator"), {"kind": "command", "command": [1, 2]},
+         "domains[0].evaluator.command[0]"),
+        (("domains", 0, "evaluator"), {"kind": "command", "command": []},
+         "domains[0].evaluator.command"),
+        (("limits", "cpu_seconds"), 1.5, "limits.cpu_seconds"),
+        (("policy", "sharpness"), "steep", "policy"),
+        (("backend", "step_sigma"), "x", "backend.step_sigma"),
+        (("backend", "max_probes"), 2.5, "backend.max_probes"),
+        (("backend", "landscape"), {"bogus": 1}, "backend.landscape.bogus"),
+        (("backend", "landscape"), {"local_center": [0.8, "y"]},
+         "backend.landscape.local_center[1]"),
+        (("backend",), {"kind": "external-process", "command": []}, "backend.command"),
+        (("backend",), {"kind": "model-client", "url": 3}, "backend.url"),
+    ],
+)
+def test_bad_config_exits_2_and_keeps_the_earlier_run(tmp_path, capsys, path, value, key):
+    doc = demo_config(iterations=6, seed=11)
+    *parents, last = path
+    section = doc
+    for step in parents:
+        section = section[step]
+    section[last] = value
+    assert f"'{key}'" in rejected_before_the_state_is_touched(tmp_path, capsys, doc)
+
+
+def test_config_tables_match_the_objects_they_build():
+    # a field or parameter added without its config key (or the reverse) fails here
+    assert GATE_KEYS == typing.get_type_hints(Gate)
+    assert LIMITS_KEYS == typing.get_type_hints(SandboxLimits)
+    assert set(LANDSCAPE_KEYS) == {f.name for f in dataclasses.fields(TwoPeakLandscape)}
+    assert set(INITIAL_KEYS) == {f.name for f in dataclasses.fields(SimulatedAgentGenome)} | {
+        "payload_ref"}
+    # the rest are wired by the engine from the run's seed, mode and root payload
+    wired = {"self", "master_seed", "self_improve", "root_payload_ref",
+             "evolve_selection_policy"}
+    tunable = set(inspect.signature(SimulatedBackend.__init__).parameters) - wired
+    assert set(SIMULATED_BACKEND_KEYS) == tunable | {"kind"}
 
 
 def test_malformed_initial_selection_policy_is_not_a_config_error(tmp_path):
