@@ -1,12 +1,13 @@
 """Operator entry point: launch/resume runs, export metrics.
 
-`analyze` parses the committed event log once (`engine.read_events`) and
-reads nothing else: `engine.replay` folds those events into the run's state,
-whose archive feeds `tree`, `transfer` and `ci`, and whose `archived` agents
-feed `progress` and `impk` (every agent the run archived, including those a
-`no-open-ended` run replaced). It therefore reports a live or crashed run at
-its last committed iteration. `resume` parses the log once too: the engine
-checks the recorded run id against the config's hash on that one load.
+`analyze` parses the committed event log once and reads nothing else:
+`engine.replay_log` folds each committed batch into the run's state as soon
+as it is parsed. That state's archive feeds `tree`, `transfer` and `ci`, and
+its `archived` agents feed `progress` and `impk` (every agent the run
+archived, including those a `no-open-ended` run replaced). It therefore
+reports a live or crashed run at its last committed iteration. `resume`
+parses the log once too: the engine checks the recorded run id against the
+config's hash on that one load.
 
 Exit codes: 0 success, 1 runtime failure (state stays resumable),
 2 invalid configuration or arguments (such as an `analyze` flag out of range).
@@ -29,6 +30,7 @@ from .config import (
     effective_config_doc,
     load_config,
     parse_config,
+    read_config_doc,
 )
 from .evaluation import node_selection_score
 from .generation import GenerationError
@@ -95,20 +97,25 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    # the flags replace the file's values before anything is checked, so a
+    # flag can stand in for an invalid value
     try:
-        _, _, raw = load_config(args.config)
         overrides = {"seed": args.seed, "mode": args.mode, "iterations": args.iterations}
-        doc = effective_config_doc(raw, overrides)
+        doc = effective_config_doc(read_config_doc(args.config), overrides)
         policy_overrides = {key: getattr(args, f"policy_{key}") for key in POLICY_KEYS}
-        if any(v is not None for v in policy_overrides.values()):
-            policy = dict(doc.get("policy", {"variant": "score-child-prop"}))
-            policy.update({k: v for k, v in policy_overrides.items() if v is not None})
-            doc["policy"] = policy
+        policy = doc.get("policy", {"variant": "score-child-prop"})
+        if isinstance(policy, dict) and any(v is not None for v in policy_overrides.values()):
+            doc["policy"] = {**policy, **{k: v for k, v in policy_overrides.items()
+                                         if v is not None}}
         config, evaluator_specs = parse_config(doc, base_dir=Path(args.config).parent.resolve())
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
+    if config.instruction_template is not None:
+        # `resume` reads the snapshot from the state directory, not beside the
+        # config file: it names the template by its resolved path
+        doc["instruction_template"] = str(config.instruction_template)
     digest = config_hash(doc)
     config.state_dir.mkdir(parents=True, exist_ok=True)
     (config.state_dir / "config.json").write_text(
@@ -164,8 +171,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     if not state_dir.exists():
         print(f"no state directory {state_dir}", file=sys.stderr)
         return 2
-    event_log = state_dir / "events.jsonl"
-    state = engine.replay(engine.read_events(event_log), event_log)
+    state, _ = engine.replay_log(state_dir / "events.jsonl")
     arch = state.archive
 
     if args.metric == "tree":

@@ -141,15 +141,20 @@ def parse_config(doc: dict, base_dir: Optional[Path] = None) -> tuple[RunConfig,
         domains = [_parse_domain(spec, f"domains[{i}].")
                    for i, spec in enumerate(values["domains"])]
         values["domains"] = [domain for domain, _ in domains]
-        for key in ("state_dir", "payload_dir"):
+        if not values.get("instruction_template"):
+            values.pop("instruction_template", None)  # empty means the default
+        for key in ("state_dir", "payload_dir", "instruction_template"):
             if key in values:
                 path = Path(values[key])
                 if base_dir is not None and not path.is_absolute():
                     path = base_dir / path
                 values[key] = path
-        template = values.pop("instruction_template", None)
-        if template:
-            values["instruction_template"] = Path(template)
+        template = values.get("instruction_template")
+        if template is not None:
+            try:
+                template.read_text(encoding="utf-8")
+            except (OSError, UnicodeError) as exc:
+                raise ValueError(f"key 'instruction_template': cannot read {template}: {exc}")
         if "policy" in values:
             values["policy"] = _build("policy", SelectionPolicy.from_dict, values["policy"])
         if "limits" in values:
@@ -171,14 +176,23 @@ def parse_config(doc: dict, base_dir: Optional[Path] = None) -> tuple[RunConfig,
     return config, {domain.name: evaluator for domain, evaluator in domains}
 
 
-def load_config(path: str | Path) -> tuple[RunConfig, dict[str, dict], dict]:
-    """Read and validate a config file; returns (config, evaluator specs, raw doc)."""
+def read_config_doc(path: str | Path) -> dict:
+    """The JSON object of a config file, not yet validated."""
     path = Path(path)
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    config, evaluator_specs = parse_config(doc, base_dir=path.parent.resolve())
+    if not isinstance(doc, dict):
+        raise ConfigError(f"config {path}: expected an object, got {doc!r:.80}")
+    return doc
+
+
+def load_config(path: str | Path) -> tuple[RunConfig, dict[str, dict], dict]:
+    """Read and validate a config file; returns (config, evaluator specs, raw doc).
+    Relative paths in it are taken relative to the file's directory."""
+    doc = read_config_doc(path)
+    config, evaluator_specs = parse_config(doc, base_dir=Path(path).parent.resolve())
     return config, evaluator_specs, doc
 
 

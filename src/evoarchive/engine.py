@@ -35,7 +35,7 @@ import shutil
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 from . import archive as archive_mod
 from .archive import AgentNode, Archive, ArchiveError, DomainScores
@@ -167,17 +167,21 @@ def append_events(path: Path, events: list[dict]) -> None:
 def read_events(path: Path) -> list[dict]:
     """The committed events: the log's lines up to its last newline-terminated
     `iteration_complete` or `run_complete` line, the commit point."""
-    return _read_committed(path)[0]
+    return [event for batch, _ in _read_committed(path) for event in batch]
 
 
-def _read_committed(path: Path) -> tuple[list[dict], int]:
-    """`read_events` and the length in bytes of the lines it kept. The lines
-    after the last commit (an unfinished batch, a torn line) are dropped; a
-    malformed line before it raises IntegrityError naming the line. A line is
-    one strict UTF-8 JSON object padded by JSON whitespace; unlike `json.loads`
-    on bytes, no other encoding is detected."""
-    events: list[dict] = []
-    kept = size = 0
+def _read_committed(path: Path) -> Iterator[tuple[list[dict], int]]:
+    """Each committed batch of the log (its events up to and including a commit
+    line), yielded once that commit line is read, with the length in bytes of
+    the lines read so far. The lines after the last commit (an unfinished
+    batch, a torn line) are dropped. A malformed line before a commit raises
+    IntegrityError naming the line at that commit, after yielding the events
+    that precede it in its batch (the length unchanged): a fold of what this
+    yields stops at the first bad line in file order. A line is one strict
+    UTF-8 JSON object padded by JSON whitespace; unlike `json.loads` on bytes,
+    no other encoding is detected."""
+    batch: list[dict] = []
+    size = 0
     error: Optional[IntegrityError] = None
     with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -191,12 +195,15 @@ def _read_committed(path: Path) -> tuple[list[dict], int]:
                 error = error or IntegrityError(
                     f"corrupt event at line {lineno} of {path}: {exc!r}")
                 continue
-            events.append(event)
+            if error is None:
+                batch.append(event)
             if kind in ("iteration_complete", "run_complete") and line.endswith(b"\n"):
                 if error is not None:
+                    yield batch, size
                     raise error
-                kept, size = len(events), fh.tell()
-    return events[:kept], size
+                size = fh.tell()
+                yield batch, size
+                batch = []
 
 
 def _now() -> str:
@@ -530,10 +537,10 @@ def _empty_state(event_log: Path) -> RunState:
     return RunState(Archive(), -1, event_log, "")
 
 
-def replay(events: list[dict], event_log: Path) -> RunState:
+def replay(events: Iterable[dict], event_log: Path) -> RunState:
     """Rebuild a run's state (mode and run id from `run_start`) from the committed
-    events that `read_events` returned for `event_log`; writes nothing. Errors
-    name lines of `event_log`. `completed` is set by a `run_complete` event."""
+    events of `event_log`, folding each as `events` yields it; writes nothing.
+    Errors name lines of `event_log`. `completed` is set by a `run_complete` event."""
     event_log = Path(event_log)
     state = _empty_state(event_log)
     scores: dict[int, dict[str, DomainScores]] = {}
@@ -549,8 +556,23 @@ def replay(events: list[dict], event_log: Path) -> RunState:
     return state
 
 
+def replay_log(event_log: Path) -> tuple[RunState, int]:
+    """`replay` of `event_log`, each committed batch folded as soon as it is
+    parsed, so the fold holds the archive plus one batch whatever the log's
+    length; and the committed lines' length in bytes."""
+    committed = 0
+
+    def events() -> Iterator[dict]:
+        nonlocal committed
+        for batch, committed in _read_committed(event_log):
+            yield from batch
+
+    state = replay(events(), event_log)
+    return state, committed
+
+
 def load_state(config: RunConfig) -> RunState:
-    """`replay` of the run's event log, checked against its config."""
+    """`replay_log` of the run's event log, checked against its config."""
     return _load_checked(config)[0]
 
 
@@ -558,9 +580,7 @@ def _load_checked(config: RunConfig, run_id: Optional[str] = None) -> tuple[RunS
     """`load_state` and the committed lines' length in bytes: checks the logged
     run id against `run_id` (if given), then the nodes' scores against the
     config's domains."""
-    event_log = config.state_dir / "events.jsonl"
-    events, committed = _read_committed(event_log)
-    state = replay(events, event_log)
+    state, committed = replay_log(config.state_dir / "events.jsonl")
     if run_id is not None and run_id != state.run_id:
         raise RunIdMismatch(run_id, state.run_id)
     _check_score_coverage(state.archive, config.domains)

@@ -90,6 +90,20 @@ def test_flag_overrides_take_precedence(tmp_path):
     assert effective["iterations"] == 2
 
 
+@pytest.mark.parametrize("overrides, flags", [
+    ({"mode": "turbo"}, ["--mode", "full"]),
+    ({"iterations": 0}, ["--iterations", "2"]),
+    ({"policy": {"variant": "score-child-prop", "sharpness": "steep"}},
+     ["--policy-sharpness", "5"]),
+])
+def test_a_flag_replaces_an_invalid_config_value(tmp_path, capsys, overrides, flags):
+    config_path = write_config(tmp_path, **overrides)
+    assert main(["run", "--config", str(config_path)]) == 2
+    capsys.readouterr()
+    assert main(["run", "--config", str(config_path), *flags]) == 0
+    assert "complete" in capsys.readouterr().out
+
+
 def test_rerun_same_seed_identical_manifest_hash(tmp_path):
     config_a = write_config(tmp_path / "a")
     config_b = write_config(tmp_path / "b")
@@ -337,6 +351,38 @@ def test_bad_config_exits_2_and_keeps_the_earlier_run(tmp_path, capsys, path, va
     assert f"'{key}'" in rejected_before_the_state_is_touched(tmp_path, capsys, doc)
 
 
+@pytest.mark.parametrize("template", [None, b"\xff\xfe not utf-8"])
+def test_unreadable_instruction_template_exits_2_and_keeps_the_earlier_run(
+        tmp_path, capsys, template):
+    if template is not None:
+        (tmp_path / "b").mkdir()
+        (tmp_path / "b" / "t.txt").write_bytes(template)
+    doc = {**demo_config(iterations=6, seed=11), "mode": "dgm-fixed-instruction",
+           "instruction_template": "t.txt"}
+    err = rejected_before_the_state_is_touched(tmp_path, capsys, doc)
+    assert "'instruction_template'" in err and "t.txt" in err
+
+
+def test_instruction_template_is_read_beside_the_config(tmp_path, monkeypatch):
+    (tmp_path / "elsewhere").mkdir()
+    monkeypatch.chdir(tmp_path / "elsewhere")
+    config_path = write_config(tmp_path, mode="dgm-fixed-instruction",
+                               instruction_template="t.txt")
+    template = tmp_path / "t.txt"
+    template.write_text("TEMPLATE {code}", encoding="utf-8")
+    assert load_config(config_path)[0].instruction_template == template
+    assert main(["run", "--config", str(config_path)]) == 0
+    # the snapshot names the template by its resolved path, so the run resumes
+    # from its state directory
+    state = tmp_path / "state"
+    assert json.loads((state / "config.json").read_text())["instruction_template"] == str(template)
+    cut_log_after(state / "events.jsonl", 2)
+    assert main(["resume", "--state", str(state)]) == 0
+    instructions = [e for e in engine.read_events(state / "events.jsonl")
+                    if e["event"] == "instruction"]
+    assert instructions and {e["template"] for e in instructions} == {str(template)}
+
+
 def test_config_tables_match_the_objects_they_build():
     # a field or parameter added without its config key (or the reverse) fails here
     assert GATE_KEYS == typing.get_type_hints(Gate)
@@ -568,6 +614,64 @@ def test_analyze_parses_the_log_once(finished_run, tmp_path, monkeypatch, metric
     assert main(["analyze", "--state", str(finished_run), "--metric", metric,
                  "--out", str(tmp_path / "out")]) == 0
     assert parses == [finished_run / "events.jsonl"]
+
+
+LOADS = {
+    "analyze": lambda state: main(["analyze", "--state", str(state), "--metric", "tree",
+                                   "--out", str(state.parent / "tree.dot")]),
+    "load_state": lambda state: load_state(load_config(state / "config.json")[0]),
+    "resume": lambda state: main(["resume", "--state", str(state)]),
+}
+
+
+@pytest.mark.parametrize("load", sorted(LOADS))
+def test_each_batch_is_folded_before_the_next_is_parsed(finished_run, monkeypatch, load):
+    batches, batch = [], []
+    for event in engine.read_events(finished_run / "events.jsonl"):
+        batch.append(event)
+        if event["event"] in ("iteration_complete", "run_complete"):
+            batches.append(batch)
+            batch = []
+    trace = []
+
+    class SpyDecoder:
+        def raw_decode(self, text):
+            event, end = decoder.raw_decode(text)
+            trace.append(("parse", event))
+            return event, end
+
+    def spy_fold(state, event, scores):
+        trace.append(("fold", event))
+        return fold(state, event, scores)
+
+    decoder, fold = engine._DECODER, engine._apply_event
+    monkeypatch.setattr(engine, "_DECODER", SpyDecoder())
+    monkeypatch.setattr(engine, "_apply_event", spy_fold)
+    LOADS[load](finished_run)
+    assert trace == [(action, event) for batch in batches
+                     for action in ("parse", "fold") for event in batch]
+
+
+@pytest.mark.parametrize("torn", ["same batch", "later batch"])
+@pytest.mark.parametrize("load", sorted(LOADS))
+def test_the_first_bad_line_in_file_order_stops_the_load(finished_run, capsys, load, torn):
+    # line 5 (iteration 1's first) adds a node no `evaluation` scored; a line
+    # after it is torn, in iteration 1's batch or in the next, before a commit
+    event_log = finished_run / "events.jsonl"
+    lines = event_log.read_bytes().splitlines(keepends=True)
+    commits = [i for i, line in enumerate(lines) if b'"iteration_complete"' in line]
+    lines[4] = b'{"event": "archive_add", "iteration": 1, "node_id": 99, "parent_id": 0}\n'
+    lines[6 if torn == "same batch" else commits[1] + 2] = b'{"event": "genera\n'
+    event_log.write_bytes(b"".join(lines))
+    before = event_log.read_bytes()
+    capsys.readouterr()
+    try:
+        assert LOADS[load](finished_run) == 1
+        message = capsys.readouterr().err
+    except engine.IntegrityError as exc:
+        message = str(exc)
+    assert f"bad event at line 5 of {event_log}" in message
+    assert event_log.read_bytes() == before
 
 
 def analyze_all(state_dir: Path, out_dir: Path) -> dict[str, bytes]:

@@ -465,10 +465,15 @@ def committed_by_json_loads(data: bytes) -> tuple[list[dict], int] | int:
 
 
 def committed_by_engine(path: Path) -> tuple[list[dict], int] | int:
+    """The same, from the engine's batches: their events and the byte length
+    the last batch reports."""
+    events, size = [], 0
     try:
-        return _read_committed(path)
+        for batch, size in _read_committed(path):
+            events += batch
     except IntegrityError as exc:
         return int(re.match(r"corrupt event at line (\d+) ", str(exc)).group(1))
+    return events, size
 
 
 LOG_HEAD = b'{"event": "run_start"}\n{"event": "iteration_complete", "iteration": 0}\n'
@@ -699,3 +704,28 @@ def test_only_the_engine_reads_event_kinds():
             if isinstance(node, ast.Constant) and node.value in read_kinds:
                 readers.append(f"{path.name}:{node.lineno} {node.value!r}")
     assert readers == []
+
+
+def test_one_function_decodes_log_lines():
+    # one line parser: the package calls the engine's `raw_decode` in one function
+    import ast
+
+    import evoarchive
+
+    callers = set()
+    for path in sorted(Path(evoarchive.__file__).parent.glob("*.py")):
+        scopes: list[str] = []
+
+        class Calls(ast.NodeVisitor):
+            def visit_FunctionDef(self, node):
+                scopes.append(node.name)
+                self.generic_visit(node)
+                scopes.pop()
+
+            def visit_Call(self, node):
+                if isinstance(node.func, ast.Attribute) and node.func.attr == "raw_decode":
+                    callers.add(f"{path.name}:{'.'.join(scopes) or '<module>'}")
+                self.generic_visit(node)
+
+        Calls().visit(ast.parse(path.read_text(encoding="utf-8")))
+    assert callers == {"engine.py:_read_committed"}
