@@ -28,7 +28,6 @@ from .config import (
     config_hash,
     demo_config,
     effective_config_doc,
-    load_config,
     parse_config,
     read_config_doc,
 )
@@ -112,10 +111,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    if config.instruction_template is not None:
-        # `resume` reads the snapshot from the state directory, not beside the
-        # config file: it names the template by its resolved path
-        doc["instruction_template"] = str(config.instruction_template)
+    # `resume` reads the snapshot from the state directory, not beside the
+    # config file: it names these by their resolved paths
+    for key in ("payload_dir", "instruction_template"):
+        if key in doc and getattr(config, key) is not None:
+            doc[key] = str(getattr(config, key))
     digest = config_hash(doc)
     config.state_dir.mkdir(parents=True, exist_ok=True)
     (config.state_dir / "config.json").write_text(
@@ -134,14 +134,13 @@ def _cmd_resume(args: argparse.Namespace) -> int:
         print(f"no config snapshot at {config_path}", file=sys.stderr)
         return 2
     try:
-        config, evaluator_specs, raw = load_config(config_path)
+        raw = read_config_doc(config_path)
+        # the snapshot's own state directory, not that of the run it was copied from
+        config, evaluator_specs = parse_config({**raw, "state_dir": str(state_dir.absolute())},
+                                               base_dir=state_dir.absolute())
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    config.state_dir = state_dir
-    if raw.get("payload_dir") is None:
-        # the snapshot's own payloads, not those of the run it was copied from
-        config.payload_dir = state_dir / "payloads"
 
     try:
         state = engine.resume(config, evaluator_specs=evaluator_specs,

@@ -10,8 +10,9 @@ combined score is the unweighted mean of per-domain aggregates.
 A task "success" is any score strictly greater than zero, which covers
 both binary domains and continuous fitness normalized to [0, 1].
 
-Evaluators are per-task callbacks raising EvaluatorError (or timing out)
-on malfunction; malfunctions score 0 for that task and are logged. The
+Evaluators are per-task callbacks raising EvaluatorError (or
+EvaluatorTimeout) on malfunction. `score_task` is the one judge of their
+answers, for every scored task and for the validity probe alike. The
 out-of-process contract sends one JSON request on stdin and expects one
 JSON response on stdout; a non-zero exit or timeout counts as score 0.
 """
@@ -20,10 +21,11 @@ from __future__ import annotations
 
 import json
 import logging
+import numbers
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from .archive import AgentNode
 from .landscape import DEFAULT_LANDSCAPE, TwoPeakLandscape
@@ -36,6 +38,10 @@ Evaluator = Callable[[str, str, SandboxLimits], float]
 
 class EvaluatorError(Exception):
     """Raised by evaluators on crash, timeout, or malformed response."""
+
+
+class EvaluatorTimeout(EvaluatorError):
+    """Raised by evaluators whose task ran out of wall-clock time."""
 
 
 @dataclass(frozen=True)
@@ -115,28 +121,33 @@ class DomainSpec:
 class ScoreReport:
     """Gated evaluation outcome for one split.
 
-    `aggregate` is the mean over all `full_count` tasks of the split, with
-    unevaluated tasks contributing 0 when the agent was gated out.
+    `aggregate` is the mean over all tasks of the split, with unevaluated
+    tasks contributing 0 when the agent was gated out.
     """
 
     per_task: dict[str, float]
     gated_out: bool
     aggregate: float
-    full_count: int
 
 
-def _score_one(
+def score_task(
     evaluator: Evaluator, task_id: str, payload_ref: str, limits: SandboxLimits
-) -> float:
+) -> tuple[float, Optional[str]]:
+    """Ask the evaluator for one task's answer and judge it; never raises.
+
+    A real number in [0, 1] is accepted as `(score, None)`; anything else
+    scores 0.0 with the cause "timeout" (`EvaluatorTimeout`, `TimeoutError`),
+    "<Type>: <message>" (any other exception) or "malformed answer <repr>".
+    """
     try:
-        score = float(evaluator(task_id, payload_ref, limits))
+        answer = evaluator(task_id, payload_ref, limits)
+    except (EvaluatorTimeout, TimeoutError):
+        return 0.0, "timeout"
     except Exception as exc:
-        logger.warning("task %s failed for %s: %s", task_id, payload_ref, exc)
-        return 0.0
-    if not 0.0 <= score <= 1.0:
-        logger.warning("task %s returned out-of-range score %s; treated as 0", task_id, score)
-        return 0.0
-    return score
+        return 0.0, f"{type(exc).__name__}: {exc}"
+    if isinstance(answer, numbers.Real) and 0.0 <= answer <= 1.0:
+        return float(answer), None
+    return 0.0, f"malformed answer {answer!r}"
 
 
 def _score_batch(
@@ -147,10 +158,16 @@ def _score_batch(
     concurrency: int,
 ) -> dict[str, float]:
     if concurrency <= 1 or len(task_ids) <= 1:
-        return {t: _score_one(evaluator, t, payload_ref, limits) for t in task_ids}
-    with ThreadPoolExecutor(max_workers=concurrency) as pool:
-        futures = {t: pool.submit(_score_one, evaluator, t, payload_ref, limits) for t in task_ids}
-        return {t: f.result() for t, f in futures.items()}
+        judged = {t: score_task(evaluator, t, payload_ref, limits) for t in task_ids}
+    else:
+        with ThreadPoolExecutor(max_workers=concurrency) as pool:
+            futures = {t: pool.submit(score_task, evaluator, t, payload_ref, limits)
+                       for t in task_ids}
+            judged = {t: f.result() for t, f in futures.items()}
+    for task_id, (_, cause) in judged.items():
+        if cause is not None:
+            logger.warning("task %s failed for %s: %s", task_id, payload_ref, cause)
+    return {t: score for t, (score, _) in judged.items()}
 
 
 def evaluate_full(
@@ -163,7 +180,7 @@ def evaluate_full(
     """Gate-free evaluation of a whole task list (validation splits)."""
     per_task = _score_batch(evaluator, task_ids, payload_ref, limits, concurrency)
     aggregate = sum(per_task.values()) / len(task_ids) if task_ids else 0.0
-    return ScoreReport(per_task, gated_out=False, aggregate=aggregate, full_count=len(task_ids))
+    return ScoreReport(per_task, gated_out=False, aggregate=aggregate)
 
 
 def multi_domain_evaluate(
@@ -206,7 +223,6 @@ def multi_domain_evaluate(
             per_task,
             gated_out=any_gate_failed,
             aggregate=sum(per_task.values()) / policy.full_size,
-            full_count=policy.full_size,
         )
 
     combined = sum(r.aggregate for r in reports.values()) / len(reports)
@@ -263,16 +279,7 @@ class CommandEvaluator:
         self.argv = tuple(argv)
 
     def __call__(self, task_id: str, payload_ref: str, limits: SandboxLimits) -> float:
-        request = {
-            "task_id": task_id,
-            "payload_ref": payload_ref,
-            "limits": {
-                "wall_clock_seconds": limits.wall_clock_seconds,
-                "cpu_seconds": limits.cpu_seconds,
-                "max_output_bytes": limits.max_output_bytes,
-                "network": limits.network,
-            },
-        }
+        request = {"task_id": task_id, "payload_ref": payload_ref, "limits": asdict(limits)}
         try:
             outcome = sandbox_execute(
                 self.argv, limits, stdin_data=json.dumps(request).encode("utf-8")
@@ -280,7 +287,7 @@ class CommandEvaluator:
         except SandboxSpawnError as exc:
             raise EvaluatorError(str(exc)) from exc
         if outcome.timed_out:
-            raise EvaluatorError(f"evaluator timed out on task {task_id}")
+            raise EvaluatorTimeout(f"evaluator timed out on task {task_id}")
         if outcome.exit_status != 0:
             raise EvaluatorError(
                 f"evaluator exited {outcome.exit_status} on task {task_id}: "

@@ -34,7 +34,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .evaluation import Evaluator
+from .evaluation import Evaluator, score_task
 from .landscape import DEFAULT_LANDSCAPE, TwoPeakLandscape
 from .rng import substream
 from .sandbox import SandboxLimits, SandboxSpawnError, sandbox_execute
@@ -155,23 +155,15 @@ def validate_child(
     limits: SandboxLimits,
     probe: Evaluator,
 ) -> tuple[bool, str]:
-    """True iff the payload answers one smoke task, well-formed, within limits.
+    """True iff `score_task` accepts the payload's answer to one smoke task.
 
     Failures never raise; they return False plus the logged cause.
     """
-    try:
-        score = probe(smoke_task, str(payload_ref), limits)
-    except Exception as exc:
-        cause = f"{type(exc).__name__}: {exc}"
-        if "timed out" in str(exc):
-            cause = "timeout"
-        logger.info("validity check failed for %s: %s", payload_ref, cause)
-        return False, cause
-    if not isinstance(score, (int, float)) or not np.isfinite(score) or not 0.0 <= score <= 1.0:
-        cause = f"malformed answer {score!r}"
-        logger.info("validity check failed for %s: %s", payload_ref, cause)
-        return False, cause
-    return True, "ok"
+    _, cause = score_task(probe, smoke_task, str(payload_ref), limits)
+    if cause is None:
+        return True, "ok"
+    logger.info("validity check failed for %s: %s", payload_ref, cause)
+    return False, cause
 
 
 def _write_validity_log(child_dir: str | Path, compiled: bool, cause: str) -> str:

@@ -208,6 +208,24 @@ def test_resume_of_a_copied_state_dir_writes_its_own_payloads(tmp_path):
     assert fingerprint(copy / "archive") == fingerprint(original / "archive")
 
 
+def test_resume_finds_a_relative_payload_dir_beside_the_config(tmp_path, monkeypatch):
+    (tmp_path / "elsewhere").mkdir()
+    monkeypatch.chdir(tmp_path / "elsewhere")
+    cfg = tmp_path / "cfg"
+    config_path = write_config(cfg, state_dir="st", payload_dir="pl")
+    assert main(["run", "--config", str(config_path)]) == 0
+    # the snapshot names the payload directory by its resolved path, so the
+    # run resumes from its state directory under the same run id
+    state = cfg / "st"
+    payloads = (cfg / "pl").resolve()
+    assert json.loads((state / "config.json").read_text())["payload_dir"] == str(payloads)
+    finished = fingerprint(state / "archive")
+    cut_log_after(state / "events.jsonl", 3)
+    assert main(["resume", "--state", str(state)]) == 0
+    assert fingerprint(state / "archive") == finished
+    assert (payloads / "agent_root").is_dir() and not (state / "pl").exists()
+
+
 @pytest.mark.parametrize("interrupted", [False, True])
 def test_resume_parses_the_log_once(tmp_path, monkeypatch, capsys, interrupted):
     assert main(["run", "--config", str(write_config(tmp_path))]) == 0

@@ -1,8 +1,9 @@
 from __future__ import annotations
 
-import json
+import logging
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,14 +13,16 @@ from evoarchive.evaluation import (
     CommandEvaluator,
     DomainSpec,
     EvaluatorError,
+    EvaluatorTimeout,
     Gate,
     StagedEvalPolicy,
     SyntheticEvaluator,
     evaluate_full,
     multi_domain_evaluate,
     node_selection_score,
+    score_task,
 )
-from evoarchive.generation import SimulatedAgentGenome
+from evoarchive.generation import SMOKE_TASK, SimulatedAgentGenome, validate_child
 from evoarchive.sandbox import SandboxLimits
 
 from conftest import staged_evaluate
@@ -128,6 +131,54 @@ def test_out_of_range_score_treated_as_zero():
     domain = make_domain(n_tasks=2, subset=1)
     report = staged_evaluate("p", domain, lambda t, p, l: 1.7, LIMITS)
     assert report.gated_out
+
+
+@pytest.mark.parametrize("answer, score, cause", [
+    (0.0, 0.0, None),
+    (0.5, 0.5, None),
+    (1, 1.0, None),
+    (True, 1.0, None),
+    (np.float32(0.5), 0.5, None),
+    (1.7, 0.0, "malformed answer 1.7"),
+    (-0.1, 0.0, "malformed answer -0.1"),
+    (float("nan"), 0.0, "malformed answer nan"),
+    (float("inf"), 0.0, "malformed answer inf"),
+    ("0.5", 0.0, "malformed answer '0.5'"),
+    (None, 0.0, "malformed answer None"),
+    (EvaluatorError("boom"), 0.0, "EvaluatorError: boom"),
+    (EvaluatorTimeout("evaluator timed out on task smoke"), 0.0, "timeout"),
+    (TimeoutError(), 0.0, "timeout"),
+    (RuntimeError("upstream connection timed out"), 0.0,
+     "RuntimeError: upstream connection timed out"),
+])
+def test_the_probe_and_a_scored_task_judge_an_answer_alike(tmp_path, answer, score, cause):
+    def evaluator(task_id, payload_ref, limits):
+        if isinstance(answer, Exception):
+            raise answer
+        return answer
+
+    judged = score_task(evaluator, "t", str(tmp_path), LIMITS)
+    assert judged == (score, cause) and type(judged[0]) is float
+    assert validate_child(tmp_path, SMOKE_TASK, LIMITS, evaluator) == (cause is None, cause or "ok")
+
+
+def test_a_failed_task_warns_once_and_a_failed_probe_does_not_warn(tmp_path, caplog):
+    def half_broken(task_id, payload_ref, limits):
+        if task_id.endswith("0"):
+            raise EvaluatorError("dead")
+        return "0.5" if task_id.endswith("1") else 1.0
+
+    with caplog.at_level(logging.INFO):
+        report = evaluate_full("p", ["t0", "t1", "t2", "t3"], half_broken, LIMITS, concurrency=2)
+        assert validate_child(tmp_path, "smoke-0", LIMITS, half_broken) == (
+            False, "EvaluatorError: dead")
+    assert report.per_task == {"t0": 0.0, "t1": 0.0, "t2": 1.0, "t3": 1.0}
+    assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
+        ("evoarchive.evaluation", logging.WARNING, "task t0 failed for p: EvaluatorError: dead"),
+        ("evoarchive.evaluation", logging.WARNING, "task t1 failed for p: malformed answer '0.5'"),
+        ("evoarchive.generation", logging.INFO,
+         f"validity check failed for {tmp_path}: EvaluatorError: dead"),
+    ]
 
 
 # --- multi-domain -----------------------------------------------------------------
@@ -280,16 +331,17 @@ def test_command_evaluator_request_schema(tmp_path):
     capture = tmp_path / "request.json"
     code = (
         "import json,sys,pathlib;"
-        f"pathlib.Path({str(capture)!r}).write_text(sys.stdin.read());"
+        f"pathlib.Path({str(capture)!r}).write_bytes(sys.stdin.buffer.read());"
         "print(json.dumps({'score': 0.5, 'logs': 'log.txt'}))"
     )
     evaluator = CommandEvaluator([sys.executable, "-c", code])
     evaluator("t-9", "/payload/ref", LIMITS)
-    request = json.loads(capture.read_text())
-    assert request["task_id"] == "t-9"
-    assert request["payload_ref"] == "/payload/ref"
-    assert request["limits"]["network"] == "disabled"
-    assert request["limits"]["wall_clock_seconds"] == LIMITS.wall_clock_seconds
+    # the request's exact bytes, limits in field order
+    assert capture.read_bytes() == (
+        b'{"task_id": "t-9", "payload_ref": "/payload/ref", "limits": '
+        b'{"wall_clock_seconds": 10.0, "cpu_seconds": 10, "max_output_bytes": 100000, '
+        b'"network": "disabled"}}'
+    )
 
 
 def test_command_evaluator_nonzero_exit_raises():
@@ -301,7 +353,7 @@ def test_command_evaluator_nonzero_exit_raises():
 def test_command_evaluator_timeout_raises():
     limits = SandboxLimits(wall_clock_seconds=0.5, cpu_seconds=5, max_output_bytes=1000)
     evaluator = CommandEvaluator([sys.executable, "-c", "import time; time.sleep(30)"])
-    with pytest.raises(EvaluatorError, match="timed out"):
+    with pytest.raises(EvaluatorTimeout, match="timed out"):
         evaluator("t", "p", limits)
 
 

@@ -231,6 +231,16 @@ def test_validate_sleeping_payload_times_out(tmp_path):
     assert cause == "timeout"
 
 
+def test_validate_names_a_failed_command_by_its_exit_not_its_stderr(tmp_path):
+    probe = CommandEvaluator([
+        sys.executable, "-c",
+        "import sys; sys.stderr.write('upstream connection timed out'); sys.exit(1)",
+    ])
+    ok, cause = validate_child(tmp_path, SMOKE_TASK, LIMITS, probe)
+    assert not ok
+    assert cause.startswith("EvaluatorError: evaluator exited 1")
+
+
 # --- external process backend --------------------------------------------------------
 
 
