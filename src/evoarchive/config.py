@@ -188,14 +188,6 @@ def read_config_doc(path: str | Path) -> dict:
     return doc
 
 
-def load_config(path: str | Path) -> tuple[RunConfig, dict[str, dict], dict]:
-    """Read and validate a config file; returns (config, evaluator specs, raw doc).
-    Relative paths in it are taken relative to the file's directory."""
-    doc = read_config_doc(path)
-    config, evaluator_specs = parse_config(doc, base_dir=Path(path).parent.resolve())
-    return config, evaluator_specs, doc
-
-
 def config_hash(doc: dict) -> str:
     """Hash of the run's semantic content; storage location keys are excluded
     so a run can be rerun or relocated without changing its identity."""

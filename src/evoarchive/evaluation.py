@@ -270,7 +270,8 @@ class CommandEvaluator:
 
     Request:  {"task_id": ..., "payload_ref": ..., "limits": {...}}
     Response: {"score": <float in [0,1]>, "logs": <locator or null>}
-    Non-zero exit, timeout, or a malformed response raise EvaluatorError.
+    Non-zero exit, timeout, or a response without a score raise EvaluatorError.
+    The score is returned as the JSON holds it, for `score_task` to judge.
     """
 
     def __init__(self, argv: Sequence[str]):
@@ -278,7 +279,7 @@ class CommandEvaluator:
             raise ValueError("evaluator command must be non-empty")
         self.argv = tuple(argv)
 
-    def __call__(self, task_id: str, payload_ref: str, limits: SandboxLimits) -> float:
+    def __call__(self, task_id: str, payload_ref: str, limits: SandboxLimits) -> object:
         request = {"task_id": task_id, "payload_ref": payload_ref, "limits": asdict(limits)}
         try:
             outcome = sandbox_execute(
@@ -294,7 +295,6 @@ class CommandEvaluator:
                 f"{outcome.stderr[:200]!r}"
             )
         try:
-            response = json.loads(outcome.stdout.decode("utf-8"))
-            return float(response["score"])
+            return json.loads(outcome.stdout.decode("utf-8"))["score"]
         except (ValueError, KeyError, TypeError, UnicodeDecodeError) as exc:
             raise EvaluatorError(f"malformed evaluator response: {exc}") from exc

@@ -26,8 +26,6 @@ import logging
 import os
 import shutil
 import time
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -373,6 +371,10 @@ class ModelClientBackend(_PolicyFileBackend):
         self.timeout = timeout
 
     def _http_post(self, document: dict) -> dict:
+        # imported here: urllib.request pulls ssl and http.client into every process
+        import urllib.error
+        import urllib.request
+
         token = os.environ.get(self.token_env, "")
         request = urllib.request.Request(
             self.url,

@@ -7,13 +7,21 @@ output beyond the byte cap is discarded and marked.
 The limits are applied by an argv prefix that execs into the command, so no
 Python code runs in the child and the spawn keeps CPython's vfork path:
 
-    unshare -n -- /bin/sh -c 'ulimit -S -t N && ulimit -H -t N+1 && exec "$@"' sh ARGV...
+    /bin/sh -c 'ulimit -S -t N && ulimit -H -t N+1 && exec "$@"' sh ARGV...
 
-``unshare`` (from util-linux) gives the command a fresh, empty network
-namespace. It joins the prefix, by the absolute path found on ``PATH`` once,
-only when a one-time probe (``unshare -n -- true``) succeeded; where
-``unshare`` is missing or not permitted, commands run without isolation,
-one warning is logged, and every outcome reports ``network_isolated=False``. The shell sets the soft CPU limit to N seconds
+The command gets a fresh, empty network namespace without a program of its
+own: the thread that spawns it calls ``unshare(CLONE_NEWNET)`` through libc,
+starts the prefix from inside that namespace (a namespace belongs to one
+thread, and the child inherits the thread's), and returns to the host
+namespace with ``setns`` on a ``/proc/thread-self/ns/net`` descriptor opened
+once. Other threads never leave the host namespace. A one-time in-process
+probe (one enter, one return) decides whether isolation is available; where
+it is not permitted, commands run without it, one warning is logged, and
+every outcome reports ``network_isolated=False``. Once the probe succeeded, a
+call that cannot enter a fresh namespace, or cannot return from it, is a
+``SandboxSpawnError``; no outcome of an unisolated command claims isolation.
+
+The shell sets the soft CPU limit to N seconds
 (SIGXCPU, exit status -24) and the hard limit to N+1 (SIGKILL if SIGXCPU is
 caught or ignored); the soft limit goes first because lowering the hard limit
 below an unlimited soft limit fails. Both are in force before the command's
@@ -27,6 +35,7 @@ stderr under the byte cap and stops at the wall-clock deadline.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import logging
 import os
@@ -78,32 +87,68 @@ class SandboxOutcome:
     network_isolated: bool = False
 
 
+_CLONE_NEWNET = 0x40000000
+
+
 @functools.lru_cache(maxsize=1)
-def _unshare_prefix() -> tuple[str, ...]:
-    """``unshare -n --`` naming the binary by the absolute path that the
-    one-time probe ran, or () where that probe failed."""
-    unshare = shutil.which("unshare")
+def _libc() -> ctypes.CDLL:
+    libc = ctypes.CDLL(None, use_errno=True)
+    libc.unshare.argtypes = [ctypes.c_int]
+    libc.unshare.restype = ctypes.c_int
+    libc.setns.argtypes = [ctypes.c_int, ctypes.c_int]
+    libc.setns.restype = ctypes.c_int
+    return libc
+
+
+def _check(result: int, call: str) -> None:
+    if result != 0:
+        err = ctypes.get_errno()
+        raise OSError(err, f"{call}: {os.strerror(err)}")
+
+
+def _enter_fresh_namespace() -> None:
+    """Move the calling thread into a new, empty network namespace."""
+    _check(_libc().unshare(_CLONE_NEWNET), "unshare(CLONE_NEWNET)")
+
+
+def _return_to_host(host: int) -> None:
+    """Move the calling thread back into the network namespace `host` refers to."""
+    _check(_libc().setns(host, _CLONE_NEWNET), "setns(CLONE_NEWNET)")
+
+
+@functools.lru_cache(maxsize=1)
+def _host_namespace() -> Optional[int]:
+    """A descriptor on the host network namespace, kept open for the life of
+    the process, once a probe has entered a fresh namespace and come back; None
+    where the probe could not enter one. Two racing first calls each probe,
+    and one descriptor then stays open unused."""
+    host = None
     try:
-        available = unshare is not None and subprocess.run(
-            [unshare, "-n", "--", "true"], capture_output=True, timeout=15
-        ).returncode == 0
-    except (OSError, subprocess.TimeoutExpired):
-        available = False
-    if not available:
+        host = os.open("/proc/thread-self/ns/net", os.O_RDONLY | os.O_CLOEXEC)
+        _enter_fresh_namespace()
+    except OSError:
+        if host is not None:
+            os.close(host)
         logger.warning("network namespace isolation unavailable; commands run without it")
-        return ()
-    return (unshare, "-n", "--")
+        return None
+    try:
+        _return_to_host(host)
+    except OSError as exc:
+        os.close(host)
+        raise SandboxSpawnError(f"cannot return to the host network namespace: {exc}") from exc
+    return host
 
 
 def network_isolation_available() -> bool:
-    """Whether ``unshare -n`` works here; probed once per process."""
-    return bool(_unshare_prefix())
+    """Whether a thread here can enter a fresh network namespace and return;
+    probed once per process."""
+    return _host_namespace() is not None
 
 
-def _limit_prefix(limits: SandboxLimits, isolated: bool) -> list[str]:
+def _limit_prefix(limits: SandboxLimits) -> list[str]:
     n = limits.cpu_seconds
     shim = f'ulimit -S -t {n} && ulimit -H -t {n + 1} && exec "$@"'
-    return [*(_unshare_prefix() if isolated else ()), "/bin/sh", "-c", shim, "sh"]
+    return ["/bin/sh", "-c", shim, "sh"]
 
 
 class _Capture:
@@ -164,20 +209,27 @@ def _pump(
     return True
 
 
-def sandbox_execute(
-    command: Sequence[str],
-    limits: SandboxLimits,
-    stdin_data: Optional[bytes] = None,
-) -> SandboxOutcome:
-    """Run `command` under `limits`; the process cannot outlive the timeout."""
+def _spawn(
+    command: Sequence[str], limits: SandboxLimits, stdin_data: Optional[bytes], host: Optional[int]
+) -> subprocess.Popen:
+    """Start the limit prefix and `command`. Given `host`, the calling thread
+    enters a fresh network namespace for the spawn only and then returns to
+    `host`; no command starts outside that namespace, and none is left running
+    if the return fails."""
     argv = list(command)
     if not argv or shutil.which(argv[0]) is None:
         raise SandboxSpawnError(f"failed to spawn {command!r}: not an executable file")
-    isolated = network_isolation_available()
-    start = time.monotonic()
+    if host is not None:
+        try:
+            _enter_fresh_namespace()
+        except OSError as exc:
+            raise SandboxSpawnError(
+                f"failed to spawn {command!r}: no fresh network namespace: {exc}"
+            ) from exc
+    proc = None
     try:
         proc = subprocess.Popen(
-            _limit_prefix(limits, isolated) + argv,
+            _limit_prefix(limits) + argv,
             stdin=subprocess.PIPE if stdin_data else subprocess.DEVNULL,
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
@@ -186,6 +238,28 @@ def sandbox_execute(
         )
     except (OSError, ValueError) as exc:
         raise SandboxSpawnError(f"failed to spawn {command!r}: {exc}") from exc
+    finally:
+        if host is not None:
+            try:
+                _return_to_host(host)
+            except OSError as exc:
+                if proc is not None:
+                    _reap(proc)
+                raise SandboxSpawnError(
+                    f"spawned {command!r} but cannot return to the host network namespace: {exc}"
+                ) from exc
+    return proc
+
+
+def sandbox_execute(
+    command: Sequence[str],
+    limits: SandboxLimits,
+    stdin_data: Optional[bytes] = None,
+) -> SandboxOutcome:
+    """Run `command` under `limits`; the process cannot outlive the timeout."""
+    host = _host_namespace() if network_isolation_available() else None
+    start = time.monotonic()
+    proc = _spawn(command, limits, stdin_data, host)
 
     out = _Capture(limits.max_output_bytes)
     err = _Capture(limits.max_output_bytes)
@@ -201,11 +275,7 @@ def sandbox_execute(
                 finished = False
     finally:
         # a timeout ends here, and so does anything the command left running
-        _kill_group(proc)
-        for pipe in (proc.stdin, proc.stdout, proc.stderr):
-            if pipe is not None:
-                pipe.close()
-        proc.wait()
+        _reap(proc)
     elapsed = time.monotonic() - start
 
     return SandboxOutcome(
@@ -215,12 +285,17 @@ def sandbox_execute(
         elapsed=elapsed,
         timed_out=not finished,
         output_truncated=out.truncated or err.truncated,
-        network_isolated=isolated,
+        network_isolated=host is not None,
     )
 
 
-def _kill_group(proc: subprocess.Popen) -> None:
+def _reap(proc: subprocess.Popen) -> None:
+    """Kill the command's process group, close its pipes and wait for it."""
     try:
         os.killpg(proc.pid, signal.SIGKILL)
     except (ProcessLookupError, PermissionError):
         pass
+    for pipe in (proc.stdin, proc.stdout, proc.stderr):
+        if pipe is not None:
+            pipe.close()
+    proc.wait()

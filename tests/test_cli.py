@@ -23,8 +23,8 @@ from evoarchive.config import (
     SIMULATED_BACKEND_KEYS,
     ConfigError,
     demo_config,
-    load_config,
     parse_config,
+    read_config_doc,
 )
 from evoarchive.engine import append_events, load_state, run
 from evoarchive.evaluation import Gate
@@ -40,6 +40,11 @@ from test_engine import (
     landscape_domain,
     make_config,
 )
+
+
+def _reload_config(path: Path):
+    """The run config that a config file, such as a state directory's snapshot, parses to."""
+    return parse_config(read_config_doc(path), base_dir=path.parent.resolve())[0]
 
 
 def write_config(tmp_path: Path, **overrides) -> Path:
@@ -80,7 +85,7 @@ def test_flag_overrides_take_precedence(tmp_path):
     config_path = write_config(tmp_path)
     assert main(["run", "--config", str(config_path), "--iterations", "2",
                  "--mode", "no-open-ended"]) == 0
-    assert load_state(load_config(tmp_path / "state" / "config.json")[0]).iteration == 2
+    assert load_state(_reload_config(tmp_path / "state" / "config.json")).iteration == 2
     arch = load(tmp_path / "state" / "archive")
     assert arch.mode_tag == "no-open-ended"
     assert len(arch) == 1
@@ -246,7 +251,7 @@ def test_resume_parses_the_log_once(tmp_path, monkeypatch, capsys, interrupted):
     out = capsys.readouterr().out
     assert ("nothing to resume" in out) != interrupted
     monkeypatch.undo()
-    assert load_state(load_config(state / "config.json")[0]).completed
+    assert load_state(_reload_config(state / "config.json")).completed
 
 
 def test_resume_missing_state_dir(tmp_path, capsys):
@@ -388,7 +393,7 @@ def test_instruction_template_is_read_beside_the_config(tmp_path, monkeypatch):
                                instruction_template="t.txt")
     template = tmp_path / "t.txt"
     template.write_text("TEMPLATE {code}", encoding="utf-8")
-    assert load_config(config_path)[0].instruction_template == template
+    assert _reload_config(config_path).instruction_template == template
     assert main(["run", "--config", str(config_path)]) == 0
     # the snapshot names the template by its resolved path, so the run resumes
     # from its state directory
@@ -637,7 +642,7 @@ def test_analyze_parses_the_log_once(finished_run, tmp_path, monkeypatch, metric
 LOADS = {
     "analyze": lambda state: main(["analyze", "--state", str(state), "--metric", "tree",
                                    "--out", str(state.parent / "tree.dot")]),
-    "load_state": lambda state: load_state(load_config(state / "config.json")[0]),
+    "load_state": lambda state: load_state(_reload_config(state / "config.json")),
     "resume": lambda state: main(["resume", "--state", str(state)]),
 }
 
@@ -895,7 +900,7 @@ def test_demo_config_twenty_iterations_under_a_minute(tmp_path):
     start = time.monotonic()
     assert main(["run", "--config", str(out)]) == 0
     assert time.monotonic() - start < 60.0
-    assert load_state(load_config(out)[0]).iteration == 20
+    assert load_state(_reload_config(out)).iteration == 20
 
 
 # --- demo-config ----------------------------------------------------------------

@@ -344,6 +344,20 @@ def test_command_evaluator_request_schema(tmp_path):
     )
 
 
+@pytest.mark.parametrize("response, judged", [
+    ('{"score": 0.25, "logs": null}', (0.25, None)),
+    ('{"score": true, "logs": null}', (1.0, None)),
+    ('{"score": "0.5", "logs": null}', (0.0, "malformed answer '0.5'")),
+    ('{"score": null, "logs": null}', (0.0, "malformed answer None")),
+    ('{"logs": null}', (0.0, "EvaluatorError: malformed evaluator response: 'score'")),
+])
+def test_command_evaluator_score_is_judged_by_score_task(tmp_path, response, judged):
+    evaluator = CommandEvaluator(
+        ["/bin/sh", "-c", 'cat >/dev/null; printf "%s\\n" "$1"', "sh", response]
+    )
+    assert score_task(evaluator, "t", str(tmp_path), LIMITS) == judged
+
+
 def test_command_evaluator_nonzero_exit_raises():
     evaluator = CommandEvaluator([sys.executable, "-c", "import sys; sys.exit(3)"])
     with pytest.raises(EvaluatorError, match="exited 3"):

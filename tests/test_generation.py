@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -427,6 +428,21 @@ def test_generation_request_validation(tmp_path):
             parent_payload_ref="p", eval_results_ref="e", iterations_left=-1,
             rng_stream_id="s", child_payload_ref="c",
         )
+
+
+def test_importing_the_package_leaves_ssl_unloaded():
+    # only the model client's HTTP transport needs urllib, and with it ssl
+    import subprocess
+
+    import evoarchive
+
+    env = {**os.environ, "PYTHONPATH": str(Path(evoarchive.__file__).parents[1])}
+    code = "import sys, evoarchive, evoarchive.cli; print(sorted({'ssl', 'http.client'} & set(sys.modules)))"
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 def test_model_client_http_transport_round_trip(tmp_path, monkeypatch):

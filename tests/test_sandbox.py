@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import errno
 import os
 import sys
 import time
@@ -247,3 +248,79 @@ def test_concurrent_calls_from_threads():
         sys.setswitchinterval(interval)
     for thread, results in enumerate(per_thread):
         assert results == [(0, f"{thread}-{call}\n".encode()) for call in range(25)]
+
+
+def _require_isolation():
+    from evoarchive.sandbox import network_isolation_available
+
+    if not network_isolation_available():
+        pytest.skip("no fresh network namespace can be entered here")
+
+
+def _thread_namespace() -> str:
+    return os.readlink("/proc/thread-self/ns/net")
+
+
+class _PopenSpy:
+    def __init__(self, monkeypatch, raises: Exception | None = None):
+        from evoarchive import sandbox
+
+        self.argvs: list[list[str]] = []
+        real = sandbox.subprocess.Popen
+
+        def spy(argv, *args, **kwargs):
+            self.argvs.append(list(argv))
+            if raises is not None:
+                raise raises
+            return real(argv, *args, **kwargs)
+
+        monkeypatch.setattr(sandbox.subprocess, "Popen", spy)
+
+
+def test_isolated_call_spawns_the_shell_prefix_and_returns_to_host(monkeypatch):
+    _require_isolation()
+    host = _thread_namespace()
+    spy = _PopenSpy(monkeypatch)
+    outcome = sandbox_execute(["readlink", "/proc/self/ns/net"], SandboxLimits())
+    assert _read_net_namespace(outcome) != host
+    assert outcome.network_isolated
+    assert [argv[0] for argv in spy.argvs] == ["/bin/sh"]
+    assert spy.argvs[0][-2:] == ["readlink", "/proc/self/ns/net"]
+    assert _thread_namespace() == host
+
+
+def test_failed_spawn_returns_to_host(monkeypatch):
+    _require_isolation()
+    host = _thread_namespace()
+    _PopenSpy(monkeypatch, raises=OSError(errno.EAGAIN, "Resource temporarily unavailable"))
+    with pytest.raises(SandboxSpawnError, match="Resource temporarily unavailable"):
+        sandbox_execute(["true"], SandboxLimits())
+    assert _thread_namespace() == host
+
+
+def test_failed_namespace_entry_is_a_spawn_error_and_starts_nothing(monkeypatch):
+    from evoarchive import sandbox
+
+    _require_isolation()
+
+    def no_namespace_left():
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(sandbox, "_enter_fresh_namespace", no_namespace_left)
+    spy = _PopenSpy(monkeypatch)
+    with pytest.raises(SandboxSpawnError, match=rf"Errno {errno.ENOSPC}\]"):
+        sandbox_execute(["true"], SandboxLimits())
+    assert spy.argvs == []
+
+
+def test_concurrent_isolated_calls_get_their_own_namespaces():
+    from concurrent.futures import ThreadPoolExecutor
+
+    _require_isolation()
+    host = os.readlink("/proc/self/ns/net")
+    command = ["sh", "-c", "readlink /proc/self/ns/net; sleep 0.3"]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        futures = [pool.submit(sandbox_execute, command, SandboxLimits()) for _ in range(2)]
+        seen = [_read_net_namespace(f.result(timeout=30)) for f in futures]
+    assert len(set(seen)) == 2
+    assert host not in seen
