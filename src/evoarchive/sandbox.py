@@ -14,12 +14,16 @@ own: the thread that spawns it calls ``unshare(CLONE_NEWNET)`` through libc,
 starts the prefix from inside that namespace (a namespace belongs to one
 thread, and the child inherits the thread's), and returns to the host
 namespace with ``setns`` on a ``/proc/thread-self/ns/net`` descriptor opened
-once. Other threads never leave the host namespace. A one-time in-process
-probe (one enter, one return) decides whether isolation is available; where
-it is not permitted, commands run without it, one warning is logged, and
-every outcome reports ``network_isolated=False``. Once the probe succeeded, a
-call that cannot enter a fresh namespace, or cannot return from it, is a
-``SandboxSpawnError``; no outcome of an unisolated command claims isolation.
+once. Other threads never leave the host namespace. A one-time probe on a
+thread of its own (one enter, one return) decides how: where no fresh
+namespace can be entered, commands run without one, one warning is logged,
+and every outcome reports ``network_isolated=False``; where the return is
+not possible (no ``/proc``, or ``setns`` back is not permitted), each spawn
+runs on a short-lived thread that enters a fresh namespace and ends with it.
+Once isolation is available, a call that cannot enter a fresh namespace, or
+cannot return from it, is a ``SandboxSpawnError``; no outcome of an
+unisolated command claims isolation. (A thread whose return failed stays in
+the empty namespace until its next spawn returns it.)
 
 The shell sets the soft CPU limit to N seconds
 (SIGXCPU, exit status -24) and the hard limit to N+1 (SIGKILL if SIGXCPU is
@@ -43,9 +47,10 @@ import selectors
 import shutil
 import signal
 import subprocess
+import threading
 import time
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence, TypeVar
 
 logger = logging.getLogger(__name__)
 
@@ -88,6 +93,9 @@ class SandboxOutcome:
 
 
 _CLONE_NEWNET = 0x40000000
+_HOST_NAMESPACE = "/proc/thread-self/ns/net"
+
+T = TypeVar("T")
 
 
 @functools.lru_cache(maxsize=1)
@@ -116,33 +124,76 @@ def _return_to_host(host: int) -> None:
     _check(_libc().setns(host, _CLONE_NEWNET), "setns(CLONE_NEWNET)")
 
 
-@functools.lru_cache(maxsize=1)
-def _host_namespace() -> Optional[int]:
-    """A descriptor on the host network namespace, kept open for the life of
-    the process, once a probe has entered a fresh namespace and come back; None
-    where the probe could not enter one. Two racing first calls each probe,
-    and one descriptor then stays open unused."""
-    host = None
+@dataclass(frozen=True)
+class _Isolation:
+    """How a spawn gets its fresh network namespace. With `host`, a descriptor
+    on the host namespace kept open for the life of the process, the spawning
+    thread enters a fresh namespace and returns with setns. Without it (no
+    /proc, or setns back is not permitted) each spawn runs on a thread of its
+    own that enters a fresh namespace and ends with the spawn."""
+
+    host: Optional[int]
+
+
+def _on_own_thread(fn: Callable[[], T]) -> T:
+    """Run `fn` on a new thread and wait for it; a namespace that thread
+    entered ends with it. Returns what `fn` returns, or raises what it raised."""
+    box: list = []
+
+    def run() -> None:
+        try:
+            box.append((True, fn()))
+        except BaseException as exc:  # handed to the caller below
+            box.append((False, exc))
+
+    thread = threading.Thread(target=run, name="evoarchive-netns")
+    thread.start()
+    thread.join()
+    ok, value = box[0]
+    if not ok:
+        raise value
+    return value
+
+
+def _probe() -> Optional[_Isolation]:
+    """One enter and, given a host descriptor, one return; None where a
+    fresh namespace cannot be entered."""
     try:
-        host = os.open("/proc/thread-self/ns/net", os.O_RDONLY | os.O_CLOEXEC)
+        host: Optional[int] = os.open(_HOST_NAMESPACE, os.O_RDONLY | os.O_CLOEXEC)
+    except OSError:
+        host = None
+    try:
         _enter_fresh_namespace()
     except OSError:
         if host is not None:
             os.close(host)
-        logger.warning("network namespace isolation unavailable; commands run without it")
         return None
-    try:
-        _return_to_host(host)
-    except OSError as exc:
-        os.close(host)
-        raise SandboxSpawnError(f"cannot return to the host network namespace: {exc}") from exc
-    return host
+    if host is not None:
+        try:
+            _return_to_host(host)
+        except OSError:
+            os.close(host)
+            host = None
+    return _Isolation(host)
+
+
+@functools.lru_cache(maxsize=1)
+def _isolation() -> Optional[_Isolation]:
+    """Probed once per process, on a thread of its own, so a thread the
+    probe leaves in a fresh namespace ends with the probe. Two racing first
+    calls each probe, and one host descriptor then stays open unused."""
+    isolation = _on_own_thread(_probe)
+    if isolation is None:
+        logger.warning("network namespace isolation unavailable; commands run without it")
+    elif isolation.host is None:
+        logger.info("no return to the host network namespace; each spawn runs on its own thread")
+    return isolation
 
 
 def network_isolation_available() -> bool:
-    """Whether a thread here can enter a fresh network namespace and return;
-    probed once per process."""
-    return _host_namespace() is not None
+    """Whether a thread here can enter a fresh network namespace; probed
+    once per process."""
+    return _isolation() is not None
 
 
 def _limit_prefix(limits: SandboxLimits) -> list[str]:
@@ -209,27 +260,10 @@ def _pump(
     return True
 
 
-def _spawn(
-    command: Sequence[str], limits: SandboxLimits, stdin_data: Optional[bytes], host: Optional[int]
-) -> subprocess.Popen:
-    """Start the limit prefix and `command`. Given `host`, the calling thread
-    enters a fresh network namespace for the spawn only and then returns to
-    `host`; no command starts outside that namespace, and none is left running
-    if the return fails."""
-    argv = list(command)
-    if not argv or shutil.which(argv[0]) is None:
-        raise SandboxSpawnError(f"failed to spawn {command!r}: not an executable file")
-    if host is not None:
-        try:
-            _enter_fresh_namespace()
-        except OSError as exc:
-            raise SandboxSpawnError(
-                f"failed to spawn {command!r}: no fresh network namespace: {exc}"
-            ) from exc
-    proc = None
+def _start(command: Sequence[str], argv: list[str], stdin_data: Optional[bytes]) -> subprocess.Popen:
     try:
-        proc = subprocess.Popen(
-            _limit_prefix(limits) + argv,
+        return subprocess.Popen(
+            argv,
             stdin=subprocess.PIPE if stdin_data else subprocess.DEVNULL,
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
@@ -238,16 +272,52 @@ def _spawn(
         )
     except (OSError, ValueError) as exc:
         raise SandboxSpawnError(f"failed to spawn {command!r}: {exc}") from exc
+
+
+def _enter(command: Sequence[str]) -> None:
+    try:
+        _enter_fresh_namespace()
+    except OSError as exc:
+        raise SandboxSpawnError(
+            f"failed to spawn {command!r}: no fresh network namespace: {exc}"
+        ) from exc
+
+
+def _spawn(
+    command: Sequence[str],
+    limits: SandboxLimits,
+    stdin_data: Optional[bytes],
+    isolation: Optional[_Isolation],
+) -> subprocess.Popen:
+    """Start the limit prefix and `command`. Given `isolation`, the command
+    starts in a fresh network namespace or not at all, and none is left
+    running if the spawning thread cannot return to the host namespace."""
+    argv = list(command)
+    if not argv or shutil.which(argv[0]) is None:
+        raise SandboxSpawnError(f"failed to spawn {command!r}: not an executable file")
+    argv = _limit_prefix(limits) + argv
+    if isolation is None:
+        return _start(command, argv, stdin_data)
+    if isolation.host is None:
+
+        def enter_and_start() -> subprocess.Popen:
+            _enter(command)
+            return _start(command, argv, stdin_data)
+
+        return _on_own_thread(enter_and_start)
+    _enter(command)
+    proc = None
+    try:
+        proc = _start(command, argv, stdin_data)
     finally:
-        if host is not None:
-            try:
-                _return_to_host(host)
-            except OSError as exc:
-                if proc is not None:
-                    _reap(proc)
-                raise SandboxSpawnError(
-                    f"spawned {command!r} but cannot return to the host network namespace: {exc}"
-                ) from exc
+        try:
+            _return_to_host(isolation.host)
+        except OSError as exc:
+            if proc is not None:
+                _reap(proc)
+            raise SandboxSpawnError(
+                f"spawned {command!r} but cannot return to the host network namespace: {exc}"
+            ) from exc
     return proc
 
 
@@ -257,9 +327,9 @@ def sandbox_execute(
     stdin_data: Optional[bytes] = None,
 ) -> SandboxOutcome:
     """Run `command` under `limits`; the process cannot outlive the timeout."""
-    host = _host_namespace() if network_isolation_available() else None
+    isolation = _isolation() if network_isolation_available() else None
     start = time.monotonic()
-    proc = _spawn(command, limits, stdin_data, host)
+    proc = _spawn(command, limits, stdin_data, isolation)
 
     out = _Capture(limits.max_output_bytes)
     err = _Capture(limits.max_output_bytes)
@@ -285,7 +355,7 @@ def sandbox_execute(
         elapsed=elapsed,
         timed_out=not finished,
         output_truncated=out.truncated or err.truncated,
-        network_isolated=host is not None,
+        network_isolated=isolation is not None,
     )
 
 

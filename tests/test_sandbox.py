@@ -324,3 +324,85 @@ def test_concurrent_isolated_calls_get_their_own_namespaces():
         seen = [_read_net_namespace(f.result(timeout=30)) for f in futures]
     assert len(set(seen)) == 2
     assert host not in seen
+
+
+@pytest.fixture
+def fresh_probe():
+    """The sandbox module, whose isolation is probed again after the test."""
+    from evoarchive import sandbox
+
+    yield sandbox
+    sandbox._isolation.cache_clear()
+
+
+def _lose_the_return(sandbox, monkeypatch, tmp_path, how: str) -> None:
+    """Make the return to the host namespace impossible, and probe again."""
+    if how == "setns refused":
+
+        def refused(host):
+            raise OSError(errno.EPERM, os.strerror(errno.EPERM))
+
+        monkeypatch.setattr(sandbox, "_return_to_host", refused)
+    else:
+        monkeypatch.setattr(sandbox, "_HOST_NAMESPACE", str(tmp_path / "no-proc"))
+    sandbox._isolation.cache_clear()
+
+
+@pytest.mark.parametrize("how", ["setns refused", "no /proc"])
+def test_probe_without_a_return_leaves_callers_home_and_still_isolates(
+    fresh_probe, monkeypatch, tmp_path, how
+):
+    import threading
+
+    _require_isolation()
+    host = _thread_namespace()
+    _lose_the_return(fresh_probe, monkeypatch, tmp_path, how)
+    for _ in range(2):
+        outcome = sandbox_execute(["readlink", "/proc/self/ns/net"], SandboxLimits())
+        assert _read_net_namespace(outcome) != host
+        assert outcome.network_isolated
+        assert _thread_namespace() == host
+    assert fresh_probe._isolation().host is None
+
+    seen = []
+    other = threading.Thread(target=lambda: seen.append(_thread_namespace()))
+    other.start()
+    other.join()
+    assert seen == [host]
+
+
+def test_failed_entry_on_a_spawn_thread_starts_nothing(fresh_probe, monkeypatch, tmp_path):
+    _require_isolation()
+    _lose_the_return(fresh_probe, monkeypatch, tmp_path, "no /proc")
+    assert fresh_probe.network_isolation_available()
+
+    def no_namespace_left():
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(fresh_probe, "_enter_fresh_namespace", no_namespace_left)
+    spy = _PopenSpy(monkeypatch)
+    with pytest.raises(SandboxSpawnError, match=rf"Errno {errno.ENOSPC}\]"):
+        sandbox_execute(["true"], SandboxLimits())
+    assert spy.argvs == []
+
+
+def test_failed_return_after_a_spawn_kills_and_reaps_the_command(monkeypatch):
+    from evoarchive import sandbox
+
+    _require_isolation()
+    started = []
+    real = sandbox._start
+
+    def start(command, argv, stdin_data):
+        started.append(real(command, argv, stdin_data))
+        return started[-1]
+
+    def refused(host):
+        raise OSError(errno.EPERM, os.strerror(errno.EPERM))
+
+    monkeypatch.setattr(sandbox, "_start", start)
+    monkeypatch.setattr(sandbox, "_return_to_host", refused)
+    # on a thread of its own, which the failed return leaves in the fresh namespace
+    with pytest.raises(SandboxSpawnError, match="cannot return to the host network namespace"):
+        sandbox._on_own_thread(lambda: sandbox_execute(["sleep", "30"], SandboxLimits()))
+    assert [proc.returncode for proc in started] == [-9]
