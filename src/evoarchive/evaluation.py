@@ -23,7 +23,7 @@ import json
 import logging
 import numbers
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -280,7 +280,8 @@ class CommandEvaluator:
         self.argv = tuple(argv)
 
     def __call__(self, task_id: str, payload_ref: str, limits: SandboxLimits) -> object:
-        request = {"task_id": task_id, "payload_ref": payload_ref, "limits": asdict(limits)}
+        # the limits' fields are scalars, in field order: no deep copy is needed
+        request = {"task_id": task_id, "payload_ref": payload_ref, "limits": vars(limits)}
         try:
             outcome = sandbox_execute(
                 self.argv, limits, stdin_data=json.dumps(request).encode("utf-8")

@@ -133,18 +133,25 @@ def initial_genome(initial: dict) -> SimulatedAgentGenome:
     )
 
 
-def snapshot_payload(parent_dir: str | Path, child_dir: str | Path) -> None:
-    """Copy-on-write style snapshot: hardlink files, write deltas on top."""
-    parent = Path(parent_dir)
-    child = Path(child_dir)
-    child.mkdir(parents=True, exist_ok=True)
-    for entry in parent.rglob("*"):
-        target = child / entry.relative_to(parent)
-        if entry.is_dir():
-            target.mkdir(parents=True, exist_ok=True)
-        else:
-            target.parent.mkdir(parents=True, exist_ok=True)
-            os.link(entry, target)
+def snapshot_payload(
+    parent_dir: str | Path, child_dir: str | Path, skip: Optional[str] = None
+) -> None:
+    """Make `child_dir`, which must not exist yet, and hardlink every file of
+    `parent_dir` into it at the same relative path, in one `os.scandir` walk
+    per directory. A top-level entry named `skip` is left out for the caller
+    to write anew: writing through a hardlink would change the parent too."""
+    Path(child_dir).mkdir(parents=True)
+    with os.scandir(parent_dir) as entries:
+        for entry in entries:
+            if entry.name == skip:
+                continue
+            target = os.path.join(child_dir, entry.name)
+            if not entry.is_dir():
+                os.link(entry.path, target)
+            elif entry.is_symlink():
+                os.mkdir(target)  # a linked directory is not descended into
+            else:
+                snapshot_payload(entry.path, target)
 
 
 def validate_child(
@@ -257,21 +264,17 @@ class SimulatedBackend:
         if self.evolve_selection_policy:
             policy = _mutate_policy_spec(policy, rng)
 
-        child_dir = Path(request.child_payload_ref)
-        snapshot_payload(request.parent_payload_ref, child_dir)
-        genome_path = child_dir / "genome.json"
-        if genome_path.exists():
-            genome_path.unlink()  # break the hardlink before writing the delta
         if compiles:
-            child = SimulatedAgentGenome(
+            genome = SimulatedAgentGenome(
                 task_skill=[float(v) for v in child_skill],
                 meta_capability=child_meta,
                 compile_probability=parent.compile_probability,
                 selection_policy=policy,
-            )
-            child.write_payload(child_dir)
+            ).to_json()
         else:
-            genome_path.write_text("{broken payload", encoding="utf-8")
+            genome = "{broken payload"
+        snapshot_payload(request.parent_payload_ref, request.child_payload_ref, skip="genome.json")
+        (Path(request.child_payload_ref) / "genome.json").write_text(genome, encoding="utf-8")
 
     def selection_policy_of(self, payload_ref: str) -> SelectionPolicy:
         """Selection routine carried by an agent payload; raises when absent/invalid."""

@@ -33,8 +33,9 @@ first instruction, so every process it forks inherits them. ``exec`` keeps the
 pid and the process group, so exit statuses and the group kill are those of
 the command itself.
 
-One ``selectors`` loop in the calling thread writes stdin, drains stdout and
-stderr under the byte cap and stops at the wall-clock deadline.
+The calling thread writes stdin once before it waits (all of it, for a
+request that fits the pipe); one ``poll`` loop then writes any rest, drains
+stdout and stderr under the byte cap and stops at the wall-clock deadline.
 """
 
 from __future__ import annotations
@@ -43,14 +44,14 @@ import ctypes
 import functools
 import logging
 import os
-import selectors
+import select
 import shutil
 import signal
 import subprocess
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, TypeVar
+from typing import IO, Callable, Optional, Sequence, TypeVar
 
 logger = logging.getLogger(__name__)
 
@@ -230,34 +231,46 @@ def _pump(
     deadline: float,
 ) -> bool:
     """Move bytes until every pipe is done; False if the deadline came first."""
+    poller = select.poll()
+    for fd in captures:
+        poller.register(fd, select.POLLIN)
+    open_pipes = len(captures)
     pending = memoryview(stdin_data or b"")
-    with selectors.DefaultSelector() as sel:
-        if proc.stdin is not None:
-            os.set_blocking(proc.stdin.fileno(), False)
-            sel.register(proc.stdin.fileno(), selectors.EVENT_WRITE)
-        for fd in captures:
-            sel.register(fd, selectors.EVENT_READ)
-        while sel.get_map():
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                return False
-            for key, _ in sel.select(remaining):
-                fd = key.fd
-                if fd in captures:
-                    block = os.read(fd, _CHUNK)
-                    if block:
-                        captures[fd].feed(block)
-                    else:
-                        sel.unregister(fd)
+    if proc.stdin is not None:
+        os.set_blocking(proc.stdin.fileno(), False)
+        pending = _feed(proc.stdin, pending)
+        if pending:
+            poller.register(proc.stdin.fileno(), select.POLLOUT)
+            open_pipes += 1
+    while open_pipes:
+        remaining = deadline - time.monotonic()
+        if remaining <= 0:
+            return False
+        for fd, _ in poller.poll(remaining * 1000):
+            if fd in captures:
+                block = os.read(fd, _CHUNK)
+                if block:
+                    captures[fd].feed(block)
                     continue
-                try:
-                    pending = pending[os.write(fd, pending[:_CHUNK]):]
-                except BrokenPipeError:
-                    pending = pending[:0]
-                if not pending:
-                    sel.unregister(fd)
-                    proc.stdin.close()
+            else:
+                pending = _feed(proc.stdin, pending)
+                if pending:
+                    continue
+            poller.unregister(fd)
+            open_pipes -= 1
     return True
+
+
+def _feed(stdin: IO[bytes], pending: memoryview) -> memoryview:
+    """Write what the non-blocking pipe `stdin` takes now and return the rest;
+    close it once everything is written or its reader is gone."""
+    try:
+        pending = pending[os.write(stdin.fileno(), pending[:_CHUNK]):]
+    except BrokenPipeError:
+        pending = pending[:0]
+    if not pending:
+        stdin.close()
+    return pending
 
 
 def _start(command: Sequence[str], argv: list[str], stdin_data: Optional[bytes]) -> subprocess.Popen:

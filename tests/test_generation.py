@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import builtins
+import io
 import json
 import os
 import sys
@@ -204,6 +206,78 @@ def test_snapshot_payload_hardlinks_and_writes_delta(tmp_path):
     assert (child / "nested" / "memo.txt").stat().st_ino == (
         parent / "nested" / "memo.txt"
     ).stat().st_ino
+
+
+def test_child_links_every_parent_file_but_writes_a_new_genome(tmp_path):
+    parent = write_parent(tmp_path, compile_probability=0.5)
+    (parent / "tool.py").write_text("print('hi')\n")
+    (parent / "nested" / "deeper").mkdir(parents=True)
+    (parent / "nested" / "deeper" / "memo.txt").write_text("note\n")
+    genome = parent / "genome.json"
+    genome_before = (genome.read_bytes(), genome.stat().st_ino)
+    linked = ["tool.py", "nested/deeper/memo.txt"]
+    backend = SimulatedBackend(master_seed=2)
+    compiled = set()
+    for slot in range(6):
+        request = request_for(tmp_path, parent, f"child{slot}", f"gen/1/{slot}")
+        result = generate_child(backend, request, SyntheticEvaluator(), LIMITS)
+        compiled.add(result.compiled)
+        child = Path(result.child_payload_ref)
+        assert (genome.read_bytes(), genome.stat().st_ino) == genome_before
+        assert (child / "genome.json").stat().st_ino != genome_before[1]
+        for rel in linked:
+            assert (child / rel).stat().st_ino == (parent / rel).stat().st_ino
+        assert sorted(p.relative_to(child) for p in child.rglob("*")) == sorted(
+            p.relative_to(parent) for p in parent.rglob("*"))
+    assert compiled == {True, False}
+
+
+FS_CALLS = ("mkdir", "link", "unlink", "rmdir", "stat", "lstat", "scandir")
+
+
+def counted_fs_calls(monkeypatch) -> dict[str, int]:
+    """Count, from here on, each call of the `os` functions in FS_CALLS and
+    each open in a writing mode (`pathlib` and `shutil` go through these)."""
+    counts = dict.fromkeys(FS_CALLS + ("open_write",), 0)
+
+    def counting(name, fn):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    for name in FS_CALLS:
+        monkeypatch.setattr(os, name, counting(name, getattr(os, name)))
+    real_open = io.open
+
+    def open_(file, mode="r", *args, **kwargs):
+        if set(mode) & set("wax+"):
+            counts["open_write"] += 1
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(io, "open", open_)
+    monkeypatch.setattr(builtins, "open", open_)
+    return counts
+
+
+def test_file_system_calls_per_simulated_child(tmp_path, monkeypatch):
+    # one compiled child from a genome-only parent, first into a fresh slot,
+    # then into the same slot again (a retried or rerun iteration)
+    parent = write_parent(tmp_path)
+    request = request_for(tmp_path, parent)
+    backend, probe = SimulatedBackend(master_seed=1), SyntheticEvaluator()
+    budgets = []
+    for _ in range(2):
+        counts = counted_fs_calls(monkeypatch)
+        result = generate_child(backend, request, probe, LIMITS)
+        monkeypatch.undo()
+        assert result.compiled
+        budgets.append(counts)
+    fresh, used = budgets
+    assert fresh == {"mkdir": 1, "link": 0, "unlink": 0, "rmdir": 0, "stat": 1,
+                     "lstat": 0, "scandir": 1, "open_write": 2}
+    assert used == {"mkdir": 1, "link": 0, "unlink": 1, "rmdir": 1, "stat": 1,
+                    "lstat": 1, "scandir": 2, "open_write": 2}
 
 
 # --- validate_child ----------------------------------------------------------------

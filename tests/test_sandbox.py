@@ -133,6 +133,24 @@ def test_unread_stdin_does_not_extend_timeout():
     assert elapsed < limits.wall_clock_seconds + 1.0
 
 
+def test_command_that_exits_without_reading_stdin_is_not_timed_out():
+    limits = SandboxLimits(wall_clock_seconds=10.0)
+    start = time.monotonic()
+    outcome = sandbox_execute(["sh", "-c", "exit 3"], limits, stdin_data=b"x" * 300_000)
+    assert outcome.exit_status == 3
+    assert not outcome.timed_out
+    assert time.monotonic() - start < limits.wall_clock_seconds / 2
+
+
+@pytest.mark.parametrize("size", [65_536, 65_537])
+def test_stdin_around_one_write_reaches_command_whole(size):
+    # 65,536 bytes go in the write before the first poll; one more needs the loop
+    outcome = sandbox_execute(["wc", "-c"], SandboxLimits(wall_clock_seconds=20),
+                              stdin_data=b"y" * size)
+    assert outcome.exit_status == 0
+    assert int(outcome.stdout) == size
+
+
 def test_large_stdin_and_output_flow_together():
     # the command echoes its input back, so neither side may block the other
     data = bytes(range(256)) * 2000
