@@ -276,7 +276,9 @@ def payload_path(config: RunConfig, payload_ref: str) -> str:
 
 
 class _Runtime:
-    """Wired collaborators for one run; rebuilt identically on resume."""
+    """Wired collaborators for one `run`, `resume` or `step` call; rebuilt
+    identically on resume. Used as a context manager, which shuts down the
+    pool that runs an iteration's child slots (kept across iterations)."""
 
     def __init__(
         self,
@@ -290,6 +292,15 @@ class _Runtime:
         self.backend = backend or build_backend(config, root_ref)
         self.evaluators = evaluators or build_evaluators(config, evaluator_specs or {})
         self.smoke_probe = self.evaluators[config.domains[0].name]
+        parallel = config.parents_per_iteration > 1 and config.concurrency > 1
+        self.pool = ThreadPoolExecutor(max_workers=config.concurrency) if parallel else None
+
+    def __enter__(self) -> "_Runtime":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        if self.pool is not None:
+            self.pool.shutdown()
 
 
 def _init_root_payload(config: RunConfig) -> str:
@@ -480,9 +491,8 @@ def _step(runtime: _Runtime, state: RunState) -> RunState:
     def slot(j: int) -> tuple[list[dict], Optional[dict]]:
         return _child_slot(runtime, state, iteration, j, parents[j])
 
-    if config.parents_per_iteration > 1 and config.concurrency > 1:
-        with ThreadPoolExecutor(max_workers=config.concurrency) as pool:
-            outcomes = list(pool.map(slot, range(len(parents))))
+    if runtime.pool is not None:
+        outcomes = list(runtime.pool.map(slot, range(len(parents))))
     else:
         outcomes = [slot(j) for j in range(len(parents))]
 
@@ -509,7 +519,8 @@ def step(
     evaluator_specs: Optional[dict[str, dict]] = None,
 ) -> RunState:
     """Apply one iteration to `state`, then write `archive/`. Requires iteration < T."""
-    state = _step(_Runtime(config, backend, evaluators, evaluator_specs), state)
+    with _Runtime(config, backend, evaluators, evaluator_specs) as runtime:
+        state = _step(runtime, state)
     archive_mod.persist(state.archive, config.state_dir / "archive", run_id=state.run_id)
     return state
 
@@ -523,11 +534,11 @@ def run(
     stop_after: Optional[int] = None,
 ) -> RunState:
     """Evaluate the root at t=0, run T iterations (or stop_after), write `archive/`."""
-    runtime = _Runtime(config, backend, evaluators, evaluator_specs)
-    state = _start(runtime, run_id or "run")
-    limit = config.iterations if stop_after is None else min(stop_after, config.iterations)
-    while state.iteration < limit:
-        state = _step(runtime, state)
+    with _Runtime(config, backend, evaluators, evaluator_specs) as runtime:
+        state = _start(runtime, run_id or "run")
+        limit = config.iterations if stop_after is None else min(stop_after, config.iterations)
+        while state.iteration < limit:
+            state = _step(runtime, state)
     archive_mod.persist(state.archive, config.state_dir / "archive", run_id=state.run_id)
     return state
 
@@ -646,11 +657,11 @@ def resume(
                     state.run_id, state.iteration)
         state.already_complete = True
     else:
-        runtime = _Runtime(config, backend, evaluators, evaluator_specs)
-        append_events(state.event_log,
-                      [{"event": "resume", "time": _now(), "iteration": state.iteration}])
-        while state.iteration < config.iterations:
-            state = _step(runtime, state)
+        with _Runtime(config, backend, evaluators, evaluator_specs) as runtime:
+            append_events(state.event_log,
+                          [{"event": "resume", "time": _now(), "iteration": state.iteration}])
+            while state.iteration < config.iterations:
+                state = _step(runtime, state)
         if not state.completed:  # killed between its last commit and `run_complete`
             _commit(state, [{"event": "run_complete", "time": _now(),
                              "iteration": state.iteration}])

@@ -10,20 +10,16 @@ Python code runs in the child and the spawn keeps CPython's vfork path:
     /bin/sh -c 'ulimit -S -t N && ulimit -H -t N+1 && exec "$@"' sh ARGV...
 
 The command gets a fresh, empty network namespace without a program of its
-own: the thread that spawns it calls ``unshare(CLONE_NEWNET)`` through libc,
+own. One daemon thread per process, the spawner, starts every isolated
+command, one at a time: it calls ``unshare(CLONE_NEWNET)`` through libc and
 starts the prefix from inside that namespace (a namespace belongs to one
-thread, and the child inherits the thread's), and returns to the host
-namespace with ``setns`` on a ``/proc/thread-self/ns/net`` descriptor opened
-once. Other threads never leave the host namespace. A one-time probe on a
-thread of its own (one enter, one return) decides how: where no fresh
-namespace can be entered, commands run without one, one warning is logged,
-and every outcome reports ``network_isolated=False``; where the return is
-not possible (no ``/proc``, or ``setns`` back is not permitted), each spawn
-runs on a short-lived thread that enters a fresh namespace and ends with it.
-Once isolation is available, a call that cannot enter a fresh namespace, or
-cannot return from it, is a ``SandboxSpawnError``; no outcome of an
-unisolated command claims isolation. (A thread whose return failed stays in
-the empty namespace until its next spawn returns it.)
+thread, and the child inherits the thread's). The spawner never goes back,
+so no other thread ever leaves the host namespace. Its first entry is the
+probe: where no fresh namespace can be entered, the spawner ends, commands
+run without one, one warning is logged, and every outcome reports
+``network_isolated=False``. Once isolation is available, a call that cannot
+enter a fresh namespace is a ``SandboxSpawnError`` that starts nothing, and
+the spawner serves the next call. A forked child starts a spawner of its own.
 
 The shell sets the soft CPU limit to N seconds
 (SIGXCPU, exit status -24) and the hard limit to N+1 (SIGKILL if SIGXCPU is
@@ -44,6 +40,7 @@ import ctypes
 import functools
 import logging
 import os
+import queue
 import select
 import shutil
 import signal
@@ -51,7 +48,7 @@ import subprocess
 import threading
 import time
 from dataclasses import dataclass
-from typing import IO, Callable, Optional, Sequence, TypeVar
+from typing import IO, Optional, Sequence
 
 logger = logging.getLogger(__name__)
 
@@ -94,9 +91,6 @@ class SandboxOutcome:
 
 
 _CLONE_NEWNET = 0x40000000
-_HOST_NAMESPACE = "/proc/thread-self/ns/net"
-
-T = TypeVar("T")
 
 
 @functools.lru_cache(maxsize=1)
@@ -104,97 +98,94 @@ def _libc() -> ctypes.CDLL:
     libc = ctypes.CDLL(None, use_errno=True)
     libc.unshare.argtypes = [ctypes.c_int]
     libc.unshare.restype = ctypes.c_int
-    libc.setns.argtypes = [ctypes.c_int, ctypes.c_int]
-    libc.setns.restype = ctypes.c_int
     return libc
-
-
-def _check(result: int, call: str) -> None:
-    if result != 0:
-        err = ctypes.get_errno()
-        raise OSError(err, f"{call}: {os.strerror(err)}")
 
 
 def _enter_fresh_namespace() -> None:
     """Move the calling thread into a new, empty network namespace."""
-    _check(_libc().unshare(_CLONE_NEWNET), "unshare(CLONE_NEWNET)")
+    if _libc().unshare(_CLONE_NEWNET) != 0:
+        err = ctypes.get_errno()
+        raise OSError(err, f"unshare(CLONE_NEWNET): {os.strerror(err)}")
 
 
-def _return_to_host(host: int) -> None:
-    """Move the calling thread back into the network namespace `host` refers to."""
-    _check(_libc().setns(host, _CLONE_NEWNET), "setns(CLONE_NEWNET)")
+class _Spawner:
+    """A daemon thread that starts isolated commands one at a time, each from
+    a fresh network namespace it enters just before the spawn. It never
+    returns to the host namespace, and no other thread ever leaves it."""
 
+    def __init__(self) -> None:
+        """Start the thread and probe with one entry; raise the OSError of a
+        failed probe, after which the thread has ended."""
+        self._requests: queue.SimpleQueue = queue.SimpleQueue()
+        probe: queue.SimpleQueue = queue.SimpleQueue()
+        thread = threading.Thread(
+            target=self._serve, args=(probe,), name="evoarchive-spawner", daemon=True
+        )
+        thread.start()
+        failure = probe.get()
+        if failure is not None:
+            thread.join()
+            raise failure
 
-@dataclass(frozen=True)
-class _Isolation:
-    """How a spawn gets its fresh network namespace. With `host`, a descriptor
-    on the host namespace kept open for the life of the process, the spawning
-    thread enters a fresh namespace and returns with setns. Without it (no
-    /proc, or setns back is not permitted) each spawn runs on a thread of its
-    own that enters a fresh namespace and ends with the spawn."""
-
-    host: Optional[int]
-
-
-def _on_own_thread(fn: Callable[[], T]) -> T:
-    """Run `fn` on a new thread and wait for it; a namespace that thread
-    entered ends with it. Returns what `fn` returns, or raises what it raised."""
-    box: list = []
-
-    def run() -> None:
+    def _serve(self, probe: queue.SimpleQueue) -> None:
         try:
-            box.append((True, fn()))
-        except BaseException as exc:  # handed to the caller below
-            box.append((False, exc))
+            _enter_fresh_namespace()
+        except OSError as exc:
+            probe.put(exc)
+            return
+        probe.put(None)
+        while True:
+            command, argv, stdin_data, reply = self._requests.get()
+            try:
+                _enter(command)
+                reply.put(_start(command, argv, stdin_data))
+            except BaseException as exc:  # raised in the caller's thread
+                reply.put(exc)
 
-    thread = threading.Thread(target=run, name="evoarchive-netns")
-    thread.start()
-    thread.join()
-    ok, value = box[0]
-    if not ok:
-        raise value
-    return value
+    def spawn(
+        self, command: Sequence[str], argv: list[str], stdin_data: Optional[bytes]
+    ) -> subprocess.Popen:
+        reply: queue.SimpleQueue = queue.SimpleQueue()
+        self._requests.put((command, argv, stdin_data, reply))
+        result = reply.get()
+        if isinstance(result, BaseException):
+            raise result
+        return result
 
 
-def _probe() -> Optional[_Isolation]:
-    """One enter and, given a host descriptor, one return; None where a
-    fresh namespace cannot be entered."""
-    try:
-        host: Optional[int] = os.open(_HOST_NAMESPACE, os.O_RDONLY | os.O_CLOEXEC)
-    except OSError:
-        host = None
-    try:
-        _enter_fresh_namespace()
-    except OSError:
-        if host is not None:
-            os.close(host)
-        return None
-    if host is not None:
-        try:
-            _return_to_host(host)
-        except OSError:
-            os.close(host)
-            host = None
-    return _Isolation(host)
+_probe_lock = threading.Lock()
 
 
 @functools.lru_cache(maxsize=1)
-def _isolation() -> Optional[_Isolation]:
-    """Probed once per process, on a thread of its own, so a thread the
-    probe leaves in a fresh namespace ends with the probe. Two racing first
-    calls each probe, and one host descriptor then stays open unused."""
-    isolation = _on_own_thread(_probe)
-    if isolation is None:
+def _probed_spawner() -> Optional[_Spawner]:
+    try:
+        return _Spawner()
+    except OSError:
         logger.warning("network namespace isolation unavailable; commands run without it")
-    elif isolation.host is None:
-        logger.info("no return to the host network namespace; each spawn runs on its own thread")
-    return isolation
+        return None
+
+
+def _spawner() -> Optional[_Spawner]:
+    """The process's spawner, started on first use; None where no fresh
+    namespace can be entered."""
+    with _probe_lock:
+        return _probed_spawner()
+
+
+def _forget_spawner() -> None:
+    """In a forked child, where the parent's spawner thread does not exist."""
+    global _probe_lock
+    _probe_lock = threading.Lock()
+    _probed_spawner.cache_clear()
+
+
+os.register_at_fork(after_in_child=_forget_spawner)
 
 
 def network_isolation_available() -> bool:
     """Whether a thread here can enter a fresh network namespace; probed
     once per process."""
-    return _isolation() is not None
+    return _spawner() is not None
 
 
 def _limit_prefix(limits: SandboxLimits) -> list[str]:
@@ -300,38 +291,17 @@ def _spawn(
     command: Sequence[str],
     limits: SandboxLimits,
     stdin_data: Optional[bytes],
-    isolation: Optional[_Isolation],
+    spawner: Optional[_Spawner],
 ) -> subprocess.Popen:
-    """Start the limit prefix and `command`. Given `isolation`, the command
-    starts in a fresh network namespace or not at all, and none is left
-    running if the spawning thread cannot return to the host namespace."""
+    """Start the limit prefix and `command`; given `spawner`, from a fresh
+    network namespace or not at all."""
     argv = list(command)
     if not argv or shutil.which(argv[0]) is None:
         raise SandboxSpawnError(f"failed to spawn {command!r}: not an executable file")
     argv = _limit_prefix(limits) + argv
-    if isolation is None:
+    if spawner is None:
         return _start(command, argv, stdin_data)
-    if isolation.host is None:
-
-        def enter_and_start() -> subprocess.Popen:
-            _enter(command)
-            return _start(command, argv, stdin_data)
-
-        return _on_own_thread(enter_and_start)
-    _enter(command)
-    proc = None
-    try:
-        proc = _start(command, argv, stdin_data)
-    finally:
-        try:
-            _return_to_host(isolation.host)
-        except OSError as exc:
-            if proc is not None:
-                _reap(proc)
-            raise SandboxSpawnError(
-                f"spawned {command!r} but cannot return to the host network namespace: {exc}"
-            ) from exc
-    return proc
+    return spawner.spawn(command, argv, stdin_data)
 
 
 def sandbox_execute(
@@ -340,9 +310,9 @@ def sandbox_execute(
     stdin_data: Optional[bytes] = None,
 ) -> SandboxOutcome:
     """Run `command` under `limits`; the process cannot outlive the timeout."""
-    isolation = _isolation() if network_isolation_available() else None
+    spawner = _spawner() if network_isolation_available() else None
     start = time.monotonic()
-    proc = _spawn(command, limits, stdin_data, isolation)
+    proc = _spawn(command, limits, stdin_data, spawner)
 
     out = _Capture(limits.max_output_bytes)
     err = _Capture(limits.max_output_bytes)
@@ -368,7 +338,7 @@ def sandbox_execute(
         elapsed=elapsed,
         timed_out=not finished,
         output_truncated=out.truncated or err.truncated,
-        network_isolated=isolation is not None,
+        network_isolated=spawner is not None,
     )
 
 

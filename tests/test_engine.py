@@ -590,6 +590,47 @@ def test_concurrent_slots_match_serial(tmp_path):
     assert fp_serial == fp_parallel
 
 
+def test_each_call_keeps_one_slot_pool_and_shuts_it_down(tmp_path, monkeypatch):
+    from concurrent.futures import ThreadPoolExecutor
+
+    from evoarchive import engine
+
+    pools = []
+
+    class CountedPool(ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.maps = 0
+            pools.append(self)
+
+        def map(self, *args, **kwargs):
+            self.maps += 1
+            return super().map(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "ThreadPoolExecutor", CountedPool)
+    config = make_config(tmp_path, iterations=4, seed=9, parents_per_iteration=2, concurrency=2)
+    state = run(config, stop_after=2)
+    step(state, config)
+
+    class Exploding:
+        def __init__(self, inner):
+            self.inner = inner
+
+        def generate(self, request):
+            if request.rng_stream_id == "gen/4/1":
+                raise RuntimeError("backend exploded")
+            return self.inner.generate(request)
+
+        def selection_policy_of(self, ref):
+            return self.inner.selection_policy_of(ref)
+
+    inner = engine.build_backend(config, str(config.payload_dir / "agent_root"))
+    with pytest.raises(RuntimeError, match="exploded"):
+        resume(config, backend=Exploding(inner))
+    assert [pool.maps for pool in pools] == [2, 1, 1]
+    assert all(pool._shutdown for pool in pools)
+
+
 # --- config validation ---------------------------------------------------------------
 
 

@@ -344,83 +344,121 @@ def test_concurrent_isolated_calls_get_their_own_namespaces():
     assert host not in seen
 
 
-@pytest.fixture
-def fresh_probe():
-    """The sandbox module, whose isolation is probed again after the test."""
-    from evoarchive import sandbox
-
-    yield sandbox
-    sandbox._isolation.cache_clear()
-
-
-def _lose_the_return(sandbox, monkeypatch, tmp_path, how: str) -> None:
-    """Make the return to the host namespace impossible, and probe again."""
-    if how == "setns refused":
-
-        def refused(host):
-            raise OSError(errno.EPERM, os.strerror(errno.EPERM))
-
-        monkeypatch.setattr(sandbox, "_return_to_host", refused)
-    else:
-        monkeypatch.setattr(sandbox, "_HOST_NAMESPACE", str(tmp_path / "no-proc"))
-    sandbox._isolation.cache_clear()
-
-
-@pytest.mark.parametrize("how", ["setns refused", "no /proc"])
-def test_probe_without_a_return_leaves_callers_home_and_still_isolates(
-    fresh_probe, monkeypatch, tmp_path, how
-):
+def _spawner_threads() -> set[int]:
     import threading
 
-    _require_isolation()
-    host = _thread_namespace()
-    _lose_the_return(fresh_probe, monkeypatch, tmp_path, how)
-    for _ in range(2):
-        outcome = sandbox_execute(["readlink", "/proc/self/ns/net"], SandboxLimits())
-        assert _read_net_namespace(outcome) != host
-        assert outcome.network_isolated
-        assert _thread_namespace() == host
-    assert fresh_probe._isolation().host is None
+    return {t.native_id for t in threading.enumerate() if t.name == "evoarchive-spawner"}
 
+
+def _threads_off_host(host: str) -> set[int]:
+    """Native ids of this process's threads outside the namespace `host`."""
+    off = set()
+    for tid in os.listdir("/proc/self/task"):
+        try:
+            if os.readlink(f"/proc/self/task/{tid}/ns/net") != host:
+                off.add(int(tid))
+        except FileNotFoundError:  # the thread ended meanwhile
+            pass
+    return off
+
+
+def _assert_only_the_spawner_left_home(host: str) -> None:
+    import threading
+
+    assert _thread_namespace() == host
     seen = []
     other = threading.Thread(target=lambda: seen.append(_thread_namespace()))
     other.start()
     other.join()
     assert seen == [host]
+    assert _threads_off_host(host) <= _spawner_threads()
 
 
-def test_failed_entry_on_a_spawn_thread_starts_nothing(fresh_probe, monkeypatch, tmp_path):
+def test_no_thread_but_the_spawner_leaves_the_host_namespace():
+    from concurrent.futures import ThreadPoolExecutor
+
     _require_isolation()
-    _lose_the_return(fresh_probe, monkeypatch, tmp_path, "no /proc")
-    assert fresh_probe.network_isolation_available()
+    host = _thread_namespace()
+    command = ["readlink", "/proc/self/ns/net"]
+
+    def isolated_call(_) -> tuple[str, str]:
+        outcome = sandbox_execute(command, SandboxLimits())
+        assert outcome.network_isolated
+        return _read_net_namespace(outcome), _thread_namespace()
+
+    seen = [isolated_call(None)]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        seen += list(pool.map(isolated_call, range(6), timeout=60))
+    commands = [namespace for namespace, _ in seen]
+    assert host not in commands and len(set(commands)) == len(commands)
+    assert [caller for _, caller in seen] == [host] * len(seen)
+    _assert_only_the_spawner_left_home(host)
+    assert _threads_off_host(host)  # the spawner itself
+
+
+def test_failed_entry_on_a_spawn_thread_starts_nothing(monkeypatch):
+    from evoarchive import sandbox
+
+    _require_isolation()
+    host = _thread_namespace()
+    before = _read_net_namespace(sandbox_execute(["readlink", "/proc/self/ns/net"],
+                                                 SandboxLimits()))
 
     def no_namespace_left():
         raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
-    monkeypatch.setattr(fresh_probe, "_enter_fresh_namespace", no_namespace_left)
-    spy = _PopenSpy(monkeypatch)
-    with pytest.raises(SandboxSpawnError, match=rf"Errno {errno.ENOSPC}\]"):
-        sandbox_execute(["true"], SandboxLimits())
-    assert spy.argvs == []
+    with monkeypatch.context() as patch:
+        patch.setattr(sandbox, "_enter_fresh_namespace", no_namespace_left)
+        spy = _PopenSpy(patch)
+        with pytest.raises(SandboxSpawnError, match=rf"Errno {errno.ENOSPC}\]"):
+            sandbox_execute(["true"], SandboxLimits())
+        assert spy.argvs == []
+    _assert_only_the_spawner_left_home(host)
+
+    # the spawner serves the next call, from a fresh namespace again
+    outcome = sandbox_execute(["readlink", "/proc/self/ns/net"], SandboxLimits())
+    assert outcome.network_isolated
+    assert _read_net_namespace(outcome) not in (host, before)
+    _assert_only_the_spawner_left_home(host)
 
 
-def test_failed_return_after_a_spawn_kills_and_reaps_the_command(monkeypatch):
+def test_failed_probe_leaves_no_thread_and_runs_unisolated(monkeypatch, caplog):
     from evoarchive import sandbox
 
-    _require_isolation()
-    started = []
-    real = sandbox._start
-
-    def start(command, argv, stdin_data):
-        started.append(real(command, argv, stdin_data))
-        return started[-1]
-
-    def refused(host):
+    def refused():
         raise OSError(errno.EPERM, os.strerror(errno.EPERM))
 
-    monkeypatch.setattr(sandbox, "_start", start)
-    monkeypatch.setattr(sandbox, "_return_to_host", refused)
-    # on a thread of its own, which the failed return leaves in the fresh namespace
-    with pytest.raises(SandboxSpawnError, match="cannot return to the host network namespace"):
-        sandbox._on_own_thread(lambda: sandbox_execute(["sleep", "30"], SandboxLimits()))
-    assert [proc.returncode for proc in started] == [-9]
+    spawners = _spawner_threads()
+    monkeypatch.setattr(sandbox, "_enter_fresh_namespace", refused)
+    sandbox._forget_spawner()
+    try:
+        with caplog.at_level("WARNING", logger="evoarchive.sandbox"):
+            outcomes = [sandbox_execute(["readlink", "/proc/self/ns/net"], SandboxLimits())
+                        for _ in range(2)]
+        assert [_read_net_namespace(o) for o in outcomes] == [_thread_namespace()] * 2
+        assert not any(o.network_isolated for o in outcomes)
+        assert not sandbox.network_isolation_available()
+        assert [r.message for r in caplog.records] == [
+            "network namespace isolation unavailable; commands run without it"
+        ]
+        assert _spawner_threads() <= spawners
+    finally:
+        sandbox._forget_spawner()
+
+
+def test_forked_child_runs_an_isolated_command():
+    import signal
+
+    _require_isolation()
+    assert sandbox_execute(["true"], SandboxLimits()).network_isolated
+    pid = os.fork()
+    if pid == 0:  # the child must never return into pytest
+        status = 1
+        try:
+            signal.alarm(5)
+            outcome = sandbox_execute(["true"], SandboxLimits(wall_clock_seconds=4))
+            status = outcome.exit_status if outcome.network_isolated else 2
+        finally:
+            os._exit(status)
+    _, wait_status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(wait_status) == 0
