@@ -82,9 +82,6 @@ def _parser() -> argparse.ArgumentParser:
     analyze_p.add_argument("--resamples", type=int, default=1000)
     analyze_p.add_argument("--level", type=float, default=95.0)
     analyze_p.add_argument("--ci-seed", type=int, default=0)
-    analyze_p.add_argument(
-        "--impk-variant", choices=("max", "validation-selected"), default="max"
-    )
 
     demo_p = sub.add_parser("demo-config", help="write the built-in demo config")
     demo_p.add_argument("--out", required=True)
@@ -208,53 +205,26 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             out,
         )
     elif args.metric == "impk":
-        row = _impk_row(state.archived, args.impk_variant)
-        if row is None:
-            return 1
-        metrics.export_scalars_csv([row], out)
+        metrics.export_scalars_csv([_impk_row(state.archived)], out)
     print(f"wrote {out}")
     return 0
 
 
-def _impk_row(agents: list[AgentNode], variant: str) -> dict | None:
+def _impk_row(agents: list[AgentNode]) -> dict:
+    """improvement@k of every generated agent over the initial one, each
+    scored by `node_selection_score`."""
     root, *generated = agents
-    if variant == "max":
-        initial = node_selection_score(root)
-        request = metrics.ImpAtKRequest(
-            initial_score=initial,
-            generated_scores=tuple(node_selection_score(n) for n in generated),
-            k=max(1, len(generated)),
-        )
-        return {
-            "variant": "max",
-            "initial_score": repr(initial),
-            "improvement_at_k": repr(metrics.improvement_at_k(request)),
-            "k": request.k,
-        }
-    # validation-selected: argmax by validation score, report the test delta
-    def mean_of(node, field):
-        values = [getattr(s, field) for s in node.scores.values()]
-        if any(v is None for v in values):
-            return None
-        return sum(values) / len(values)
-
-    candidates = [(n, mean_of(n, "validation")) for n in generated]
-    candidates = [(n, v) for n, v in candidates if v is not None]
-    if not candidates:
-        print("no validation scores recorded; cannot select by validation", file=sys.stderr)
-        return None
-    best = max(candidates, key=lambda pair: (pair[1], -pair[0].id))[0]
-    best_test = mean_of(best, "test")
-    root_test = mean_of(root, "test")
-    if best_test is None or root_test is None:
-        print("no test scores recorded; cannot report a test delta", file=sys.stderr)
-        return None
+    initial = node_selection_score(root)
+    request = metrics.ImpAtKRequest(
+        initial_score=initial,
+        generated_scores=tuple(node_selection_score(n) for n in generated),
+        k=max(1, len(generated)),
+    )
     return {
-        "variant": "validation-selected",
-        "selected_node": best.id,
-        "initial_test": repr(root_test),
-        "selected_test": repr(best_test),
-        "improvement": repr(best_test - root_test),
+        "variant": "max",
+        "initial_score": repr(initial),
+        "improvement_at_k": repr(metrics.improvement_at_k(request)),
+        "k": request.k,
     }
 
 
@@ -267,12 +237,11 @@ def main(argv: list[str] | None = None) -> int:
         except RUNTIME_FAILURES as exc:
             print(f"{args.command} halted: {type(exc).__name__}: {exc}", file=sys.stderr)
             return 1
-    if args.command == "demo-config":
-        doc = demo_config(args.state_dir, args.iterations, args.seed)
-        Path(args.out).write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
-        print(f"wrote {args.out}")
-        return 0
-    return 2
+    # demo-config, the one other command
+    doc = demo_config(args.state_dir, args.iterations, args.seed)
+    Path(args.out).write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {args.out}")
+    return 0
 
 
 if __name__ == "__main__":

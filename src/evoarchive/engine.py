@@ -16,7 +16,7 @@ One master seed derives a named substream per decision (selection,
 per-child generation), so concurrency and resume cannot reorder draws.
 The event log records how far a run got, and its events are the only way run
 state changes: each iteration builds its batch of events, folds it into the
-live `RunState` by the same `_apply_event` that `replay` uses, then appends
+live `RunState` by the same `_apply_event` that `replay_log` uses, then appends
 it, so a live state is always the one its log replays to. That fold is the
 one reader of event kinds: `RunState.archived` keeps every agent it archived,
 which is what the CLI's `progress` and `impk` metrics read. Resuming replays
@@ -35,7 +35,7 @@ import shutil
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 from . import archive as archive_mod
 from .archive import AgentNode, Archive, ArchiveError, DomainScores
@@ -362,7 +362,7 @@ def _archive_events(iteration: int, node_id: int, parent_id: Optional[int], eval
 
 
 def _commit(state: RunState, events: list[dict]) -> None:
-    """Fold a batch into `state` by `replay`'s fold, then append it to the log:
+    """Fold a batch into `state` by `replay_log`'s fold, then append it to the log:
     the one way a live run's state changes. Each `evaluation` event gets the
     `selection_score` of its node as archived. An inconsistent batch raises
     before anything is appended, and leaves `state` half folded."""
@@ -548,37 +548,28 @@ def _empty_state(event_log: Path) -> RunState:
     return RunState(Archive(), -1, event_log, "")
 
 
-def replay(events: Iterable[dict], event_log: Path) -> RunState:
+def replay_log(event_log: Path) -> tuple[RunState, int]:
     """Rebuild a run's state (mode and run id from `run_start`) from the committed
-    events of `event_log`, folding each as `events` yields it; writes nothing.
-    Errors name lines of `event_log`. `completed` is set by a `run_complete` event."""
+    events of `event_log`, and the committed lines' length in bytes; writes
+    nothing. Each committed batch is folded as soon as it is parsed, so the fold
+    holds the archive plus one batch whatever the log's length. Errors name lines
+    of `event_log`. `completed` is set by a `run_complete` event."""
     event_log = Path(event_log)
     state = _empty_state(event_log)
     scores: dict[int, dict[str, DomainScores]] = {}
-    for lineno, event in enumerate(events, start=1):
-        try:
-            if (lineno == 1) != (event["event"] == "run_start"):
-                raise ValueError("run_start must be the first event, and only the first")
-            _apply_event(state, event, scores)
-        except (ValueError, KeyError, TypeError, ArchiveError) as exc:
-            raise IntegrityError(f"bad event at line {lineno} of {event_log}: {exc!r}") from exc
+    lineno = committed = 0
+    for batch, committed in _read_committed(event_log):
+        for event in batch:
+            lineno += 1
+            try:
+                if (lineno == 1) != (event["event"] == "run_start"):
+                    raise ValueError("run_start must be the first event, and only the first")
+                _apply_event(state, event, scores)
+            except (ValueError, KeyError, TypeError, ArchiveError) as exc:
+                raise IntegrityError(
+                    f"bad event at line {lineno} of {event_log}: {exc!r}") from exc
     if state.iteration < 0:
         raise IntegrityError(f"{event_log} holds no completed iteration")
-    return state
-
-
-def replay_log(event_log: Path) -> tuple[RunState, int]:
-    """`replay` of `event_log`, each committed batch folded as soon as it is
-    parsed, so the fold holds the archive plus one batch whatever the log's
-    length; and the committed lines' length in bytes."""
-    committed = 0
-
-    def events() -> Iterator[dict]:
-        nonlocal committed
-        for batch, committed in _read_committed(event_log):
-            yield from batch
-
-    state = replay(events(), event_log)
     return state, committed
 
 

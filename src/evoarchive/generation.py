@@ -397,6 +397,9 @@ class ModelClientBackend(_PolicyFileBackend):
     @staticmethod
     def _bundle(payload_ref: str) -> dict[str, str]:
         root = Path(payload_ref)
+        # `rglob` of a missing directory yields nothing: an empty bundle
+        if not root.is_dir():
+            raise GenerationError(f"payload directory {root} is missing")
         bundle = {}
         for path in sorted(root.rglob("*")):
             if path.is_file():

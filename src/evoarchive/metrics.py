@@ -2,7 +2,7 @@
 progress series, and CSV/DOT exports.
 
 All functions are read-only over archives and over the agents that
-`engine.replay` folded from a run's committed events (`RunState.archived`);
+`engine.replay_log` folded from a run's committed events (`RunState.archived`);
 none reads the event log itself. The score feeding the growth computation
 is the selection score (validation when recorded, else train); both that
 choice and the discount base are documented on the operations below.

@@ -310,7 +310,7 @@ def sandbox_execute(
     stdin_data: Optional[bytes] = None,
 ) -> SandboxOutcome:
     """Run `command` under `limits`; the process cannot outlive the timeout."""
-    spawner = _spawner() if network_isolation_available() else None
+    spawner = _spawner()
     start = time.monotonic()
     proc = _spawn(command, limits, stdin_data, spawner)
 

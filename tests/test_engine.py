@@ -22,7 +22,7 @@ from evoarchive.engine import (
     append_events,
     load_state,
     read_events,
-    replay,
+    replay_log,
     resume,
     run,
     step,
@@ -265,6 +265,23 @@ def test_step_passes_iterations_left(tmp_path):
     assert state.completed
 
 
+@pytest.mark.parametrize("configured", [False, True])
+def test_model_client_in_fixed_instruction_mode_gets_the_template(tmp_path, configured):
+    from evoarchive.engine import build_backend, default_instruction_template
+
+    template = tmp_path / "t.txt"
+    template.write_text("TEMPLATE {code}", encoding="utf-8")
+    config = make_config(tmp_path, mode="dgm-fixed-instruction",
+                         backend={"kind": "model-client", "url": "https://example.invalid/g"},
+                         instruction_template=template if configured else None)
+    backend = build_backend(config, str(config.payload_dir / "agent_root"))
+    expected = template if configured else default_instruction_template()
+    assert backend.instruction_template == expected.read_text(encoding="utf-8")
+    # in any other mode no instruction-generation request is sent
+    backend = build_backend(dataclasses.replace(config, mode="full"), "root")
+    assert backend.instruction_template is None
+
+
 def test_step_rejects_completed_run(tmp_path):
     config = make_config(tmp_path, iterations=2)
     state = run(config)
@@ -373,7 +390,7 @@ def test_live_state_is_the_replayed_log(tmp_path, mode):
                          domains=[landscape_domain(has_validation=True)])
 
     def assert_replays(state) -> None:
-        replayed = replay(read_events(state.event_log), state.event_log)
+        replayed = replay_log(state.event_log)[0]
         assert replayed.archive.mode_tag == state.archive.mode_tag == mode
         assert replayed.archive.nodes == state.archive.nodes
         assert replayed.archived == state.archived

@@ -364,6 +364,15 @@ def test_command_evaluator_nonzero_exit_raises():
         evaluator("t", "p", LIMITS)
 
 
+def test_command_evaluator_spawn_failure_is_a_task_failure(tmp_path):
+    script = tmp_path / "evaluate.sh"
+    script.write_text("#!/bin/sh\necho '{\"score\": 1.0}'\n")
+    script.chmod(0o644)  # not executable: nothing can be spawned
+    score, cause = score_task(CommandEvaluator([str(script)]), "t", str(tmp_path), LIMITS)
+    assert score == 0.0
+    assert cause.startswith("EvaluatorError: failed to spawn"), cause
+
+
 def test_command_evaluator_timeout_raises():
     limits = SandboxLimits(wall_clock_seconds=0.5, cpu_seconds=5, max_output_bytes=1000)
     evaluator = CommandEvaluator([sys.executable, "-c", "import time; time.sleep(30)"])

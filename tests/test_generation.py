@@ -496,6 +496,37 @@ def test_model_client_non_utf8_payload_file_is_generation_error(tmp_path):
     assert sent == []
 
 
+@pytest.mark.parametrize("template", [None, "TEMPLATE {code}"])
+def test_model_client_missing_parent_payload_is_generation_error(tmp_path, template):
+    # before any request: a missing directory would otherwise bundle as `{}`
+    sent: list[dict] = []
+    backend = ModelClientBackend(url="https://example.invalid/generate",
+                                 instruction_template=template,
+                                 transport=lambda doc: sent.append(doc) or {})
+    missing = tmp_path / "gone"
+    with pytest.raises(GenerationError, match=f"payload directory {missing} is missing"):
+        generate_child(backend, request_for(tmp_path, missing), SyntheticEvaluator(), LIMITS)
+    assert sent == []
+
+
+POLICY_FILE_BACKENDS = [
+    lambda: ExternalProcessBackend(["true"], LIMITS),
+    lambda: ModelClientBackend(url="https://example.invalid/generate", transport=dict),
+]
+
+
+@pytest.mark.parametrize("make_backend", POLICY_FILE_BACKENDS)
+def test_policy_file_backend_reads_selection_policy_json(tmp_path, make_backend):
+    spec = {"variant": "softmax", "temperature": 0.25}
+    spec_path = tmp_path / "selection_policy.json"
+    spec_path.write_text(json.dumps(spec), encoding="utf-8")
+    backend = make_backend()
+    assert backend.selection_policy_of(str(tmp_path)) == SelectionPolicy.from_dict(spec)
+    spec_path.unlink()
+    with pytest.raises(FileNotFoundError, match="selection_policy.json"):
+        backend.selection_policy_of(str(tmp_path))
+
+
 def test_generation_request_validation(tmp_path):
     with pytest.raises(ValueError):
         GenerationRequest(

@@ -8,7 +8,7 @@ import pytest
 
 import evoarchive.metrics as metrics_mod
 from evoarchive.archive import Archive, add_node
-from evoarchive.engine import read_events, replay, run
+from evoarchive.engine import replay_log, run
 from evoarchive.evaluation import node_selection_score
 from evoarchive.metrics import (
     GrowthScoreParams,
@@ -441,7 +441,7 @@ def series_from_archive(arch: Archive, iterations: int) -> metrics_mod.ProgressS
 def test_series_from_log_equals_series_from_archive(tmp_path):
     config = make_config(tmp_path, iterations=10, seed=6)
     state = run(config)
-    replayed = replay(read_events(state.event_log), state.event_log)
+    replayed = replay_log(state.event_log)[0]
     from_log = progress_series(replayed.archived, replayed.iteration)
     from_archive = series_from_archive(state.archive, config.iterations)
     assert from_log == from_archive

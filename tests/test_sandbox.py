@@ -167,7 +167,7 @@ def _read_net_namespace(outcome) -> str:
 def test_network_isolated_reports_this_call(monkeypatch):
     from evoarchive import sandbox
 
-    monkeypatch.setattr(sandbox, "network_isolation_available", lambda: False)
+    monkeypatch.setattr(sandbox, "_spawner", lambda: None)
     outcome = sandbox_execute(["readlink", "/proc/self/ns/net"], SandboxLimits())
     assert _read_net_namespace(outcome) == os.readlink("/proc/self/ns/net")
     assert not outcome.network_isolated
