@@ -66,69 +66,87 @@ def growth_score(archive: Archive, node_id: int, params: GrowthScoreParams) -> f
     For each descendant j of i: (score_j - score_i) * gamma**dist(i, j),
     averaged over all descendants. Scores are selection scores. The terms
     are summed in ascending id order, so the result is bit-stable. Costs
-    O(n) for the child index plus O(s log s) for a subtree of s nodes.
+    O(n) for the child index plus O(s log s) for a subtree of s nodes, the
+    only nodes it tours and scores.
     """
     archive.node(node_id)
-    return _growth(
-        child_index(archive),
-        lambda j: node_selection_score(archive.node(j)),
-        node_id,
-        params.gamma,
-    )
+    lineage = _Lineage(archive, params.gamma, [node_id])
+    scores = {j: node_selection_score(archive.node(j)) for j in lineage.order}
+    return lineage.growth(node_id, scores)
 
 
-def _growth(
-    children: dict[int, list[int]],
-    score: Callable[[int], float],
-    node_id: int,
-    gamma: float,
-) -> float:
-    """`growth_score` over a prebuilt child index and a score lookup."""
-    walked: list[tuple[int, int]] = []
-    frontier = [(node_id, 0)]
-    while frontier:
-        current, dist = frontier.pop()
-        for child in children.get(current, ()):
-            walked.append((child, dist + 1))
-            frontier.append((child, dist + 1))
-    if not walked:
-        raise ValueError(f"node {node_id} has no descendants")
-    walked.sort()
-    base = score(node_id)
-    total = 0.0
-    for j, dist in walked:
-        delta = score(j) - base
-        total += delta * gamma ** dist
-    return total / len(walked)
+class _Lineage:
+    """One preorder tour from `roots`, so each node's descendants are one slice.
+
+    Node i's `count[i]` descendants are `order[first[i]:first[i] + count[i]]`,
+    `depth[i]` counts its edges below its root, and `discount[d]` is
+    `gamma ** d` (the same Python `float ** int` as a per-term power), so
+    dist(i, j) is `depth[j] - depth[i]`.
+    """
+
+    def __init__(self, archive: Archive, gamma: float, roots: list[int]) -> None:
+        children = child_index(archive)
+        self.order: list[int] = []
+        self.first: dict[int, int] = {}
+        self.depth = dict.fromkeys(roots, 0)
+        # A stack tour visits all of a node's descendants right after it.
+        stack = list(roots)
+        while stack:
+            node_id = stack.pop()
+            self.order.append(node_id)
+            self.first[node_id] = len(self.order)
+            below = children.get(node_id)
+            if below:
+                self.depth.update(dict.fromkeys(below, self.depth[node_id] + 1))
+                stack.extend(below)
+        # Reversed, the tour reaches every node after all of its descendants.
+        self.count = dict.fromkeys(self.order, 0)
+        for node_id in reversed(self.order):
+            below = children.get(node_id)
+            if below:
+                self.count[node_id] = len(below) + sum(map(self.count.__getitem__, below))
+        self.discount = [gamma ** d for d in range(max(self.depth.values(), default=0) + 1)]
+
+    def growth(self, node_id: int, score: dict[int, float]) -> float:
+        """`growth_score` of one node over `score`, which holds at least its
+        subtree: `total += (score_j - base) * gamma**dist` for each
+        descendant j in ascending id order, then one division."""
+        count = self.count[node_id]
+        if not count:
+            raise ValueError(f"node {node_id} has no descendants")
+        first, depth, discount = self.first[node_id], self.depth, self.discount
+        base, level = score[node_id], depth[node_id]
+        total = 0.0
+        for j in sorted(self.order[first:first + count]):
+            total += (score[j] - base) * discount[depth[j] - level]
+        return total / count
 
 
 def transfer_select(archive: Archive, params: GrowthScoreParams) -> int:
     """Node with the highest growth score among those with enough descendants.
 
     Ties break toward the lowest id. Each node's selection score is computed
-    once and descendant counts come from one bottom-up pass, so the cost is
-    the sum of the eligible subtrees' sizes: O(n * mean depth), O(n^2) on a
+    once, and one preorder tour of the whole archive lays each node's
+    descendants out as one slice. The cost is O(n) plus sorting and summing
+    the eligible subtrees' slices: O(n * mean depth) terms, O(n^2) on a
     chain.
     """
-    children = child_index(archive)
-    # Parents precede their children, so descending ids visit subtrees first.
-    counts: dict[int, int] = {}
-    for node in reversed(archive.nodes):
-        counts[node.id] = sum(1 + counts[c] for c in children.get(node.id, ()))
-    eligible = [n.id for n in archive if counts[n.id] >= params.min_descendants]
+    lineage = _Lineage(archive, params.gamma, [n.id for n in archive if n.parent_id is None])
+    eligible = [n.id for n in archive if lineage.count[n.id] >= params.min_descendants]
     if not eligible:
         raise ValueError(
             f"no node has at least {params.min_descendants} descendants"
         )
     scores = {n.id: node_selection_score(n) for n in archive}
     # max keeps the first of equal keys: the lowest id.
-    return max(
-        eligible, key=lambda i: _growth(children, scores.__getitem__, i, params.gamma)
-    )
+    return max(eligible, key=lambda i: lineage.growth(i, scores))
 
 
-# Resampled rows drawn and reduced at once by `bootstrap_ci`.
-_BOOTSTRAP_CHUNK_ROWS = 64
+# Resampled rows drawn and reduced at once by `bootstrap_ci`. For n = 1,000
+# samples, a chunk's int32 draws, intp rank keys and running counts take
+# 32 * 1,000 * 20 bytes = 640 KB, which the process's peak resident set
+# counts in full.
+_BOOTSTRAP_CHUNK_ROWS = 32
 
 
 def bootstrap_ci(
@@ -142,7 +160,10 @@ def bootstrap_ci(
 
     Resamples with replacement at the original sample size; bounds are the
     (100-level)/2 and 100-(100-level)/2 percentiles of the resampled
-    statistic values.
+    statistic values. Resampled medians are exact order statistics, read by
+    counting ranks (`_bootstrap_medians`), and bit-identical to `np.median`
+    of each resampled row; samples holding a NaN take the row path, so they
+    keep `np.median`'s NaN.
     """
     data = np.asarray(samples, dtype=float)
     if data.size == 0:
@@ -152,19 +173,56 @@ def bootstrap_ci(
     if resamples < 1:
         raise ValueError("resamples must be >= 1")
     point = float(statistic(data))
-    # Rows are drawn and reduced a chunk at a time, so memory stays at a few
-    # chunks of n indices; the draws are those of one (resamples, n) call.
-    stats = np.empty(resamples)
-    for start in range(0, resamples, _BOOTSTRAP_CHUNK_ROWS):
-        rows = min(_BOOTSTRAP_CHUNK_ROWS, resamples - start)
-        resampled = data[rng.integers(0, data.size, size=(rows, data.size))]
-        if statistic is np.median:
-            stats[start:start + rows] = np.median(resampled, axis=1)
-        else:
+    if statistic is np.median and not np.isnan(data).any():
+        stats = _bootstrap_medians(data, rng, resamples)
+    else:
+        # Rows are drawn and reduced a chunk at a time, so memory stays at a
+        # few chunks of n indices; the draws are those of one (resamples, n)
+        # call.
+        stats = np.empty(resamples)
+        for start in range(0, resamples, _BOOTSTRAP_CHUNK_ROWS):
+            rows = min(_BOOTSTRAP_CHUNK_ROWS, resamples - start)
+            resampled = data[rng.integers(0, data.size, size=(rows, data.size))]
             stats[start:start + rows] = np.apply_along_axis(statistic, 1, resampled)
     tail = (100.0 - level) / 2.0
     lower, upper = np.percentile(stats, [tail, 100.0 - tail])
     return point, float(lower), float(upper)
+
+
+def _bootstrap_medians(data: np.ndarray, rng: np.random.Generator, resamples: int) -> np.ndarray:
+    """Median of each resampled row of `data` (no NaN), with no row sorted.
+
+    The samples are sorted once; each draw is mapped to its sample's rank,
+    and a row's k-th order statistic is the rank at which the row's running
+    count of drawn ranks first exceeds k. One `bincount` of the chunk's
+    ranks, offset by n per row, and one flat `cumsum` give every row's
+    running counts at once; row r's counts start at r*n. The draws are
+    int32, which numpy draws exactly as the int64 values of one
+    (resamples, n) call. `np.median` averages the middle values by
+    `(0.0 + a [+ b]) / count`, so the odd median is `a + 0.0` and the even
+    one `(a + b + 0.0) / 2`, which are the same bits (-0.0 included).
+    """
+    n = data.size
+    order = np.argsort(data, kind="stable")
+    ordered = data[order]
+    rank = np.empty(n, dtype=np.intp)
+    rank[order] = np.arange(n)
+    lo, hi = (n - 1) // 2, n // 2
+    stats = np.empty(resamples)
+    for start in range(0, resamples, _BOOTSTRAP_CHUNK_ROWS):
+        rows = min(_BOOTSTRAP_CHUNK_ROWS, resamples - start)
+        offsets = np.arange(0, rows * n, n)
+        keys = rank[rng.integers(0, n, size=(rows, n), dtype=np.int32)]
+        keys += offsets[:, None]
+        running = np.bincount(keys.ravel(), minlength=rows * n)
+        np.cumsum(running, out=running)
+        low = ordered[np.searchsorted(running, offsets + lo, side="right") - offsets]
+        if lo == hi:
+            stats[start:start + rows] = low + 0.0
+        else:
+            high = ordered[np.searchsorted(running, offsets + hi, side="right") - offsets]
+            stats[start:start + rows] = (low + high + 0.0) / 2
+    return stats
 
 
 @dataclass

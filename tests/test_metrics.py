@@ -198,6 +198,27 @@ def test_transfer_no_eligible_node_errors():
         transfer_select(arch, GrowthScoreParams(min_descendants=3))
 
 
+def test_transfer_and_growth_on_empty_archive_error():
+    with pytest.raises(ValueError):
+        transfer_select(Archive(), GrowthScoreParams())
+    with pytest.raises(KeyError):
+        growth_score(Archive(), 0, GrowthScoreParams())
+
+
+def test_growth_unknown_node_is_key_error():
+    arch = chain_archive([0.1, 0.2, 0.3])
+    with pytest.raises(KeyError):
+        growth_score(arch, 3, GrowthScoreParams())
+
+
+def test_growth_scores_only_the_subtree():
+    # a node outside the subtree without an evaluation record is not read
+    arch = chain_archive([0.1, 0.2, 0.4])
+    arch.nodes[0].scores = {}
+    params = GrowthScoreParams(gamma=0.5)
+    assert growth_score(arch, 1, params) == (0.4 - 0.2) * 0.5
+
+
 def test_growth_and_transfer_match_brute_force_on_500_trees():
     rng = np.random.default_rng(202)
     params = GrowthScoreParams(gamma=0.6, min_descendants=3)
@@ -268,14 +289,34 @@ def frozen_transfer_select(arch: Archive, params: GrowthScoreParams) -> Optional
     return best_id
 
 
-def deep_tree_archive(rng: np.random.Generator, size: int) -> Archive:
-    """Random tree whose parents are drawn from the last few nodes: deep lineages."""
+def deep_tree_archive(rng: np.random.Generator, size: int, window: int = 4) -> Archive:
+    """Random tree whose parents are drawn from the last `window` nodes: deep lineages."""
     arch = Archive(mode_tag="full")
     add_node(arch, make_node(0, None, score=float(rng.random())))
     for node_id in range(1, size):
-        parent = int(rng.integers(max(0, node_id - 4), node_id))
+        parent = int(rng.integers(max(0, node_id - window), node_id))
         add_node(arch, make_node(node_id, parent, score=float(rng.random())))
     return arch
+
+
+def analytics_shaped_archive(rng: np.random.Generator) -> Archive:
+    """1,000 nodes, depth about 35 and mean depth about 17: near the archive
+    of the benchmark's analytics workload (depth 30, mean depth 17.3)."""
+    return deep_tree_archive(rng, 1000, window=70)
+
+
+def assert_growth_and_transfer_match_frozen(arch: Archive, params: GrowthScoreParams) -> None:
+    for node in arch.nodes:
+        if _scan_children(arch, node.id):
+            assert repr(growth_score(arch, node.id, params)) == repr(
+                frozen_growth_score(arch, node.id, params)
+            )
+    expected = frozen_transfer_select(arch, params)
+    if expected is None:
+        with pytest.raises(ValueError):
+            transfer_select(arch, params)
+    else:
+        assert transfer_select(arch, params) == expected
 
 
 @pytest.mark.parametrize("gamma", [0.6, 0.37, 1.0])
@@ -286,17 +327,21 @@ def test_growth_and_transfer_bit_identical_to_frozen_implementation(gamma):
             arch = shape(rng, int(rng.integers(2, 201)))
             min_descendants = int(rng.integers(1, 6))
             params = GrowthScoreParams(gamma=gamma, min_descendants=min_descendants)
-            for node in arch.nodes:
-                if _scan_children(arch, node.id):
-                    assert growth_score(arch, node.id, params) == frozen_growth_score(
-                        arch, node.id, params
-                    )
-            expected = frozen_transfer_select(arch, params)
-            if expected is None:
-                with pytest.raises(ValueError):
-                    transfer_select(arch, params)
-            else:
-                assert transfer_select(arch, params) == expected
+            assert_growth_and_transfer_match_frozen(arch, params)
+    arch = analytics_shaped_archive(rng)
+    assert_growth_and_transfer_match_frozen(arch, GrowthScoreParams(gamma=gamma))
+
+
+def test_growth_terms_underflowing_to_signed_zero_match_frozen():
+    # 0.37**dist underflows to 0.0 from dist 750 on, so the deepest terms
+    # of a falling chain are -0.0: the sum must keep its order and its
+    # zeros' signs.
+    arch = chain_archive([0.5] + [0.25] * 800)
+    params = GrowthScoreParams(gamma=0.37, min_descendants=1)
+    for node_id in (0, 1, 100, 799):
+        assert repr(growth_score(arch, node_id, params)) == repr(
+            frozen_growth_score(arch, node_id, params)
+        )
 
 
 def test_transfer_exact_tie_picks_lowest_id():
@@ -379,26 +424,88 @@ def test_bootstrap_level_shrinks_interval():
     assert high50 - low50 <= high95 - low95
 
 
-def one_shot_bootstrap(samples, rng, resamples, statistic=np.median):
-    """Oracle: the bootstrap with every resampled row drawn in one call."""
+def one_shot_bootstrap(samples, rng, resamples, statistic=np.median, level=95.0):
+    """Oracle: the bootstrap with every resampled row drawn in one int64 call
+    and each row's median taken by `np.median`."""
     data = np.asarray(samples, dtype=float)
     indices = rng.integers(0, data.size, size=(resamples, data.size))
     if statistic is np.median:
         stats = np.median(data[indices], axis=1)
     else:
         stats = np.apply_along_axis(statistic, 1, data[indices])
-    lower, upper = np.percentile(stats, [2.5, 97.5])
+    tail = (100.0 - level) / 2.0
+    lower, upper = np.percentile(stats, [tail, 100.0 - tail])
     return float(statistic(data)), float(lower), float(upper)
 
 
 @pytest.mark.parametrize("statistic", [np.median, lambda row: float(row.mean())])
-@pytest.mark.parametrize("extra", [-1, 1, 7])
-@pytest.mark.parametrize("size", [1, 2, 37])
+@pytest.mark.parametrize("extra", [-1, 1, 7, 45])
+@pytest.mark.parametrize("size", [1, 2, 37, 38, 1000])
 def test_bootstrap_chunks_equal_one_shot_draws(statistic, extra, size):
     resamples = 2 * metrics_mod._BOOTSTRAP_CHUNK_ROWS + extra
     samples = np.random.default_rng(size).random(size).tolist()
     chunked = bootstrap_ci(samples, substream(3, "chunks"), resamples, statistic=statistic)
-    assert chunked == one_shot_bootstrap(samples, substream(3, "chunks"), resamples, statistic)
+    expected = one_shot_bootstrap(samples, substream(3, "chunks"), resamples, statistic)
+    assert repr(chunked) == repr(expected)
+
+
+SAMPLE_SHAPES = {
+    "odd": lambda rng: rng.random(25),
+    "even": lambda rng: rng.random(24),
+    "one": lambda rng: rng.random(1),
+    "heavy-ties": lambda rng: rng.integers(0, 3, 40) / 2.0,
+    "all-equal": lambda rng: np.full(9, 0.3),
+    "infinities": lambda rng: rng.choice([-np.inf, np.inf, 0.0, 0.5, 1.0], 30),
+    "signed-zeros": lambda rng: rng.choice([-0.0, 0.0], 12),
+    "negative-zeros": lambda rng: np.full(7, -0.0),
+}
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.parametrize("level", [50.0, 95.0, 99.9])
+@pytest.mark.parametrize("resamples", [1, 31, 33, 100])
+@pytest.mark.parametrize("shape", sorted(SAMPLE_SHAPES))
+def test_bootstrap_medians_bit_equal_to_np_median_rows(shape, resamples, level):
+    samples = SAMPLE_SHAPES[shape](np.random.default_rng(len(shape))).tolist()
+    got = bootstrap_ci(samples, substream(5, shape), resamples, level=level)
+    expected = one_shot_bootstrap(samples, substream(5, shape), resamples, level=level)
+    assert repr(got) == repr(expected)
+
+
+def test_bootstrap_medians_bit_equal_on_random_inputs():
+    rng = np.random.default_rng(606)
+    for case in range(200):
+        size = int(rng.integers(1, 80))
+        samples = rng.choice(rng.random(int(rng.integers(1, size + 1))), size).tolist()
+        resamples = int(rng.integers(1, 150))
+        level = float(rng.choice([50.0, 90.0, 95.0, 99.9]))
+        got = bootstrap_ci(samples, substream(case, "random"), resamples, level=level)
+        expected = one_shot_bootstrap(samples, substream(case, "random"), resamples,
+                                      level=level)
+        assert repr(got) == repr(expected)
+
+
+def test_bootstrap_sample_with_nan_keeps_np_median_nan():
+    # np.median of a row that draws the NaN is NaN, so the bounds are NaN;
+    # an order statistic read off sorted ranks would be finite.
+    samples = np.random.default_rng(11).random(50)
+    samples[17] = np.nan
+    got = bootstrap_ci(samples.tolist(), substream(2, "nan"), 20)
+    expected = one_shot_bootstrap(samples.tolist(), substream(2, "nan"), 20)
+    assert np.isnan(got[1]) and np.isnan(got[2])
+    assert repr(got) == repr(expected)
+
+
+@pytest.mark.parametrize("high", [1, 2, 7, 1000, 123457])
+def test_int32_draws_equal_int64_draws(high):
+    # `bootstrap_ci` draws its median rows as int32; they must be the values
+    # (and leave the generator in the state) of the int64 draws it replaced.
+    wide, narrow = substream(8, "draws"), substream(8, "draws")
+    for shape in ((3, 5), (32, 1000), (7,)):
+        expected = wide.integers(0, high, size=shape)
+        got = narrow.integers(0, high, size=shape, dtype=np.int32)
+        assert np.array_equal(got, expected)
+    assert wide.bit_generator.state == narrow.bit_generator.state
 
 
 # --- progress series -------------------------------------------------------------------
