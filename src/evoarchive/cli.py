@@ -16,6 +16,7 @@ Exit codes: 0 success, 1 runtime failure (state stays resumable),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -53,7 +54,10 @@ ANALYZE_RANGES = {
 RUNTIME_FAILURES = (engine.EngineError, archive_mod.ArchiveError, GenerationError, OSError)
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """Built once per process and shared by its `main` calls: parsing reads the
+    parser and changes nothing in it."""
     parser = argparse.ArgumentParser(prog="evoarchive")
     sub = parser.add_subparsers(dest="command", required=True)
 

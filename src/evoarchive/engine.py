@@ -553,7 +553,9 @@ def replay_log(event_log: Path) -> tuple[RunState, int]:
     events of `event_log`, and the committed lines' length in bytes; writes
     nothing. Each committed batch is folded as soon as it is parsed, so the fold
     holds the archive plus one batch whatever the log's length. Errors name lines
-    of `event_log`. `completed` is set by a `run_complete` event."""
+    of `event_log`; a log that archives no agent, not even the root its first
+    commit holds, raises naming the log. `completed` is set by a `run_complete`
+    event."""
     event_log = Path(event_log)
     state = _empty_state(event_log)
     scores: dict[int, dict[str, DomainScores]] = {}
@@ -570,6 +572,8 @@ def replay_log(event_log: Path) -> tuple[RunState, int]:
                     f"bad event at line {lineno} of {event_log}: {exc!r}") from exc
     if state.iteration < 0:
         raise IntegrityError(f"{event_log} holds no completed iteration")
+    if not state.archived:
+        raise IntegrityError(f"{event_log} archives no agent, not even the root")
     return state, committed
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 import shutil
 import time
@@ -84,7 +85,7 @@ class SimulatedAgentGenome:
     selection_policy: Optional[dict] = None
 
     def __post_init__(self) -> None:
-        if not all(np.isfinite(v) for v in self.task_skill):
+        if not all(math.isfinite(v) for v in self.task_skill):
             raise ValueError("task_skill must be finite")
         if not 0.0 <= self.meta_capability <= 1.0:
             raise ValueError("meta_capability must be in [0, 1]")

@@ -11,6 +11,7 @@ choice and the discount base are documented on the operations below.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
@@ -35,7 +36,7 @@ class ImpAtKRequest:
         if len(self.generated_scores) > self.k:
             raise ValueError("more generated scores than k")
         values = (self.initial_score, *self.generated_scores)
-        if not all(np.isfinite(v) for v in values):
+        if not all(math.isfinite(v) for v in values):
             raise ValueError("scores must be finite")
 
 

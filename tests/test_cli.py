@@ -22,6 +22,7 @@ from evoarchive.config import (
     LIMITS_KEYS,
     SIMULATED_BACKEND_KEYS,
     ConfigError,
+    config_hash,
     demo_config,
     parse_config,
     read_config_doc,
@@ -661,6 +662,37 @@ def test_analyze_corrupt_committed_line_exits_1(finished_run, tmp_path, capsys):
     assert "IntegrityError" in err and "line 3 " in err
 
 
+def rootless_state(tmp_path: Path) -> Path:
+    """A state directory whose committed log archives no agent: `run_start`
+    and `iteration_complete 0` only, beside the config snapshot of its run."""
+    config_path = write_config(tmp_path)
+    state_dir = tmp_path / "state"
+    state_dir.mkdir()
+    shutil.copy(config_path, state_dir / "config.json")
+    run_id = config_hash(read_config_doc(config_path))[:12]
+    append_events(state_dir / "events.jsonl", [
+        {"event": "run_start", "time": "t", "run_id": run_id, "mode": "full",
+         "seed": 11, "iterations": 6},
+        {"event": "iteration_complete", "time": "t", "iteration": 0},
+    ])
+    return state_dir
+
+
+@pytest.mark.parametrize("command", [*ANALYZE_METRICS, "resume"])
+def test_a_log_that_archives_no_agent_exits_1_and_writes_nothing(tmp_path, capsys, command):
+    state_dir = rootless_state(tmp_path)
+    before = tree_state(tmp_path)
+    argv = (["resume", "--state", str(state_dir)] if command == "resume" else
+            ["analyze", "--state", str(state_dir), "--metric", command,
+             "--out", str(tmp_path / "out")])
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1, err
+    assert f"IntegrityError: {state_dir / 'events.jsonl'} archives no agent" in err
+    assert tree_state(tmp_path) == before
+
+
 @pytest.mark.parametrize("metric", ANALYZE_METRICS)
 def test_analyze_parses_the_log_once(finished_run, tmp_path, monkeypatch, metric):
     parses = []
@@ -891,6 +923,43 @@ def test_policy_flags_mirror_config_keys(tmp_path):
     effective = json.loads((tmp_path / "state" / "config.json").read_text())
     assert effective["policy"]["variant"] == "softmax"
     assert effective["policy"]["temperature"] == 0.25
+
+
+def test_one_parser_serves_every_call_of_a_process_as_if_each_were_its_own(
+        finished_run, tmp_path, capsys):
+    from evoarchive import cli
+
+    cli._parser.cache_clear()
+
+    def transfer(*flags: str) -> bytes:
+        out = tmp_path / "transfer.csv"
+        assert main(["analyze", "--state", str(finished_run), "--metric", "transfer",
+                     "--out", str(out), *flags]) == 0
+        return out.read_bytes()
+
+    default = transfer()
+    assert transfer("--gamma", "0.5") != default
+    assert transfer() == default
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--state", str(finished_run), "--metric", "nope",
+              "--out", str(tmp_path / "x"), "--gamma", "0.5"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+    assert transfer() == default
+    assert not (tmp_path / "x").exists()
+    assert cli._parser.cache_info().misses == 1
+
+
+def test_a_policy_flag_does_not_carry_over_to_the_next_run(tmp_path):
+    def effective_policy(name: str, *flags: str) -> dict:
+        config_path = write_config(tmp_path / name, iterations=1)
+        assert main(["run", "--config", str(config_path), *flags]) == 0
+        return json.loads((tmp_path / name / "state" / "config.json").read_text())["policy"]
+
+    default = effective_policy("first")
+    flagged = effective_policy("flagged", "--policy-variant", "ucb", "--policy-stagnation-boost")
+    assert flagged == {**default, "variant": "ucb", "stagnation_boost": True}
+    assert effective_policy("after") == default
 
 
 @pytest.mark.parametrize(

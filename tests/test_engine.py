@@ -13,6 +13,7 @@ import pytest
 from evoarchive import archive as archive_mod
 from evoarchive.archive import DomainScores, fingerprint
 from evoarchive.engine import (
+    _commit,
     _read_committed,
     EngineError,
     IntegrityError,
@@ -438,6 +439,55 @@ def test_resume_detects_corrupt_event_line(tmp_path):
     append_events(state.event_log, [{"event": "iteration_complete", "iteration": 3}])
     with pytest.raises(IntegrityError, match=f"line {log_lines(state) - 1} "):
         load_state(config)
+
+
+RUN_START_RULE = "run_start must be the first event, and only the first"
+
+
+def test_replay_requires_run_start_on_line_one(tmp_path):
+    state = run(make_config(tmp_path, iterations=2))
+    lines = state.event_log.read_bytes().splitlines(keepends=True)
+    state.event_log.write_bytes(b"".join(lines[1:]))  # line 1 is now the root's evaluation
+    with pytest.raises(IntegrityError, match=f"bad event at line 1 .*{RUN_START_RULE}"):
+        replay_log(state.event_log)
+
+
+def second_run_start(state) -> dict:
+    return {"event": "run_start", "time": "t", "run_id": state.run_id,
+            "mode": state.archive.mode_tag, "seed": 7, "iterations": 4}
+
+
+def test_replay_rejects_a_second_run_start_in_a_later_batch(tmp_path):
+    state = run(make_config(tmp_path, iterations=4), stop_after=2)
+    append_events(state.event_log, [
+        {"event": "selection", "iteration": 3},
+        second_run_start(state),
+        {"event": "iteration_complete", "iteration": 3},
+    ])
+    with pytest.raises(IntegrityError,
+                       match=f"bad event at line {log_lines(state) - 1} .*{RUN_START_RULE}"):
+        replay_log(state.event_log)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "engine._commit does not apply replay_log's run_start rule: it folds and appends "
+    "a second run_start, and every later load of the log refuses that line"))
+def test_a_live_commit_of_a_second_run_start_raises_and_appends_nothing(tmp_path):
+    state = run(make_config(tmp_path, iterations=4), stop_after=2)
+    committed = state.event_log.read_bytes()
+    with pytest.raises(ValueError, match=RUN_START_RULE):
+        _commit(state, [second_run_start(state), {"event": "iteration_complete", "iteration": 3}])
+    assert state.event_log.read_bytes() == committed
+
+
+def test_replay_of_a_log_that_archives_no_agent_names_the_log(tmp_path):
+    event_log = tmp_path / "events.jsonl"
+    append_events(event_log, [
+        {"event": "run_start", "run_id": "r", "mode": "full", "seed": 1, "iterations": 2},
+        {"event": "iteration_complete", "iteration": 0},
+    ])
+    with pytest.raises(IntegrityError, match=f"{re.escape(str(event_log))} archives no agent"):
+        replay_log(event_log)
 
 
 def test_read_events_returns_committed_events_only(tmp_path):

@@ -65,6 +65,17 @@ class UncalledProbe:
 # --- simulated backend -----------------------------------------------------------
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_genome_rejects_non_finite_task_skill(bad):
+    with pytest.raises(ValueError, match="task_skill must be finite"):
+        SimulatedAgentGenome([0.0, bad], 0.3, 0.9)
+
+
+def test_genome_accepts_finite_float_and_int_task_skill():
+    genome = SimulatedAgentGenome([0.5, -2, np.float64(1e300)], 0.3, 0.9)
+    assert genome.task_skill == [0.5, -2, 1e300]
+
+
 def test_zero_mutation_scale_clones_parent(tmp_path):
     parent = write_parent(tmp_path)
     backend = SimulatedBackend(master_seed=1, mutation_scale=0.0)

@@ -120,6 +120,11 @@ def test_impk_request_validation():
         ImpAtKRequest(0.1, (0.2, 0.3), k=1)
     with pytest.raises(ValueError):
         ImpAtKRequest(float("nan"), (), k=1)
+    for bad in (float("inf"), -float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="scores must be finite"):
+            ImpAtKRequest(0.1, (0.2, bad), k=2)
+    # numpy scalars are checked as the floats they hold
+    ImpAtKRequest(np.float64(0.1), (np.float32(0.2), 1), k=2)
 
 
 # --- growth score ----------------------------------------------------------------
