@@ -37,6 +37,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Optional
 
+import orjson
+
 from . import archive as archive_mod
 from .archive import AgentNode, Archive, ArchiveError, DomainScores
 from .evaluation import (
@@ -114,6 +116,8 @@ class RunConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
+        if not 0 <= self.seed < 2**32:  # `rng.substream` keeps 32 bits of it
+            raise ValueError("seed must be in [0, 2**32)")
         if self.parents_per_iteration < 1:
             raise ValueError("parents_per_iteration must be >= 1")
         if self.concurrency < 1:
@@ -138,7 +142,7 @@ class RunState:
     archive: Archive
     iteration: int
     event_log: Path
-    run_id: str
+    run_id: Optional[str]
     completed: bool = False
     archived: list[AgentNode] = field(default_factory=list)
     already_complete: bool = False
@@ -152,16 +156,35 @@ class RunState:
 # --- event log ----------------------------------------------------------------
 
 
-# Log lines skip `json.loads`'s per-call encoding detection and set-up.
-_DECODER = json.JSONDecoder()
-_JSON_WHITESPACE = " \t\n\r"
+# orjson recurses on the C stack once per nesting level, and a deep enough line
+# kills the process: about 4,000 levels on a 256 KB thread stack, and 1,000
+# levels need about 96 KB. The engine's lines nest at most 4 deep.
+MAX_OPENERS = 1000
+
+
+def _check_depth(line: bytes) -> None:
+    """ValueError for a line of over `MAX_OPENERS` bytes with more `[` and `{`
+    bytes than that: it might nest deeper than the decoder can follow."""
+    if len(line) > MAX_OPENERS and line.count(b"[") + line.count(b"{") > MAX_OPENERS:
+        raise ValueError(f"more than {MAX_OPENERS} '[' and '{{' bytes")
 
 
 def append_events(path: Path, events: list[dict]) -> None:
-    with open(path, "a", encoding="utf-8") as fh:
-        for event in events:
-            fh.write(json.dumps(event, sort_keys=True) + "\n")
-        fh.flush()
+    """Append one line per event in one write. An event the reader would refuse
+    (a NaN or infinity, an unpaired surrogate, too deep a line, a value JSON
+    cannot hold) raises EngineError naming its kind before any byte is appended."""
+    lines = []
+    for event in events:
+        try:
+            line = json.dumps(event, sort_keys=True, allow_nan=False).encode("utf-8") + b"\n"
+            _check_depth(line)
+            if b"\\ud" in line:  # a surrogate escape, which the reader refuses unpaired
+                orjson.loads(line)
+        except (ValueError, TypeError) as exc:
+            raise EngineError(f"cannot log event {event.get('event')!r}: {exc}") from exc
+        lines.append(line)
+    with open(path, "ab") as fh:
+        fh.write(b"".join(lines))
 
 
 def read_events(path: Path) -> list[dict]:
@@ -177,19 +200,18 @@ def _read_committed(path: Path) -> Iterator[tuple[list[dict], int]]:
     batch, a torn line) are dropped. A malformed line before a commit raises
     IntegrityError naming the line at that commit, after yielding the events
     that precede it in its batch (the length unchanged): a fold of what this
-    yields stops at the first bad line in file order. A line is one strict
-    UTF-8 JSON object padded by JSON whitespace; unlike `json.loads` on bytes,
-    no other encoding is detected."""
+    yields stops at the first bad line in file order. A line is one RFC 8259
+    JSON object in UTF-8, padded by JSON whitespace, that is not too deep (see
+    `_check_depth`): no other encoding, no NaN or Infinity, no unpaired
+    surrogate."""
     batch: list[dict] = []
     size = 0
     error: Optional[IntegrityError] = None
     with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             try:
-                text = line.decode("utf-8").strip(_JSON_WHITESPACE)
-                event, end = _DECODER.raw_decode(text)
-                if end != len(text):
-                    raise json.JSONDecodeError("Extra data", text, end)
+                _check_depth(line)
+                event = orjson.loads(line)
                 kind = event["event"]
             except (ValueError, KeyError, TypeError) as exc:
                 error = error or IntegrityError(
@@ -544,8 +566,8 @@ def run(
 
 
 def _empty_state(event_log: Path) -> RunState:
-    """The state before a run's first event."""
-    return RunState(Archive(), -1, event_log, "")
+    """The state before a run's first event: no run id until `run_start`."""
+    return RunState(Archive(), -1, event_log, None)
 
 
 def replay_log(event_log: Path) -> tuple[RunState, int]:
@@ -564,8 +586,6 @@ def replay_log(event_log: Path) -> tuple[RunState, int]:
         for event in batch:
             lineno += 1
             try:
-                if (lineno == 1) != (event["event"] == "run_start"):
-                    raise ValueError("run_start must be the first event, and only the first")
                 _apply_event(state, event, scores)
             except (ValueError, KeyError, TypeError, ArchiveError) as exc:
                 raise IntegrityError(
@@ -595,6 +615,8 @@ def _load_checked(config: RunConfig, run_id: Optional[str] = None) -> tuple[RunS
 
 def _apply_event(state: RunState, event: dict, scores: dict[int, dict[str, DomainScores]]) -> None:
     kind = event["event"]
+    if (kind == "run_start") != (state.run_id is None):
+        raise ValueError("run_start must be the first event, and only the first")
     if kind == "run_start":
         state.archive.mode_tag, state.run_id = event["mode"], event["run_id"]
     elif kind == "evaluation":

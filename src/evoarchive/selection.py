@@ -41,8 +41,9 @@ POLICY_KEYS: dict[str, Any] = {
 
 
 def checked_type(value: Any, kind: Any, key: str) -> Any:
-    """`value` as a JSON `kind`: an int is also a float, a bool is only a bool,
-    `list[T]` is a list whose items (named `key[i]`) are `T`, `Any` is anything."""
+    """`value` as a JSON `kind`: an int is also a float, a bool is only a bool, a
+    str is UTF-8 (no unpaired surrogate, which no log line may hold), `list[T]`
+    is a list whose items (named `key[i]`) are `T`, `Any` is anything."""
     if kind is Any:
         return value
     if getattr(kind, "__origin__", None) is list:
@@ -53,6 +54,11 @@ def checked_type(value: Any, kind: Any, key: str) -> Any:
         return float(value)
     if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
         raise ValueError(f"key '{key}' must be {kind.__name__}")
+    if kind is str:
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValueError(f"key '{key}' holds an unpaired surrogate") from None
     return value
 
 

@@ -6,12 +6,17 @@ import hashlib
 import inspect
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
+import types
 import typing
 from pathlib import Path
 
 import pytest
 
+import evoarchive
 from evoarchive.archive import AgentNode, DomainScores, fingerprint, load
 from evoarchive import engine
 from evoarchive.cli import ANALYZE_METRICS, _impk_row, main
@@ -395,6 +400,8 @@ def rejected_before_the_state_is_touched(tmp_path, capsys, doc: dict) -> str:
          "backend.landscape.local_center[1]"),
         (("backend",), {"kind": "external-process", "command": []}, "backend.command"),
         (("backend",), {"kind": "model-client", "url": 3}, "backend.url"),
+        (("domains", 0, "name"), "\ud800", "domains[0].name"),
+        (("domains", 0, "task_ids"), ["probe-1", "a\udfff"], "domains[0].task_ids[1]"),
     ],
 )
 def test_bad_config_exits_2_and_keeps_the_earlier_run(tmp_path, capsys, path, value, key):
@@ -405,6 +412,15 @@ def test_bad_config_exits_2_and_keeps_the_earlier_run(tmp_path, capsys, path, va
         section = section[step]
     section[last] = value
     assert f"'{key}'" in rejected_before_the_state_is_touched(tmp_path, capsys, doc)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**32, 2**70])
+def test_a_seed_outside_32_bits_exits_2_and_keeps_the_earlier_run(tmp_path, capsys, seed):
+    # `rng.substream` keeps a seed's low 32 bits: seeds 1 and 2**32 + 1 would run
+    # one trajectory under two run ids
+    doc = {**demo_config(iterations=6, seed=11), "seed": seed}
+    assert "seed must be in [0, 2**32)" in rejected_before_the_state_is_touched(
+        tmp_path, capsys, doc)
 
 
 @pytest.mark.parametrize("template", [None, b"\xff\xfe not utf-8"])
@@ -662,6 +678,76 @@ def test_analyze_corrupt_committed_line_exits_1(finished_run, tmp_path, capsys):
     assert "IntegrityError" in err and "line 3 " in err
 
 
+# each stands in for a committed line in the middle of iteration 2's batch
+MALFORMED_LINES = {
+    "torn": b'{"event": "genera\n',
+    "blank": b"\n",
+    "utf-8 byte-order mark": b'\xef\xbb\xbf{"event": "validation"}\n',
+    "utf-16": '{"event": "validation"}'.encode("utf-16") + b"\n",
+    "utf-8-encoded surrogate": b'{"event": "validation", "note": "\xed\xa0\x80"}\n',
+    "escaped unpaired surrogate": b'{"event": "validation", "note": "\\ud800"}\n',
+    "NaN": b'{"event": "validation", "ok": NaN}\n',
+    "Infinity": b'{"event": "validation", "ok": Infinity}\n',
+    "-Infinity": b'{"event": "validation", "ok": -Infinity}\n',
+    "1e400": b'{"event": "validation", "ok": 1e400}\n',
+    "trailing data": b'{"event": "validation"} {}\n',
+    "non-object": b'["event", "validation"]\n',
+    "no event key": b'{"kind": "validation"}\n',
+}
+
+
+def break_line(state_dir: Path, bad: bytes) -> int:
+    """Put `bad` in place of the second line of iteration 2's batch in the
+    run's log; returns its line number."""
+    event_log = state_dir / "events.jsonl"
+    lines = event_log.read_bytes().splitlines(keepends=True)
+    index = [i for i, line in enumerate(lines) if b'"iteration_complete"' in line][1] + 2
+    lines[index] = bad
+    event_log.write_bytes(b"".join(lines))
+    return index + 1
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_LINES))
+def test_a_malformed_line_is_named_by_replay_and_analyze(finished_run, tmp_path, capsys, name):
+    lineno = break_line(finished_run, MALFORMED_LINES[name])
+    event_log = finished_run / "events.jsonl"
+    with pytest.raises(engine.IntegrityError, match=f"corrupt event at line {lineno} of "):
+        engine.replay_log(event_log)
+    capsys.readouterr()
+    assert main(["analyze", "--state", str(finished_run), "--metric", "tree",
+                 "--out", str(tmp_path / "t.dot")]) == 1
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert f"corrupt event at line {lineno} of {event_log}" in err
+
+
+DEEP_ANALYZE = """
+import sys, threading
+from evoarchive.cli import main
+argv = ["analyze", "--state", sys.argv[1], "--metric", "tree", "--out", sys.argv[2]]
+if sys.argv[3] == "main":
+    sys.exit(main(argv))
+threading.stack_size(256 * 1024)
+codes = []
+worker = threading.Thread(target=lambda: codes.append(main(argv)))
+worker.start()
+worker.join()
+sys.exit(codes[0])
+"""
+
+
+@pytest.mark.parametrize("thread", ["main", "256 KB stack"])
+def test_a_line_nested_a_million_deep_exits_1_not_by_a_signal(finished_run, tmp_path, thread):
+    lineno = break_line(finished_run, b"[" * 1_000_000 + b"]" * 1_000_000 + b"\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(evoarchive.__file__).parents[1])}
+    result = subprocess.run(
+        [sys.executable, "-c", DEEP_ANALYZE, str(finished_run), str(tmp_path / "t.dot"), thread],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert result.returncode == 1, result
+    assert len(result.stderr.strip().splitlines()) == 1, result.stderr
+    assert f"corrupt event at line {lineno} of " in result.stderr
+
+
 def rootless_state(tmp_path: Path) -> Path:
     """A state directory whose committed log archives no agent: `run_start`
     and `iteration_complete 0` only, beside the config snapshot of its run."""
@@ -726,18 +812,17 @@ def test_each_batch_is_folded_before_the_next_is_parsed(finished_run, monkeypatc
             batch = []
     trace = []
 
-    class SpyDecoder:
-        def raw_decode(self, text):
-            event, end = decoder.raw_decode(text)
-            trace.append(("parse", event))
-            return event, end
+    def spy_loads(line):
+        event = loads(line)
+        trace.append(("parse", event))
+        return event
 
     def spy_fold(state, event, scores):
         trace.append(("fold", event))
         return fold(state, event, scores)
 
-    decoder, fold = engine._DECODER, engine._apply_event
-    monkeypatch.setattr(engine, "_DECODER", SpyDecoder())
+    loads, fold = engine.orjson.loads, engine._apply_event
+    monkeypatch.setattr(engine, "orjson", types.SimpleNamespace(loads=spy_loads))
     monkeypatch.setattr(engine, "_apply_event", spy_fold)
     LOADS[load](finished_run)
     assert trace == [(action, event) for batch in batches

@@ -469,15 +469,36 @@ def test_replay_rejects_a_second_run_start_in_a_later_batch(tmp_path):
         replay_log(state.event_log)
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "engine._commit does not apply replay_log's run_start rule: it folds and appends "
-    "a second run_start, and every later load of the log refuses that line"))
 def test_a_live_commit_of_a_second_run_start_raises_and_appends_nothing(tmp_path):
     state = run(make_config(tmp_path, iterations=4), stop_after=2)
     committed = state.event_log.read_bytes()
     with pytest.raises(ValueError, match=RUN_START_RULE):
         _commit(state, [second_run_start(state), {"event": "iteration_complete", "iteration": 3}])
     assert state.event_log.read_bytes() == committed
+
+
+@pytest.mark.parametrize("value", [math.nan, -math.inf, "/d\udcff/t.txt", [[]] * 1000, {1, 2}],
+                         ids=["nan", "-inf", "unpaired surrogate", "1002 openers", "set"])
+def test_a_batch_the_reader_would_refuse_raises_before_any_byte_is_appended(tmp_path, value):
+    event_log = tmp_path / "events.jsonl"
+    append_events(event_log, [{"event": "run_start"}, {"event": "iteration_complete"}])
+    committed = event_log.read_bytes()
+    with pytest.raises(EngineError, match="cannot log event 'evaluation': "):
+        append_events(event_log, [
+            {"event": "selection", "iteration": 1},
+            {"event": "evaluation", "iteration": 1, "value": value},
+            {"event": "iteration_complete", "iteration": 1},
+        ])
+    assert event_log.read_bytes() == committed
+
+
+def test_a_surrogate_pair_is_logged_and_read_back(tmp_path):
+    event_log = tmp_path / "events.jsonl"
+    events = [{"event": "run_start", "note": "\U0001f600 \\ud800"},
+              {"event": "iteration_complete", "iteration": 0}]
+    append_events(event_log, events)
+    assert b"\\ud83d\\ude00" in event_log.read_bytes()
+    assert read_events(event_log) == events
 
 
 def test_replay_of_a_log_that_archives_no_agent_names_the_log(tmp_path):
@@ -590,6 +611,31 @@ def test_log_lines_are_plain_utf8(tmp_path, line):
     event_log = tmp_path / "events.jsonl"
     event_log.write_bytes(LOG_HEAD + line + COMMIT)
     assert committed_by_engine(event_log) == 3
+
+
+def float_bits(value):
+    """`value` with each leaf tagged by its type and each float given as its
+    `float.hex`, so that `==` compares types and float bits."""
+    if isinstance(value, dict):
+        return {key: float_bits(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [float_bits(item) for item in value]
+    return type(value).__name__, value.hex() if isinstance(value, float) else value
+
+
+@pytest.mark.parametrize("shape", [*MODES, "resumed", "validation"])
+def test_read_events_equals_a_stdlib_decode_of_each_line(tmp_path, shape):
+    config = make_config(tmp_path, mode=shape if shape in MODES else "full", iterations=6,
+                         parents_per_iteration=2,
+                         domains=[landscape_domain(has_validation=shape == "validation")])
+    if shape == "resumed":
+        run(config, stop_after=3)
+        resume(config)
+    else:
+        run(config)
+    event_log = config.state_dir / "events.jsonl"
+    lines = event_log.read_bytes().splitlines()
+    assert float_bits(read_events(event_log)) == float_bits([json.loads(line) for line in lines])
 
 
 def test_run_rebuilds_partial_root_payload(tmp_path, monkeypatch):
@@ -815,7 +861,8 @@ def test_only_the_engine_reads_event_kinds():
 
 
 def test_one_function_decodes_log_lines():
-    # one line parser: the package calls the engine's `raw_decode` in one function
+    # one line parser: the package calls `orjson.loads` in the log's reader, and
+    # in its writer's check that a line holds no unpaired surrogate
     import ast
 
     import evoarchive
@@ -831,9 +878,11 @@ def test_one_function_decodes_log_lines():
                 scopes.pop()
 
             def visit_Call(self, node):
-                if isinstance(node.func, ast.Attribute) and node.func.attr == "raw_decode":
+                if (isinstance(node.func, ast.Attribute) and node.func.attr == "loads"
+                        and isinstance(node.func.value, ast.Name)
+                        and node.func.value.id == "orjson"):
                     callers.add(f"{path.name}:{'.'.join(scopes) or '<module>'}")
                 self.generic_visit(node)
 
         Calls().visit(ast.parse(path.read_text(encoding="utf-8")))
-    assert callers == {"engine.py:_read_committed"}
+    assert callers == {"engine.py:_read_committed", "engine.py:append_events"}
