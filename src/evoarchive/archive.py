@@ -1,4 +1,4 @@
-"""Rooted tree of agent variants: scores, child index, byte-stable storage.
+"""Rooted tree of agent variants: scores, parent links, byte-stable storage.
 
 The archive is append-only in archive-keeping modes. Ids are assigned in
 creation order starting at 0 (the root) and never reused, so references
@@ -149,15 +149,6 @@ def replace_sole_node(archive: Archive, node: AgentNode) -> Archive:
     node.parent_id = None
     archive.nodes = [node]
     return archive
-
-
-def child_index(archive: Archive) -> dict[int, list[int]]:
-    """Children of every node that has any, each list in ascending id order."""
-    index: dict[int, list[int]] = {}
-    for n in archive.nodes:
-        if n.parent_id is not None:
-            index.setdefault(n.parent_id, []).append(n.id)
-    return index
 
 
 def check_consistency(archive: Archive) -> None:

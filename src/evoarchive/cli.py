@@ -137,7 +137,7 @@ def _cmd_resume(args: argparse.Namespace) -> int:
     try:
         raw = read_config_doc(config_path)
         # the snapshot's own state directory, not that of the run it was copied from
-        config, evaluator_specs = parse_config({**raw, "state_dir": str(state_dir.absolute())},
+        config, evaluator_specs = parse_config({**raw, "state_dir": "."},
                                                base_dir=state_dir.absolute())
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -148,6 +148,11 @@ def parse_config(doc: dict, base_dir: Optional[Path] = None) -> tuple[RunConfig,
                 path = Path(values[key])
                 if base_dir is not None and not path.is_absolute():
                     path = base_dir / path
+                # the run writes these paths into its UTF-8 logs and payload files
+                try:
+                    str(path).encode("utf-8")
+                except UnicodeEncodeError:
+                    raise ValueError(f"key '{key}': path {str(path)!r} is not UTF-8") from None
                 values[key] = path
         template = values.get("instruction_template")
         if template is not None:

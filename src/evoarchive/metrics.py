@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .archive import AgentNode, Archive, child_index
+from .archive import AgentNode, Archive
 from .evaluation import node_selection_score
 
 
@@ -66,86 +66,68 @@ def growth_score(archive: Archive, node_id: int, params: GrowthScoreParams) -> f
 
     For each descendant j of i: (score_j - score_i) * gamma**dist(i, j),
     averaged over all descendants. Scores are selection scores. The terms
-    are summed in ascending id order, so the result is bit-stable. Costs
-    O(n) for the child index plus O(s log s) for a subtree of s nodes, the
-    only nodes it tours and scores.
+    are summed in ascending id order, so the result is bit-stable. One
+    ascending pass over the archive keeps each descendant's distance from
+    the node, so it costs O(n) and scores only the subtree.
     """
-    archive.node(node_id)
-    lineage = _Lineage(archive, params.gamma, [node_id])
-    scores = {j: node_selection_score(archive.node(j)) for j in lineage.order}
-    return lineage.growth(node_id, scores)
-
-
-class _Lineage:
-    """One preorder tour from `roots`, so each node's descendants are one slice.
-
-    Node i's `count[i]` descendants are `order[first[i]:first[i] + count[i]]`,
-    `depth[i]` counts its edges below its root, and `discount[d]` is
-    `gamma ** d` (the same Python `float ** int` as a per-term power), so
-    dist(i, j) is `depth[j] - depth[i]`.
-    """
-
-    def __init__(self, archive: Archive, gamma: float, roots: list[int]) -> None:
-        children = child_index(archive)
-        self.order: list[int] = []
-        self.first: dict[int, int] = {}
-        self.depth = dict.fromkeys(roots, 0)
-        # A stack tour visits all of a node's descendants right after it.
-        stack = list(roots)
-        while stack:
-            node_id = stack.pop()
-            self.order.append(node_id)
-            self.first[node_id] = len(self.order)
-            below = children.get(node_id)
-            if below:
-                self.depth.update(dict.fromkeys(below, self.depth[node_id] + 1))
-                stack.extend(below)
-        # Reversed, the tour reaches every node after all of its descendants.
-        self.count = dict.fromkeys(self.order, 0)
-        for node_id in reversed(self.order):
-            below = children.get(node_id)
-            if below:
-                self.count[node_id] = len(below) + sum(map(self.count.__getitem__, below))
-        self.discount = [gamma ** d for d in range(max(self.depth.values(), default=0) + 1)]
-
-    def growth(self, node_id: int, score: dict[int, float]) -> float:
-        """`growth_score` of one node over `score`, which holds at least its
-        subtree: `total += (score_j - base) * gamma**dist` for each
-        descendant j in ascending id order, then one division."""
-        count = self.count[node_id]
-        if not count:
-            raise ValueError(f"node {node_id} has no descendants")
-        first, depth, discount = self.first[node_id], self.depth, self.discount
-        base, level = score[node_id], depth[node_id]
-        total = 0.0
-        for j in sorted(self.order[first:first + count]):
-            total += (score[j] - base) * discount[depth[j] - level]
-        return total / count
+    base = node_selection_score(archive.node(node_id))
+    distance = {node_id: 0}
+    total, count = 0.0, 0
+    # a parent precedes its children in id order, so its distance is known
+    for node in archive:
+        above = distance.get(node.parent_id)
+        if above is not None:
+            distance[node.id] = dist = above + 1
+            total += (node_selection_score(node) - base) * params.gamma ** dist
+            count += 1
+    if not count:
+        raise ValueError(f"node {node_id} has no descendants")
+    return total / count
 
 
 def transfer_select(archive: Archive, params: GrowthScoreParams) -> int:
     """Node with the highest growth score among those with enough descendants.
 
     Ties break toward the lowest id. Each node's selection score is computed
-    once, and one preorder tour of the whole archive lays each node's
-    descendants out as one slice. The cost is O(n) plus sorting and summing
-    the eligible subtrees' slices: O(n * mean depth) terms, O(n^2) on a
-    chain.
+    once. One pass in ascending id order walks each node's ancestors and adds
+    its term to each ancestor's total, so every total sums its terms in
+    ascending id order, as `growth_score` does. The cost is one term per
+    (ancestor, descendant) pair: O(n * mean depth), O(n^2) on a chain.
     """
-    lineage = _Lineage(archive, params.gamma, [n.id for n in archive if n.parent_id is None])
-    eligible = [n.id for n in archive if lineage.count[n.id] >= params.min_descendants]
+    position = {node.id: i for i, node in enumerate(archive)}
+    parent = [-1 if n.parent_id is None else position[n.parent_id] for n in archive]
+    score = [node_selection_score(n) for n in archive]
+    total = [0.0] * len(score)
+    depth = [0] * len(score)
+    # discount[d] is gamma ** d, the same Python `float ** int` as a per-term power
+    discount = [1.0]
+    for j, above in enumerate(parent):
+        if above < 0:
+            continue
+        depth[j] = level = depth[above] + 1
+        if level == len(discount):
+            discount.append(params.gamma ** level)
+        score_j, dist = score[j], 1
+        while above >= 0:
+            total[above] += (score_j - score[above]) * discount[dist]
+            above, dist = parent[above], dist + 1
+    # descendants, counted from the leaves up: a child follows its parent
+    count = [0] * len(score)
+    for j in reversed(range(len(score))):
+        if parent[j] >= 0:
+            count[parent[j]] += count[j] + 1
+    eligible = [i for i, c in enumerate(count) if c >= params.min_descendants]
     if not eligible:
         raise ValueError(
             f"no node has at least {params.min_descendants} descendants"
         )
-    scores = {n.id: node_selection_score(n) for n in archive}
     # max keeps the first of equal keys: the lowest id.
-    return max(eligible, key=lambda i: lineage.growth(i, scores))
+    return archive.nodes[max(eligible, key=lambda i: total[i] / count[i])].id
 
 
 # Resampled rows drawn and reduced at once by `bootstrap_ci`. For n = 1,000
-# samples, a chunk's int32 draws, intp rank keys and running counts take
-# 32 * 1,000 * 20 bytes = 640 KB, which the process's peak resident set
+# samples, a chunk's int32 draws and int32 rank keys take
+# 32 * 1,000 * 8 bytes = 256 KB, which the process's peak resident set
 # counts in full.
 _BOOTSTRAP_CHUNK_ROWS = 32
 
@@ -161,10 +143,10 @@ def bootstrap_ci(
 
     Resamples with replacement at the original sample size; bounds are the
     (100-level)/2 and 100-(100-level)/2 percentiles of the resampled
-    statistic values. Resampled medians are exact order statistics, read by
-    counting ranks (`_bootstrap_medians`), and bit-identical to `np.median`
-    of each resampled row; samples holding a NaN take the row path, so they
-    keep `np.median`'s NaN.
+    statistic values. Resampled medians are exact order statistics, read
+    from each resampled row's sorted ranks (`_bootstrap_medians`), and
+    bit-identical to `np.median` of each resampled row; samples holding a
+    NaN take the row path, so they keep `np.median`'s NaN.
     """
     data = np.asarray(samples, dtype=float)
     if data.size == 0:
@@ -191,38 +173,34 @@ def bootstrap_ci(
 
 
 def _bootstrap_medians(data: np.ndarray, rng: np.random.Generator, resamples: int) -> np.ndarray:
-    """Median of each resampled row of `data` (no NaN), with no row sorted.
+    """Median of each resampled row of `data` (no NaN), read from its sorted ranks.
 
-    The samples are sorted once; each draw is mapped to its sample's rank,
-    and a row's k-th order statistic is the rank at which the row's running
-    count of drawn ranks first exceeds k. One `bincount` of the chunk's
-    ranks, offset by n per row, and one flat `cumsum` give every row's
-    running counts at once; row r's counts start at r*n. The draws are
+    The samples are sorted once and each draw is mapped to its sample's
+    rank, so a row's k-th order statistic is `ordered[k-th smallest rank]`:
+    each chunk's rank rows are sorted (numpy's default sort, which is
+    SIMD-accelerated for int32) and the middle columns read. The draws are
     int32, which numpy draws exactly as the int64 values of one
-    (resamples, n) call. `np.median` averages the middle values by
-    `(0.0 + a [+ b]) / count`, so the odd median is `a + 0.0` and the even
-    one `(a + b + 0.0) / 2`, which are the same bits (-0.0 included).
+    (resamples, n) call, and the ranks keep that dtype. `np.median` averages
+    the middle values by `(0.0 + a [+ b]) / count`, so the odd median is
+    `a + 0.0` and the even one `(a + b + 0.0) / 2`, which are the same bits
+    (-0.0 included).
     """
     n = data.size
     order = np.argsort(data, kind="stable")
     ordered = data[order]
-    rank = np.empty(n, dtype=np.intp)
-    rank[order] = np.arange(n)
+    rank = np.empty(n, dtype=np.int32)
+    rank[order] = np.arange(n, dtype=np.int32)
     lo, hi = (n - 1) // 2, n // 2
     stats = np.empty(resamples)
     for start in range(0, resamples, _BOOTSTRAP_CHUNK_ROWS):
         rows = min(_BOOTSTRAP_CHUNK_ROWS, resamples - start)
-        offsets = np.arange(0, rows * n, n)
-        keys = rank[rng.integers(0, n, size=(rows, n), dtype=np.int32)]
-        keys += offsets[:, None]
-        running = np.bincount(keys.ravel(), minlength=rows * n)
-        np.cumsum(running, out=running)
-        low = ordered[np.searchsorted(running, offsets + lo, side="right") - offsets]
+        keys = np.take(rank, rng.integers(0, n, size=(rows, n), dtype=np.int32))
+        keys.sort(axis=1)
+        low = ordered[keys[:, lo]]
         if lo == hi:
             stats[start:start + rows] = low + 0.0
         else:
-            high = ordered[np.searchsorted(running, offsets + hi, side="right") - offsets]
-            stats[start:start + rows] = (low + high + 0.0) / 2
+            stats[start:start + rows] = (low + ordered[keys[:, hi]] + 0.0) / 2
     return stats
 
 

@@ -15,7 +15,6 @@ from evoarchive.archive import (
     DomainScores,
     add_node,
     check_consistency,
-    child_index,
     fingerprint,
     load,
     persist,
@@ -132,18 +131,17 @@ def test_node_lookup_finds_sole_node_after_replace():
 @settings(max_examples=80, deadline=None)
 def test_queries_match_oracles_on_random_trees(size: int, seed: int):
     arch = random_tree_archive(np.random.default_rng(seed), size)
-    index = child_index(arch)
+    children = {node.id: [c.id for c in arch.nodes if c.parent_id == node.id]
+                for node in arch.nodes}
     for node in arch.nodes:
-        children = index.get(node.id, [])
-        assert children == sorted(children)
-        for child in children:
+        for child in children[node.id]:
             assert bfs_depth_oracle(arch, child) == bfs_depth_oracle(arch, node.id) + 1
-        # walking the index reaches exactly the nodes the edge scans reach
-        offspring, frontier = set(), list(children)
+        # walking the parent links down reaches exactly the nodes the edge scans reach
+        offspring, frontier = set(), list(children[node.id])
         while frontier:
             current = frontier.pop()
             offspring.add(current)
-            frontier.extend(index.get(current, ()))
+            frontier.extend(children[current])
         assert offspring == reachable_oracle(arch, node.id)
 
 

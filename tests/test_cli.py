@@ -455,6 +455,43 @@ def test_instruction_template_is_read_beside_the_config(tmp_path, monkeypatch):
     assert instructions and {e["template"] for e in instructions} == {str(template)}
 
 
+NOT_UTF8_DIR = os.fsdecode(b"d\xff")
+
+
+@pytest.mark.parametrize("key", ["state_dir", "payload_dir", "instruction_template"])
+def test_a_path_that_is_not_utf8_exits_2_and_writes_nothing(tmp_path, capsys, key):
+    # a child that does not compile logs its path: the run must not start
+    here = tmp_path / NOT_UTF8_DIR
+    here.mkdir()
+    doc = {**demo_config(state_dir=str(tmp_path / "state"), iterations=6, seed=11),
+           key: "t.txt" if key == "instruction_template" else "sub"}
+    doc["initial"]["compile_probability"] = 0.3
+    if key == "instruction_template":
+        doc["mode"] = "dgm-fixed-instruction"
+        (here / "t.txt").write_text("TEMPLATE {code}", encoding="utf-8")
+    (here / "config.json").write_text(json.dumps(doc), encoding="utf-8")
+    before = tree_state(here)
+    assert main(["run", "--config", str(here / "config.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: key '{key}': path ") and "not UTF-8" in err
+    assert len(err.strip().splitlines()) == 1
+    assert tree_state(here) == before and sorted(os.listdir(tmp_path)) == [NOT_UTF8_DIR]
+
+
+def test_resume_of_a_state_dir_that_is_not_utf8_exits_2_and_writes_nothing(tmp_path, capsys):
+    assert main(["run", "--config", str(write_config(tmp_path / "a"))]) == 0
+    state = tmp_path / NOT_UTF8_DIR
+    shutil.copytree(tmp_path / "a" / "state", state)
+    cut_log_after(state / "events.jsonl", 3)
+    before = tree_state(state)
+    capsys.readouterr()
+    assert main(["resume", "--state", str(state)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: key 'state_dir': path ") and "not UTF-8" in err
+    assert len(err.strip().splitlines()) == 1
+    assert tree_state(state) == before
+
+
 def test_config_tables_match_the_objects_they_build():
     # a field or parameter added without its config key (or the reverse) fails here
     assert GATE_KEYS == typing.get_type_hints(Gate)

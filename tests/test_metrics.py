@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import evoarchive.metrics as metrics_mod
-from evoarchive.archive import Archive, add_node
+from evoarchive.archive import Archive, add_node, replace_sole_node
 from evoarchive.engine import replay_log, run
 from evoarchive.evaluation import node_selection_score
 from evoarchive.metrics import (
@@ -349,6 +349,26 @@ def test_growth_terms_underflowing_to_signed_zero_match_frozen():
         )
 
 
+@pytest.mark.parametrize("gamma", [0.6, 0.37])
+def test_growth_and_transfer_on_a_300_deep_chain_match_frozen(gamma):
+    scores = np.random.default_rng(300).random(301).tolist()
+    assert_growth_and_transfer_match_frozen(chain_archive(scores), GrowthScoreParams(gamma=gamma))
+
+
+def test_growth_and_transfer_on_a_sole_node_with_a_nonzero_id_raise_like_frozen():
+    # a no-open-ended archive keeps only its latest agent, under that agent's id
+    arch = Archive(mode_tag="no-open-ended")
+    add_node(arch, make_node(0, None, score=0.25))
+    replace_sole_node(arch, make_node(7, 0, score=0.75))
+    params = GrowthScoreParams(min_descendants=1)
+    for growth in (frozen_growth_score, growth_score):
+        with pytest.raises(ValueError, match="node 7 has no descendants"):
+            growth(arch, 7, params)
+    assert frozen_transfer_select(arch, params) is None
+    with pytest.raises(ValueError, match="at least 1 descendants"):
+        transfer_select(arch, params)
+
+
 def test_transfer_exact_tie_picks_lowest_id():
     # nodes 1 and 2 root identical subtrees; 2's children get the lower ids
     arch = Archive()
@@ -360,6 +380,21 @@ def test_transfer_exact_tie_picks_lowest_id():
     params = GrowthScoreParams(gamma=0.6, min_descendants=3)
     assert growth_score(arch, 1, params) == growth_score(arch, 2, params)
     assert growth_score(arch, 1, params) > growth_score(arch, 0, params)
+    assert transfer_select(arch, params) == frozen_transfer_select(arch, params) == 1
+
+
+def test_transfer_ranks_totals_summed_in_ascending_id_order():
+    # nodes 1 and 2 have the same terms, 0.1, 0.2 and 0.3, in opposite id
+    # orders: (0.1 + 0.2) + 0.3 rounds one ulp above (0.3 + 0.2) + 0.1
+    arch = Archive()
+    add_node(arch, make_node(0, None, score=0.0))
+    add_node(arch, make_node(1, 0, score=0.0))
+    add_node(arch, make_node(2, 0, score=0.0))
+    for node_id, parent, score in ((3, 1, 0.1), (4, 1, 0.2), (5, 1, 0.3),
+                                   (6, 2, 0.3), (7, 2, 0.2), (8, 2, 0.1)):
+        add_node(arch, make_node(node_id, parent, score=score))
+    params = GrowthScoreParams(gamma=1.0, min_descendants=3)
+    assert growth_score(arch, 1, params) > growth_score(arch, 2, params)
     assert transfer_select(arch, params) == frozen_transfer_select(arch, params) == 1
 
 
@@ -488,6 +523,23 @@ def test_bootstrap_medians_bit_equal_on_random_inputs():
         expected = one_shot_bootstrap(samples, substream(case, "random"), resamples,
                                       level=level)
         assert repr(got) == repr(expected)
+
+
+@pytest.mark.parametrize("size, resamples", [(1000, 1000), (1001, 1000), (4290, 1000),
+                                             (70000, 3)])
+def test_bootstrap_medians_bit_equal_at_real_sizes(size, resamples):
+    # 70,000 samples take ranks above 2**16; ties come from drawing the
+    # samples from half as many values
+    rng = np.random.default_rng(size)
+    samples = rng.choice(rng.random(size // 2), size).tolist()
+    got = bootstrap_ci(samples, substream(7, "sizes"), resamples)
+    expected = one_shot_bootstrap(samples, substream(7, "sizes"), resamples)
+    assert repr(got) == repr(expected)
+    # every resampled median, not only the two the bounds interpolate
+    data = np.asarray(samples)
+    medians = metrics_mod._bootstrap_medians(data, substream(7, "sizes"), resamples)
+    rows = data[substream(7, "sizes").integers(0, size, size=(resamples, size))]
+    assert medians.tobytes() == np.median(rows, axis=1).tobytes()
 
 
 def test_bootstrap_sample_with_nan_keeps_np_median_nan():
