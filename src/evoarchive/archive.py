@@ -29,31 +29,37 @@ class ArchiveLoadError(ArchiveError):
     """Persisted state is corrupt or incomplete; names the offending record."""
 
 
-@dataclass
+@dataclass(slots=True)
 class DomainScores:
-    """Per-domain score record; every value lies in [0, 1] when present."""
+    """Per-domain score record; `train` is a number and every value lies in [0, 1]."""
 
     train: float
     validation: Optional[float] = None
     test: Optional[float] = None
 
     def __post_init__(self) -> None:
-        for name in ("train", "validation", "test"):
-            v = getattr(self, name)
-            if v is not None and not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} score {v} outside [0, 1]")
+        train, validation, test = self.train, self.validation, self.test
+        if train is None or not 0.0 <= train <= 1.0:
+            raise ValueError(f"train score {train} outside [0, 1]")
+        if validation is not None and not 0.0 <= validation <= 1.0:
+            raise ValueError(f"validation score {validation} outside [0, 1]")
+        if test is not None and not 0.0 <= test <= 1.0:
+            raise ValueError(f"test score {test} outside [0, 1]")
 
     def selection_component(self) -> float:
         """Validation aggregate when present, else the training aggregate."""
         return self.train if self.validation is None else self.validation
 
 
-@dataclass
+@dataclass(slots=True)
 class AgentNode:
     """One archive entry.
 
     `compiled_children` counts this node's children that passed validity
     checking; it is maintained by `add_node` and recomputable from edges.
+    `scores` is fixed once the node is built: `selection_score` is derived
+    from it then, as the mean over the domains, summed in domain-name order,
+    of each record's `selection_component` (None for a node without scores).
     """
 
     id: int
@@ -63,6 +69,7 @@ class AgentNode:
     scores: dict[str, DomainScores] = field(default_factory=dict)
     compiled_children: int = 0
     created_at_iteration: int = 0
+    selection_score: Optional[float] = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.id < 0:
@@ -71,6 +78,9 @@ class AgentNode:
             raise ValueError("compiled_children must be non-negative")
         if self.created_at_iteration < 0:
             raise ValueError("created_at_iteration must be non-negative")
+        scores = self.scores
+        values = [scores[name].selection_component() for name in sorted(scores)]
+        self.selection_score = sum(values) / len(values) if values else None
 
 
 @dataclass

@@ -496,7 +496,7 @@ def _step(runtime: _Runtime, state: RunState) -> RunState:
             "event": "selection", "time": _now(), "iteration": iteration,
             "selector_id": selector_id, "policy": policy.variant,
             "fallback": fallback, "parents": [p.id for p in parents],
-            "probabilities": [float(p) for p in breakdown.probabilities],
+            "probabilities": breakdown.probabilities.tolist(),
             "rng": sel_stream,
         }
     )
@@ -617,9 +617,7 @@ def _apply_event(state: RunState, event: dict, scores: dict[int, dict[str, Domai
     kind = event["event"]
     if (kind == "run_start") != (state.run_id is None):
         raise ValueError("run_start must be the first event, and only the first")
-    if kind == "run_start":
-        state.archive.mode_tag, state.run_id = event["mode"], event["run_id"]
-    elif kind == "evaluation":
+    if kind == "evaluation":
         scores[event["node_id"]] = {k: DomainScores(**s) for k, s in event["scores"].items()}
     elif kind in ("archive_add", "archive_replace"):
         node = AgentNode(event["node_id"], event["parent_id"], event["payload_ref"],
@@ -630,6 +628,8 @@ def _apply_event(state: RunState, event: dict, scores: dict[int, dict[str, Domai
         state.archived.append(node)
     elif kind == "iteration_complete":
         state.iteration = event["iteration"]
+    elif kind == "run_start":
+        state.archive.mode_tag, state.run_id = event["mode"], event["run_id"]
     elif kind == "run_complete":
         state.completed = True
 

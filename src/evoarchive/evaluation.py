@@ -234,12 +234,14 @@ def node_selection_score(node: AgentNode) -> float:
 
     The mean over the node's domains, summed in domain-name order: a node
     built in memory holds its domains in config order and a reloaded one in
-    sorted order, so name order is the one both give the same bits for.
+    sorted order, so name order is the one both give the same bits for. It is
+    computed once, when the node is built (`AgentNode.selection_score`); this
+    reads it, and raises ValueError for a node without an evaluation record.
     """
-    if not node.scores:
+    score = node.selection_score
+    if score is None:
         raise ValueError(f"node {node.id} has no evaluation record")
-    values = [node.scores[name].selection_component() for name in sorted(node.scores)]
-    return sum(values) / len(values)
+    return score
 
 
 # --- evaluator implementations ----------------------------------------------

@@ -206,11 +206,12 @@ def selection_distribution(
     size = len(view)
 
     if policy.variant == "score-child-prop":
-        midpoint = dynamic_midpoint(scores.tolist(), policy.params.midpoint_pool_size)
-        sig = np.array(
-            [sigmoid_transform(a, midpoint, policy.params.sharpness) for a in scores]
-        )
-        nov = np.array([novelty_bonus(int(c)) for c in children])
+        # Python floats and ints: the same IEEE operations as on numpy scalars, faster
+        score_list = scores.tolist()
+        midpoint = dynamic_midpoint(score_list, policy.params.midpoint_pool_size)
+        sharpness = policy.params.sharpness
+        sig = np.array([sigmoid_transform(a, midpoint, sharpness) for a in score_list])
+        nov = np.array([novelty_bonus(c) for c in children.tolist()])
         weights = sig * nov
         probs = weights_to_distribution(weights)
     elif policy.variant == "uniform-random":

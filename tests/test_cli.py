@@ -816,6 +816,77 @@ def test_a_log_that_archives_no_agent_exits_1_and_writes_nothing(tmp_path, capsy
     assert tree_state(tmp_path) == before
 
 
+def null_a_train_score(state_dir: Path) -> int:
+    """Set `train` to null in the first child's committed `evaluation` event, and
+    cut the log back to iteration 2's commit so that `resume` has work left;
+    returns the line number of that event."""
+    event_log = state_dir / "events.jsonl"
+    cut_log_after(event_log, 2)
+    events = engine.read_events(event_log)
+    index = next(i for i, e in enumerate(events)
+                 if e["event"] == "evaluation" and e["node_id"] > 0)
+    for record in events[index]["scores"].values():
+        record["train"] = None
+    event_log.unlink()
+    append_events(event_log, events)
+    return index + 1
+
+
+@pytest.mark.parametrize("command", [*ANALYZE_METRICS, "resume"])
+def test_a_null_train_score_exits_1_and_writes_nothing(finished_run, tmp_path, capsys,
+                                                        command):
+    lineno = null_a_train_score(finished_run)
+    event_log = finished_run / "events.jsonl"
+    with pytest.raises(engine.IntegrityError, match=f"bad event at line {lineno} of "):
+        engine.replay_log(event_log)
+    before = tree_state(tmp_path)
+    argv = (["resume", "--state", str(finished_run)] if command == "resume" else
+            ["analyze", "--state", str(finished_run), "--metric", command,
+             "--out", str(tmp_path / "out")])
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1, err
+    assert f"IntegrityError: bad event at line {lineno} of {event_log}" in err
+    assert "train score None" in err
+    assert tree_state(tmp_path) == before
+
+
+def test_each_node_is_scored_once_per_domain(tmp_path, monkeypatch):
+    domain = demo_config(state_dir="unused")["domains"][0]
+    domains = [{**domain, "name": "c"},
+               {**domain, "name": "a", "has_validation": True, "validation_task_ids": ["v"]},
+               {**domain, "name": "b"}]
+    assert main(["run", "--config", str(write_config(tmp_path, domains=domains))]) == 0
+    finished_run = tmp_path / "state"
+    calls = 0
+    component = DomainScores.selection_component
+
+    def counting(scores):
+        nonlocal calls
+        calls += 1
+        return component(scores)
+
+    monkeypatch.setattr(DomainScores, "selection_component", counting)
+    state, _ = engine.replay_log(finished_run / "events.jsonl")
+    per_replay = 3 * len(state.archived)
+    assert calls == per_replay
+    for metric in ANALYZE_METRICS:
+        calls = 0
+        assert main(["analyze", "--state", str(finished_run), "--metric", metric,
+                     "--out", str(tmp_path / "out")]) == 0
+        assert calls == per_replay, metric  # the replay's, and none by the metric
+
+    # `_step`'s view scores no node: only the children an iteration archives are
+    config = dataclasses.replace(_reload_config(finished_run / "config.json"),
+                                 iterations=7)
+    archived = len(state.archived)
+    calls = 0
+    engine.step(state, config)
+    assert len(state.archived) > archived
+    assert calls == len(config.domains) * (len(state.archived) - archived)
+
+
 @pytest.mark.parametrize("metric", ANALYZE_METRICS)
 def test_analyze_parses_the_log_once(finished_run, tmp_path, monkeypatch, metric):
     parses = []

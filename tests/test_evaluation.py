@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evoarchive.archive import AgentNode, DomainScores
+from evoarchive.archive import AgentNode, DomainScores, load, persist
+from evoarchive.engine import append_events, replay_log
 from evoarchive.evaluation import (
     CommandEvaluator,
     DomainSpec,
@@ -248,6 +249,76 @@ def test_no_evaluation_record_errors():
     node = _node({})
     with pytest.raises(ValueError):
         node_selection_score(node)
+
+
+def _reference_score(scores: dict[str, DomainScores]) -> float:
+    """The selection score's definition: validation else train, summed in
+    domain-name order and divided by the domain count."""
+    values = [scores[name].train if scores[name].validation is None
+              else scores[name].validation for name in sorted(scores)]
+    return sum(values) / len(values)
+
+
+def _score_records() -> list[dict[str, dict]]:
+    """Evaluation-event score records: domains held out of name order,
+    validation present and absent, -0.0, and the JSON ints 0 and 1."""
+    def rec(train, validation=None):
+        return {"train": train, "validation": validation, "test": None}
+
+    records = [
+        {"c": rec(0.1), "a": rec(0.7, 0.3), "b": rec(0.2)},
+        {"d": rec(-0.0)},
+        {"b": rec(-0.0), "a": rec(0.5, -0.0)},
+        {"y": rec(1), "x": rec(0, 1), "w": rec(0)},
+        {"one": rec(1)},
+    ]
+    rng = np.random.default_rng(2301)
+    for _ in range(60):
+        names = rng.permutation(list("edcba"))[: rng.integers(3, 6)]
+        records.append({str(name): rec(float(rng.random()),
+                                       float(rng.random()) if rng.random() < 0.5 else None)
+                        for name in names})
+    return records
+
+
+def test_stored_score_has_the_bits_of_the_formula(tmp_path):
+    records = _score_records()
+    events = [{"event": "run_start", "time": "t", "run_id": "r", "mode": "full",
+               "seed": 0, "iterations": 1}]
+    for node_id, scores in enumerate(records):
+        events += [
+            {"event": "evaluation", "time": "t", "iteration": 0, "node_id": node_id,
+             "scores": scores},
+            {"event": "archive_add", "time": "t", "iteration": 0, "node_id": node_id,
+             "parent_id": None if node_id == 0 else 0, "payload_ref": f"p{node_id}"},
+        ]
+    events.append({"event": "iteration_complete", "time": "t", "iteration": 0})
+    append_events(tmp_path / "events.jsonl", events)
+    folded = replay_log(tmp_path / "events.jsonl")[0].archive
+    persist(folded, tmp_path / "archive")
+    loaded = load(tmp_path / "archive")
+    direct = [_node({name: DomainScores(**r) for name, r in scores.items()})
+              for scores in records]
+    for nodes in (folded.nodes, loaded.nodes, direct):
+        assert len(nodes) == len(records)
+        for node in nodes:
+            expected = float.hex(_reference_score(node.scores))
+            assert float.hex(node_selection_score(node)) == expected
+    assert float.hex(node_selection_score(direct[1])) == "0x0.0p+0"  # sum([-0.0]) is +0.0
+
+
+def test_a_folded_node_without_scores_has_no_selection_score(tmp_path):
+    append_events(tmp_path / "events.jsonl", [
+        {"event": "run_start", "time": "t", "run_id": "r", "mode": "full", "seed": 0,
+         "iterations": 1},
+        {"event": "evaluation", "time": "t", "iteration": 0, "node_id": 0, "scores": {}},
+        {"event": "archive_add", "time": "t", "iteration": 0, "node_id": 0,
+         "parent_id": None, "payload_ref": "p0"},
+        {"event": "iteration_complete", "time": "t", "iteration": 0},
+    ])
+    root = replay_log(tmp_path / "events.jsonl")[0].archive.node(0)
+    with pytest.raises(ValueError, match="node 0 has no evaluation record"):
+        node_selection_score(root)
 
 
 # --- invariants -------------------------------------------------------------------

@@ -113,6 +113,53 @@ def test_score_child_prop_four_node_closed_form():
     np.testing.assert_allclose(breakdown.probabilities, expected, rtol=0, atol=1e-12)
 
 
+def _numpy_scalar_terms(view, params: ScoreChildPropParams):
+    """score-child-prop's terms computed over numpy scalars, the reference for the
+    plain-float loop in `selection_distribution`."""
+    scores = np.array([s for s, _ in view], dtype=float)
+    children = np.array([c for _, c in view], dtype=int)
+    midpoint = dynamic_midpoint(scores.tolist(), params.midpoint_pool_size)
+    sig = np.array([sigmoid_transform(a, midpoint, params.sharpness) for a in scores])
+    nov = np.array([novelty_bonus(int(c)) for c in children])
+    return sig, nov, weights_to_distribution(sig * nov)
+
+
+def _bit_views():
+    """(view, params) pairs: random views of several sizes, tied scores, a
+    sharpness at which every weight underflows, a pool larger than the view, and
+    scores given as Python floats, ints and numpy floats."""
+    rng = np.random.default_rng(2323)
+    default = ScoreChildPropParams()
+    for n in (1, 2, 3, 1000, 4290):
+        scores = rng.random(n).tolist()
+        children = rng.integers(0, 6, n).tolist()
+        yield list(zip(scores, children)), default
+        yield list(zip(scores, children)), ScoreChildPropParams(sharpness=250.0,
+                                                                midpoint_pool_size=7)
+    tied = [(0.1, int(c)) for c in rng.integers(0, 4, 50)]
+    yield tied, default
+    # three tied 0.1s average to just above 0.1, so at this sharpness no weight is
+    # left and the distribution falls back to uniform
+    yield tied, ScoreChildPropParams(sharpness=1e300)
+    yield [(float(s), 0) for s in rng.random(5)], ScoreChildPropParams(midpoint_pool_size=40)
+    yield [(int(s), int(c)) for s, c in zip(rng.integers(0, 2, 30), rng.integers(0, 3, 30))], \
+        default
+    yield [(np.float64(s), int(c)) for s, c in zip(rng.random(30), rng.integers(0, 3, 30))], \
+        default
+
+
+def test_score_child_prop_keeps_the_bits_of_the_numpy_scalar_loop():
+    fallbacks = 0
+    for view, params in _bit_views():
+        breakdown = selection_distribution(view, SelectionPolicy(params=params))
+        sig, nov, probs = _numpy_scalar_terms(view, params)
+        assert breakdown.sigmoid.tobytes() == sig.tobytes()
+        assert breakdown.novelty.tobytes() == nov.tobytes()
+        assert breakdown.probabilities.tobytes() == probs.tobytes()
+        fallbacks += not breakdown.weights.any()
+    assert fallbacks == 1
+
+
 def test_uniform_variant_is_exactly_uniform():
     policy = SelectionPolicy(variant="uniform-random")
     breakdown = selection_distribution([(0.9, 0), (0.1, 3), (0.4, 1)], policy)
