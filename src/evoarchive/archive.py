@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from collections import Counter
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterator, Optional
 
@@ -196,29 +198,29 @@ _MANIFEST = "manifest.json"
 _NODE_DIR = "nodes"
 
 
-def _float_str(value: Optional[float]) -> Optional[str]:
-    return None if value is None else repr(float(value))
+def _score_json(value: Optional[float]) -> str:
+    return "null" if value is None else f'"{float(value)!r}"'
 
 
 def _node_record(node: AgentNode) -> str:
-    scores = {
-        name: {
-            "train": _float_str(s.train),
-            "validation": _float_str(s.validation),
-            "test": _float_str(s.test),
-        }
-        for name, s in node.scores.items()
-    }
-    record = {
-        "id": node.id,
-        "parent_id": node.parent_id,
-        "payload_ref": node.payload_ref,
-        "compiled": node.compiled,
-        "compiled_children": node.compiled_children,
-        "created_at_iteration": node.created_at_iteration,
-        "scores": scores,
-    }
-    return json.dumps(record, sort_keys=True, indent=1) + "\n"
+    """`json.dumps(record, sort_keys=True, indent=1) + "\n"` of the node's record,
+    filled into a fixed template: strings through json's own C escaper, and each
+    score as the JSON string of its shortest round-trip repr."""
+    domains = [
+        f'  {encode_basestring_ascii(name)}: {{\n   "test": {_score_json(s.test)},\n'
+        f'   "train": {_score_json(s.train)},\n   "validation": {_score_json(s.validation)}\n  }}'
+        for name, s in sorted(node.scores.items())
+    ]
+    scores = "{\n" + ",\n".join(domains) + "\n }" if domains else "{}"
+    return (
+        f'{{\n "compiled": {"true" if node.compiled else "false"},\n'
+        f' "compiled_children": {node.compiled_children},\n'
+        f' "created_at_iteration": {node.created_at_iteration},\n'
+        f' "id": {node.id},\n'
+        f' "parent_id": {"null" if node.parent_id is None else node.parent_id},\n'
+        f' "payload_ref": {encode_basestring_ascii(node.payload_ref)},\n'
+        f' "scores": {scores}\n}}\n'
+    )
 
 
 def _parse_node(text: str, source: str) -> AgentNode:
@@ -253,9 +255,10 @@ def persist(archive: Archive, location: str | Path, run_id: str = "") -> None:
     """Write the archive under `location`; load(persist(a)) == a, byte-stable."""
     root = Path(location)
     (root / _NODE_DIR).mkdir(parents=True, exist_ok=True)
+    prefix = os.path.join(root, _NODE_DIR, "")
     for node in archive.nodes:
-        path = root / _NODE_DIR / _node_filename(node.id)
-        path.write_text(_node_record(node), encoding="utf-8")
+        with open(prefix + _node_filename(node.id), "wb") as f:
+            f.write(_node_record(node).encode())
     manifest = {
         "run_id": run_id,
         "mode_tag": archive.mode_tag,

@@ -232,20 +232,22 @@ def _impk_row(agents: list[AgentNode]) -> dict:
     }
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
-    commands = {"run": _cmd_run, "resume": _cmd_resume, "analyze": _cmd_analyze}
-    if args.command in commands:
-        try:
-            return commands[args.command](args)
-        except RUNTIME_FAILURES as exc:
-            print(f"{args.command} halted: {type(exc).__name__}: {exc}", file=sys.stderr)
-            return 1
-    # demo-config, the one other command
+def _cmd_demo_config(args: argparse.Namespace) -> int:
     doc = demo_config(args.state_dir, args.iterations, args.seed)
     Path(args.out).write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {args.out}")
     return 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
+    commands = {"run": _cmd_run, "resume": _cmd_resume, "analyze": _cmd_analyze,
+                "demo-config": _cmd_demo_config}
+    try:
+        return commands[args.command](args)
+    except RUNTIME_FAILURES as exc:
+        print(f"{args.command} halted: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -618,6 +618,8 @@ def _apply_event(state: RunState, event: dict, scores: dict[int, dict[str, Domai
     if (kind == "run_start") != (state.run_id is None):
         raise ValueError("run_start must be the first event, and only the first")
     if kind == "evaluation":
+        if not event["scores"]:
+            raise ValueError("evaluation holds no domain's scores")
         scores[event["node_id"]] = {k: DomainScores(**s) for k, s in event["scores"].items()}
     elif kind in ("archive_add", "archive_replace"):
         node = AgentNode(event["node_id"], event["parent_id"], event["payload_ref"],

@@ -148,7 +148,7 @@ class SelectionBreakdown:
             raise ValueError(f"probabilities sum to {total}, not 1")
         if np.any(self.probabilities < 0):
             raise ValueError("negative probability")
-        if not np.allclose(self.weights, self.sigmoid * self.novelty, rtol=0, atol=0):
+        if not np.array_equal(self.weights, self.sigmoid * self.novelty):
             raise ValueError("weights != sigmoid * novelty")
 
 
@@ -161,7 +161,10 @@ def dynamic_midpoint(scores: Sequence[float], pool_size: int) -> float:
 
 
 def sigmoid_transform(alpha: float, midpoint: float, sharpness: float) -> float:
-    """Logistic of sharpness*(alpha - midpoint); saturates smoothly, never errors."""
+    """Logistic of sharpness*(alpha - midpoint); saturates smoothly, never errors.
+
+    The scalar definition: `selection_distribution` computes the same IEEE
+    operations over arrays, and the tests compare its bits against this."""
     if sharpness <= 0:
         raise ValueError("sharpness must be positive")
     z = sharpness * (alpha - midpoint)
@@ -172,7 +175,10 @@ def sigmoid_transform(alpha: float, midpoint: float, sharpness: float) -> float:
 
 
 def novelty_bonus(n_children: int) -> float:
-    """1/(1+n): fresh nodes get 1, heavily-branched nodes fade toward 0."""
+    """1/(1+n): fresh nodes get 1, heavily-branched nodes fade toward 0.
+
+    The scalar definition that `selection_distribution`'s array form is tested
+    against."""
     if n_children < 0:
         raise ValueError("n_children must be non-negative")
     return 1.0 / (1.0 + n_children)
@@ -201,17 +207,22 @@ def selection_distribution(
     """
     if len(view) == 0:
         raise ValueError("empty archive view")
-    scores = np.array([s for s, _ in view], dtype=float)
-    children = np.array([c for _, c in view], dtype=int)
+    score_column, child_column = zip(*view)
+    scores = np.array(score_column, dtype=float)
+    children = np.array(child_column, dtype=int)
     size = len(view)
 
     if policy.variant == "score-child-prop":
-        # Python floats and ints: the same IEEE operations as on numpy scalars, faster
-        score_list = scores.tolist()
-        midpoint = dynamic_midpoint(score_list, policy.params.midpoint_pool_size)
-        sharpness = policy.params.sharpness
-        sig = np.array([sigmoid_transform(a, midpoint, sharpness) for a in score_list])
-        nov = np.array([novelty_bonus(c) for c in children.tolist()])
+        # sigmoid_transform and novelty_bonus over arrays, the same IEEE operations;
+        # math.exp, since np.exp can differ in the last bit
+        midpoint = dynamic_midpoint(scores.tolist(), policy.params.midpoint_pool_size)
+        with np.errstate(over="ignore", invalid="ignore"):  # inf, nan: silent, as in Python
+            z = policy.params.sharpness * (scores - midpoint)
+        e = np.fromiter(map(math.exp, (-np.abs(z)).tolist()), float, size)
+        sig = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+        if (children < 0).any():
+            raise ValueError("n_children must be non-negative")
+        nov = 1.0 / (1.0 + children)
         weights = sig * nov
         probs = weights_to_distribution(weights)
     elif policy.variant == "uniform-random":

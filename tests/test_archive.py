@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -198,6 +200,55 @@ def test_persist_is_byte_stable(tmp_path, rng):
     first = fingerprint(tmp_path / "a")
     persist(arch, tmp_path / "a", run_id="r")
     assert fingerprint(tmp_path / "a") == first
+
+
+def json_dumps_record(node: AgentNode) -> str:
+    """A node record as `json.dumps` writes it: the bytes `persist` must write."""
+    def text(value):
+        return None if value is None else repr(float(value))
+
+    record = {
+        "id": node.id,
+        "parent_id": node.parent_id,
+        "payload_ref": node.payload_ref,
+        "compiled": node.compiled,
+        "compiled_children": node.compiled_children,
+        "created_at_iteration": node.created_at_iteration,
+        "scores": {name: {"train": text(s.train), "validation": text(s.validation),
+                          "test": text(s.test)} for name, s in node.scores.items()},
+    }
+    return json.dumps(record, sort_keys=True, indent=1) + "\n"
+
+
+# non-ASCII, quote, backslash, control characters and U+2028 among any others
+AWKWARD_TEXT = st.text(st.sampled_from('a"\\\x00\x1f\n\x7f\u00e9\u2028\U0001f600')
+                       | st.characters(), max_size=8)
+EDGE_SCORES = st.sampled_from([0.0, -0.0, 1.0, 5e-324, 1e-7]) | st.floats(0.0, 1.0)
+DOMAIN_SCORES = st.builds(DomainScores, EDGE_SCORES, st.none() | EDGE_SCORES,
+                          st.none() | EDGE_SCORES)
+
+
+@given(
+    node_id=st.integers(0, 10**7),
+    parent_id=st.none() | st.integers(0, 10**7),
+    payload_ref=AWKWARD_TEXT,
+    compiled=st.booleans(),
+    domains=st.lists(st.tuples(AWKWARD_TEXT, DOMAIN_SCORES), max_size=4,
+                     unique_by=lambda pair: pair[0]),
+    compiled_children=st.integers(0, 10**4),
+    iteration=st.integers(0, 10**6),
+)
+@settings(max_examples=150, deadline=None)
+def test_persist_writes_the_bytes_json_dumps_writes(node_id, parent_id, payload_ref, compiled,
+                                                    domains, compiled_children, iteration):
+    # domains inserted in reverse name order, so the record must sort them
+    scores = dict(sorted(domains, reverse=True))
+    node = AgentNode(node_id, parent_id, payload_ref, compiled, scores, compiled_children,
+                     iteration)
+    with tempfile.TemporaryDirectory() as location:
+        persist(Archive(nodes=[node]), location)
+        written = Path(location, "nodes", f"node_{node_id:06d}.json").read_bytes()
+    assert written == json_dumps_record(node).encode()
 
 
 def test_load_truncated_record_names_the_node(tmp_path, rng):

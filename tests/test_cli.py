@@ -816,40 +816,60 @@ def test_a_log_that_archives_no_agent_exits_1_and_writes_nothing(tmp_path, capsy
     assert tree_state(tmp_path) == before
 
 
-def null_a_train_score(state_dir: Path) -> int:
-    """Set `train` to null in the first child's committed `evaluation` event, and
-    cut the log back to iteration 2's commit so that `resume` has work left;
-    returns the line number of that event."""
+def edit_a_child_evaluation(state_dir: Path, edit) -> int:
+    """Apply `edit` to the first child's committed `evaluation` event, and cut the
+    log back to iteration 2's commit so that `resume` has work left; returns the
+    line number of that event."""
     event_log = state_dir / "events.jsonl"
     cut_log_after(event_log, 2)
     events = engine.read_events(event_log)
     index = next(i for i, e in enumerate(events)
                  if e["event"] == "evaluation" and e["node_id"] > 0)
-    for record in events[index]["scores"].values():
-        record["train"] = None
+    edit(events[index])
     event_log.unlink()
     append_events(event_log, events)
     return index + 1
 
 
-@pytest.mark.parametrize("command", [*ANALYZE_METRICS, "resume"])
-def test_a_null_train_score_exits_1_and_writes_nothing(finished_run, tmp_path, capsys,
-                                                        command):
-    lineno = null_a_train_score(finished_run)
-    event_log = finished_run / "events.jsonl"
+def null_train_scores(event: dict) -> None:
+    for record in event["scores"].values():
+        record["train"] = None
+
+
+def assert_bad_event_refused(state_dir: Path, tmp_path: Path, capsys, command: str,
+                             lineno: int, cause: str) -> None:
+    """`replay_log` names line `lineno`, and `command` exits 1 with one stderr line
+    naming it and `cause`, writing nothing."""
+    event_log = state_dir / "events.jsonl"
     with pytest.raises(engine.IntegrityError, match=f"bad event at line {lineno} of "):
         engine.replay_log(event_log)
     before = tree_state(tmp_path)
-    argv = (["resume", "--state", str(finished_run)] if command == "resume" else
-            ["analyze", "--state", str(finished_run), "--metric", command,
+    argv = (["resume", "--state", str(state_dir)] if command == "resume" else
+            ["analyze", "--state", str(state_dir), "--metric", command,
              "--out", str(tmp_path / "out")])
     capsys.readouterr()
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1, err
     assert f"IntegrityError: bad event at line {lineno} of {event_log}" in err
-    assert "train score None" in err
+    assert cause in err
     assert tree_state(tmp_path) == before
+
+
+@pytest.mark.parametrize("command", [*ANALYZE_METRICS, "resume"])
+def test_a_null_train_score_exits_1_and_writes_nothing(finished_run, tmp_path, capsys,
+                                                        command):
+    lineno = edit_a_child_evaluation(finished_run, null_train_scores)
+    assert_bad_event_refused(finished_run, tmp_path, capsys, command, lineno,
+                             "train score None")
+
+
+@pytest.mark.parametrize("command", [*ANALYZE_METRICS, "resume"])
+def test_an_evaluation_without_a_domain_exits_1_and_writes_nothing(finished_run, tmp_path,
+                                                                   capsys, command):
+    lineno = edit_a_child_evaluation(finished_run, lambda event: event["scores"].clear())
+    assert_bad_event_refused(finished_run, tmp_path, capsys, command, lineno,
+                             "evaluation holds no domain's scores")
 
 
 def test_each_node_is_scored_once_per_domain(tmp_path, monkeypatch):
@@ -1202,6 +1222,15 @@ def test_demo_config_writer_round_trips(tmp_path):
                  str(tmp_path / "run")]) == 0
     doc = json.loads(out.read_text())
     parse_config(doc)  # validates cleanly
+
+
+def test_demo_config_into_a_missing_directory_exits_1_with_one_line(tmp_path, capsys):
+    out = tmp_path / "missing" / "demo.json"
+    assert main(["demo-config", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"demo-config halted: FileNotFoundError: [Errno 2] "
+                                f"No such file or directory: '{out}'"]
+    assert not out.parent.exists()
 
 
 def test_parse_config_rejects_nested_unknown_key(tmp_path):

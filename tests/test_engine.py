@@ -811,7 +811,9 @@ def test_three_domain_split_run_equals_uninterrupted(tmp_path):
 @pytest.mark.parametrize(
     "has_validation, scores, message",
     [
-        (False, {}, "holds no record for domain 'landscape'"),
+        # a record for another domain only: an `evaluation` without any domain is
+        # refused by the fold before this check
+        (False, {"other": DomainScores(0.5)}, "holds no record for domain 'landscape'"),
         (False, {"landscape": DomainScores(0.5), "extra": DomainScores(0.5)},
          "holds a record without a validation score for domain 'extra'; "
          "the config expects no record"),

@@ -307,16 +307,11 @@ def test_stored_score_has_the_bits_of_the_formula(tmp_path):
     assert float.hex(node_selection_score(direct[1])) == "0x0.0p+0"  # sum([-0.0]) is +0.0
 
 
-def test_a_folded_node_without_scores_has_no_selection_score(tmp_path):
-    append_events(tmp_path / "events.jsonl", [
-        {"event": "run_start", "time": "t", "run_id": "r", "mode": "full", "seed": 0,
-         "iterations": 1},
-        {"event": "evaluation", "time": "t", "iteration": 0, "node_id": 0, "scores": {}},
-        {"event": "archive_add", "time": "t", "iteration": 0, "node_id": 0,
-         "parent_id": None, "payload_ref": "p0"},
-        {"event": "iteration_complete", "time": "t", "iteration": 0},
-    ])
-    root = replay_log(tmp_path / "events.jsonl")[0].archive.node(0)
+def test_a_node_without_scores_has_no_selection_score():
+    # the fold refuses an `evaluation` without a domain, so only a node built
+    # directly can lack scores
+    root = AgentNode(0, None, "p0", compiled=True)
+    assert root.selection_score is None
     with pytest.raises(ValueError, match="node 0 has no evaluation record"):
         node_selection_score(root)
 

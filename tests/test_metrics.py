@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import evoarchive.metrics as metrics_mod
-from evoarchive.archive import Archive, add_node, replace_sole_node
+from evoarchive.archive import AgentNode, Archive, add_node, replace_sole_node
 from evoarchive.engine import replay_log, run
 from evoarchive.evaluation import node_selection_score
 from evoarchive.metrics import (
@@ -218,8 +218,11 @@ def test_growth_unknown_node_is_key_error():
 
 def test_growth_scores_only_the_subtree():
     # a node outside the subtree without an evaluation record is not read
-    arch = chain_archive([0.1, 0.2, 0.4])
-    arch.nodes[0].scores = {}
+    arch = Archive()
+    add_node(arch, AgentNode(0, None, "payload/0", compiled=True))
+    add_node(arch, make_node(1, 0, score=0.2))
+    add_node(arch, make_node(2, 1, score=0.4))
+    assert arch.nodes[0].selection_score is None
     params = GrowthScoreParams(gamma=0.5)
     assert growth_score(arch, 1, params) == (0.4 - 0.2) * 0.5
 

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import math
+import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from evoarchive.rng import substream
 from evoarchive.selection import (
     ScoreChildPropParams,
+    SelectionBreakdown,
     SelectionPolicy,
     dynamic_midpoint,
     novelty_bonus,
@@ -115,7 +118,7 @@ def test_score_child_prop_four_node_closed_form():
 
 def _numpy_scalar_terms(view, params: ScoreChildPropParams):
     """score-child-prop's terms computed over numpy scalars, the reference for the
-    plain-float loop in `selection_distribution`."""
+    array form in `selection_distribution`."""
     scores = np.array([s for s, _ in view], dtype=float)
     children = np.array([c for _, c in view], dtype=int)
     midpoint = dynamic_midpoint(scores.tolist(), params.midpoint_pool_size)
@@ -126,8 +129,9 @@ def _numpy_scalar_terms(view, params: ScoreChildPropParams):
 
 def _bit_views():
     """(view, params) pairs: random views of several sizes, tied scores, a
-    sharpness at which every weight underflows, a pool larger than the view, and
-    scores given as Python floats, ints and numpy floats."""
+    sharpness at which every weight underflows, a pool larger than the view,
+    scores given as Python floats, ints and numpy floats, and a negative child
+    count."""
     rng = np.random.default_rng(2323)
     default = ScoreChildPropParams()
     for n in (1, 2, 3, 1000, 4290):
@@ -146,18 +150,33 @@ def _bit_views():
         default
     yield [(np.float64(s), int(c)) for s, c in zip(rng.random(30), rng.integers(0, 3, 30))], \
         default
+    yield [(0.3, 1), (0.6, -1), (0.9, 0)], default
 
 
 def test_score_child_prop_keeps_the_bits_of_the_numpy_scalar_loop():
-    fallbacks = 0
+    fallbacks = refused = 0
     for view, params in _bit_views():
-        breakdown = selection_distribution(view, SelectionPolicy(params=params))
-        sig, nov, probs = _numpy_scalar_terms(view, params)
+        policy = SelectionPolicy(params=params)
+        try:
+            sig, nov, probs = _numpy_scalar_terms(view, params)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                selection_distribution(view, policy)
+            refused += 1
+            continue
+        breakdown = selection_distribution(view, policy)
         assert breakdown.sigmoid.tobytes() == sig.tobytes()
         assert breakdown.novelty.tobytes() == nov.tobytes()
         assert breakdown.probabilities.tobytes() == probs.tobytes()
         fallbacks += not breakdown.weights.any()
-    assert fallbacks == 1
+        # the breakdown's own check still refuses weights one ulp off sig * nov
+        terms = {f.name: getattr(breakdown, f.name) for f in fields(breakdown)}
+        for direction in (-np.inf, np.inf):
+            off = breakdown.weights.copy()
+            off[-1] = np.nextafter(off[-1], direction)
+            with pytest.raises(ValueError, match=r"weights != sigmoid \* novelty"):
+                SelectionBreakdown(**{**terms, "weights": off})
+    assert (fallbacks, refused) == (1, 1)
 
 
 def test_uniform_variant_is_exactly_uniform():
