@@ -16,7 +16,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from collections import Counter
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -163,35 +162,6 @@ def replace_sole_node(archive: Archive, node: AgentNode) -> Archive:
     return archive
 
 
-def check_consistency(archive: Archive) -> None:
-    """Verify structural invariants; raises ArchiveError on the first breach."""
-    if not archive.nodes:
-        return
-    single_tree = archive.mode_tag != "no-open-ended"
-    if single_tree:
-        for position, n in enumerate(archive.nodes):
-            if n.id != position:
-                raise ArchiveError(f"node at position {position} has id {n.id}")
-        if archive.nodes[0].parent_id is not None:
-            raise ArchiveError("root node has a parent")
-        roots = [n.id for n in archive.nodes if n.parent_id is None]
-        if roots != [0]:
-            raise ArchiveError(f"expected exactly one root, found {roots}")
-        for n in archive.nodes[1:]:
-            if n.parent_id is None or not 0 <= n.parent_id < n.id:
-                raise ArchiveError(f"node {n.id} has invalid parent {n.parent_id}")
-    elif len(archive.nodes) != 1:
-        raise ArchiveError("no-open-ended archive must hold exactly one node")
-    counts = Counter(c.parent_id for c in archive.nodes if c.compiled)
-    for n in archive.nodes:
-        actual = counts[n.id]
-        if actual != n.compiled_children:
-            raise ArchiveError(
-                f"node {n.id} stores compiled_children={n.compiled_children}, "
-                f"edges say {actual}"
-            )
-
-
 # --- persistence ------------------------------------------------------------
 
 _MANIFEST = "manifest.json"
@@ -271,7 +241,9 @@ def persist(archive: Archive, location: str | Path, run_id: str = "") -> None:
 
 
 def load(location: str | Path) -> Archive:
-    """Read an archive back; refuses corrupt state, naming the failed record."""
+    """Read an archive back through `add_node` (`replace_sole_node` in
+    no-open-ended mode), so it obeys the rules a run's archive does; refuses
+    corrupt state, naming the failed record."""
     root = Path(location)
     manifest_path = root / _MANIFEST
     if not manifest_path.exists():
@@ -288,17 +260,30 @@ def load(location: str | Path) -> Archive:
             f"manifest {manifest_path} lists {len(node_ids)} ids but node_count={count}"
         )
     archive = Archive(mode_tag=mode_tag)
+    sole = mode_tag == "no-open-ended"
+    stored = []
     for node_id in node_ids:
         path = root / _NODE_DIR / _node_filename(node_id)
         if not path.exists():
             raise ArchiveLoadError(f"missing node record {path.name}")
         node = _parse_node(path.read_text(encoding="utf-8"), path.name)
-        if node.id != node_id:
-            raise ArchiveLoadError(
-                f"node record {path.name} carries id {node.id}, manifest says {node_id}"
-            )
-        archive.nodes.append(node)
-    check_consistency(archive)
+        stored.append(node.compiled_children)
+        node.compiled_children = 0
+        try:
+            if node.id != node_id:
+                raise ArchiveError(f"carries id {node.id}, manifest says {node_id}")
+            # the two records an insert would drop or rewrite without a word
+            if not node.compiled:
+                raise ArchiveError('"compiled" is false')
+            if sole and (archive.nodes or node.parent_id is not None):
+                raise ArchiveError("a no-open-ended archive holds one node, without a parent")
+            (replace_sole_node if sole else add_node)(archive, node)
+        except (ArchiveError, TypeError) as exc:  # TypeError: a parent id that is not a number
+            raise ArchiveLoadError(f"node record {path.name}: {exc}") from exc
+    for node, count in zip(archive.nodes, stored):
+        if node.compiled_children != count:
+            raise ArchiveLoadError(f"node record {_node_filename(node.id)} stores "
+                                   f"compiled_children={count}, edges say {node.compiled_children}")
     return archive
 
 

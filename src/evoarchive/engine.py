@@ -17,12 +17,13 @@ per-child generation), so concurrency and resume cannot reorder draws.
 The event log records how far a run got, and its events are the only way run
 state changes: each iteration builds its batch of events, folds it into the
 live `RunState` by the same `_apply_event` that `replay_log` uses, then appends
-it, so a live state is always the one its log replays to. That fold is the
-one reader of event kinds: `RunState.archived` keeps every agent it archived,
-which is what the CLI's `progress` and `impk` metrics read. Resuming replays
-the committed iterations and continues the same trajectory. ``archive/``, a
-view of the log, is written as `run`, `resume` or `step` returns: mid-run it
-is missing or stale.
+it, so a live state is always the one its log replays to. Besides the fold,
+only `_read_committed` (commit kinds) and `_commit` (archive kinds) read event
+kinds. `RunState.archived` keeps every agent the fold archived, which is what
+the CLI's `progress` and `impk` metrics read. Resuming replays the committed
+iterations and continues the same trajectory. ``archive/``, a view of the
+log, is written as `run`, `resume` or `step` returns: mid-run it is missing
+or stale.
 """
 
 from __future__ import annotations
@@ -618,6 +619,9 @@ def _apply_event(state: RunState, event: dict, scores: dict[int, dict[str, Domai
     if (kind == "run_start") != (state.run_id is None):
         raise ValueError("run_start must be the first event, and only the first")
     if kind == "evaluation":
+        if type(event["scores"]) is not dict:
+            raise TypeError(f"evaluation scores are a {type(event['scores']).__name__}, "
+                            "not an object")
         if not event["scores"]:
             raise ValueError("evaluation holds no domain's scores")
         scores[event["node_id"]] = {k: DomainScores(**s) for k, s in event["scores"].items()}
@@ -629,6 +633,8 @@ def _apply_event(state: RunState, event: dict, scores: dict[int, dict[str, Domai
         insert(state.archive, node)
         state.archived.append(node)
     elif kind == "iteration_complete":
+        if type(event["iteration"]) is not int:  # bool is a subclass of int
+            raise TypeError(f"iteration {event['iteration']!r} is not an integer")
         state.iteration = event["iteration"]
     elif kind == "run_start":
         state.archive.mode_tag, state.run_id = event["mode"], event["run_id"]

@@ -14,7 +14,7 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -137,16 +137,14 @@ def bootstrap_ci(
     rng: np.random.Generator,
     resamples: int = 1000,
     level: float = 95.0,
-    statistic: Callable[[np.ndarray], float] = np.median,
 ) -> tuple[float, float, float]:
-    """Point estimate plus percentile bootstrap bounds.
+    """Median plus percentile bootstrap bounds.
 
     Resamples with replacement at the original sample size; bounds are the
     (100-level)/2 and 100-(100-level)/2 percentiles of the resampled
-    statistic values. Resampled medians are exact order statistics, read
-    from each resampled row's sorted ranks (`_bootstrap_medians`), and
-    bit-identical to `np.median` of each resampled row; samples holding a
-    NaN take the row path, so they keep `np.median`'s NaN.
+    medians. Resampled medians are exact order statistics, read from each
+    resampled row's sorted ranks (`_bootstrap_medians`), and bit-identical
+    to `np.median` of each resampled row, NaN for a row that draws a NaN.
     """
     data = np.asarray(samples, dtype=float)
     if data.size == 0:
@@ -155,30 +153,21 @@ def bootstrap_ci(
         raise ValueError("level must be in (0, 100)")
     if resamples < 1:
         raise ValueError("resamples must be >= 1")
-    point = float(statistic(data))
-    if statistic is np.median and not np.isnan(data).any():
-        stats = _bootstrap_medians(data, rng, resamples)
-    else:
-        # Rows are drawn and reduced a chunk at a time, so memory stays at a
-        # few chunks of n indices; the draws are those of one (resamples, n)
-        # call.
-        stats = np.empty(resamples)
-        for start in range(0, resamples, _BOOTSTRAP_CHUNK_ROWS):
-            rows = min(_BOOTSTRAP_CHUNK_ROWS, resamples - start)
-            resampled = data[rng.integers(0, data.size, size=(rows, data.size))]
-            stats[start:start + rows] = np.apply_along_axis(statistic, 1, resampled)
     tail = (100.0 - level) / 2.0
-    lower, upper = np.percentile(stats, [tail, 100.0 - tail])
-    return point, float(lower), float(upper)
+    lower, upper = np.percentile(_bootstrap_medians(data, rng, resamples), [tail, 100.0 - tail])
+    return float(np.median(data)), float(lower), float(upper)
 
 
 def _bootstrap_medians(data: np.ndarray, rng: np.random.Generator, resamples: int) -> np.ndarray:
-    """Median of each resampled row of `data` (no NaN), read from its sorted ranks.
+    """Median of each resampled row of `data`, read from its sorted ranks.
 
     The samples are sorted once and each draw is mapped to its sample's
     rank, so a row's k-th order statistic is `ordered[k-th smallest rank]`:
     each chunk's rank rows are sorted (numpy's default sort, which is
-    SIMD-accelerated for int32) and the middle columns read. The draws are
+    SIMD-accelerated for int32) and the middle columns read. The sort puts
+    NaNs last, so a row whose largest rank reaches their ranks drew a NaN,
+    and its median is NaN, as `np.median`'s is. Rows are drawn a chunk at a
+    time, so memory stays at a few chunks of n indices. The draws are
     int32, which numpy draws exactly as the int64 values of one
     (resamples, n) call, and the ranks keep that dtype. `np.median` averages
     the middle values by `(0.0 + a [+ b]) / count`, so the odd median is
@@ -191,16 +180,16 @@ def _bootstrap_medians(data: np.ndarray, rng: np.random.Generator, resamples: in
     rank = np.empty(n, dtype=np.int32)
     rank[order] = np.arange(n, dtype=np.int32)
     lo, hi = (n - 1) // 2, n // 2
+    non_nan = n - np.count_nonzero(np.isnan(data))
     stats = np.empty(resamples)
     for start in range(0, resamples, _BOOTSTRAP_CHUNK_ROWS):
         rows = min(_BOOTSTRAP_CHUNK_ROWS, resamples - start)
         keys = np.take(rank, rng.integers(0, n, size=(rows, n), dtype=np.int32))
         keys.sort(axis=1)
         low = ordered[keys[:, lo]]
-        if lo == hi:
-            stats[start:start + rows] = low + 0.0
-        else:
-            stats[start:start + rows] = (low + ordered[keys[:, hi]] + 0.0) / 2
+        chunk = stats[start:start + rows]
+        chunk[:] = low + 0.0 if lo == hi else (low + ordered[keys[:, hi]] + 0.0) / 2
+        chunk[keys[:, -1] >= non_nan] = np.nan
     return stats
 
 

@@ -16,7 +16,6 @@ from evoarchive.archive import (
     ArchiveLoadError,
     DomainScores,
     add_node,
-    check_consistency,
     fingerprint,
     load,
     persist,
@@ -151,7 +150,9 @@ def test_queries_match_oracles_on_random_trees(size: int, seed: int):
 @settings(max_examples=50, deadline=None)
 def test_compiled_children_recomputable_from_edges(size: int, seed: int):
     arch = random_tree_archive(np.random.default_rng(seed), size)
-    check_consistency(arch)
+    with tempfile.TemporaryDirectory() as tmp:
+        persist(arch, tmp)
+        assert load(tmp) == arch  # load recounts compiled_children from the parent links
     for node in arch.nodes:
         actual = sum(1 for c in arch.nodes if c.parent_id == node.id and c.compiled)
         assert node.compiled_children == actual
@@ -277,6 +278,53 @@ def test_load_rejects_count_mismatch(tmp_path, rng):
     manifest.write_text(json.dumps(doc))
     with pytest.raises(ArchiveLoadError):
         load(tmp_path / "a")
+
+
+def rewrite_json(path: Path, fields: dict) -> None:
+    path.write_text(json.dumps({**json.loads(path.read_text()), **fields}))
+
+
+# file -> fields it is rewritten with, over a persisted tree 0 <- 1 <- 2 and 0 <- 3;
+# then the record that load names, and the cause
+MANIFEST, NODE = "manifest.json", "nodes/node_{:06d}.json".format
+LOAD_REFUSALS = {
+    "ids out of order": ({MANIFEST: {"node_ids": [0, 2, 1, 3]}}, 2, "non-contiguous node id 2"),
+    "a gap in the ids": ({MANIFEST: {"node_ids": [0, 1, 3], "node_count": 3}}, 3,
+                         "non-contiguous node id 3"),
+    "a second root": ({NODE(2): {"parent_id": None}}, 2, "has no parent but is not the root"),
+    "a parent at its child's id": ({NODE(2): {"parent_id": 2}}, 2, "dangling parent 2"),
+    "a parent after its child's id": ({NODE(1): {"parent_id": 3}}, 1, "dangling parent 3"),
+    "a dangling parent": ({NODE(3): {"parent_id": 7}}, 3, "dangling parent 7"),
+    "a parent id that is a string": ({NODE(1): {"parent_id": "0"}}, 1, "not supported"),
+    "compiled_children one too many": ({NODE(1): {"compiled_children": 2}}, 1,
+                                       "compiled_children=2, edges say 1"),
+    "compiled_children one too few": ({NODE(0): {"compiled_children": 1}}, 0,
+                                      "compiled_children=1, edges say 2"),
+    "a record that did not compile": ({NODE(3): {"compiled": False}}, 3, '"compiled" is false'),
+    "no-open-ended with two ids": (
+        {MANIFEST: {"mode_tag": "no-open-ended", "node_ids": [0, 3], "node_count": 2},
+         NODE(3): {"parent_id": None}}, 3,
+        "one node, without a parent"),
+    "a no-open-ended record with a parent": (
+        {MANIFEST: {"mode_tag": "no-open-ended", "node_ids": [2], "node_count": 1}}, 2,
+        "one node, without a parent"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOAD_REFUSALS))
+def test_load_refuses_a_tree_a_run_could_not_build(tmp_path, name):
+    arch = Archive()
+    for node_id, parent_id in [(0, None), (1, 0), (2, 1), (3, 0)]:
+        add_node(arch, make_node(node_id, parent_id))
+    persist(arch, tmp_path / "a")
+    assert load(tmp_path / "a") == arch
+    edits, record, cause = LOAD_REFUSALS[name]
+    for path, fields in edits.items():
+        rewrite_json(tmp_path / "a" / path, fields)
+    with pytest.raises(ArchiveLoadError) as caught:
+        load(tmp_path / "a")
+    assert f"node record node_{record:06d}.json" in str(caught.value)
+    assert cause in str(caught.value)
 
 
 def test_score_out_of_range_rejected():

@@ -816,19 +816,24 @@ def test_a_log_that_archives_no_agent_exits_1_and_writes_nothing(tmp_path, capsy
     assert tree_state(tmp_path) == before
 
 
-def edit_a_child_evaluation(state_dir: Path, edit) -> int:
-    """Apply `edit` to the first child's committed `evaluation` event, and cut the
-    log back to iteration 2's commit so that `resume` has work left; returns the
-    line number of that event."""
+def edit_a_committed_event(state_dir: Path, edit, pick) -> int:
+    """Cut the log back to iteration 2's commit, so that `resume` has work left,
+    and apply `edit` to the committed event at the index `pick` returns for the
+    events; returns the line number of that event."""
     event_log = state_dir / "events.jsonl"
     cut_log_after(event_log, 2)
     events = engine.read_events(event_log)
-    index = next(i for i, e in enumerate(events)
-                 if e["event"] == "evaluation" and e["node_id"] > 0)
+    index = pick(events)
     edit(events[index])
     event_log.unlink()
     append_events(event_log, events)
     return index + 1
+
+
+def edit_a_child_evaluation(state_dir: Path, edit) -> int:
+    """`edit_a_committed_event` of the first child's `evaluation` event."""
+    return edit_a_committed_event(state_dir, edit, lambda events: next(
+        i for i, e in enumerate(events) if e["event"] == "evaluation" and e["node_id"] > 0))
 
 
 def null_train_scores(event: dict) -> None:
@@ -870,6 +875,37 @@ def test_an_evaluation_without_a_domain_exits_1_and_writes_nothing(finished_run,
     lineno = edit_a_child_evaluation(finished_run, lambda event: event["scores"].clear())
     assert_bad_event_refused(finished_run, tmp_path, capsys, command, lineno,
                              "evaluation holds no domain's scores")
+
+
+# a committed field of the wrong JSON type: the field, its value, and the cause;
+# `scores` is edited in the first child's `evaluation`, `iteration` in the last
+# commit line
+MISTYPED_FIELDS = {
+    "scores an array": ("scores", [["landscape", {"train": 0.5, "validation": None,
+                                                  "test": None}]],
+                        "evaluation scores are a list, not an object"),
+    "scores a string": ("scores", "landscape", "evaluation scores are a str, not an object"),
+    "iteration a string": ("iteration", "2", "iteration '2' is not an integer"),
+    "iteration null": ("iteration", None, "iteration None is not an integer"),
+    "iteration a fraction": ("iteration", 2.5, "iteration 2.5 is not an integer"),
+    "iteration true": ("iteration", True, "iteration True is not an integer"),
+}
+
+
+@pytest.mark.parametrize("command", [*ANALYZE_METRICS, "resume"])
+@pytest.mark.parametrize("name", sorted(MISTYPED_FIELDS))
+def test_a_mistyped_field_exits_1_and_writes_nothing(finished_run, tmp_path, capsys, name,
+                                                     command):
+    field, value, cause = MISTYPED_FIELDS[name]
+
+    def edit(event: dict) -> None:
+        event[field] = value
+
+    if field == "scores":
+        lineno = edit_a_child_evaluation(finished_run, edit)
+    else:
+        lineno = edit_a_committed_event(finished_run, edit, lambda events: len(events) - 1)
+    assert_bad_event_refused(finished_run, tmp_path, capsys, command, lineno, cause)
 
 
 def test_each_node_is_scored_once_per_domain(tmp_path, monkeypatch):

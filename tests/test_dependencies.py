@@ -26,3 +26,24 @@ def test_every_third_party_import_of_the_package_is_a_declared_dependency():
     third_party = imported - set(sys.stdlib_module_names) - {"evoarchive"}
     assert third_party, "the package imports numpy and orjson"
     assert sorted(third_party - declared) == []
+
+
+def test_every_name_a_module_imports_is_used_or_exported():
+    # stands in for a linter's unused-import rule; `import a.b` binds `a`
+    unused = []
+    for path in sorted((ROOT / "src" / "evoarchive").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(
+                    node, "module", None) != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                used.update(ast.literal_eval(node.value))
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                   if name not in used]
+    assert unused == []

@@ -383,6 +383,18 @@ def test_each_call_writes_archive_once(tmp_path, monkeypatch):
     assert_one_write(config)
 
 
+@pytest.mark.parametrize("shape", [*MODES, "validation"])
+def test_written_archive_loads_equal_to_its_replay(tmp_path, shape):
+    # whole nodes: scores, parent links, compiled_children and iterations
+    config = make_config(tmp_path, mode=shape if shape in MODES else "full", iterations=6,
+                         parents_per_iteration=2,
+                         domains=[landscape_domain(has_validation=shape == "validation")])
+    run(config)
+    written = archive_mod.load(config.state_dir / "archive")
+    assert written == load_state(config).archive
+    assert len(written) == 1 if shape == "no-open-ended" else len(written) > 6
+
+
 @pytest.mark.parametrize("mode", MODES)
 def test_live_state_is_the_replayed_log(tmp_path, mode):
     # a live run changes its state only by folding the batches it logs, so after

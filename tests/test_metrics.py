@@ -481,14 +481,20 @@ def one_shot_bootstrap(samples, rng, resamples, statistic=np.median, level=95.0)
     return float(statistic(data)), float(lower), float(upper)
 
 
-@pytest.mark.parametrize("statistic", [np.median, lambda row: float(row.mean())])
+# the oracle takes the medians of all rows at once, or row by row on samples
+# holding a NaN
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.parametrize("statistic", [np.median, lambda row: float(np.median(row))])
 @pytest.mark.parametrize("extra", [-1, 1, 7, 45])
 @pytest.mark.parametrize("size", [1, 2, 37, 38, 1000])
 def test_bootstrap_chunks_equal_one_shot_draws(statistic, extra, size):
     resamples = 2 * metrics_mod._BOOTSTRAP_CHUNK_ROWS + extra
-    samples = np.random.default_rng(size).random(size).tolist()
-    chunked = bootstrap_ci(samples, substream(3, "chunks"), resamples, statistic=statistic)
-    expected = one_shot_bootstrap(samples, substream(3, "chunks"), resamples, statistic)
+    samples = np.random.default_rng(size).random(size)
+    if statistic is not np.median:
+        samples[size // 2] = np.nan
+    chunked = bootstrap_ci(samples.tolist(), substream(3, "chunks"), resamples)
+    expected = one_shot_bootstrap(samples.tolist(), substream(3, "chunks"), resamples,
+                                  statistic)
     assert repr(chunked) == repr(expected)
 
 
@@ -554,6 +560,33 @@ def test_bootstrap_sample_with_nan_keeps_np_median_nan():
     expected = one_shot_bootstrap(samples.tolist(), substream(2, "nan"), 20)
     assert np.isnan(got[1]) and np.isnan(got[2])
     assert repr(got) == repr(expected)
+
+
+# size, NaN positions, resamples, stream seed, and whether a resampled row draws a NaN
+NAN_SETS = {
+    "one NaN, drawn": (40, [17], 50, 1, True),
+    "one NaN, never drawn": (40, [17], 3, 19, False),
+    "two NaNs, drawn": (40, [3, 29], 50, 1, True),
+    "two NaNs, never drawn": (40, [3, 29], 2, 116, False),
+    "only NaNs": (5, [0, 1, 2, 3, 4], 10, 1, True),
+}
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.parametrize("name", sorted(NAN_SETS))
+def test_bootstrap_nan_sets_equal_one_shot_draws(name):
+    # the point is NaN; the bounds are NaN exactly when some row draws a NaN
+    size, nans, resamples, seed, drawn = NAN_SETS[name]
+    samples = np.random.default_rng(size).random(size)
+    samples[nans] = np.nan
+    got = bootstrap_ci(samples.tolist(), substream(seed, "nan"), resamples)
+    expected = one_shot_bootstrap(samples.tolist(), substream(seed, "nan"), resamples)
+    assert repr(got) == repr(expected)
+    assert np.isnan(got[0]) and np.isnan(got[1]) == np.isnan(got[2]) == drawn
+    # every resampled median, not only the two the bounds interpolate
+    medians = metrics_mod._bootstrap_medians(samples, substream(seed, "nan"), resamples)
+    rows = samples[substream(seed, "nan").integers(0, size, size=(resamples, size))]
+    np.testing.assert_array_equal(medians, np.median(rows, axis=1))
 
 
 @pytest.mark.parametrize("high", [1, 2, 7, 1000, 123457])
