@@ -73,6 +73,18 @@ class AgentNode:
     selection_score: Optional[float] = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
+        # `type() is int`: a bool is an int to isinstance, and a float is not
+        # an id or a count; either would be written to a record as it is
+        parent = self.parent_id
+        if (type(self.id) is not int or type(self.compiled_children) is not int
+                or type(self.created_at_iteration) is not int
+                or parent is not None and type(parent) is not int):
+            fields = (("id", self.id), ("parent_id", parent),
+                      ("compiled_children", self.compiled_children),
+                      ("created_at_iteration", self.created_at_iteration))
+            name, value = next((name, value) for name, value in fields if type(value) is not int
+                               and (value is not None or name != "parent_id"))
+            raise TypeError(f"{name} {value!r} is not an integer")
         if self.id < 0:
             raise ValueError("node id must be non-negative")
         if self.compiled_children < 0:
@@ -278,7 +290,7 @@ def load(location: str | Path) -> Archive:
             if sole and (archive.nodes or node.parent_id is not None):
                 raise ArchiveError("a no-open-ended archive holds one node, without a parent")
             (replace_sole_node if sole else add_node)(archive, node)
-        except (ArchiveError, TypeError) as exc:  # TypeError: a parent id that is not a number
+        except ArchiveError as exc:
             raise ArchiveLoadError(f"node record {path.name}: {exc}") from exc
     for node, count in zip(archive.nodes, stored):
         if node.compiled_children != count:

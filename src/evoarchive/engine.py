@@ -487,17 +487,17 @@ def _step(runtime: _Runtime, state: RunState) -> RunState:
 
     policy, selector_id, fallback = _choose_policy(runtime, state)
     view = [(node_selection_score(n), n.compiled_children) for n in state.archive]
-    breakdown = selection_distribution(view, policy)
+    probabilities = selection_distribution(view, policy)
     sel_stream = stream_id("sel", iteration)
     rng = substream(config.seed, sel_stream)
-    parent_indices = sample_parents(breakdown, config.parents_per_iteration, rng)
+    parent_indices = sample_parents(probabilities, config.parents_per_iteration, rng)
     parents = [state.archive.nodes[i] for i in parent_indices]
     events.append(
         {
             "event": "selection", "time": _now(), "iteration": iteration,
             "selector_id": selector_id, "policy": policy.variant,
             "fallback": fallback, "parents": [p.id for p in parents],
-            "probabilities": breakdown.probabilities.tolist(),
+            "probabilities": probabilities.tolist(),
             "rng": sel_stream,
         }
     )

@@ -413,11 +413,12 @@ class ModelClientBackend(_PolicyFileBackend):
 
     def generate(self, request: GenerationRequest) -> Optional[str]:
         instruction = "Modify any part of the agent payload to improve it."
+        parent_payload = self._bundle(request.parent_payload_ref)
         if self.instruction_template is not None:
             instruction_doc = {
                 "kind": "instruction-generation",
                 "template": self.instruction_template,
-                "parent_payload": self._bundle(request.parent_payload_ref),
+                "parent_payload": parent_payload,
                 "eval_results_ref": request.eval_results_ref,
             }
             generated = self.transport(instruction_doc)
@@ -427,7 +428,7 @@ class ModelClientBackend(_PolicyFileBackend):
             instruction = generated.get("instruction", instruction)
         doc = {
             "kind": "modification",
-            "parent_payload": self._bundle(request.parent_payload_ref),
+            "parent_payload": parent_payload,
             "eval_results_ref": request.eval_results_ref,
             "iterations_left": request.iterations_left,
             "instruction": instruction,

@@ -132,56 +132,12 @@ class SelectionPolicy:
         return cls(variant=variant, **values)
 
 
-@dataclass
-class SelectionBreakdown:
-    """Per-node terms of the distribution; probabilities always sum to 1."""
-
-    midpoint: float
-    sigmoid: np.ndarray
-    novelty: np.ndarray
-    weights: np.ndarray
-    probabilities: np.ndarray
-
-    def __post_init__(self) -> None:
-        total = float(np.sum(self.probabilities))
-        if abs(total - 1.0) > PROBABILITY_TOL:
-            raise ValueError(f"probabilities sum to {total}, not 1")
-        if np.any(self.probabilities < 0):
-            raise ValueError("negative probability")
-        if not np.array_equal(self.weights, self.sigmoid * self.novelty):
-            raise ValueError("weights != sigmoid * novelty")
-
-
 def dynamic_midpoint(scores: Sequence[float], pool_size: int) -> float:
     """Mean of the top min(pool_size, len) scores."""
     if len(scores) == 0:
         raise ValueError("empty score list")
     top = sorted(scores, reverse=True)[: min(pool_size, len(scores))]
     return sum(top) / len(top)
-
-
-def sigmoid_transform(alpha: float, midpoint: float, sharpness: float) -> float:
-    """Logistic of sharpness*(alpha - midpoint); saturates smoothly, never errors.
-
-    The scalar definition: `selection_distribution` computes the same IEEE
-    operations over arrays, and the tests compare its bits against this."""
-    if sharpness <= 0:
-        raise ValueError("sharpness must be positive")
-    z = sharpness * (alpha - midpoint)
-    if z >= 0:
-        return 1.0 / (1.0 + math.exp(-z))
-    e = math.exp(z)
-    return e / (1.0 + e)
-
-
-def novelty_bonus(n_children: int) -> float:
-    """1/(1+n): fresh nodes get 1, heavily-branched nodes fade toward 0.
-
-    The scalar definition that `selection_distribution`'s array form is tested
-    against."""
-    if n_children < 0:
-        raise ValueError("n_children must be non-negative")
-    return 1.0 / (1.0 + n_children)
 
 
 def weights_to_distribution(weights: Sequence[float]) -> np.ndarray:
@@ -199,8 +155,10 @@ def weights_to_distribution(weights: Sequence[float]) -> np.ndarray:
 
 def selection_distribution(
     view: Sequence[tuple[float, int]], policy: SelectionPolicy
-) -> SelectionBreakdown:
-    """Categorical parent distribution over an archive view.
+) -> np.ndarray:
+    """Categorical parent distribution over an archive view: one float64
+    probability per candidate, none negative, summing to 1 within
+    PROBABILITY_TOL.
 
     `view` pairs each candidate's selection score with its compiled-children
     count, in archive order.
@@ -213,8 +171,9 @@ def selection_distribution(
     size = len(view)
 
     if policy.variant == "score-child-prop":
-        # sigmoid_transform and novelty_bonus over arrays, the same IEEE operations;
-        # math.exp, since np.exp can differ in the last bit
+        # the logistic of sharpness * (score - midpoint), in its overflow-free
+        # form, times the novelty bonus 1 / (1 + children); math.exp, since np.exp
+        # can differ in the last bit
         midpoint = dynamic_midpoint(scores.tolist(), policy.params.midpoint_pool_size)
         with np.errstate(over="ignore", invalid="ignore"):  # inf, nan: silent, as in Python
             z = policy.params.sharpness * (scores - midpoint)
@@ -222,37 +181,24 @@ def selection_distribution(
         sig = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
         if (children < 0).any():
             raise ValueError("n_children must be non-negative")
-        nov = 1.0 / (1.0 + children)
-        weights = sig * nov
-        probs = weights_to_distribution(weights)
+        probs = weights_to_distribution(sig * (1.0 / (1.0 + children)))
     elif policy.variant == "uniform-random":
-        midpoint = 0.0
-        sig = np.ones(size)
-        nov = np.ones(size)
-        weights = sig * nov
         probs = np.full(size, 1.0 / size)
     elif policy.variant == "softmax":
-        midpoint = 0.0
         # shift by the max for stability; ratios are unchanged
-        shifted = (scores - scores.max()) / policy.temperature
-        sig = np.exp(shifted)
-        nov = np.ones(size)
-        weights = sig * nov
+        weights = np.exp((scores - scores.max()) / policy.temperature)
         probs = weights / weights.sum()
-    elif policy.variant == "ucb":
-        midpoint = 0.0
+    else:  # ucb, the one variant left
         ucb = _ucb_scores(scores, children, policy)
         mask = (ucb == ucb.max()).astype(float)
-        sig = mask
-        nov = np.ones(size)
-        weights = sig * nov
-        probs = weights / weights.sum()
-    else:  # pragma: no cover - guarded by SelectionPolicy
-        raise ValueError(policy.variant)
+        probs = mask / mask.sum()
 
-    return SelectionBreakdown(
-        midpoint=midpoint, sigmoid=sig, novelty=nov, weights=weights, probabilities=probs
-    )
+    total = float(np.sum(probs))
+    if abs(total - 1.0) > PROBABILITY_TOL:
+        raise ValueError(f"probabilities sum to {total}, not 1")
+    if np.any(probs < 0):
+        raise ValueError("negative probability")
+    return probs
 
 
 def _minmax_normalize(scores: np.ndarray) -> np.ndarray:
@@ -276,10 +222,10 @@ def _ucb_scores(
 
 
 def sample_parents(
-    breakdown: SelectionBreakdown, count: int, rng: np.random.Generator
+    probabilities: np.ndarray, count: int, rng: np.random.Generator
 ) -> list[int]:
-    """Draw `count` node indices i.i.d. with replacement from the distribution."""
+    """Draw `count` node indices i.i.d. with replacement from `probabilities`."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    draws = rng.choice(breakdown.probabilities.size, size=count, p=breakdown.probabilities)
+    draws = rng.choice(probabilities.size, size=count, p=probabilities)
     return [int(d) for d in draws]

@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from evoarchive.archive import AgentNode, Archive, DomainScores, add_node
+from evoarchive.archive import AgentNode, DomainScores
 from evoarchive.evaluation import DomainSpec, Evaluator, ScoreReport, multi_domain_evaluate
 from evoarchive.sandbox import SandboxLimits
 
@@ -24,16 +24,6 @@ def make_node(
         scores={"main": DomainScores(train=score, validation=validation)},
         created_at_iteration=node_id if iteration is None else iteration,
     )
-
-
-def random_tree_archive(rng: np.random.Generator, size: int) -> Archive:
-    """Random rooted tree with random scores, parents drawn uniformly."""
-    arch = Archive(mode_tag="full")
-    add_node(arch, make_node(0, None, score=float(rng.random())))
-    for node_id in range(1, size):
-        parent = int(rng.integers(0, node_id))
-        add_node(arch, make_node(node_id, parent, score=float(rng.random())))
-    return arch
 
 
 def staged_evaluate(

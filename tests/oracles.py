@@ -1,0 +1,289 @@
+"""Slow, obvious references for the package's optimized kernels, and the archive
+builders the tests share.
+
+Each kernel that must keep its bits (the score-child-prop distribution, the
+growth score and transfer selection, the bootstrap medians, node record bytes,
+improvement@k) has one reference here and one `assert_*` helper that compares
+the kernel with it. A helper takes the kernel under test as an argument, the
+package's own by default, so `test_oracles.py` can show that it refuses a kernel
+known to be wrong.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import re
+import tempfile
+from pathlib import Path
+from typing import Optional, Sequence
+
+import numpy as np
+import pytest
+from hypothesis import strategies as st
+
+from evoarchive import metrics
+from evoarchive.archive import AgentNode, Archive, add_node, persist, replace_sole_node
+from evoarchive.evaluation import node_selection_score
+from evoarchive.metrics import GrowthScoreParams, ImpAtKRequest
+from evoarchive.rng import substream
+from evoarchive.selection import (
+    ScoreChildPropParams,
+    SelectionPolicy,
+    dynamic_midpoint,
+    selection_distribution,
+    weights_to_distribution,
+)
+
+from conftest import make_node
+
+
+# --- archives ------------------------------------------------------------------
+
+
+def tree_archive(parents: Sequence[Optional[int]], scores: Sequence[float]) -> Archive:
+    """The archive whose node i has parent `parents[i]` and score `scores[i]`."""
+    arch = Archive(mode_tag="full")
+    for node_id, (parent, score) in enumerate(zip(parents, scores)):
+        add_node(arch, make_node(node_id, parent, score=score))
+    return arch
+
+
+def seeded_tree(rng: np.random.Generator, size: int, window: Optional[int] = None) -> Archive:
+    """`size` nodes with random scores, each parent drawn uniformly from the
+    `window` nodes before it, or from all of them without a window. A small
+    window makes deep lineages, such as those of a long run."""
+    parents, scores = [None], [float(rng.random())]
+    for node_id in range(1, size):
+        parents.append(int(rng.integers(0 if window is None else max(0, node_id - window),
+                                        node_id)))
+        scores.append(float(rng.random()))
+    return tree_archive(parents, scores)
+
+
+SCORES = st.sampled_from([0.0, -0.0, 1.0, 0.5]) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def archives(draw, max_size: int = 30) -> Archive:
+    """An archive a run could build: a tree with random parents, a chain, or the
+    no-open-ended sole node with id 7 that replaced the root; scores with ties,
+    -0.0, 0 and 1."""
+    shape = draw(st.sampled_from(["tree", "chain", "sole"]))
+    if shape == "sole":
+        arch = Archive(mode_tag="no-open-ended")
+        add_node(arch, make_node(0, None, score=draw(SCORES)))
+        replace_sole_node(arch, make_node(7, 0, score=draw(SCORES)))
+        return arch
+    size = draw(st.integers(1, max_size))
+    parents = [None] + [node_id - 1 if shape == "chain" else draw(st.integers(0, node_id - 1))
+                        for node_id in range(1, size)]
+    return tree_archive(parents, draw(st.lists(SCORES, min_size=size, max_size=size)))
+
+
+def descendants(arch: Archive, node_id: int) -> set[int]:
+    """Every node below `node_id`, found by scanning all parent links per node."""
+    out: set[int] = set()
+    frontier = [node_id]
+    while frontier:
+        parent = frontier.pop()
+        for node in arch:
+            if node.parent_id == parent and node.id not in out:
+                out.add(node.id)
+                frontier.append(node.id)
+    return out
+
+
+def distance(arch: Archive, ancestor: int, descendant: int) -> int:
+    """The number of parent links from `descendant` up to `ancestor`."""
+    steps, current = 0, descendant
+    while current != ancestor:
+        current, steps = arch.node(current).parent_id, steps + 1
+    return steps
+
+
+# --- score-child-prop selection --------------------------------------------------
+
+
+def sigmoid_transform(alpha: float, midpoint: float, sharpness: float) -> float:
+    """Logistic of sharpness*(alpha - midpoint); saturates smoothly, never errors."""
+    if sharpness <= 0:
+        raise ValueError("sharpness must be positive")
+    z = sharpness * (alpha - midpoint)
+    if z >= 0:
+        return 1.0 / (1.0 + math.exp(-z))
+    e = math.exp(z)
+    return e / (1.0 + e)
+
+
+def novelty_bonus(n_children: int) -> float:
+    """1/(1+n): fresh nodes get 1, heavily-branched nodes fade toward 0."""
+    if n_children < 0:
+        raise ValueError("n_children must be non-negative")
+    return 1.0 / (1.0 + n_children)
+
+
+def score_child_prop(view: Sequence[tuple[float, int]],
+                     params: ScoreChildPropParams) -> tuple[np.ndarray, np.ndarray]:
+    """The score-child-prop weights and distribution, one candidate at a time."""
+    scores = [float(score) for score, _ in view]
+    midpoint = dynamic_midpoint(scores, params.midpoint_pool_size)
+    weights = np.array([sigmoid_transform(alpha, midpoint, params.sharpness)
+                        * novelty_bonus(int(children))
+                        for alpha, (_, children) in zip(scores, view)])
+    return weights, weights_to_distribution(weights)
+
+
+def assert_score_child_prop_bits(view: Sequence[tuple[float, int]],
+                                 params: ScoreChildPropParams,
+                                 kernel=selection_distribution) -> Optional[np.ndarray]:
+    """`kernel`'s score-child-prop distribution has the bits of `score_child_prop`'s,
+    or `kernel` raises the reference's ValueError. Returns the reference's
+    weights, or None where it raised."""
+    policy = SelectionPolicy(params=params)
+    try:
+        weights, expected = score_child_prop(view, params)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            kernel(view, policy)
+        return None
+    assert kernel(view, policy).tobytes() == expected.tobytes()
+    return weights
+
+
+# --- growth score and transfer selection -------------------------------------------
+
+
+def growth_score(arch: Archive, node_id: int, params: GrowthScoreParams) -> float:
+    """`metrics.growth_score` as first released: every float operation in its order."""
+    offspring = descendants(arch, node_id)
+    if not offspring:
+        raise ValueError(f"node {node_id} has no descendants")
+    base = node_selection_score(arch.node(node_id))
+    total = 0.0
+    for j in sorted(offspring):
+        delta = node_selection_score(arch.node(j)) - base
+        total += delta * params.gamma ** distance(arch, node_id, j)
+    return total / len(offspring)
+
+
+def transfer_select(arch: Archive, params: GrowthScoreParams) -> Optional[int]:
+    """`metrics.transfer_select` as first released; None where it raises ValueError."""
+    best_id: Optional[int] = None
+    best_score = -np.inf
+    for node in arch:
+        if len(descendants(arch, node.id)) < params.min_descendants:
+            continue
+        score = growth_score(arch, node.id, params)
+        if score > best_score:
+            best_id, best_score = node.id, score
+    return best_id
+
+
+def assert_growth_and_transfer_bits(arch: Archive, params: GrowthScoreParams,
+                                    growth=metrics.growth_score,
+                                    transfer=metrics.transfer_select) -> None:
+    """`growth` has the reference's bits on every node, raising where it does, and
+    `transfer` picks the reference's node or raises where it finds none."""
+    for node in arch:
+        try:
+            expected = growth_score(arch, node.id, params)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                growth(arch, node.id, params)
+            continue
+        assert repr(growth(arch, node.id, params)) == repr(expected)
+    expected_id = transfer_select(arch, params)
+    if expected_id is None:
+        with pytest.raises(ValueError, match="descendants"):
+            transfer(arch, params)
+    else:
+        assert transfer(arch, params) == expected_id
+
+
+# --- bootstrap -----------------------------------------------------------------------
+
+
+def bootstrap_medians(data: np.ndarray, rng: np.random.Generator, resamples: int,
+                      statistic=np.median) -> np.ndarray:
+    """`statistic` of each resampled row, every row drawn in one int64 call; the
+    medians of all rows at once, any other statistic row by row."""
+    rows = data[rng.integers(0, data.size, size=(resamples, data.size))]
+    if statistic is np.median:
+        return np.median(rows, axis=1)
+    return np.apply_along_axis(statistic, 1, rows)
+
+
+def one_shot_bootstrap(samples, rng, resamples, statistic=np.median, level=95.0):
+    """The bootstrap over `bootstrap_medians`: the sample's statistic and the
+    percentile bounds of the resampled ones."""
+    data = np.asarray(samples, dtype=float)
+    stats = bootstrap_medians(data, rng, resamples, statistic)
+    tail = (100.0 - level) / 2.0
+    lower, upper = np.percentile(stats, [tail, 100.0 - tail])
+    return float(statistic(data)), float(lower), float(upper)
+
+
+def assert_bootstrap_bits(samples: Sequence[float], seed: int, stream: str, resamples: int,
+                          level: float = 95.0, statistic=np.median,
+                          kernel=metrics.bootstrap_ci) -> tuple[float, float, float]:
+    """`kernel` on the substream `(seed, stream)` has the reprs of
+    `one_shot_bootstrap` on a fresh copy of it; returns the kernel's result."""
+    got = kernel(samples, substream(seed, stream), resamples, level=level)
+    expected = one_shot_bootstrap(samples, substream(seed, stream), resamples, statistic, level)
+    assert repr(got) == repr(expected)
+    return got
+
+
+# --- node records ----------------------------------------------------------------------
+
+
+def json_dumps_record(node: AgentNode) -> str:
+    """A node record as `json.dumps` writes it: the bytes `persist` must write."""
+    def text(value):
+        return None if value is None else repr(float(value))
+
+    record = {
+        "id": node.id,
+        "parent_id": node.parent_id,
+        "payload_ref": node.payload_ref,
+        "compiled": node.compiled,
+        "compiled_children": node.compiled_children,
+        "created_at_iteration": node.created_at_iteration,
+        "scores": {name: {"train": text(s.train), "validation": text(s.validation),
+                          "test": text(s.test)} for name, s in node.scores.items()},
+    }
+    return json.dumps(record, sort_keys=True, indent=1) + "\n"
+
+
+def persisted_record(node: AgentNode) -> bytes:
+    """The record `persist` writes for `node` as an archive's one node."""
+    with tempfile.TemporaryDirectory() as location:
+        persist(Archive(nodes=[node]), location)
+        return Path(location, "nodes", f"node_{node.id:06d}.json").read_bytes()
+
+
+def assert_record_bytes(node: AgentNode, record=persisted_record) -> None:
+    """`record(node)` is the UTF-8 of `json_dumps_record(node)`."""
+    assert record(node) == json_dumps_record(node).encode()
+
+
+# --- improvement@k -----------------------------------------------------------------------
+
+
+def improvement_at_k(initial: float, generated: Sequence[float]) -> float:
+    """The best generated score, found by a plain scan, minus the initial one;
+    0 when nothing was generated."""
+    if not generated:
+        return 0.0
+    best = generated[0]
+    for value in generated[1:]:
+        if value > best:
+            best = value
+    return best - initial
+
+
+def assert_impk_matches(request: ImpAtKRequest, kernel=metrics.improvement_at_k) -> None:
+    """`kernel(request)` equals the reference on the request's scores."""
+    assert kernel(request) == improvement_at_k(request.initial_score,
+                                               list(request.generated_scores))

@@ -34,7 +34,6 @@ from evoarchive.metrics import (
     ImpAtKRequest,
     bootstrap_ci,
     growth_score,
-    improvement_at_k,
     transfer_select,
 )
 from evoarchive.rng import substream
@@ -42,13 +41,14 @@ from evoarchive.sandbox import SandboxLimits, TRUNCATION_MARKER, sandbox_execute
 from evoarchive.selection import (
     ScoreChildPropParams,
     SelectionPolicy,
+    dynamic_midpoint,
     selection_distribution,
     weights_to_distribution,
 )
 
-from conftest import random_tree_archive, staged_evaluate
+import oracles
+from conftest import staged_evaluate
 from test_engine import LIMITS, landscape_domain
-from test_metrics import brute_descendants, brute_growth, brute_improvement, brute_transfer
 
 
 def criterion(number: int, label: str):
@@ -79,7 +79,7 @@ def test_criterion_1_selection_closed_form():
         variant="score-child-prop",
         params=ScoreChildPropParams(sharpness=10.0, midpoint_pool_size=3),
     )
-    breakdown = selection_distribution(view, policy)
+    probabilities = selection_distribution(view, policy)
 
     # independent high-precision recomputation of the closed forms
     scores = [0.1, 0.2, 0.8, 0.9]
@@ -91,9 +91,9 @@ def test_criterion_1_selection_closed_form():
     total = sum(weights)
     expected = [w / total for w in weights]
 
-    for got, want in zip(breakdown.probabilities, expected):
+    for got, want in zip(probabilities, expected):
         assert abs(got - want) <= 1e-12
-    assert abs(breakdown.midpoint - midpoint) <= 1e-12
+    assert abs(dynamic_midpoint(scores, policy.params.midpoint_pool_size) - midpoint) <= 1e-12
 
     # injected all-zero weight vector exercises the uniform fallback exactly
     probs = weights_to_distribution([0.0, 0.0, 0.0, 0.0])
@@ -179,21 +179,20 @@ def test_criterion_3_metric_oracles():
         n = int(rng.integers(0, k + 1))
         initial = float(rng.random())
         generated = tuple(float(v) for v in rng.random(n))
-        got = improvement_at_k(ImpAtKRequest(initial, generated, k))
-        assert got == brute_improvement(initial, list(generated))
+        oracles.assert_impk_matches(ImpAtKRequest(initial, generated, k))
 
     params = GrowthScoreParams(gamma=0.6, min_descendants=3)
     mismatches = 0
     for _ in range(500):
         size = int(rng.integers(2, 13))
-        arch = random_tree_archive(rng, size)
+        arch = oracles.seeded_tree(rng, size)
         for node in arch.nodes:
-            if brute_descendants(arch, node.id):
+            if oracles.descendants(arch, node.id):
                 got = growth_score(arch, node.id, params)
-                want = brute_growth(arch, node.id, 0.6)
+                want = oracles.growth_score(arch, node.id, params)
                 if abs(got - want) > 1e-12:
                     mismatches += 1
-        want_id = brute_transfer(arch, 0.6, 3)
+        want_id = oracles.transfer_select(arch, params)
         if want_id is None:
             with pytest.raises(ValueError):
                 transfer_select(arch, params)

@@ -4,7 +4,6 @@ import json
 import tempfile
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,33 +21,8 @@ from evoarchive.archive import (
     replace_sole_node,
 )
 
-from conftest import make_node, random_tree_archive
-
-
-# --- oracles -----------------------------------------------------------------
-
-
-def reachable_oracle(arch: Archive, start: int) -> set[int]:
-    """Exhaustive reachability by repeated full edge scans."""
-    edges = [(n.parent_id, n.id) for n in arch.nodes if n.parent_id is not None]
-    out: set[int] = set()
-    changed = True
-    while changed:
-        changed = False
-        for parent, child in edges:
-            if (parent == start or parent in out) and child not in out:
-                out.add(child)
-                changed = True
-    return out
-
-
-def bfs_depth_oracle(arch: Archive, node_id: int) -> int:
-    depth = 0
-    current = arch.node(node_id).parent_id
-    while current is not None:
-        depth += 1
-        current = arch.node(current).parent_id
-    return depth
+import oracles
+from conftest import make_node
 
 
 # --- add_node ----------------------------------------------------------------
@@ -128,28 +102,24 @@ def test_node_lookup_finds_sole_node_after_replace():
 # --- tree queries ------------------------------------------------------------
 
 
-@given(st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=2**32 - 1))
+@given(oracles.archives())
 @settings(max_examples=80, deadline=None)
-def test_queries_match_oracles_on_random_trees(size: int, seed: int):
-    arch = random_tree_archive(np.random.default_rng(seed), size)
-    children = {node.id: [c.id for c in arch.nodes if c.parent_id == node.id]
-                for node in arch.nodes}
-    for node in arch.nodes:
-        for child in children[node.id]:
-            assert bfs_depth_oracle(arch, child) == bfs_depth_oracle(arch, node.id) + 1
-        # walking the parent links down reaches exactly the nodes the edge scans reach
-        offspring, frontier = set(), list(children[node.id])
-        while frontier:
-            current = frontier.pop()
-            offspring.add(current)
-            frontier.extend(children[current])
-        assert offspring == reachable_oracle(arch, node.id)
+def test_queries_match_oracles_on_random_trees(arch: Archive):
+    # the parent links `add_node` kept form one tree: every walk up from a node
+    # passes exactly the nodes whose descendants hold it, each at its distance
+    pairs = 0
+    for node in arch:
+        above, steps = node.parent_id, 1
+        while above is not None:
+            assert node.id in oracles.descendants(arch, above)
+            assert oracles.distance(arch, above, node.id) == steps
+            above, steps, pairs = arch.node(above).parent_id, steps + 1, pairs + 1
+    assert pairs == sum(len(oracles.descendants(arch, node.id)) for node in arch)
 
 
-@given(st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=2**32 - 1))
+@given(oracles.archives())
 @settings(max_examples=50, deadline=None)
-def test_compiled_children_recomputable_from_edges(size: int, seed: int):
-    arch = random_tree_archive(np.random.default_rng(seed), size)
+def test_compiled_children_recomputable_from_edges(arch: Archive):
     with tempfile.TemporaryDirectory() as tmp:
         persist(arch, tmp)
         assert load(tmp) == arch  # load recounts compiled_children from the parent links
@@ -172,7 +142,7 @@ def test_round_trip_rooted_archive(tmp_path):
 
 
 def test_round_trip_preserves_scores_bit_exactly(tmp_path, rng):
-    arch = random_tree_archive(rng, 50)
+    arch = oracles.seeded_tree(rng, 50)
     for node in arch.nodes:
         node.scores["main"] = DomainScores(
             train=float(rng.random()),
@@ -196,29 +166,11 @@ def test_round_trip_preserves_scores_bit_exactly(tmp_path, rng):
 
 
 def test_persist_is_byte_stable(tmp_path, rng):
-    arch = random_tree_archive(rng, 10)
+    arch = oracles.seeded_tree(rng, 10)
     persist(arch, tmp_path / "a", run_id="r")
     first = fingerprint(tmp_path / "a")
     persist(arch, tmp_path / "a", run_id="r")
     assert fingerprint(tmp_path / "a") == first
-
-
-def json_dumps_record(node: AgentNode) -> str:
-    """A node record as `json.dumps` writes it: the bytes `persist` must write."""
-    def text(value):
-        return None if value is None else repr(float(value))
-
-    record = {
-        "id": node.id,
-        "parent_id": node.parent_id,
-        "payload_ref": node.payload_ref,
-        "compiled": node.compiled,
-        "compiled_children": node.compiled_children,
-        "created_at_iteration": node.created_at_iteration,
-        "scores": {name: {"train": text(s.train), "validation": text(s.validation),
-                          "test": text(s.test)} for name, s in node.scores.items()},
-    }
-    return json.dumps(record, sort_keys=True, indent=1) + "\n"
 
 
 # non-ASCII, quote, backslash, control characters and U+2028 among any others
@@ -244,16 +196,12 @@ def test_persist_writes_the_bytes_json_dumps_writes(node_id, parent_id, payload_
                                                     domains, compiled_children, iteration):
     # domains inserted in reverse name order, so the record must sort them
     scores = dict(sorted(domains, reverse=True))
-    node = AgentNode(node_id, parent_id, payload_ref, compiled, scores, compiled_children,
-                     iteration)
-    with tempfile.TemporaryDirectory() as location:
-        persist(Archive(nodes=[node]), location)
-        written = Path(location, "nodes", f"node_{node_id:06d}.json").read_bytes()
-    assert written == json_dumps_record(node).encode()
+    oracles.assert_record_bytes(AgentNode(node_id, parent_id, payload_ref, compiled, scores,
+                                          compiled_children, iteration))
 
 
 def test_load_truncated_record_names_the_node(tmp_path, rng):
-    arch = random_tree_archive(rng, 5)
+    arch = oracles.seeded_tree(rng, 5)
     persist(arch, tmp_path / "a")
     victim = tmp_path / "a" / "nodes" / "node_000003.json"
     victim.write_text(victim.read_text()[:20], encoding="utf-8")
@@ -262,7 +210,7 @@ def test_load_truncated_record_names_the_node(tmp_path, rng):
 
 
 def test_load_missing_record_names_the_node(tmp_path, rng):
-    arch = random_tree_archive(rng, 4)
+    arch = oracles.seeded_tree(rng, 4)
     persist(arch, tmp_path / "a")
     (tmp_path / "a" / "nodes" / "node_000002.json").unlink()
     with pytest.raises(ArchiveLoadError, match="node_000002"):
@@ -270,7 +218,7 @@ def test_load_missing_record_names_the_node(tmp_path, rng):
 
 
 def test_load_rejects_count_mismatch(tmp_path, rng):
-    arch = random_tree_archive(rng, 3)
+    arch = oracles.seeded_tree(rng, 3)
     persist(arch, tmp_path / "a")
     manifest = tmp_path / "a" / "manifest.json"
     doc = json.loads(manifest.read_text())
@@ -295,7 +243,8 @@ LOAD_REFUSALS = {
     "a parent at its child's id": ({NODE(2): {"parent_id": 2}}, 2, "dangling parent 2"),
     "a parent after its child's id": ({NODE(1): {"parent_id": 3}}, 1, "dangling parent 3"),
     "a dangling parent": ({NODE(3): {"parent_id": 7}}, 3, "dangling parent 7"),
-    "a parent id that is a string": ({NODE(1): {"parent_id": "0"}}, 1, "not supported"),
+    "a parent id that is a string": ({NODE(1): {"parent_id": "0"}}, 1,
+                                     "parent_id '0' is not an integer"),
     "compiled_children one too many": ({NODE(1): {"compiled_children": 2}}, 1,
                                        "compiled_children=2, edges say 1"),
     "compiled_children one too few": ({NODE(0): {"compiled_children": 1}}, 0,
@@ -325,6 +274,20 @@ def test_load_refuses_a_tree_a_run_could_not_build(tmp_path, name):
         load(tmp_path / "a")
     assert f"node record node_{record:06d}.json" in str(caught.value)
     assert cause in str(caught.value)
+
+
+@pytest.mark.parametrize("value", [True, 1.5, "1"])
+@pytest.mark.parametrize("field", ["id", "parent_id", "compiled_children",
+                                   "created_at_iteration"])
+def test_load_refuses_a_node_field_that_is_not_an_integer(tmp_path, field, value):
+    # `true` and `1.5` would load as the id, parent or count 1 and be written back as
+    # `True` and `1.5`; only an int that is not a bool is one
+    persist(oracles.tree_archive([None, 0, 1, 0], [0.5] * 4), tmp_path / "a")
+    rewrite_json(tmp_path / "a" / NODE(1), {field: value})
+    with pytest.raises(ArchiveLoadError) as caught:
+        load(tmp_path / "a")
+    assert "node record node_000001.json" in str(caught.value)
+    assert f"{field} {value!r} is not an integer" in str(caught.value)
 
 
 def test_score_out_of_range_rejected():

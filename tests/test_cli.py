@@ -877,18 +877,36 @@ def test_an_evaluation_without_a_domain_exits_1_and_writes_nothing(finished_run,
                              "evaluation holds no domain's scores")
 
 
-# a committed field of the wrong JSON type: the field, its value, and the cause;
-# `scores` is edited in the first child's `evaluation`, `iteration` in the last
-# commit line
+# a committed field of the wrong JSON type: the event kind, the field, its value, and
+# the cause; `scores` is edited in the first child's `evaluation`, an `archive_add`
+# field in the last one (node 2, whose parent is node 1, so that `true` names a node),
+# and `iteration` in the last commit line
 MISTYPED_FIELDS = {
-    "scores an array": ("scores", [["landscape", {"train": 0.5, "validation": None,
-                                                  "test": None}]],
+    "scores an array": ("evaluation", "scores",
+                        [["landscape", {"train": 0.5, "validation": None, "test": None}]],
                         "evaluation scores are a list, not an object"),
-    "scores a string": ("scores", "landscape", "evaluation scores are a str, not an object"),
-    "iteration a string": ("iteration", "2", "iteration '2' is not an integer"),
-    "iteration null": ("iteration", None, "iteration None is not an integer"),
-    "iteration a fraction": ("iteration", 2.5, "iteration 2.5 is not an integer"),
-    "iteration true": ("iteration", True, "iteration True is not an integer"),
+    "scores a string": ("evaluation", "scores", "landscape",
+                        "evaluation scores are a str, not an object"),
+    "iteration a string": ("iteration_complete", "iteration", "2",
+                           "iteration '2' is not an integer"),
+    "iteration null": ("iteration_complete", "iteration", None,
+                       "iteration None is not an integer"),
+    "iteration a fraction": ("iteration_complete", "iteration", 2.5,
+                             "iteration 2.5 is not an integer"),
+    "iteration true": ("iteration_complete", "iteration", True,
+                       "iteration True is not an integer"),
+    "archived parent true": ("archive_add", "parent_id", True,
+                             "parent_id True is not an integer"),
+    "archived parent a fraction": ("archive_add", "parent_id", 1.5,
+                                   "parent_id 1.5 is not an integer"),
+    "archived parent a string": ("archive_add", "parent_id", "1",
+                                 "parent_id '1' is not an integer"),
+    "archived iteration true": ("archive_add", "iteration", True,
+                                "created_at_iteration True is not an integer"),
+    "archived iteration a fraction": ("archive_add", "iteration", 1.5,
+                                      "created_at_iteration 1.5 is not an integer"),
+    "archived iteration a string": ("archive_add", "iteration", "1",
+                                    "created_at_iteration '1' is not an integer"),
 }
 
 
@@ -896,15 +914,16 @@ MISTYPED_FIELDS = {
 @pytest.mark.parametrize("name", sorted(MISTYPED_FIELDS))
 def test_a_mistyped_field_exits_1_and_writes_nothing(finished_run, tmp_path, capsys, name,
                                                      command):
-    field, value, cause = MISTYPED_FIELDS[name]
+    kind, field, value, cause = MISTYPED_FIELDS[name]
 
     def edit(event: dict) -> None:
         event[field] = value
 
-    if field == "scores":
+    if kind == "evaluation":
         lineno = edit_a_child_evaluation(finished_run, edit)
     else:
-        lineno = edit_a_committed_event(finished_run, edit, lambda events: len(events) - 1)
+        lineno = edit_a_committed_event(finished_run, edit, lambda events: max(
+            i for i, e in enumerate(events) if e["event"] == kind))
     assert_bad_event_refused(finished_run, tmp_path, capsys, command, lineno, cause)
 
 

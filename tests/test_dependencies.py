@@ -47,3 +47,31 @@ def test_every_name_a_module_imports_is_used_or_exported():
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
                    if name not in used]
     assert unused == []
+
+
+def test_every_top_level_definition_is_used_exported_or_benchmarked():
+    # no test-only code in the package: a reference implementation that only the
+    # tests call belongs in tests/oracles.py
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted((ROOT / "src" / "evoarchive").glob("*.py"))}
+    referenced = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                referenced.update(ast.literal_eval(node.value))
+    benchmark = "\n".join(path.read_text(encoding="utf-8")
+                          for path in sorted((ROOT / "perfbench").rglob("*"))
+                          if path.is_file() and "__pycache__" not in path.parts)
+    unused = [f"{path.name}:{node.lineno} {node.name}"
+              for path, tree in trees.items() for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+              and node.name not in referenced
+              and not re.search(rf"\b{re.escape(node.name)}\b", benchmark)]
+    assert unused == []

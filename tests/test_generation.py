@@ -421,6 +421,32 @@ def test_model_client_fixed_instruction_prepends_request(tmp_path):
     assert requests[1]["instruction"] == "improve the parser"
 
 
+def test_model_client_reads_the_parent_bundle_once(tmp_path, monkeypatch):
+    parent = write_parent(tmp_path)
+    reads: list[str] = []
+    bundle = ModelClientBackend._bundle
+
+    def counted(payload_ref: str) -> dict[str, str]:
+        reads.append(payload_ref)
+        return bundle(payload_ref)
+
+    monkeypatch.setattr(ModelClientBackend, "_bundle", staticmethod(counted))
+    requests: list[dict] = []
+
+    def transport(doc: dict) -> dict:
+        requests.append(doc)
+        if doc["kind"] == "instruction-generation":
+            return {"instruction": "improve the parser"}
+        return {"child_payload": doc["parent_payload"]}
+
+    backend = ModelClientBackend(url="https://example.invalid/generate",
+                                 instruction_template="TEMPLATE {code}", transport=transport)
+    assert generate_child(backend, request_for(tmp_path, parent), SyntheticEvaluator(),
+                          LIMITS).compiled
+    assert reads == [str(parent)]
+    assert requests[0]["parent_payload"] is requests[1]["parent_payload"]
+
+
 def test_model_client_malformed_response_not_compiled(tmp_path):
     parent = write_parent(tmp_path)
     backend = ModelClientBackend(

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import csv
-from typing import Optional
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import evoarchive.metrics as metrics_mod
+import oracles
 from evoarchive.archive import AgentNode, Archive, add_node, replace_sole_node
 from evoarchive.engine import replay_log, run
 from evoarchive.evaluation import node_selection_score
@@ -24,63 +26,8 @@ from evoarchive.metrics import (
 )
 from evoarchive.rng import substream
 
-from conftest import make_node, random_tree_archive
+from conftest import make_node
 from test_engine import make_config
-
-
-# --- brute-force oracles ------------------------------------------------------
-
-
-def brute_improvement(initial: float, generated: list[float]) -> float:
-    if not generated:
-        return 0.0
-    best = generated[0]
-    for value in generated[1:]:
-        if value > best:
-            best = value
-    return best - initial
-
-
-def brute_descendants(arch: Archive, i: int) -> list[int]:
-    out = []
-    for node in arch.nodes:
-        j = node.id
-        if j == i:
-            continue
-        current = node.parent_id
-        while current is not None:
-            if current == i:
-                out.append(j)
-                break
-            current = arch.node(current).parent_id
-    return out
-
-
-def brute_growth(arch: Archive, i: int, gamma: float) -> float:
-    def score(node_id):
-        return arch.node(node_id).scores["main"].train
-
-    def depth(node_id):
-        d, current = 0, arch.node(node_id).parent_id
-        while current is not None:
-            d, current = d + 1, arch.node(current).parent_id
-        return d
-
-    offspring = brute_descendants(arch, i)
-    total = sum((score(j) - score(i)) * gamma ** (depth(j) - depth(i)) for j in offspring)
-    return total / len(offspring)
-
-
-def brute_transfer(arch: Archive, gamma: float, min_descendants: int) -> int | None:
-    best_id, best = None, -float("inf")
-    for node in arch.nodes:
-        offspring = brute_descendants(arch, node.id)
-        if len(offspring) < min_descendants:
-            continue
-        g = brute_growth(arch, node.id, gamma)
-        if g > best:
-            best_id, best = node.id, g
-    return best_id
 
 
 # --- improvement@k -------------------------------------------------------------
@@ -111,8 +58,7 @@ def test_impk_matches_brute_force_on_1000_random_inputs():
         n = int(rng.integers(0, k + 1))
         initial = float(rng.random())
         generated = tuple(float(v) for v in rng.random(n))
-        request = ImpAtKRequest(initial, generated, k)
-        assert improvement_at_k(request) == brute_improvement(initial, list(generated))
+        oracles.assert_impk_matches(ImpAtKRequest(initial, generated, k))
 
 
 def test_impk_request_validation():
@@ -130,35 +76,27 @@ def test_impk_request_validation():
 # --- growth score ----------------------------------------------------------------
 
 
-def chain_archive(scores: list[float]) -> Archive:
-    arch = Archive()
-    add_node(arch, make_node(0, None, score=scores[0]))
-    for i, s in enumerate(scores[1:], start=1):
-        add_node(arch, make_node(i, i - 1, score=s))
-    return arch
-
-
 def test_growth_single_child_equal_score_is_zero():
-    arch = chain_archive([0.5, 0.5])
+    arch = oracles.tree_archive([None, 0], [0.5, 0.5])
     assert growth_score(arch, 0, GrowthScoreParams(gamma=0.6)) == 0.0
 
 
 def test_growth_chain_hand_value():
-    arch = chain_archive([0.0, 0.5, 1.0])
+    arch = oracles.tree_archive([None, 0, 1], [0.0, 0.5, 1.0])
     params = GrowthScoreParams(gamma=0.5)
     # (0.5 * 0.5 + 1.0 * 0.25) / 2
     assert growth_score(arch, 0, params) == pytest.approx(0.25)
-    assert brute_growth(arch, 0, 0.5) == pytest.approx(0.25)
+    assert oracles.growth_score(arch, 0, params) == pytest.approx(0.25)
 
 
 def test_growth_gamma_one_is_plain_mean():
-    arch = chain_archive([0.2, 0.4, 0.9])
+    arch = oracles.tree_archive([None, 0, 1], [0.2, 0.4, 0.9])
     expected = ((0.4 - 0.2) + (0.9 - 0.2)) / 2
     assert growth_score(arch, 0, GrowthScoreParams(gamma=1.0)) == pytest.approx(expected)
 
 
 def test_growth_requires_descendants():
-    arch = chain_archive([0.1, 0.2])
+    arch = oracles.tree_archive([None, 0], [0.1, 0.2])
     with pytest.raises(ValueError):
         growth_score(arch, 1, GrowthScoreParams())
 
@@ -198,7 +136,7 @@ def test_transfer_tie_breaks_low_id():
 
 
 def test_transfer_no_eligible_node_errors():
-    arch = chain_archive([0.1, 0.2])
+    arch = oracles.tree_archive([None, 0], [0.1, 0.2])
     with pytest.raises(ValueError):
         transfer_select(arch, GrowthScoreParams(min_descendants=3))
 
@@ -211,7 +149,7 @@ def test_transfer_and_growth_on_empty_archive_error():
 
 
 def test_growth_unknown_node_is_key_error():
-    arch = chain_archive([0.1, 0.2, 0.3])
+    arch = oracles.tree_archive([None, 0, 1], [0.1, 0.2, 0.3])
     with pytest.raises(KeyError):
         growth_score(arch, 3, GrowthScoreParams())
 
@@ -231,131 +169,51 @@ def test_growth_and_transfer_match_brute_force_on_500_trees():
     rng = np.random.default_rng(202)
     params = GrowthScoreParams(gamma=0.6, min_descendants=3)
     for _ in range(500):
-        size = int(rng.integers(2, 13))
-        arch = random_tree_archive(rng, size)
-        for node in arch.nodes:
-            if brute_descendants(arch, node.id):
-                assert growth_score(arch, node.id, params) == pytest.approx(
-                    brute_growth(arch, node.id, 0.6), abs=1e-12
-                )
-        expected = brute_transfer(arch, 0.6, 3)
-        if expected is None:
-            with pytest.raises(ValueError):
-                transfer_select(arch, params)
-        else:
-            assert transfer_select(arch, params) == expected
+        arch = oracles.seeded_tree(rng, int(rng.integers(2, 13)))
+        oracles.assert_growth_and_transfer_bits(arch, params)
+
+
+@given(oracles.archives(), st.sampled_from([0.6, 0.37, 1.0]), st.integers(1, 5))
+@settings(max_examples=100, deadline=None)
+def test_growth_and_transfer_bits_on_drawn_archives(arch, gamma, min_descendants):
+    oracles.assert_growth_and_transfer_bits(arch, GrowthScoreParams(gamma, min_descendants))
 
 
 # --- bit-exactness against the original quadratic implementation --------------
 
 
-def _scan_children(arch: Archive, node_id: int) -> list[int]:
-    return [n.id for n in arch.nodes if n.parent_id == node_id]
-
-
-def _scan_descendants(arch: Archive, node_id: int) -> set[int]:
-    out: set[int] = set()
-    frontier = [node_id]
-    while frontier:
-        for child in _scan_children(arch, frontier.pop()):
-            if child not in out:
-                out.add(child)
-                frontier.append(child)
-    return out
-
-
-def _walk_distance(arch: Archive, ancestor: int, descendant: int) -> int:
-    steps, current = 0, descendant
-    while current != ancestor:
-        current, steps = arch.node(current).parent_id, steps + 1
-    return steps
-
-
-def frozen_growth_score(arch: Archive, node_id: int, params: GrowthScoreParams) -> float:
-    """growth_score as first released: every float operation in its order."""
-    offspring = _scan_descendants(arch, node_id)
-    if not offspring:
-        raise ValueError(f"node {node_id} has no descendants")
-    base = node_selection_score(arch.node(node_id))
-    total = 0.0
-    for j in sorted(offspring):
-        delta = node_selection_score(arch.node(j)) - base
-        total += delta * params.gamma ** _walk_distance(arch, node_id, j)
-    return total / len(offspring)
-
-
-def frozen_transfer_select(arch: Archive, params: GrowthScoreParams) -> Optional[int]:
-    """transfer_select as first released; None where it raised ValueError."""
-    best_id: Optional[int] = None
-    best_score = -np.inf
-    for node in arch:
-        if len(_scan_descendants(arch, node.id)) < params.min_descendants:
-            continue
-        score = frozen_growth_score(arch, node.id, params)
-        if score > best_score:
-            best_id, best_score = node.id, score
-    return best_id
-
-
-def deep_tree_archive(rng: np.random.Generator, size: int, window: int = 4) -> Archive:
-    """Random tree whose parents are drawn from the last `window` nodes: deep lineages."""
-    arch = Archive(mode_tag="full")
-    add_node(arch, make_node(0, None, score=float(rng.random())))
-    for node_id in range(1, size):
-        parent = int(rng.integers(max(0, node_id - window), node_id))
-        add_node(arch, make_node(node_id, parent, score=float(rng.random())))
-    return arch
-
-
-def analytics_shaped_archive(rng: np.random.Generator) -> Archive:
-    """1,000 nodes, depth about 35 and mean depth about 17: near the archive
-    of the benchmark's analytics workload (depth 30, mean depth 17.3)."""
-    return deep_tree_archive(rng, 1000, window=70)
-
-
-def assert_growth_and_transfer_match_frozen(arch: Archive, params: GrowthScoreParams) -> None:
-    for node in arch.nodes:
-        if _scan_children(arch, node.id):
-            assert repr(growth_score(arch, node.id, params)) == repr(
-                frozen_growth_score(arch, node.id, params)
-            )
-    expected = frozen_transfer_select(arch, params)
-    if expected is None:
-        with pytest.raises(ValueError):
-            transfer_select(arch, params)
-    else:
-        assert transfer_select(arch, params) == expected
-
-
 @pytest.mark.parametrize("gamma", [0.6, 0.37, 1.0])
 def test_growth_and_transfer_bit_identical_to_frozen_implementation(gamma):
     rng = np.random.default_rng(404)
-    for shape in (random_tree_archive, deep_tree_archive):
+    for window in (None, 4):  # bushy trees, then deep lineages
         for _ in range(25):
-            arch = shape(rng, int(rng.integers(2, 201)))
+            arch = oracles.seeded_tree(rng, int(rng.integers(2, 201)), window)
             min_descendants = int(rng.integers(1, 6))
             params = GrowthScoreParams(gamma=gamma, min_descendants=min_descendants)
-            assert_growth_and_transfer_match_frozen(arch, params)
-    arch = analytics_shaped_archive(rng)
-    assert_growth_and_transfer_match_frozen(arch, GrowthScoreParams(gamma=gamma))
+            oracles.assert_growth_and_transfer_bits(arch, params)
+    # 1,000 nodes, depth about 35 and mean depth about 17: near the archive of
+    # the benchmark's analytics workload (depth 30, mean depth 17.3)
+    arch = oracles.seeded_tree(rng, 1000, window=70)
+    oracles.assert_growth_and_transfer_bits(arch, GrowthScoreParams(gamma=gamma))
 
 
 def test_growth_terms_underflowing_to_signed_zero_match_frozen():
     # 0.37**dist underflows to 0.0 from dist 750 on, so the deepest terms
     # of a falling chain are -0.0: the sum must keep its order and its
     # zeros' signs.
-    arch = chain_archive([0.5] + [0.25] * 800)
+    arch = oracles.tree_archive([None, *range(800)], [0.5] + [0.25] * 800)
     params = GrowthScoreParams(gamma=0.37, min_descendants=1)
     for node_id in (0, 1, 100, 799):
         assert repr(growth_score(arch, node_id, params)) == repr(
-            frozen_growth_score(arch, node_id, params)
+            oracles.growth_score(arch, node_id, params)
         )
 
 
 @pytest.mark.parametrize("gamma", [0.6, 0.37])
 def test_growth_and_transfer_on_a_300_deep_chain_match_frozen(gamma):
     scores = np.random.default_rng(300).random(301).tolist()
-    assert_growth_and_transfer_match_frozen(chain_archive(scores), GrowthScoreParams(gamma=gamma))
+    arch = oracles.tree_archive([None, *range(300)], scores)
+    oracles.assert_growth_and_transfer_bits(arch, GrowthScoreParams(gamma=gamma))
 
 
 def test_growth_and_transfer_on_a_sole_node_with_a_nonzero_id_raise_like_frozen():
@@ -364,10 +222,10 @@ def test_growth_and_transfer_on_a_sole_node_with_a_nonzero_id_raise_like_frozen(
     add_node(arch, make_node(0, None, score=0.25))
     replace_sole_node(arch, make_node(7, 0, score=0.75))
     params = GrowthScoreParams(min_descendants=1)
-    for growth in (frozen_growth_score, growth_score):
+    for growth in (oracles.growth_score, growth_score):
         with pytest.raises(ValueError, match="node 7 has no descendants"):
             growth(arch, 7, params)
-    assert frozen_transfer_select(arch, params) is None
+    assert oracles.transfer_select(arch, params) is None
     with pytest.raises(ValueError, match="at least 1 descendants"):
         transfer_select(arch, params)
 
@@ -383,7 +241,7 @@ def test_transfer_exact_tie_picks_lowest_id():
     params = GrowthScoreParams(gamma=0.6, min_descendants=3)
     assert growth_score(arch, 1, params) == growth_score(arch, 2, params)
     assert growth_score(arch, 1, params) > growth_score(arch, 0, params)
-    assert transfer_select(arch, params) == frozen_transfer_select(arch, params) == 1
+    assert transfer_select(arch, params) == oracles.transfer_select(arch, params) == 1
 
 
 def test_transfer_ranks_totals_summed_in_ascending_id_order():
@@ -398,7 +256,7 @@ def test_transfer_ranks_totals_summed_in_ascending_id_order():
         add_node(arch, make_node(node_id, parent, score=score))
     params = GrowthScoreParams(gamma=1.0, min_descendants=3)
     assert growth_score(arch, 1, params) > growth_score(arch, 2, params)
-    assert transfer_select(arch, params) == frozen_transfer_select(arch, params) == 1
+    assert transfer_select(arch, params) == oracles.transfer_select(arch, params) == 1
 
 
 def test_transfer_scores_each_node_once(monkeypatch):
@@ -409,7 +267,7 @@ def test_transfer_scores_each_node_once(monkeypatch):
         calls += 1
         return node_selection_score(node)
 
-    arch = random_tree_archive(np.random.default_rng(505), 2000)
+    arch = oracles.seeded_tree(np.random.default_rng(505), 2000)
     monkeypatch.setattr(metrics_mod, "node_selection_score", counting)
     transfer_select(arch, GrowthScoreParams())
     assert calls == len(arch) == 2000
@@ -467,20 +325,6 @@ def test_bootstrap_level_shrinks_interval():
     assert high50 - low50 <= high95 - low95
 
 
-def one_shot_bootstrap(samples, rng, resamples, statistic=np.median, level=95.0):
-    """Oracle: the bootstrap with every resampled row drawn in one int64 call
-    and each row's median taken by `np.median`."""
-    data = np.asarray(samples, dtype=float)
-    indices = rng.integers(0, data.size, size=(resamples, data.size))
-    if statistic is np.median:
-        stats = np.median(data[indices], axis=1)
-    else:
-        stats = np.apply_along_axis(statistic, 1, data[indices])
-    tail = (100.0 - level) / 2.0
-    lower, upper = np.percentile(stats, [tail, 100.0 - tail])
-    return float(statistic(data)), float(lower), float(upper)
-
-
 # the oracle takes the medians of all rows at once, or row by row on samples
 # holding a NaN
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
@@ -492,10 +336,7 @@ def test_bootstrap_chunks_equal_one_shot_draws(statistic, extra, size):
     samples = np.random.default_rng(size).random(size)
     if statistic is not np.median:
         samples[size // 2] = np.nan
-    chunked = bootstrap_ci(samples.tolist(), substream(3, "chunks"), resamples)
-    expected = one_shot_bootstrap(samples.tolist(), substream(3, "chunks"), resamples,
-                                  statistic)
-    assert repr(chunked) == repr(expected)
+    oracles.assert_bootstrap_bits(samples.tolist(), 3, "chunks", resamples, statistic=statistic)
 
 
 SAMPLE_SHAPES = {
@@ -516,9 +357,7 @@ SAMPLE_SHAPES = {
 @pytest.mark.parametrize("shape", sorted(SAMPLE_SHAPES))
 def test_bootstrap_medians_bit_equal_to_np_median_rows(shape, resamples, level):
     samples = SAMPLE_SHAPES[shape](np.random.default_rng(len(shape))).tolist()
-    got = bootstrap_ci(samples, substream(5, shape), resamples, level=level)
-    expected = one_shot_bootstrap(samples, substream(5, shape), resamples, level=level)
-    assert repr(got) == repr(expected)
+    oracles.assert_bootstrap_bits(samples, 5, shape, resamples, level)
 
 
 def test_bootstrap_medians_bit_equal_on_random_inputs():
@@ -528,10 +367,7 @@ def test_bootstrap_medians_bit_equal_on_random_inputs():
         samples = rng.choice(rng.random(int(rng.integers(1, size + 1))), size).tolist()
         resamples = int(rng.integers(1, 150))
         level = float(rng.choice([50.0, 90.0, 95.0, 99.9]))
-        got = bootstrap_ci(samples, substream(case, "random"), resamples, level=level)
-        expected = one_shot_bootstrap(samples, substream(case, "random"), resamples,
-                                      level=level)
-        assert repr(got) == repr(expected)
+        oracles.assert_bootstrap_bits(samples, case, "random", resamples, level)
 
 
 @pytest.mark.parametrize("size, resamples", [(1000, 1000), (1001, 1000), (4290, 1000),
@@ -541,14 +377,12 @@ def test_bootstrap_medians_bit_equal_at_real_sizes(size, resamples):
     # samples from half as many values
     rng = np.random.default_rng(size)
     samples = rng.choice(rng.random(size // 2), size).tolist()
-    got = bootstrap_ci(samples, substream(7, "sizes"), resamples)
-    expected = one_shot_bootstrap(samples, substream(7, "sizes"), resamples)
-    assert repr(got) == repr(expected)
+    oracles.assert_bootstrap_bits(samples, 7, "sizes", resamples)
     # every resampled median, not only the two the bounds interpolate
     data = np.asarray(samples)
     medians = metrics_mod._bootstrap_medians(data, substream(7, "sizes"), resamples)
-    rows = data[substream(7, "sizes").integers(0, size, size=(resamples, size))]
-    assert medians.tobytes() == np.median(rows, axis=1).tobytes()
+    expected = oracles.bootstrap_medians(data, substream(7, "sizes"), resamples)
+    assert medians.tobytes() == expected.tobytes()
 
 
 def test_bootstrap_sample_with_nan_keeps_np_median_nan():
@@ -556,10 +390,8 @@ def test_bootstrap_sample_with_nan_keeps_np_median_nan():
     # an order statistic read off sorted ranks would be finite.
     samples = np.random.default_rng(11).random(50)
     samples[17] = np.nan
-    got = bootstrap_ci(samples.tolist(), substream(2, "nan"), 20)
-    expected = one_shot_bootstrap(samples.tolist(), substream(2, "nan"), 20)
+    got = oracles.assert_bootstrap_bits(samples.tolist(), 2, "nan", 20)
     assert np.isnan(got[1]) and np.isnan(got[2])
-    assert repr(got) == repr(expected)
 
 
 # size, NaN positions, resamples, stream seed, and whether a resampled row draws a NaN
@@ -579,14 +411,12 @@ def test_bootstrap_nan_sets_equal_one_shot_draws(name):
     size, nans, resamples, seed, drawn = NAN_SETS[name]
     samples = np.random.default_rng(size).random(size)
     samples[nans] = np.nan
-    got = bootstrap_ci(samples.tolist(), substream(seed, "nan"), resamples)
-    expected = one_shot_bootstrap(samples.tolist(), substream(seed, "nan"), resamples)
-    assert repr(got) == repr(expected)
+    got = oracles.assert_bootstrap_bits(samples.tolist(), seed, "nan", resamples)
     assert np.isnan(got[0]) and np.isnan(got[1]) == np.isnan(got[2]) == drawn
     # every resampled median, not only the two the bounds interpolate
     medians = metrics_mod._bootstrap_medians(samples, substream(seed, "nan"), resamples)
-    rows = samples[substream(seed, "nan").integers(0, size, size=(resamples, size))]
-    np.testing.assert_array_equal(medians, np.median(rows, axis=1))
+    np.testing.assert_array_equal(
+        medians, oracles.bootstrap_medians(samples, substream(seed, "nan"), resamples))
 
 
 @pytest.mark.parametrize("high", [1, 2, 7, 1000, 123457])

@@ -1,0 +1,120 @@
+"""Each comparison helper in `oracles.py` refuses a kernel known to be wrong, so
+that no oracle test passes vacuously. Every check first runs the helper on the
+package's own kernel with the same input, which it must accept."""
+
+from __future__ import annotations
+
+import json
+import math
+from typing import Optional
+
+import numpy as np
+import pytest
+
+import oracles
+from evoarchive.evaluation import node_selection_score
+from evoarchive.metrics import GrowthScoreParams, ImpAtKRequest, transfer_select
+from evoarchive.selection import (
+    ScoreChildPropParams,
+    SelectionPolicy,
+    dynamic_midpoint,
+    weights_to_distribution,
+)
+
+from conftest import make_node
+
+
+def np_exp_score_child_prop(view, policy: SelectionPolicy) -> np.ndarray:
+    """score-child-prop with `np.exp`, which rounds some results otherwise than
+    `math.exp` does."""
+    scores = np.array([score for score, _ in view], dtype=float)
+    children = np.array([count for _, count in view], dtype=int)
+    midpoint = dynamic_midpoint(scores.tolist(), policy.params.midpoint_pool_size)
+    z = policy.params.sharpness * (scores - midpoint)
+    e = np.exp(-np.abs(z))
+    sig = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return weights_to_distribution(sig * (1.0 / (1.0 + children)))
+
+
+def test_selection_oracle_refuses_np_exp():
+    rng = np.random.default_rng(14)
+    view = list(zip(rng.random(1000).tolist(), rng.integers(0, 6, 1000).tolist()))
+    params = ScoreChildPropParams()
+    scores = [score for score, _ in view]
+    z = -np.abs(params.sharpness
+                * (np.array(scores) - dynamic_midpoint(scores, params.midpoint_pool_size)))
+    assert (np.exp(z) != np.fromiter(map(math.exp, z.tolist()), float)).any(), \
+        "np.exp rounds as math.exp does on every input: it is no wrong kernel here"
+    oracles.assert_score_child_prop_bits(view, params)
+    with pytest.raises(AssertionError):
+        oracles.assert_score_child_prop_bits(view, params, kernel=np_exp_score_child_prop)
+
+
+def descending_transfer_select(arch, params: GrowthScoreParams) -> Optional[int]:
+    """Transfer selection whose growth scores sum their terms in descending id order."""
+    best_id, best_score = None, -np.inf
+    for node in arch:
+        offspring = sorted(oracles.descendants(arch, node.id), reverse=True)
+        if len(offspring) < params.min_descendants:
+            continue
+        base = node_selection_score(node)
+        total = 0.0
+        for j in offspring:
+            total += ((node_selection_score(arch.node(j)) - base)
+                      * params.gamma ** oracles.distance(arch, node.id, j))
+        if total / len(offspring) > best_score:
+            best_id, best_score = node.id, total / len(offspring)
+    return best_id
+
+
+def test_growth_and_transfer_oracle_refuses_a_descending_sum():
+    # nodes 1 and 2 have the terms 0.1, 0.2 and 0.3 in opposite id orders:
+    # (0.1 + 0.2) + 0.3 rounds one ulp above (0.3 + 0.2) + 0.1
+    arch = oracles.tree_archive([None, 0, 0, 1, 1, 1, 2, 2, 2],
+                                [0.0, 0.0, 0.0, 0.1, 0.2, 0.3, 0.3, 0.2, 0.1])
+    params = GrowthScoreParams(gamma=1.0, min_descendants=3)
+    oracles.assert_growth_and_transfer_bits(arch, params)
+    assert transfer_select(arch, params) == 1 and descending_transfer_select(arch, params) == 2
+    with pytest.raises(AssertionError):
+        oracles.assert_growth_and_transfer_bits(arch, params,
+                                                transfer=descending_transfer_select)
+
+
+def compact_record(node) -> bytes:
+    """The node record with `json.dumps`'s compact separators, no indent."""
+    record = json.loads(oracles.json_dumps_record(node))
+    return (json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n").encode()
+
+
+def test_record_oracle_refuses_compact_separators():
+    node = make_node(3, 1, score=0.25)
+    oracles.assert_record_bytes(node)
+    with pytest.raises(AssertionError):
+        oracles.assert_record_bytes(node, record=compact_record)
+
+
+def upper_middle_bootstrap(samples, rng, resamples=1000, level=95.0):
+    """The bootstrap with each row's median read as its upper middle value, which
+    is the median of an odd row but not of an even one."""
+    data = np.asarray(samples, dtype=float)
+    rows = np.sort(data[rng.integers(0, data.size, size=(resamples, data.size))], axis=1)
+    tail = (100.0 - level) / 2.0
+    lower, upper = np.percentile(rows[:, data.size // 2], [tail, 100.0 - tail])
+    return float(np.median(data)), float(lower), float(upper)
+
+
+def test_bootstrap_oracle_refuses_the_upper_middle_of_an_even_row():
+    rng = np.random.default_rng(26)
+    odd, even = rng.random(25).tolist(), rng.random(24).tolist()
+    oracles.assert_bootstrap_bits(even, 4, "oracle", 50)
+    oracles.assert_bootstrap_bits(odd, 4, "oracle", 50, kernel=upper_middle_bootstrap)
+    with pytest.raises(AssertionError):
+        oracles.assert_bootstrap_bits(even, 4, "oracle", 50, kernel=upper_middle_bootstrap)
+
+
+def test_impk_oracle_refuses_the_last_score():
+    request = ImpAtKRequest(0.25, (0.5, 0.75, 0.625), k=3)
+    oracles.assert_impk_matches(request)
+    with pytest.raises(AssertionError):
+        oracles.assert_impk_matches(
+            request, kernel=lambda r: r.generated_scores[-1] - r.initial_score)

@@ -1,26 +1,25 @@
 from __future__ import annotations
 
 import math
-import re
-from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evoarchive.archive import Archive
+from evoarchive.evaluation import node_selection_score
 from evoarchive.rng import substream
 from evoarchive.selection import (
     ScoreChildPropParams,
-    SelectionBreakdown,
     SelectionPolicy,
     dynamic_midpoint,
-    novelty_bonus,
     sample_parents,
     selection_distribution,
-    sigmoid_transform,
     weights_to_distribution,
 )
+
+from oracles import archives, assert_score_child_prop_bits, novelty_bonus, sigmoid_transform
 
 SCP = SelectionPolicy(variant="score-child-prop")
 
@@ -48,7 +47,7 @@ def test_midpoint_empty_errors():
         dynamic_midpoint([], 3)
 
 
-# --- sigmoid_transform -----------------------------------------------------------
+# --- sigmoid_transform (the reference in oracles.py) ----------------------------
 
 
 def test_sigmoid_at_midpoint_is_half():
@@ -80,7 +79,7 @@ def test_sigmoid_saturates_without_error():
     assert sigmoid_transform(-1e6, 0.0, 50.0) == pytest.approx(0.0)
 
 
-# --- novelty_bonus ---------------------------------------------------------------
+# --- novelty_bonus (the reference in oracles.py) ---------------------------------
 
 
 @pytest.mark.parametrize("n,expected", [(0, 1.0), (1, 0.5), (9, 0.1)])
@@ -98,33 +97,22 @@ def test_injected_all_zero_weights_fall_back_to_uniform():
 
 def test_equal_scores_children_zero_and_one():
     # equal sigmoid terms, novelty 1 vs 1/2 -> weights 2:1 -> (2/3, 1/3)
-    breakdown = selection_distribution([(0.5, 0), (0.5, 1)], SCP)
-    assert breakdown.probabilities == pytest.approx([2 / 3, 1 / 3], abs=1e-15)
+    probabilities = selection_distribution([(0.5, 0), (0.5, 1)], SCP)
+    assert probabilities == pytest.approx([2 / 3, 1 / 3], abs=1e-15)
 
 
 def test_score_child_prop_four_node_closed_form():
     view = [(0.1, 2), (0.2, 0), (0.8, 1), (0.9, 0)]
     params = ScoreChildPropParams(sharpness=10.0, midpoint_pool_size=3)
-    breakdown = selection_distribution([*view], SelectionPolicy(params=params))
+    probabilities = selection_distribution([*view], SelectionPolicy(params=params))
     mid = (0.9 + 0.8 + 0.2) / 3
     sig = [1 / (1 + math.exp(-10.0 * (a - mid))) for a, _ in view]
     nov = [1 / (1 + n) for _, n in view]
     weights = [s * h for s, h in zip(sig, nov)]
     total = sum(weights)
     expected = [w / total for w in weights]
-    assert breakdown.midpoint == pytest.approx(mid, abs=1e-15)
-    np.testing.assert_allclose(breakdown.probabilities, expected, rtol=0, atol=1e-12)
-
-
-def _numpy_scalar_terms(view, params: ScoreChildPropParams):
-    """score-child-prop's terms computed over numpy scalars, the reference for the
-    array form in `selection_distribution`."""
-    scores = np.array([s for s, _ in view], dtype=float)
-    children = np.array([c for _, c in view], dtype=int)
-    midpoint = dynamic_midpoint(scores.tolist(), params.midpoint_pool_size)
-    sig = np.array([sigmoid_transform(a, midpoint, params.sharpness) for a in scores])
-    nov = np.array([novelty_bonus(int(c)) for c in children])
-    return sig, nov, weights_to_distribution(sig * nov)
+    assert dynamic_midpoint([a for a, _ in view], 3) == pytest.approx(mid, abs=1e-15)
+    np.testing.assert_allclose(probabilities, expected, rtol=0, atol=1e-12)
 
 
 def _bit_views():
@@ -156,83 +144,76 @@ def _bit_views():
 def test_score_child_prop_keeps_the_bits_of_the_numpy_scalar_loop():
     fallbacks = refused = 0
     for view, params in _bit_views():
-        policy = SelectionPolicy(params=params)
-        try:
-            sig, nov, probs = _numpy_scalar_terms(view, params)
-        except ValueError as exc:
-            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
-                selection_distribution(view, policy)
+        weights = assert_score_child_prop_bits(view, params)
+        if weights is None:
             refused += 1
-            continue
-        breakdown = selection_distribution(view, policy)
-        assert breakdown.sigmoid.tobytes() == sig.tobytes()
-        assert breakdown.novelty.tobytes() == nov.tobytes()
-        assert breakdown.probabilities.tobytes() == probs.tobytes()
-        fallbacks += not breakdown.weights.any()
-        # the breakdown's own check still refuses weights one ulp off sig * nov
-        terms = {f.name: getattr(breakdown, f.name) for f in fields(breakdown)}
-        for direction in (-np.inf, np.inf):
-            off = breakdown.weights.copy()
-            off[-1] = np.nextafter(off[-1], direction)
-            with pytest.raises(ValueError, match=r"weights != sigmoid \* novelty"):
-                SelectionBreakdown(**{**terms, "weights": off})
+        else:
+            fallbacks += not weights.any()
     assert (fallbacks, refused) == (1, 1)
+
+
+def test_every_variant_returns_a_float64_array():
+    view = [(0.9, 0), (0.1, 3), (0.4, 1)]
+    for variant in ("score-child-prop", "uniform-random", "softmax", "ucb"):
+        probabilities = selection_distribution(view, SelectionPolicy(variant=variant))
+        assert type(probabilities) is np.ndarray and probabilities.dtype == np.float64
+        assert probabilities.shape == (3,)
 
 
 def test_uniform_variant_is_exactly_uniform():
     policy = SelectionPolicy(variant="uniform-random")
-    breakdown = selection_distribution([(0.9, 0), (0.1, 3), (0.4, 1)], policy)
-    assert np.array_equal(breakdown.probabilities, np.full(3, 1 / 3))
+    probabilities = selection_distribution([(0.9, 0), (0.1, 3), (0.4, 1)], policy)
+    assert np.array_equal(probabilities, np.full(3, 1 / 3))
 
 
 def test_softmax_equal_scores_any_temperature_uniform():
     for temperature in (0.05, 1.0, 7.3):
         policy = SelectionPolicy(variant="softmax", temperature=temperature)
-        breakdown = selection_distribution([(0.4, 0), (0.4, 5), (0.4, 1)], policy)
-        np.testing.assert_allclose(breakdown.probabilities, np.full(3, 1 / 3), atol=1e-15)
+        probabilities = selection_distribution([(0.4, 0), (0.4, 5), (0.4, 1)], policy)
+        np.testing.assert_allclose(probabilities, np.full(3, 1 / 3), atol=1e-15)
 
 
 def test_softmax_matches_direct_formula():
     scores = [0.1, 0.5, 0.9]
     policy = SelectionPolicy(variant="softmax", temperature=0.5)
-    breakdown = selection_distribution([(s, 0) for s in scores], policy)
+    probabilities = selection_distribution([(s, 0) for s in scores], policy)
     raw = np.exp(np.array(scores) / 0.5)
-    np.testing.assert_allclose(breakdown.probabilities, raw / raw.sum(), atol=1e-12)
+    np.testing.assert_allclose(probabilities, raw / raw.sum(), atol=1e-12)
 
 
 def test_ucb_strict_max_gets_probability_one():
     policy = SelectionPolicy(variant="ucb", exploration_weight=0.5)
-    breakdown = selection_distribution([(0.9, 0), (0.2, 0), (0.3, 5)], policy)
-    assert breakdown.probabilities[0] == 1.0
-    assert breakdown.probabilities[1] == 0.0
+    probabilities = selection_distribution([(0.9, 0), (0.2, 0), (0.3, 5)], policy)
+    assert probabilities[0] == 1.0
+    assert probabilities[1] == 0.0
 
 
 def test_ucb_matches_snippet_formula():
     view = [(0.2, 4), (0.9, 1), (0.5, 0)]
     weight = 0.7
     policy = SelectionPolicy(variant="ucb", exploration_weight=weight)
-    breakdown = selection_distribution(view, policy)
+    probabilities = selection_distribution(view, policy)
     scores = np.array([s for s, _ in view])
     children = np.array([c for _, c in view], dtype=float)
     normalized = (scores - scores.min()) / (scores.max() - scores.min())
     total_children = children.sum()
     bonus = weight * np.sqrt(np.log(total_children + 1) / (children + 1))
     winner = int(np.argmax(normalized + bonus))
-    assert breakdown.probabilities[winner] == 1.0
+    assert probabilities[winner] == 1.0
 
 
 def test_ucb_ties_split_uniformly():
     policy = SelectionPolicy(variant="ucb", exploration_weight=0.0)
-    breakdown = selection_distribution([(0.5, 0), (0.5, 0), (0.1, 0)], policy)
+    probabilities = selection_distribution([(0.5, 0), (0.5, 0), (0.1, 0)], policy)
     # min-max sends both 0.5 scores to 1.0; no exploration term
-    assert breakdown.probabilities == pytest.approx([0.5, 0.5, 0.0])
+    assert probabilities == pytest.approx([0.5, 0.5, 0.0])
 
 
 def test_ucb_all_equal_scores_normalize_to_half():
     policy = SelectionPolicy(variant="ucb", exploration_weight=1.0)
-    breakdown = selection_distribution([(0.3, 0), (0.3, 2), (0.3, 5)], policy)
+    probabilities = selection_distribution([(0.3, 0), (0.3, 2), (0.3, 5)], policy)
     # equal normalized scores: the fresh node wins on the exploration bonus
-    assert breakdown.probabilities[0] == 1.0
+    assert probabilities[0] == 1.0
 
 
 def test_ucb_stagnation_boost_changes_pick():
@@ -241,8 +222,8 @@ def test_ucb_stagnation_boost_changes_pick():
     view = [(0.50, 0), (0.56, 3)]
     base = SelectionPolicy(variant="ucb", exploration_weight=1.45)
     boosted = SelectionPolicy(variant="ucb", exploration_weight=1.45, stagnation_boost=True)
-    pick_base = int(np.argmax(selection_distribution(view, base).probabilities))
-    pick_boosted = int(np.argmax(selection_distribution(view, boosted).probabilities))
+    pick_base = int(np.argmax(selection_distribution(view, base)))
+    pick_boosted = int(np.argmax(selection_distribution(view, boosted)))
     assert pick_base == 1
     assert pick_boosted == 0
 
@@ -255,45 +236,35 @@ def test_empty_view_errors():
 # --- invariants & properties -------------------------------------------------------
 
 
-@st.composite
-def archive_views(draw):
-    size = draw(st.integers(min_value=1, max_value=12))
-    scores = draw(
-        st.lists(
-            st.floats(min_value=0, max_value=1, allow_nan=False),
-            min_size=size, max_size=size,
-        )
-    )
-    children = draw(st.lists(st.integers(min_value=0, max_value=8),
-                             min_size=size, max_size=size))
-    return list(zip(scores, children))
+def selection_view(arch: Archive) -> list[tuple[float, int]]:
+    return [(node_selection_score(n), n.compiled_children) for n in arch]
 
 
-@given(archive_views())
+@given(archives())
 @settings(max_examples=150, deadline=None)
-def test_distribution_sums_to_one_and_non_negative(view):
+def test_distribution_sums_to_one_and_non_negative(arch):
+    view = selection_view(arch)
+    assert_score_child_prop_bits(view, SCP.params)
     for policy in (
         SCP,
         SelectionPolicy(variant="uniform-random"),
         SelectionPolicy(variant="softmax", temperature=0.3),
         SelectionPolicy(variant="ucb", exploration_weight=1.0),
     ):
-        breakdown = selection_distribution(view, policy)
-        assert abs(float(np.sum(breakdown.probabilities)) - 1.0) <= 1e-12
-        assert np.all(breakdown.probabilities >= 0)
-        np.testing.assert_array_equal(
-            breakdown.weights, breakdown.sigmoid * breakdown.novelty
-        )
+        probabilities = selection_distribution(view, policy)
+        assert abs(float(np.sum(probabilities)) - 1.0) <= 1e-12
+        assert np.all(probabilities >= 0)
 
 
-@given(archive_views(), st.integers(min_value=0, max_value=2**32 - 1))
+@given(archives(), st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=100, deadline=None)
-def test_permutation_equivariance(view, seed):
+def test_permutation_equivariance(arch, seed):
+    view = selection_view(arch)
     rng = np.random.default_rng(seed)
     perm = rng.permutation(len(view))
     permuted = [view[i] for i in perm]
-    p_original = selection_distribution(view, SCP).probabilities
-    p_permuted = selection_distribution(permuted, SCP).probabilities
+    p_original = selection_distribution(view, SCP)
+    p_permuted = selection_distribution(permuted, SCP)
     np.testing.assert_allclose(p_permuted, p_original[perm], atol=1e-12)
 
 
@@ -308,8 +279,8 @@ def test_score_increase_never_decreases_probability():
         target = int(np.argmax(scores))
         boosted = list(view)
         boosted[target] = (min(1.0, scores[target] + 0.05), int(children[target]))
-        before = selection_distribution(view, SCP).probabilities[target]
-        after = selection_distribution(boosted, SCP).probabilities[target]
+        before = selection_distribution(view, SCP)[target]
+        after = selection_distribution(boosted, SCP)[target]
         assert after >= before - 1e-12
 
 
@@ -323,8 +294,8 @@ def test_more_children_never_increases_probability():
         view = list(zip(scores.tolist(), children.tolist()))
         bumped = list(view)
         bumped[target] = (float(scores[target]), int(children[target]) + 1)
-        before = selection_distribution(view, SCP).probabilities[target]
-        after = selection_distribution(bumped, SCP).probabilities[target]
+        before = selection_distribution(view, SCP)[target]
+        after = selection_distribution(bumped, SCP)[target]
         assert after <= before + 1e-12
 
 
@@ -341,38 +312,38 @@ def test_ucb_pick_invariant_under_constant_shift():
         shifted_scores = np.round(scores + 0.125, 6)
         shifted = list(zip(shifted_scores.tolist(), children.tolist()))
         again = selection_distribution(shifted, policy)
-        assert int(np.argmax(base.probabilities)) == int(np.argmax(again.probabilities))
+        assert int(np.argmax(base)) == int(np.argmax(again))
 
 
 # --- sampling ---------------------------------------------------------------------
 
 
 def test_sample_from_degenerate_distribution():
-    breakdown = selection_distribution([(0.9, 0)], SCP)
+    probabilities = selection_distribution([(0.9, 0)], SCP)
     rng = substream(1, "test")
-    assert sample_parents(breakdown, 5, rng) == [0, 0, 0, 0, 0]
+    assert sample_parents(probabilities, 5, rng) == [0, 0, 0, 0, 0]
 
 
 def test_sample_from_one_hot():
     policy = SelectionPolicy(variant="ucb", exploration_weight=0.0)
-    breakdown = selection_distribution([(0.1, 0), (0.9, 0), (0.2, 0)], policy)
+    probabilities = selection_distribution([(0.1, 0), (0.9, 0), (0.2, 0)], policy)
     rng = substream(2, "test")
-    assert sample_parents(breakdown, 10, rng) == [1] * 10
+    assert sample_parents(probabilities, 10, rng) == [1] * 10
 
 
 def test_sample_frequencies_match_two_thirds_one_third():
-    breakdown = selection_distribution([(0.5, 0), (0.5, 1)], SCP)
+    probabilities = selection_distribution([(0.5, 0), (0.5, 1)], SCP)
     rng = substream(3, "lln")
-    draws = sample_parents(breakdown, 100_000, rng)
+    draws = sample_parents(probabilities, 100_000, rng)
     freq0 = draws.count(0) / len(draws)
     assert abs(freq0 - 2 / 3) < 0.01
     assert abs((1 - freq0) - 1 / 3) < 0.01
 
 
 def test_sample_count_must_be_positive():
-    breakdown = selection_distribution([(0.5, 0)], SCP)
+    probabilities = selection_distribution([(0.5, 0)], SCP)
     with pytest.raises(ValueError):
-        sample_parents(breakdown, 0, substream(1, "x"))
+        sample_parents(probabilities, 0, substream(1, "x"))
 
 
 def test_policy_validation():
