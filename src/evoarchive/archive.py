@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterator, Optional
@@ -30,37 +30,38 @@ class ArchiveLoadError(ArchiveError):
     """Persisted state is corrupt or incomplete; names the offending record."""
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, init=False)
 class DomainScores:
-    """Per-domain score record; `train` is a number and every value lies in [0, 1]."""
+    """Per-domain score record, checked by `__init__`: `train` set, every value in [0, 1]."""
 
     train: float
     validation: Optional[float] = None
     test: Optional[float] = None
 
-    def __post_init__(self) -> None:
-        train, validation, test = self.train, self.validation, self.test
+    def __init__(self, train: float, validation: Optional[float] = None,
+                 test: Optional[float] = None) -> None:
         if train is None or not 0.0 <= train <= 1.0:
             raise ValueError(f"train score {train} outside [0, 1]")
         if validation is not None and not 0.0 <= validation <= 1.0:
             raise ValueError(f"validation score {validation} outside [0, 1]")
         if test is not None and not 0.0 <= test <= 1.0:
             raise ValueError(f"test score {test} outside [0, 1]")
+        self.train, self.validation, self.test = train, validation, test
 
     def selection_component(self) -> float:
         """Validation aggregate when present, else the training aggregate."""
         return self.train if self.validation is None else self.validation
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, init=False)
 class AgentNode:
     """One archive entry.
 
     `compiled_children` counts this node's children that passed validity
     checking; it is maintained by `add_node` and recomputable from edges.
-    `scores` is fixed once the node is built: `selection_score` is derived
-    from it then, as the mean over the domains, summed in domain-name order,
-    of each record's `selection_component` (None for a node without scores).
+    `__init__` checks the fields and fixes `scores`: `selection_score` is derived
+    from it then, as the mean over the domains, summed in domain-name order, of
+    each record's `selection_component` (None for a node without scores).
     """
 
     id: int
@@ -72,28 +73,36 @@ class AgentNode:
     created_at_iteration: int = 0
     selection_score: Optional[float] = field(init=False, compare=False)
 
-    def __post_init__(self) -> None:
+    def __init__(self, id: int, parent_id: Optional[int], payload_ref: str, compiled: bool,
+                 scores: dict[str, DomainScores] = MISSING, compiled_children: int = 0,
+                 created_at_iteration: int = 0) -> None:
         # `type() is int`: a bool is an int to isinstance, and a float is not
         # an id or a count; either would be written to a record as it is
-        parent = self.parent_id
-        if (type(self.id) is not int or type(self.compiled_children) is not int
-                or type(self.created_at_iteration) is not int
-                or parent is not None and type(parent) is not int):
-            fields = (("id", self.id), ("parent_id", parent),
-                      ("compiled_children", self.compiled_children),
-                      ("created_at_iteration", self.created_at_iteration))
+        if (type(id) is not int or type(compiled_children) is not int
+                or type(created_at_iteration) is not int
+                or parent_id is not None and type(parent_id) is not int):
+            fields = (("id", id), ("parent_id", parent_id),
+                      ("compiled_children", compiled_children),
+                      ("created_at_iteration", created_at_iteration))
             name, value = next((name, value) for name, value in fields if type(value) is not int
                                and (value is not None or name != "parent_id"))
             raise TypeError(f"{name} {value!r} is not an integer")
-        if self.id < 0:
+        if id < 0:
             raise ValueError("node id must be non-negative")
-        if self.compiled_children < 0:
+        if compiled_children < 0:
             raise ValueError("compiled_children must be non-negative")
-        if self.created_at_iteration < 0:
+        if created_at_iteration < 0:
             raise ValueError("created_at_iteration must be non-negative")
-        scores = self.scores
-        values = [scores[name].selection_component() for name in sorted(scores)]
-        self.selection_score = sum(values) / len(values) if values else None
+        self.id, self.parent_id, self.payload_ref = id, parent_id, payload_ref
+        self.compiled, self.compiled_children = compiled, compiled_children
+        self.created_at_iteration = created_at_iteration
+        self.scores = scores = {} if scores is MISSING else scores  # a new dict per node
+        if len(scores) == 1:  # `0.0 +` turns -0.0 into 0.0, as `sum` does
+            (record,) = scores.values()
+            self.selection_score = 0.0 + record.selection_component()
+        else:
+            values = [scores[name].selection_component() for name in sorted(scores)]
+            self.selection_score = sum(values) / len(values) if values else None
 
 
 @dataclass
@@ -275,6 +284,8 @@ def load(location: str | Path) -> Archive:
     sole = mode_tag == "no-open-ended"
     stored = []
     for node_id in node_ids:
+        if type(node_id) is not int:  # a node's id rule: `true` is not node 1
+            raise ArchiveLoadError(f"{manifest_path}: node id {node_id!r} is not an integer")
         path = root / _NODE_DIR / _node_filename(node_id)
         if not path.exists():
             raise ArchiveLoadError(f"missing node record {path.name}")

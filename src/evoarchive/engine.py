@@ -211,7 +211,8 @@ def _read_committed(path: Path) -> Iterator[tuple[list[dict], int]]:
     with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             try:
-                _check_depth(line)
+                if len(line) > MAX_OPENERS:
+                    _check_depth(line)
                 event = orjson.loads(line)
                 kind = event["event"]
             except (ValueError, KeyError, TypeError) as exc:
@@ -220,7 +221,7 @@ def _read_committed(path: Path) -> Iterator[tuple[list[dict], int]]:
                 continue
             if error is None:
                 batch.append(event)
-            if kind in ("iteration_complete", "run_complete") and line.endswith(b"\n"):
+            if (kind == "iteration_complete" or kind == "run_complete") and line.endswith(b"\n"):
                 if error is not None:
                     yield batch, size
                     raise error
@@ -616,19 +617,21 @@ def _load_checked(config: RunConfig, run_id: Optional[str] = None) -> tuple[RunS
 
 def _apply_event(state: RunState, event: dict, scores: dict[int, dict[str, DomainScores]]) -> None:
     kind = event["event"]
-    if (kind == "run_start") != (state.run_id is None):
-        raise ValueError("run_start must be the first event, and only the first")
-    if kind == "evaluation":
-        if type(event["scores"]) is not dict:
-            raise TypeError(f"evaluation scores are a {type(event['scores']).__name__}, "
-                            "not an object")
-        if not event["scores"]:
+    if kind == "evaluation" and state.run_id is not None:  # the most common kind first
+        records = event["scores"]
+        if type(records) is not dict:
+            raise TypeError(f"evaluation scores are a {type(records).__name__}, not an object")
+        if not records:
             raise ValueError("evaluation holds no domain's scores")
-        scores[event["node_id"]] = {k: DomainScores(**s) for k, s in event["scores"].items()}
-    elif kind in ("archive_add", "archive_replace"):
-        node = AgentNode(event["node_id"], event["parent_id"], event["payload_ref"],
-                         compiled=True, scores=scores.pop(event["node_id"]),
-                         created_at_iteration=event["iteration"])
+        built = {}  # a loop, not a comprehension: no function call per event
+        for name, record in records.items():
+            built[name] = DomainScores(**record)
+        scores[event["node_id"]] = built
+    elif (kind == "run_start") != (state.run_id is None):  # also an early `evaluation`
+        raise ValueError("run_start must be the first event, and only the first")
+    elif kind == "archive_add" or kind == "archive_replace":
+        node = AgentNode(event["node_id"], event["parent_id"], event["payload_ref"], True,
+                         scores.pop(event["node_id"]), 0, event["iteration"])
         insert = archive_mod.add_node if kind == "archive_add" else archive_mod.replace_sole_node
         insert(state.archive, node)
         state.archived.append(node)

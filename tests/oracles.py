@@ -1,12 +1,12 @@
 """Slow, obvious references for the package's optimized kernels, and the archive
 builders the tests share.
 
-Each kernel that must keep its bits (the score-child-prop distribution, the
-growth score and transfer selection, the bootstrap medians, node record bytes,
-improvement@k) has one reference here and one `assert_*` helper that compares
-the kernel with it. A helper takes the kernel under test as an argument, the
-package's own by default, so `test_oracles.py` can show that it refuses a kernel
-known to be wrong.
+Each kernel that must keep its bits (the node selection score, the
+score-child-prop distribution, the growth score and transfer selection, the
+bootstrap medians, node record bytes, improvement@k) has one reference here
+and one `assert_*` helper that compares the kernel with it. A helper takes the
+kernel under test as an argument, the package's own by default, so
+`test_oracles.py` can show that it refuses a kernel known to be wrong.
 """
 
 from __future__ import annotations
@@ -23,7 +23,14 @@ import pytest
 from hypothesis import strategies as st
 
 from evoarchive import metrics
-from evoarchive.archive import AgentNode, Archive, add_node, persist, replace_sole_node
+from evoarchive.archive import (
+    AgentNode,
+    Archive,
+    DomainScores,
+    add_node,
+    persist,
+    replace_sole_node,
+)
 from evoarchive.evaluation import node_selection_score
 from evoarchive.metrics import GrowthScoreParams, ImpAtKRequest
 from evoarchive.rng import substream
@@ -62,6 +69,7 @@ def seeded_tree(rng: np.random.Generator, size: int, window: Optional[int] = Non
 
 
 SCORES = st.sampled_from([0.0, -0.0, 1.0, 0.5]) | st.floats(0.0, 1.0)
+EDGE_SCORES = st.sampled_from([0.0, -0.0, 1.0, 5e-324, 1e-7]) | st.floats(0.0, 1.0)
 
 
 @st.composite
@@ -100,6 +108,36 @@ def distance(arch: Archive, ancestor: int, descendant: int) -> int:
     while current != ancestor:
         current, steps = arch.node(current).parent_id, steps + 1
     return steps
+
+
+# --- node selection score ----------------------------------------------------------
+
+
+# a node's scores: one to three domains, in any order, with or without validation
+NODE_SCORES = st.dictionaries(
+    st.text(max_size=2), st.builds(DomainScores, EDGE_SCORES, st.none() | EDGE_SCORES),
+    min_size=1, max_size=3)
+
+
+def selection_score(scores: dict[str, DomainScores]) -> float:
+    """Each domain's validation score where it has one, else its train score,
+    summed in domain-name order from 0, over the number of domains."""
+    total = 0
+    for name in sorted(scores):
+        record = scores[name]
+        total += record.train if record.validation is None else record.validation
+    return total / len(scores)
+
+
+def built_selection_score(scores: dict[str, DomainScores]) -> Optional[float]:
+    """The `selection_score` of a node built with `scores`."""
+    return AgentNode(0, None, "oracle", True, scores).selection_score
+
+
+def assert_selection_score_bits(scores: dict[str, DomainScores],
+                                kernel=built_selection_score) -> None:
+    """`kernel(scores)` has the bits of `selection_score(scores)`, -0.0 apart from 0.0."""
+    assert repr(kernel(scores)) == repr(selection_score(scores))
 
 
 # --- score-child-prop selection --------------------------------------------------
@@ -180,11 +218,23 @@ def transfer_select(arch: Archive, params: GrowthScoreParams) -> Optional[int]:
     return best_id
 
 
+def one_ulp_tie() -> tuple[Archive, GrowthScoreParams]:
+    """Nodes 1 and 2 have the terms 0.1, 0.2 and 0.3 in opposite id orders, and
+    (0.1 + 0.2) + 0.3 rounds one ulp above (0.3 + 0.2) + 0.1: only totals summed
+    in ascending id order pick node 1. A random archive rarely holds such a tie."""
+    arch = tree_archive([None, 0, 0, 1, 1, 1, 2, 2, 2],
+                        [0.0, 0.0, 0.0, 0.1, 0.2, 0.3, 0.3, 0.2, 0.1])
+    return arch, GrowthScoreParams(gamma=1.0, min_descendants=3)
+
+
 def assert_growth_and_transfer_bits(arch: Archive, params: GrowthScoreParams,
                                     growth=metrics.growth_score,
                                     transfer=metrics.transfer_select) -> None:
     """`growth` has the reference's bits on every node, raising where it does, and
-    `transfer` picks the reference's node or raises where it finds none."""
+    `transfer` picks the reference's node or raises where it finds none, on `arch`
+    and on `one_ulp_tie`, so that a total summed in another order is caught."""
+    tie, tie_params = one_ulp_tie()
+    assert transfer(tie, tie_params) == transfer_select(tie, tie_params)
     for node in arch:
         try:
             expected = growth_score(arch, node.id, params)

@@ -176,9 +176,8 @@ def test_persist_is_byte_stable(tmp_path, rng):
 # non-ASCII, quote, backslash, control characters and U+2028 among any others
 AWKWARD_TEXT = st.text(st.sampled_from('a"\\\x00\x1f\n\x7f\u00e9\u2028\U0001f600')
                        | st.characters(), max_size=8)
-EDGE_SCORES = st.sampled_from([0.0, -0.0, 1.0, 5e-324, 1e-7]) | st.floats(0.0, 1.0)
-DOMAIN_SCORES = st.builds(DomainScores, EDGE_SCORES, st.none() | EDGE_SCORES,
-                          st.none() | EDGE_SCORES)
+DOMAIN_SCORES = st.builds(DomainScores, oracles.EDGE_SCORES, st.none() | oracles.EDGE_SCORES,
+                          st.none() | oracles.EDGE_SCORES)
 
 
 @given(
@@ -288,6 +287,18 @@ def test_load_refuses_a_node_field_that_is_not_an_integer(tmp_path, field, value
         load(tmp_path / "a")
     assert "node record node_000001.json" in str(caught.value)
     assert f"{field} {value!r} is not an integer" in str(caught.value)
+
+
+@pytest.mark.parametrize("index, value", [(1, True), (1, 1.0), (2, "2")])
+def test_load_refuses_a_manifest_node_id_that_is_not_an_integer(tmp_path, index, value):
+    # `true` would load as node 1, and `1.0` or `"2"` fail to name a record file
+    persist(oracles.tree_archive([None, 0, 1], [0.5] * 3), tmp_path / "a")
+    node_ids = [0, 1, 2]
+    node_ids[index] = value
+    rewrite_json(tmp_path / "a" / MANIFEST, {"node_ids": node_ids})
+    with pytest.raises(ArchiveLoadError) as caught:
+        load(tmp_path / "a")
+    assert str(caught.value) == f"{tmp_path / 'a' / MANIFEST}: node id {value!r} is not an integer"
 
 
 def test_score_out_of_range_rejected():

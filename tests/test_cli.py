@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import hashlib
 import inspect
+import itertools
 import json
 import math
 import os
@@ -17,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import evoarchive
-from evoarchive.archive import AgentNode, DomainScores, fingerprint, load
+from evoarchive.archive import AgentNode, ArchiveError, DomainScores, fingerprint, load
 from evoarchive import engine
 from evoarchive.cli import ANALYZE_METRICS, _impk_row, main
 from evoarchive.config import (
@@ -816,18 +817,28 @@ def test_a_log_that_archives_no_agent_exits_1_and_writes_nothing(tmp_path, capsy
     assert tree_state(tmp_path) == before
 
 
-def edit_a_committed_event(state_dir: Path, edit, pick) -> int:
+def rewrite_committed_log(state_dir: Path, edit) -> int:
     """Cut the log back to iteration 2's commit, so that `resume` has work left,
-    and apply `edit` to the committed event at the index `pick` returns for the
-    events; returns the line number of that event."""
+    and let `edit` change the committed events in place; returns the line number
+    that `edit` returns."""
     event_log = state_dir / "events.jsonl"
     cut_log_after(event_log, 2)
     events = engine.read_events(event_log)
-    index = pick(events)
-    edit(events[index])
+    lineno = edit(events)
     event_log.unlink()
     append_events(event_log, events)
-    return index + 1
+    return lineno
+
+
+def edit_a_committed_event(state_dir: Path, edit, pick) -> int:
+    """`rewrite_committed_log` that applies `edit` to the committed event at the
+    index `pick` returns for the events; returns the line number of that event."""
+    def rewrite(events: list[dict]) -> int:
+        index = pick(events)
+        edit(events[index])
+        return index + 1
+
+    return rewrite_committed_log(state_dir, rewrite)
 
 
 def edit_a_child_evaluation(state_dir: Path, edit) -> int:
@@ -842,12 +853,15 @@ def null_train_scores(event: dict) -> None:
 
 
 def assert_bad_event_refused(state_dir: Path, tmp_path: Path, capsys, command: str,
-                             lineno: int, cause: str) -> None:
-    """`replay_log` names line `lineno`, and `command` exits 1 with one stderr line
-    naming it and `cause`, writing nothing."""
+                             lineno: int, error: Exception) -> None:
+    """`replay_log` names line `lineno` and raises from `error` (its type and
+    message), `command` exits 1 with one stderr line naming both, writing nothing,
+    and `_commit` of the line's batch onto the state before it raises `error`,
+    appending nothing."""
     event_log = state_dir / "events.jsonl"
-    with pytest.raises(engine.IntegrityError, match=f"bad event at line {lineno} of "):
+    with pytest.raises(engine.IntegrityError, match=f"bad event at line {lineno} of ") as caught:
         engine.replay_log(event_log)
+    assert repr(caught.value.__cause__) == repr(error)
     before = tree_state(tmp_path)
     argv = (["resume", "--state", str(state_dir)] if command == "resume" else
             ["analyze", "--state", str(state_dir), "--metric", command,
@@ -856,9 +870,21 @@ def assert_bad_event_refused(state_dir: Path, tmp_path: Path, capsys, command: s
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1, err
-    assert f"IntegrityError: bad event at line {lineno} of {event_log}" in err
-    assert cause in err
+    assert f"IntegrityError: bad event at line {lineno} of {event_log}: {error!r}" in err
     assert tree_state(tmp_path) == before
+
+    batches = [batch for batch, _ in engine._read_committed(event_log)]
+    index = next(i for i, end in enumerate(itertools.accumulate(map(len, batches)))
+                 if end >= lineno)
+    live_log = tmp_path / "live" / "events.jsonl"
+    live_log.parent.mkdir()
+    append_events(live_log, [event for batch in batches[:index] for event in batch])
+    state = engine.replay_log(live_log)[0] if index else engine._empty_state(live_log)
+    committed = live_log.read_bytes()
+    with pytest.raises(type(error)) as caught:
+        engine._commit(state, batches[index])
+    assert repr(caught.value) == repr(error)
+    assert live_log.read_bytes() == committed
 
 
 @pytest.mark.parametrize("command", [*ANALYZE_METRICS, "resume"])
@@ -866,7 +892,7 @@ def test_a_null_train_score_exits_1_and_writes_nothing(finished_run, tmp_path, c
                                                         command):
     lineno = edit_a_child_evaluation(finished_run, null_train_scores)
     assert_bad_event_refused(finished_run, tmp_path, capsys, command, lineno,
-                             "train score None")
+                             ValueError("train score None outside [0, 1]"))
 
 
 @pytest.mark.parametrize("command", [*ANALYZE_METRICS, "resume"])
@@ -874,39 +900,39 @@ def test_an_evaluation_without_a_domain_exits_1_and_writes_nothing(finished_run,
                                                                    capsys, command):
     lineno = edit_a_child_evaluation(finished_run, lambda event: event["scores"].clear())
     assert_bad_event_refused(finished_run, tmp_path, capsys, command, lineno,
-                             "evaluation holds no domain's scores")
+                             ValueError("evaluation holds no domain's scores"))
 
 
 # a committed field of the wrong JSON type: the event kind, the field, its value, and
-# the cause; `scores` is edited in the first child's `evaluation`, an `archive_add`
+# the error; `scores` is edited in the first child's `evaluation`, an `archive_add`
 # field in the last one (node 2, whose parent is node 1, so that `true` names a node),
 # and `iteration` in the last commit line
 MISTYPED_FIELDS = {
     "scores an array": ("evaluation", "scores",
                         [["landscape", {"train": 0.5, "validation": None, "test": None}]],
-                        "evaluation scores are a list, not an object"),
+                        TypeError("evaluation scores are a list, not an object")),
     "scores a string": ("evaluation", "scores", "landscape",
-                        "evaluation scores are a str, not an object"),
+                        TypeError("evaluation scores are a str, not an object")),
     "iteration a string": ("iteration_complete", "iteration", "2",
-                           "iteration '2' is not an integer"),
+                           TypeError("iteration '2' is not an integer")),
     "iteration null": ("iteration_complete", "iteration", None,
-                       "iteration None is not an integer"),
+                       TypeError("iteration None is not an integer")),
     "iteration a fraction": ("iteration_complete", "iteration", 2.5,
-                             "iteration 2.5 is not an integer"),
+                             TypeError("iteration 2.5 is not an integer")),
     "iteration true": ("iteration_complete", "iteration", True,
-                       "iteration True is not an integer"),
+                       TypeError("iteration True is not an integer")),
     "archived parent true": ("archive_add", "parent_id", True,
-                             "parent_id True is not an integer"),
+                             TypeError("parent_id True is not an integer")),
     "archived parent a fraction": ("archive_add", "parent_id", 1.5,
-                                   "parent_id 1.5 is not an integer"),
+                                   TypeError("parent_id 1.5 is not an integer")),
     "archived parent a string": ("archive_add", "parent_id", "1",
-                                 "parent_id '1' is not an integer"),
+                                 TypeError("parent_id '1' is not an integer")),
     "archived iteration true": ("archive_add", "iteration", True,
-                                "created_at_iteration True is not an integer"),
+                                TypeError("created_at_iteration True is not an integer")),
     "archived iteration a fraction": ("archive_add", "iteration", 1.5,
-                                      "created_at_iteration 1.5 is not an integer"),
+                                      TypeError("created_at_iteration 1.5 is not an integer")),
     "archived iteration a string": ("archive_add", "iteration", "1",
-                                    "created_at_iteration '1' is not an integer"),
+                                    TypeError("created_at_iteration '1' is not an integer")),
 }
 
 
@@ -914,7 +940,7 @@ MISTYPED_FIELDS = {
 @pytest.mark.parametrize("name", sorted(MISTYPED_FIELDS))
 def test_a_mistyped_field_exits_1_and_writes_nothing(finished_run, tmp_path, capsys, name,
                                                      command):
-    kind, field, value, cause = MISTYPED_FIELDS[name]
+    kind, field, value, error = MISTYPED_FIELDS[name]
 
     def edit(event: dict) -> None:
         event[field] = value
@@ -924,7 +950,79 @@ def test_a_mistyped_field_exits_1_and_writes_nothing(finished_run, tmp_path, cap
     else:
         lineno = edit_a_committed_event(finished_run, edit, lambda events: max(
             i for i, e in enumerate(events) if e["event"] == kind))
-    assert_bad_event_refused(finished_run, tmp_path, capsys, command, lineno, cause)
+    assert_bad_event_refused(finished_run, tmp_path, capsys, command, lineno, error)
+
+
+def a_second_run_start(events: list[dict]) -> int:
+    """A copy of `run_start` as the first line of iteration 2's batch."""
+    index = max(i for i, e in enumerate(events) if e["event"] == "iteration_complete"
+                and e["iteration"] == 1) + 1
+    events.insert(index, dict(events[0]))
+    return index + 1
+
+
+def an_evaluation_first(events: list[dict]) -> int:
+    """The root's `evaluation` swapped with the `run_start` before it."""
+    events[0], events[1] = events[1], events[0]
+    return 1
+
+
+def set_last(*kinds: str, **fields):
+    """An edit that sets `fields` in the last committed event of each of `kinds`,
+    the events of node 2 and of iteration 2, and names the last of them."""
+    def edit(events: list[dict]) -> int:
+        indices = [max(i for i, e in enumerate(events) if e["event"] == kind) for kind in kinds]
+        for index in indices:
+            events[index].update(fields)
+        return max(indices) + 1
+
+    return edit
+
+
+RUN_START_RULE = "run_start must be the first event, and only the first"
+
+
+def landscape(**record) -> dict:
+    return {"landscape": {"validation": None, "test": None, **record}}
+
+
+# every way the fold refuses a committed event that parses: the edit of the log,
+# and the error the fold raises from, whether it replays the log or commits live
+FOLD_REFUSALS = {
+    "a second run_start": (a_second_run_start, ValueError(RUN_START_RULE)),
+    "an evaluation before run_start": (an_evaluation_first, ValueError(RUN_START_RULE)),
+    "scores an array": (set_last("evaluation", scores=[]),
+                        TypeError("evaluation scores are a list, not an object")),
+    "scores empty": (set_last("evaluation", scores={}),
+                     ValueError("evaluation holds no domain's scores")),
+    "a trian key": (set_last("evaluation", scores=landscape(trian=0.5)), TypeError(
+        "DomainScores.__init__() got an unexpected keyword argument 'trian'")),
+    "train 1.5": (set_last("evaluation", scores=landscape(train=1.5)),
+                  ValueError("train score 1.5 outside [0, 1]")),
+    "node_id true": (set_last("evaluation", "archive_add", node_id=True),
+                     TypeError("id True is not an integer")),
+    "node_id a fraction": (set_last("evaluation", "archive_add", node_id=1.5),
+                           TypeError("id 1.5 is not an integer")),
+    "node_id a string": (set_last("evaluation", "archive_add", node_id="1"),
+                         TypeError("id '1' is not an integer")),
+    "parent_id true": (set_last("archive_add", parent_id=True),
+                       TypeError("parent_id True is not an integer")),
+    "iteration a string": (set_last("iteration_complete", iteration="3"),
+                           TypeError("iteration '3' is not an integer")),
+    "a dangling parent": (set_last("archive_add", parent_id=7),
+                          ArchiveError("node 2 references dangling parent 7")),
+    "a duplicate id": (set_last("evaluation", "archive_add", node_id=1),
+                       ArchiveError("duplicate node id 1")),
+}
+
+
+@pytest.mark.parametrize("command", [*ANALYZE_METRICS, "resume"])
+@pytest.mark.parametrize("name", sorted(FOLD_REFUSALS))
+def test_the_fold_refuses_a_bad_event_alike_in_replay_and_commit(finished_run, tmp_path,
+                                                                  capsys, name, command):
+    edit, error = FOLD_REFUSALS[name]
+    lineno = rewrite_committed_log(finished_run, edit)
+    assert_bad_event_refused(finished_run, tmp_path, capsys, command, lineno, error)
 
 
 def test_each_node_is_scored_once_per_domain(tmp_path, monkeypatch):

@@ -26,6 +26,7 @@ from evoarchive.evaluation import (
 from evoarchive.generation import SMOKE_TASK, SimulatedAgentGenome, validate_child
 from evoarchive.sandbox import SandboxLimits
 
+import oracles
 from conftest import staged_evaluate
 
 LIMITS = SandboxLimits(wall_clock_seconds=10.0, cpu_seconds=10, max_output_bytes=100_000)
@@ -251,12 +252,9 @@ def test_no_evaluation_record_errors():
         node_selection_score(node)
 
 
-def _reference_score(scores: dict[str, DomainScores]) -> float:
-    """The selection score's definition: validation else train, summed in
-    domain-name order and divided by the domain count."""
-    values = [scores[name].train if scores[name].validation is None
-              else scores[name].validation for name in sorted(scores)]
-    return sum(values) / len(values)
+@given(oracles.NODE_SCORES)
+def test_selection_score_has_the_bits_of_the_oracle(scores):
+    oracles.assert_selection_score_bits(scores)
 
 
 def _score_records() -> list[dict[str, dict]]:
@@ -302,7 +300,7 @@ def test_stored_score_has_the_bits_of_the_formula(tmp_path):
     for nodes in (folded.nodes, loaded.nodes, direct):
         assert len(nodes) == len(records)
         for node in nodes:
-            expected = float.hex(_reference_score(node.scores))
+            expected = float.hex(oracles.selection_score(node.scores))
             assert float.hex(node_selection_score(node)) == expected
     assert float.hex(node_selection_score(direct[1])) == "0x0.0p+0"  # sum([-0.0]) is +0.0
 

@@ -245,16 +245,7 @@ def test_transfer_exact_tie_picks_lowest_id():
 
 
 def test_transfer_ranks_totals_summed_in_ascending_id_order():
-    # nodes 1 and 2 have the same terms, 0.1, 0.2 and 0.3, in opposite id
-    # orders: (0.1 + 0.2) + 0.3 rounds one ulp above (0.3 + 0.2) + 0.1
-    arch = Archive()
-    add_node(arch, make_node(0, None, score=0.0))
-    add_node(arch, make_node(1, 0, score=0.0))
-    add_node(arch, make_node(2, 0, score=0.0))
-    for node_id, parent, score in ((3, 1, 0.1), (4, 1, 0.2), (5, 1, 0.3),
-                                   (6, 2, 0.3), (7, 2, 0.2), (8, 2, 0.1)):
-        add_node(arch, make_node(node_id, parent, score=score))
-    params = GrowthScoreParams(gamma=1.0, min_descendants=3)
+    arch, params = oracles.one_ulp_tie()
     assert growth_score(arch, 1, params) > growth_score(arch, 2, params)
     assert transfer_select(arch, params) == oracles.transfer_select(arch, params) == 1
 

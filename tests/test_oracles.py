@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import oracles
+from evoarchive.archive import DomainScores
 from evoarchive.evaluation import node_selection_score
 from evoarchive.metrics import GrowthScoreParams, ImpAtKRequest, transfer_select
 from evoarchive.selection import (
@@ -22,6 +23,37 @@ from evoarchive.selection import (
 )
 
 from conftest import make_node
+
+
+def signed_zero_selection_score(scores) -> float:
+    """The selection score summed from -0.0, which keeps a lone -0.0 where `sum`'s
+    0 start gives 0.0, and changes no other sum."""
+    values = [scores[name].selection_component() for name in sorted(scores)]
+    return sum(values, -0.0) / len(values)
+
+
+def config_order_selection_score(scores) -> float:
+    """The selection score summed in the order the node holds its domains."""
+    values = [record.selection_component() for record in scores.values()]
+    return sum(values) / len(values)
+
+
+def test_selection_score_oracle_refuses_a_kept_negative_zero():
+    scores = {"d": DomainScores(-0.0)}
+    oracles.assert_selection_score_bits(scores)
+    oracles.assert_selection_score_bits({"d": DomainScores(0.25)},
+                                        kernel=signed_zero_selection_score)
+    with pytest.raises(AssertionError):
+        oracles.assert_selection_score_bits(scores, kernel=signed_zero_selection_score)
+
+
+def test_selection_score_oracle_refuses_config_order():
+    # (0.1 + 0.2) + 0.3 rounds one ulp above (0.3 + 0.2) + 0.1
+    scores = {"c": DomainScores(0.1), "b": DomainScores(0.2), "a": DomainScores(0.3)}
+    assert config_order_selection_score(scores) != oracles.selection_score(scores)
+    oracles.assert_selection_score_bits(scores)
+    with pytest.raises(AssertionError):
+        oracles.assert_selection_score_bits(scores, kernel=config_order_selection_score)
 
 
 def np_exp_score_child_prop(view, policy: SelectionPolicy) -> np.ndarray:
@@ -75,6 +107,17 @@ def test_growth_and_transfer_oracle_refuses_a_descending_sum():
     params = GrowthScoreParams(gamma=1.0, min_descendants=3)
     oracles.assert_growth_and_transfer_bits(arch, params)
     assert transfer_select(arch, params) == 1 and descending_transfer_select(arch, params) == 2
+    with pytest.raises(AssertionError):
+        oracles.assert_growth_and_transfer_bits(arch, params,
+                                                transfer=descending_transfer_select)
+
+
+def test_growth_and_transfer_oracle_refuses_a_descending_sum_on_any_archive():
+    # on this archive both sums pick the same node: the helper's own tie catches it
+    arch = oracles.seeded_tree(np.random.default_rng(61), 60, window=8)
+    params = GrowthScoreParams()
+    assert descending_transfer_select(arch, params) == transfer_select(arch, params)
+    oracles.assert_growth_and_transfer_bits(arch, params)
     with pytest.raises(AssertionError):
         oracles.assert_growth_and_transfer_bits(arch, params,
                                                 transfer=descending_transfer_select)
