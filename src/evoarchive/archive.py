@@ -214,9 +214,9 @@ def _node_record(node: AgentNode) -> str:
     )
 
 
-def _parse_node(text: str, source: str) -> AgentNode:
+def _parse_node(data: bytes, source: str) -> AgentNode:
     try:
-        raw = json.loads(text)
+        raw = json.loads(data.decode("utf-8"))
         scores = {
             name: DomainScores(
                 train=float(s["train"]),
@@ -234,7 +234,7 @@ def _parse_node(text: str, source: str) -> AgentNode:
             compiled_children=raw["compiled_children"],
             created_at_iteration=raw["created_at_iteration"],
         )
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+    except (AttributeError, KeyError, RecursionError, TypeError, ValueError) as exc:
         raise ArchiveLoadError(f"corrupt node record {source}: {exc}") from exc
 
 
@@ -261,21 +261,30 @@ def persist(archive: Archive, location: str | Path, run_id: str = "") -> None:
     )
 
 
-def load(location: str | Path) -> Archive:
-    """Read an archive back through `add_node` (`replace_sole_node` in
-    no-open-ended mode), so it obeys the rules a run's archive does; refuses
-    corrupt state, naming the failed record."""
+def _read(location: str | Path) -> tuple[Archive, str]:
+    """The one reader of `archive/`: reads the manifest and each record once, as
+    bytes, and returns the archive rebuilt through `add_node` (`replace_sole_node`
+    in no-open-ended mode) with the SHA-256 of those bytes in manifest order.
+    Refuses corrupt state with an `ArchiveLoadError` naming the failed file."""
     root = Path(location)
     manifest_path = root / _MANIFEST
-    if not manifest_path.exists():
-        raise ArchiveLoadError(f"no manifest at {manifest_path}")
     try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        mode_tag = manifest["mode_tag"]
+        data = manifest_path.read_bytes()
+    except FileNotFoundError as exc:
+        raise ArchiveLoadError(f"no manifest at {manifest_path}") from exc
+    digest = hashlib.sha256(data)
+    try:
+        manifest = json.loads(data.decode("utf-8"))
+        mode_tag = manifest["mode_tag"]  # a TypeError unless the manifest is an object
         node_ids = manifest["node_ids"]
         count = manifest["node_count"]
-    except (KeyError, TypeError, json.JSONDecodeError) as exc:
+        if type(node_ids) is not list:
+            raise TypeError(f"node_ids {node_ids!r} is not a list")
+    except (KeyError, RecursionError, TypeError, ValueError) as exc:  # ValueError: bad UTF-8 too
         raise ArchiveLoadError(f"corrupt manifest {manifest_path}: {exc}") from exc
+    for node_id in node_ids:
+        if type(node_id) is not int:  # a node's id rule: `true` is not node 1
+            raise ArchiveLoadError(f"{manifest_path}: node id {node_id!r} is not an integer")
     if count != len(node_ids):
         raise ArchiveLoadError(
             f"manifest {manifest_path} lists {len(node_ids)} ids but node_count={count}"
@@ -284,12 +293,13 @@ def load(location: str | Path) -> Archive:
     sole = mode_tag == "no-open-ended"
     stored = []
     for node_id in node_ids:
-        if type(node_id) is not int:  # a node's id rule: `true` is not node 1
-            raise ArchiveLoadError(f"{manifest_path}: node id {node_id!r} is not an integer")
-        path = root / _NODE_DIR / _node_filename(node_id)
-        if not path.exists():
-            raise ArchiveLoadError(f"missing node record {path.name}")
-        node = _parse_node(path.read_text(encoding="utf-8"), path.name)
+        name = _node_filename(node_id)
+        try:
+            data = (root / _NODE_DIR / name).read_bytes()
+        except FileNotFoundError as exc:
+            raise ArchiveLoadError(f"missing node record {name}") from exc
+        digest.update(data)
+        node = _parse_node(data, name)
         stored.append(node.compiled_children)
         node.compiled_children = 0
         try:
@@ -302,21 +312,19 @@ def load(location: str | Path) -> Archive:
                 raise ArchiveError("a no-open-ended archive holds one node, without a parent")
             (replace_sole_node if sole else add_node)(archive, node)
         except ArchiveError as exc:
-            raise ArchiveLoadError(f"node record {path.name}: {exc}") from exc
+            raise ArchiveLoadError(f"node record {name}: {exc}") from exc
     for node, count in zip(archive.nodes, stored):
         if node.compiled_children != count:
             raise ArchiveLoadError(f"node record {_node_filename(node.id)} stores "
                                    f"compiled_children={count}, edges say {node.compiled_children}")
-    return archive
+    return archive, digest.hexdigest()
+
+
+def load(location: str | Path) -> Archive:
+    """The archive rebuilt under a run's rules; refuses corrupt state, naming the file."""
+    return _read(location)[0]
 
 
 def fingerprint(location: str | Path) -> str:
-    """SHA-256 over manifest plus node records, in manifest order."""
-    root = Path(location)
-    digest = hashlib.sha256()
-    manifest_path = root / _MANIFEST
-    digest.update(manifest_path.read_bytes())
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    for node_id in manifest["node_ids"]:
-        digest.update((root / _NODE_DIR / _node_filename(node_id)).read_bytes())
-    return digest.hexdigest()
+    """SHA-256 over manifest plus node records in manifest order; refuses what `load` does."""
+    return _read(location)[1]

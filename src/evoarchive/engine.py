@@ -334,7 +334,7 @@ def _init_root_payload(config: RunConfig) -> str:
         shutil.rmtree(root_dir)
     initial = config.initial
     if initial.get("payload_ref"):
-        snapshot_payload(initial["payload_ref"], root_dir)
+        snapshot_payload(initial["payload_ref"], root_dir, copy=True)  # never link the user's files
     else:
         initial_genome(initial).write_payload(root_dir)
     return str(root_dir)

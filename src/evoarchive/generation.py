@@ -135,12 +135,13 @@ def initial_genome(initial: dict) -> SimulatedAgentGenome:
 
 
 def snapshot_payload(
-    parent_dir: str | Path, child_dir: str | Path, skip: Optional[str] = None
+    parent_dir: str | Path, child_dir: str | Path, skip: Optional[str] = None, copy: bool = False
 ) -> None:
     """Make `child_dir`, which must not exist yet, and hardlink every file of
     `parent_dir` into it at the same relative path, in one `os.scandir` walk
     per directory. A top-level entry named `skip` is left out for the caller
-    to write anew: writing through a hardlink would change the parent too."""
+    to write anew: writing through a hardlink would change the parent too.
+    `copy` copies each file with its mode instead: no shared inode, any device."""
     Path(child_dir).mkdir(parents=True)
     with os.scandir(parent_dir) as entries:
         for entry in entries:
@@ -148,11 +149,11 @@ def snapshot_payload(
                 continue
             target = os.path.join(child_dir, entry.name)
             if not entry.is_dir():
-                os.link(entry.path, target)
+                (shutil.copy if copy else os.link)(entry.path, target)
             elif entry.is_symlink():
                 os.mkdir(target)  # a linked directory is not descended into
             else:
-                snapshot_payload(entry.path, target)
+                snapshot_payload(entry.path, target, copy=copy)
 
 
 def validate_child(

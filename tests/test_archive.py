@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import tempfile
 from pathlib import Path
@@ -299,6 +300,61 @@ def test_load_refuses_a_manifest_node_id_that_is_not_an_integer(tmp_path, index,
     with pytest.raises(ArchiveLoadError) as caught:
         load(tmp_path / "a")
     assert str(caught.value) == f"{tmp_path / 'a' / MANIFEST}: node id {value!r} is not an integer"
+
+
+def with_fields(**fields):
+    return lambda data: json.dumps({**json.loads(data), **fields}).encode()
+
+
+def latin1_in_first_string(data: bytes) -> bytes:
+    # one byte that is not UTF-8 inside a string value; the JSON is otherwise whole
+    return data.replace(b'": "', b'": "\xe9', 1)
+
+
+# what load and fingerprint both refuse: file -> how its bytes are rewritten (None
+# deletes it); the file that both errors name is the file rewritten
+READ_REFUSALS = {
+    "node_ids a number": (MANIFEST, with_fields(node_ids=5)),
+    "node_ids a string": (MANIFEST, with_fields(node_ids="012")),
+    "a node id true": (MANIFEST, with_fields(node_ids=[0, True, 2])),
+    "a node id 1.0": (MANIFEST, with_fields(node_ids=[0, 1.0, 2])),
+    "node_count not the length": (MANIFEST, with_fields(node_count=7)),
+    "a manifest that is an array": (MANIFEST, lambda data: b"[0, 1, 2]"),
+    "a manifest that is not UTF-8": (MANIFEST, latin1_in_first_string),
+    "no manifest": (MANIFEST, None),
+    "a missing record": (NODE(1), None),
+    "a record that is not UTF-8": (NODE(1), latin1_in_first_string),
+    "a torn record": (NODE(1), lambda data: data[:20]),
+    "scores an array": (NODE(1), with_fields(scores=[])),
+    "a manifest nested past the parser's depth": (MANIFEST, lambda data: b"[" * 10**5),
+    "a record nested past the parser's depth": (NODE(1), lambda data: b"[" * 10**5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(READ_REFUSALS))
+def test_load_and_fingerprint_refuse_alike(tmp_path, name):
+    persist(oracles.tree_archive([None, 0, 1], [0.5] * 3), tmp_path / "a")
+    load(tmp_path / "a")
+    path, rewrite = READ_REFUSALS[name]
+    target = tmp_path / "a" / path
+    if rewrite is None:
+        target.unlink()
+    else:
+        target.write_bytes(rewrite(target.read_bytes()))
+    errors = []
+    for read in (load, fingerprint):
+        with pytest.raises(ArchiveLoadError) as caught:
+            read(tmp_path / "a")
+        errors.append(str(caught.value))
+    assert Path(path).name in errors[0]
+    assert errors[0] == errors[1]
+
+
+def test_fingerprint_is_the_sha256_of_the_manifest_then_the_records_in_its_order(tmp_path, rng):
+    persist(oracles.seeded_tree(rng, 5), tmp_path / "a")
+    files = [MANIFEST, *(NODE(node_id) for node_id in range(5))]
+    joined = b"".join((tmp_path / "a" / path).read_bytes() for path in files)
+    assert fingerprint(tmp_path / "a") == hashlib.sha256(joined).hexdigest()
 
 
 def test_score_out_of_range_rejected():

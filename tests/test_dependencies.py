@@ -75,3 +75,12 @@ def test_every_top_level_definition_is_used_exported_or_benchmarked():
               and node.name not in referenced
               and not re.search(rf"\b{re.escape(node.name)}\b", benchmark)]
     assert unused == []
+
+
+def test_every_data_file_of_the_package_is_named_in_its_source():
+    # a packaged file that no module reads is dead weight shipped with every install
+    source = "\n".join(path.read_text(encoding="utf-8")
+                       for path in sorted((ROOT / "src" / "evoarchive").glob("*.py")))
+    data = sorted((ROOT / "src" / "evoarchive" / "data").iterdir())
+    assert data, "the package ships the fixed-instruction template"
+    assert [path.name for path in data if path.name not in source] == []

@@ -6,6 +6,8 @@ import json
 import math
 import os
 import re
+import shutil
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -674,6 +676,66 @@ def test_run_rebuilds_partial_root_payload(tmp_path, monkeypatch):
     assert fingerprint(config.state_dir / "archive") == fingerprint(clean.state_dir / "archive")
     root = config.payload_dir / "agent_root"
     assert sorted(p.name for p in root.iterdir()) == sorted(p.name for p in source.iterdir())
+
+
+def write_user_payload(source: Path) -> None:
+    SimulatedAgentGenome([0.0, 0.0], 0.3, 0.9).write_payload(source)
+    (source / "notes.txt").write_text("a second file to snapshot", encoding="utf-8")
+    (source / "tools").mkdir()
+    (source / "tools" / "solve.sh").write_text("#!/bin/sh\necho 1\n", encoding="utf-8")
+    (source / "tools" / "solve.sh").chmod(0o755)
+
+
+def test_run_copies_the_initial_payload_and_leaves_the_users_files_alone(tmp_path):
+    source = tmp_path / "source"
+    write_user_payload(source)
+    config = make_config(tmp_path, iterations=3, initial={"payload_ref": str(source)})
+    assert run(config).completed
+    files = [p for p in source.rglob("*") if p.is_file()]
+    assert len(files) == 3 and all(p.stat().st_nlink == 1 for p in files)
+    root = config.payload_dir / "agent_root"
+    assert (root / "notes.txt").read_text(encoding="utf-8") == "a second file to snapshot"
+    assert os.access(root / "tools" / "solve.sh", os.X_OK)
+    # children still share the root's copy through hardlinks
+    assert (root / "notes.txt").stat().st_nlink > 1
+
+
+def test_run_rebuilds_a_root_payload_killed_mid_copy(tmp_path, monkeypatch):
+    source = tmp_path / "source"
+    write_user_payload(source)
+    clean = make_config(tmp_path / "clean", iterations=3, initial={"payload_ref": str(source)})
+    run(clean)
+    config = make_config(tmp_path / "killed", iterations=3, initial={"payload_ref": str(source)})
+    real_copy, copies = shutil.copy, []
+
+    def copy_then_die(src, dst):
+        copies.append(dst)
+        if len(copies) == 2:
+            raise OSError("killed while copying the root")
+        return real_copy(src, dst)
+
+    with monkeypatch.context() as patches:
+        patches.setattr(shutil, "copy", copy_then_die)
+        with pytest.raises(OSError, match="copying the root"):
+            run(config)
+    assert run(config).completed
+    assert fingerprint(config.state_dir / "archive") == fingerprint(clean.state_dir / "archive")
+
+
+def test_an_initial_payload_on_another_device_runs_as_one_on_this_device(tmp_path):
+    shm = Path("/dev/shm")
+    if not shm.is_dir() or shm.stat().st_dev == tmp_path.stat().st_dev:
+        pytest.skip("no /dev/shm on a device of its own")
+    local = make_config(tmp_path / "local", iterations=3,
+                        initial={"payload_ref": str(tmp_path / "source")})
+    write_user_payload(tmp_path / "source")
+    run(local)
+    with tempfile.TemporaryDirectory(dir=shm) as elsewhere:
+        write_user_payload(Path(elsewhere) / "source")
+        config = make_config(tmp_path / "shm", iterations=3,
+                             initial={"payload_ref": str(Path(elsewhere) / "source")})
+        assert run(config).completed
+    assert fingerprint(config.state_dir / "archive") == fingerprint(local.state_dir / "archive")
 
 
 def test_halted_state_is_resumable_after_backend_failure(tmp_path):
