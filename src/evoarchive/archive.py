@@ -59,6 +59,7 @@ class AgentNode:
 
     `compiled_children` counts this node's children that passed validity
     checking; it is maintained by `add_node` and recomputable from edges.
+    `compiled` is always True: a run archives only children that compiled.
     `__init__` checks the fields and fixes `scores`: `selection_score` is derived
     from it then, as the mean over the domains, summed in domain-name order, of
     each record's `selection_component` (None for a node without scores).
@@ -93,6 +94,8 @@ class AgentNode:
             raise ValueError("compiled_children must be non-negative")
         if created_at_iteration < 0:
             raise ValueError("created_at_iteration must be non-negative")
+        if compiled is not True:
+            raise ValueError(f"compiled is {compiled!r}: only an agent that compiled is archived")
         self.id, self.parent_id, self.payload_ref = id, parent_id, payload_ref
         self.compiled, self.compiled_children = compiled, compiled_children
         self.created_at_iteration = created_at_iteration
@@ -134,11 +137,11 @@ class Archive:
 
 
 def add_node(archive: Archive, node: AgentNode) -> Archive:
-    """Append `node` if it compiled; otherwise leave the archive untouched.
+    """Append `node`.
 
     The first node must be the root (id 0, no parent). Every later node
     must carry the next contiguous id and a parent already in the archive.
-    A compiled child bumps its parent's compiled_children by exactly one.
+    A child bumps its parent's compiled_children by exactly one.
     """
     if not archive.nodes:
         if node.id != 0 or node.parent_id is not None:
@@ -159,10 +162,6 @@ def add_node(archive: Archive, node: AgentNode) -> Archive:
     if not 0 <= node.parent_id < expected:
         raise ArchiveError(f"node {node.id} references dangling parent {node.parent_id}")
 
-    if not node.compiled:
-        # IsValid guard: non-compiled children are run-log entries only.
-        return archive
-
     archive.nodes.append(node)
     archive.node(node.parent_id).compiled_children += 1
     return archive
@@ -172,12 +171,10 @@ def replace_sole_node(archive: Archive, node: AgentNode) -> Archive:
     """Replace the whole collection with `node` (no-open-ended mode only).
 
     The stored node keeps no parent pointer; its ancestry lives in the run
-    log. Non-compiled candidates leave the previous agent in place.
+    log.
     """
     if archive.mode_tag != "no-open-ended":
         raise ArchiveError("replace_sole_node is only valid in no-open-ended mode")
-    if not node.compiled:
-        return archive
     node.parent_id = None
     archive.nodes = [node]
     return archive
@@ -204,7 +201,7 @@ def _node_record(node: AgentNode) -> str:
     ]
     scores = "{\n" + ",\n".join(domains) + "\n }" if domains else "{}"
     return (
-        f'{{\n "compiled": {"true" if node.compiled else "false"},\n'
+        '{\n "compiled": true,\n'
         f' "compiled_children": {node.compiled_children},\n'
         f' "created_at_iteration": {node.created_at_iteration},\n'
         f' "id": {node.id},\n'
@@ -225,6 +222,8 @@ def _parse_node(data: bytes, source: str) -> AgentNode:
             )
             for name, s in raw["scores"].items()
         }
+        if not scores:  # as the fold refuses an `evaluation` without a domain
+            raise ValueError("record holds no domain's scores")
         return AgentNode(
             id=raw["id"],
             parent_id=raw["parent_id"],
@@ -270,8 +269,8 @@ def _read(location: str | Path) -> tuple[Archive, str]:
     manifest_path = root / _MANIFEST
     try:
         data = manifest_path.read_bytes()
-    except FileNotFoundError as exc:
-        raise ArchiveLoadError(f"no manifest at {manifest_path}") from exc
+    except OSError as exc:  # missing, a directory, unreadable
+        raise ArchiveLoadError(f"cannot read manifest {manifest_path}: {exc.strerror}") from exc
     digest = hashlib.sha256(data)
     try:
         manifest = json.loads(data.decode("utf-8"))
@@ -296,8 +295,8 @@ def _read(location: str | Path) -> tuple[Archive, str]:
         name = _node_filename(node_id)
         try:
             data = (root / _NODE_DIR / name).read_bytes()
-        except FileNotFoundError as exc:
-            raise ArchiveLoadError(f"missing node record {name}") from exc
+        except OSError as exc:
+            raise ArchiveLoadError(f"cannot read node record {name}: {exc.strerror}") from exc
         digest.update(data)
         node = _parse_node(data, name)
         stored.append(node.compiled_children)
@@ -305,9 +304,7 @@ def _read(location: str | Path) -> tuple[Archive, str]:
         try:
             if node.id != node_id:
                 raise ArchiveError(f"carries id {node.id}, manifest says {node_id}")
-            # the two records an insert would drop or rewrite without a word
-            if not node.compiled:
-                raise ArchiveError('"compiled" is false')
+            # a record `replace_sole_node` would rewrite without a word
             if sole and (archive.nodes or node.parent_id is not None):
                 raise ArchiveError("a no-open-ended archive holds one node, without a parent")
             (replace_sole_node if sole else add_node)(archive, node)

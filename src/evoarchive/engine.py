@@ -387,9 +387,10 @@ def _archive_events(iteration: int, node_id: int, parent_id: Optional[int], eval
 
 def _commit(state: RunState, events: list[dict]) -> None:
     """Fold a batch into `state` by `replay_log`'s fold, then append it to the log:
-    the one way a live run's state changes. Each `evaluation` event gets the
-    `selection_score` of its node as archived. An inconsistent batch raises
-    before anything is appended, and leaves `state` half folded."""
+    the one way a live run's state changes, and the log's one writer. Each
+    `evaluation` event gets the `selection_score` of its node as archived. An
+    inconsistent batch raises before anything is appended, and leaves `state`
+    half folded."""
     scores: dict[int, dict[str, DomainScores]] = {}
     evaluations = {e["node_id"]: e for e in events if e["event"] == "evaluation"}
     for event in events:
@@ -479,12 +480,13 @@ def _child_slot(
     return events, _evaluate_payload(runtime, child_key, task_concurrency)
 
 
-def _step(runtime: _Runtime, state: RunState) -> RunState:
+def _step(runtime: _Runtime, state: RunState, head: tuple[dict, ...] = ()) -> RunState:
+    """Run and commit the next iteration; its batch starts with the events `head`."""
     config = runtime.config
     if state.iteration >= config.iterations:
         raise EngineError("run already completed")
     iteration = state.iteration + 1
-    events: list[dict] = []
+    events: list[dict] = [*head]
 
     policy, selector_id, fallback = _choose_policy(runtime, state)
     view = [(node_selection_score(n), n.compiled_children) for n in state.archive]
@@ -577,9 +579,7 @@ def replay_log(event_log: Path) -> tuple[RunState, int]:
     events of `event_log`, and the committed lines' length in bytes; writes
     nothing. Each committed batch is folded as soon as it is parsed, so the fold
     holds the archive plus one batch whatever the log's length. Errors name lines
-    of `event_log`; a log that archives no agent, not even the root its first
-    commit holds, raises naming the log. `completed` is set by a `run_complete`
-    event."""
+    of `event_log`. `completed` is set by a `run_complete` event."""
     event_log = Path(event_log)
     state = _empty_state(event_log)
     scores: dict[int, dict[str, DomainScores]] = {}
@@ -594,8 +594,6 @@ def replay_log(event_log: Path) -> tuple[RunState, int]:
                     f"bad event at line {lineno} of {event_log}: {exc!r}") from exc
     if state.iteration < 0:
         raise IntegrityError(f"{event_log} holds no completed iteration")
-    if not state.archived:
-        raise IntegrityError(f"{event_log} archives no agent, not even the root")
     return state, committed
 
 
@@ -638,6 +636,10 @@ def _apply_event(state: RunState, event: dict, scores: dict[int, dict[str, Domai
     elif kind == "iteration_complete":
         if type(event["iteration"]) is not int:  # bool is a subclass of int
             raise TypeError(f"iteration {event['iteration']!r} is not an integer")
+        if scores:  # a batch archives each agent it evaluates, and the first one the root
+            raise ValueError(f"node {[*scores][0]!r} is evaluated but not archived in its batch")
+        if not state.archived:
+            raise ValueError("the run archives no agent, not even the root")
         state.iteration = event["iteration"]
     elif kind == "run_start":
         state.archive.mode_tag, state.run_id = event["mode"], event["run_id"]
@@ -685,13 +687,13 @@ def resume(
                     state.run_id, state.iteration)
         state.already_complete = True
     else:
+        # the `resume` line heads the first batch this writes
+        head = ({"event": "resume", "time": _now(), "iteration": state.iteration},)
         with _Runtime(config, backend, evaluators, evaluator_specs) as runtime:
-            append_events(state.event_log,
-                          [{"event": "resume", "time": _now(), "iteration": state.iteration}])
             while state.iteration < config.iterations:
-                state = _step(runtime, state)
+                state, head = _step(runtime, state, head), ()
         if not state.completed:  # killed between its last commit and `run_complete`
-            _commit(state, [{"event": "run_complete", "time": _now(),
-                             "iteration": state.iteration}])
+            _commit(state, [*head, {"event": "run_complete", "time": _now(),
+                                    "iteration": state.iteration}])
     archive_mod.persist(state.archive, config.state_dir / "archive", run_id=state.run_id)
     return state

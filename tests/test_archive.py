@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -42,11 +43,14 @@ def test_add_compiled_child_bumps_parent_count():
     assert arch.node(0).compiled_children == 1
 
 
-def test_non_compiled_child_is_not_appended():
+def test_a_node_that_did_not_compile_is_refused():
+    # a run archives only children that compiled, so no node can say otherwise
     arch = Archive()
     add_node(arch, make_node(0, None))
     add_node(arch, make_node(1, 0))
-    add_node(arch, make_node(2, 1, compiled=False))
+    for compiled in (False, None, 1, "true"):
+        with pytest.raises(ValueError, match=f"compiled is {re.escape(repr(compiled))}: "):
+            add_node(arch, make_node(2, 1, compiled=compiled))
     assert len(arch) == 2
     assert arch.node(1).compiled_children == 0
 
@@ -86,8 +90,9 @@ def test_replace_sole_node_keeps_size_one():
     replace_sole_node(arch, make_node(1, 0))
     assert [n.id for n in arch.nodes] == [1]
     assert arch.nodes[0].parent_id is None
-    # invalid candidates leave the previous agent in place
-    replace_sole_node(arch, make_node(2, 1, compiled=False))
+    # a candidate that did not compile is refused, and the previous agent stays
+    with pytest.raises(ValueError, match="compiled is False: "):
+        replace_sole_node(arch, make_node(2, 1, compiled=False))
     assert [n.id for n in arch.nodes] == [1]
 
 
@@ -185,18 +190,18 @@ DOMAIN_SCORES = st.builds(DomainScores, oracles.EDGE_SCORES, st.none() | oracles
     node_id=st.integers(0, 10**7),
     parent_id=st.none() | st.integers(0, 10**7),
     payload_ref=AWKWARD_TEXT,
-    compiled=st.booleans(),
     domains=st.lists(st.tuples(AWKWARD_TEXT, DOMAIN_SCORES), max_size=4,
                      unique_by=lambda pair: pair[0]),
     compiled_children=st.integers(0, 10**4),
     iteration=st.integers(0, 10**6),
 )
 @settings(max_examples=150, deadline=None)
-def test_persist_writes_the_bytes_json_dumps_writes(node_id, parent_id, payload_ref, compiled,
-                                                    domains, compiled_children, iteration):
-    # domains inserted in reverse name order, so the record must sort them
+def test_persist_writes_the_bytes_json_dumps_writes(node_id, parent_id, payload_ref, domains,
+                                                    compiled_children, iteration):
+    # domains inserted in reverse name order, so the record must sort them; `compiled`
+    # is True in every node
     scores = dict(sorted(domains, reverse=True))
-    oracles.assert_record_bytes(AgentNode(node_id, parent_id, payload_ref, compiled, scores,
+    oracles.assert_record_bytes(AgentNode(node_id, parent_id, payload_ref, True, scores,
                                           compiled_children, iteration))
 
 
@@ -249,7 +254,9 @@ LOAD_REFUSALS = {
                                        "compiled_children=2, edges say 1"),
     "compiled_children one too few": ({NODE(0): {"compiled_children": 1}}, 0,
                                       "compiled_children=1, edges say 2"),
-    "a record that did not compile": ({NODE(3): {"compiled": False}}, 3, '"compiled" is false'),
+    "a record that did not compile": (
+        {NODE(3): {"compiled": False}}, 3,
+        "compiled is False: only an agent that compiled is archived"),
     "no-open-ended with two ids": (
         {MANIFEST: {"mode_tag": "no-open-ended", "node_ids": [0, 3], "node_count": 2},
          NODE(3): {"parent_id": None}}, 3,
@@ -303,31 +310,47 @@ def test_load_refuses_a_manifest_node_id_that_is_not_an_integer(tmp_path, index,
 
 
 def with_fields(**fields):
-    return lambda data: json.dumps({**json.loads(data), **fields}).encode()
+    return lambda target: rewrite_json(target, fields)
 
 
-def latin1_in_first_string(data: bytes) -> bytes:
+def write(data: bytes):
+    return lambda target: target.write_bytes(data)
+
+
+def latin1_in_first_string(target: Path) -> None:
     # one byte that is not UTF-8 inside a string value; the JSON is otherwise whole
-    return data.replace(b'": "', b'": "\xe9', 1)
+    target.write_bytes(target.read_bytes().replace(b'": "', b'": "\xe9', 1))
 
 
-# what load and fingerprint both refuse: file -> how its bytes are rewritten (None
-# deletes it); the file that both errors name is the file rewritten
+def torn(target: Path) -> None:
+    target.write_bytes(target.read_bytes()[:20])
+
+
+def a_directory(target: Path) -> None:
+    target.unlink()
+    target.mkdir()
+
+
+# what load and fingerprint both refuse: file -> how it is edited; the file that
+# both errors name is the file edited
 READ_REFUSALS = {
     "node_ids a number": (MANIFEST, with_fields(node_ids=5)),
     "node_ids a string": (MANIFEST, with_fields(node_ids="012")),
     "a node id true": (MANIFEST, with_fields(node_ids=[0, True, 2])),
     "a node id 1.0": (MANIFEST, with_fields(node_ids=[0, 1.0, 2])),
     "node_count not the length": (MANIFEST, with_fields(node_count=7)),
-    "a manifest that is an array": (MANIFEST, lambda data: b"[0, 1, 2]"),
+    "a manifest that is an array": (MANIFEST, write(b"[0, 1, 2]")),
     "a manifest that is not UTF-8": (MANIFEST, latin1_in_first_string),
-    "no manifest": (MANIFEST, None),
-    "a missing record": (NODE(1), None),
+    "no manifest": (MANIFEST, Path.unlink),
+    "a manifest that is a directory": (MANIFEST, a_directory),
+    "a missing record": (NODE(1), Path.unlink),
+    "a record that is a directory": (NODE(1), a_directory),
     "a record that is not UTF-8": (NODE(1), latin1_in_first_string),
-    "a torn record": (NODE(1), lambda data: data[:20]),
+    "a torn record": (NODE(1), torn),
     "scores an array": (NODE(1), with_fields(scores=[])),
-    "a manifest nested past the parser's depth": (MANIFEST, lambda data: b"[" * 10**5),
-    "a record nested past the parser's depth": (NODE(1), lambda data: b"[" * 10**5),
+    "scores empty": (NODE(1), with_fields(scores={})),
+    "a manifest nested past the parser's depth": (MANIFEST, write(b"[" * 10**5)),
+    "a record nested past the parser's depth": (NODE(1), write(b"[" * 10**5)),
 }
 
 
@@ -335,12 +358,8 @@ READ_REFUSALS = {
 def test_load_and_fingerprint_refuse_alike(tmp_path, name):
     persist(oracles.tree_archive([None, 0, 1], [0.5] * 3), tmp_path / "a")
     load(tmp_path / "a")
-    path, rewrite = READ_REFUSALS[name]
-    target = tmp_path / "a" / path
-    if rewrite is None:
-        target.unlink()
-    else:
-        target.write_bytes(rewrite(target.read_bytes()))
+    path, edit = READ_REFUSALS[name]
+    edit(tmp_path / "a" / path)
     errors = []
     for read in (load, fingerprint):
         with pytest.raises(ArchiveLoadError) as caught:

@@ -786,6 +786,9 @@ def test_a_line_nested_a_million_deep_exits_1_not_by_a_signal(finished_run, tmp_
     assert f"corrupt event at line {lineno} of " in result.stderr
 
 
+NO_AGENT = ValueError("the run archives no agent, not even the root")
+
+
 def rootless_state(tmp_path: Path) -> Path:
     """A state directory whose committed log archives no agent: `run_start`
     and `iteration_complete 0` only, beside the config snapshot of its run."""
@@ -813,7 +816,8 @@ def test_a_log_that_archives_no_agent_exits_1_and_writes_nothing(tmp_path, capsy
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1, err
-    assert f"IntegrityError: {state_dir / 'events.jsonl'} archives no agent" in err
+    assert (f"IntegrityError: bad event at line 2 of {state_dir / 'events.jsonl'}: "
+            f"{NO_AGENT!r}") in err
     assert tree_state(tmp_path) == before
 
 
@@ -979,7 +983,33 @@ def set_last(*kinds: str, **fields):
     return edit
 
 
+def an_evaluation_a_batch_early(events: list[dict]) -> int:
+    """The last `evaluation` (node 2's) moved to just before the commit line of the
+    batch before its own; names that commit line."""
+    index = max(i for i, e in enumerate(events) if e["event"] == "evaluation")
+    commit = max(i for i, e in enumerate(events[:index]) if e["event"] == "iteration_complete")
+    events.insert(commit, events.pop(index))
+    return commit + 2
+
+
+def the_last_archive_add_deleted(events: list[dict]) -> int:
+    """Node 2's `archive_add` deleted; names the commit line of its batch."""
+    index = max(i for i, e in enumerate(events) if e["event"] == "archive_add")
+    del events[index]
+    return next(i for i in range(index, len(events))
+                if events[i]["event"] == "iteration_complete") + 1
+
+
+def the_root_deleted(events: list[dict]) -> int:
+    """The root's `evaluation` and `archive_add` deleted, which leaves the first batch
+    `run_start` and `iteration_complete 0`; names that commit line."""
+    assert [e["event"] for e in events[1:3]] == ["evaluation", "archive_add"]
+    del events[1:3]
+    return 2
+
+
 RUN_START_RULE = "run_start must be the first event, and only the first"
+NOT_ARCHIVED = ValueError("node 2 is evaluated but not archived in its batch")
 
 
 def landscape(**record) -> dict:
@@ -1013,6 +1043,9 @@ FOLD_REFUSALS = {
                           ArchiveError("node 2 references dangling parent 7")),
     "a duplicate id": (set_last("evaluation", "archive_add", node_id=1),
                        ArchiveError("duplicate node id 1")),
+    "an evaluation a batch early": (an_evaluation_a_batch_early, NOT_ARCHIVED),
+    "the last archive_add deleted": (the_last_archive_add_deleted, NOT_ARCHIVED),
+    "the root deleted": (the_root_deleted, NO_AGENT),
 }
 
 

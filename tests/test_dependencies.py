@@ -84,3 +84,20 @@ def test_every_data_file_of_the_package_is_named_in_its_source():
     data = sorted((ROOT / "src" / "evoarchive" / "data").iterdir())
     assert data, "the package ships the fixed-instruction template"
     assert [path.name for path in data if path.name not in source] == []
+
+
+def test_the_event_log_has_one_writer():
+    # `_commit` folds each batch before it appends it, so it is the one place that
+    # calls `append_events`: no line reaches the log that a replay has not folded
+    calls = []
+    for path in sorted((ROOT / "src" / "evoarchive").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        scope_of = {}  # node -> the innermost function it is in: `ast.walk` goes outside in
+        for function in ast.walk(tree):
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(function):
+                    scope_of[node] = function.name
+        calls += [f"{path.name}:{scope_of.get(node, '<module>')}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and "append_events" in (
+                      getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+    assert calls == ["engine.py:_commit"]

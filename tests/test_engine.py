@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from evoarchive import archive as archive_mod
+from evoarchive import engine
 from evoarchive.archive import DomainScores, fingerprint
 from evoarchive.engine import (
     _commit,
@@ -339,6 +340,28 @@ def test_resume_of_completed_run_is_noop(tmp_path, caplog):
     assert fingerprint(config.state_dir / "archive") == before
 
 
+def test_every_append_of_run_and_resume_ends_with_a_commit_line(tmp_path, monkeypatch):
+    # `_commit` folds each batch exactly as its replay will, `resume` line included
+    real, appended = engine.append_events, []
+
+    def spy(path, events):
+        appended.append([e["event"] for e in events])
+        real(path, events)
+
+    monkeypatch.setattr(engine, "append_events", spy)
+    config = make_config(tmp_path, iterations=4)
+    run(config, stop_after=2)
+    resume(config)
+    assert appended[3][0] == "resume"  # heads the interrupted iteration's batch
+    # a log cut just before `run_complete`: its resume commits the two lines at once
+    event_log = config.state_dir / "events.jsonl"
+    event_log.write_bytes(b"".join(event_log.read_bytes().splitlines(keepends=True)[:-1]))
+    resume(config)
+    assert appended[-1] == ["resume", "run_complete"]
+    assert len(appended) == 6
+    assert all(kinds[-1] in ("iteration_complete", "run_complete") for kinds in appended)
+
+
 def test_resume_checks_the_run_id_before_any_write(tmp_path):
     config = make_config(tmp_path, iterations=3)
     run(config, run_id="abc", stop_after=1)
@@ -515,13 +538,14 @@ def test_a_surrogate_pair_is_logged_and_read_back(tmp_path):
     assert read_events(event_log) == events
 
 
-def test_replay_of_a_log_that_archives_no_agent_names_the_log(tmp_path):
+def test_replay_of_a_log_that_archives_no_agent_names_its_first_commit_line(tmp_path):
     event_log = tmp_path / "events.jsonl"
     append_events(event_log, [
         {"event": "run_start", "run_id": "r", "mode": "full", "seed": 1, "iterations": 2},
         {"event": "iteration_complete", "iteration": 0},
     ])
-    with pytest.raises(IntegrityError, match=f"{re.escape(str(event_log))} archives no agent"):
+    with pytest.raises(IntegrityError, match=f"bad event at line 2 of {re.escape(str(event_log))}"
+                                             ": .*the run archives no agent"):
         replay_log(event_log)
 
 
@@ -652,7 +676,9 @@ def test_read_events_equals_a_stdlib_decode_of_each_line(tmp_path, shape):
     assert float_bits(read_events(event_log)) == float_bits([json.loads(line) for line in lines])
 
 
-def test_run_rebuilds_partial_root_payload(tmp_path, monkeypatch):
+def test_a_run_killed_linking_a_child_snapshot_reruns_to_the_same_archive(tmp_path,
+                                                                           monkeypatch):
+    # the root is copied, so the second `os.link` is in a child's snapshot
     source = tmp_path / "source"
     SimulatedAgentGenome([0.0, 0.0], 0.3, 0.9).write_payload(source)
     (source / "notes.txt").write_text("a second file to snapshot", encoding="utf-8")
@@ -665,7 +691,7 @@ def test_run_rebuilds_partial_root_payload(tmp_path, monkeypatch):
     def link_then_die(src, dst):
         links.append(dst)
         if len(links) == 2:
-            raise OSError("killed while snapshotting the root")
+            raise OSError("killed while snapshotting a child")
         real_link(src, dst)
 
     with monkeypatch.context() as patches:
@@ -779,8 +805,6 @@ def test_concurrent_slots_match_serial(tmp_path):
 
 def test_each_call_keeps_one_slot_pool_and_shuts_it_down(tmp_path, monkeypatch):
     from concurrent.futures import ThreadPoolExecutor
-
-    from evoarchive import engine
 
     pools = []
 
