@@ -633,18 +633,23 @@ def _apply_event(state: RunState, event: dict, scores: dict[int, dict[str, Domai
         insert = archive_mod.add_node if kind == "archive_add" else archive_mod.replace_sole_node
         insert(state.archive, node)
         state.archived.append(node)
-    elif kind == "iteration_complete":
-        if type(event["iteration"]) is not int:  # bool is a subclass of int
-            raise TypeError(f"iteration {event['iteration']!r} is not an integer")
+    elif kind == "iteration_complete" or kind == "run_complete":
+        iteration = event["iteration"]
+        if type(iteration) is not int:  # bool is a subclass of int
+            raise TypeError(f"iteration {iteration!r} is not an integer")
         if scores:  # a batch archives each agent it evaluates, and the first one the root
             raise ValueError(f"node {[*scores][0]!r} is evaluated but not archived in its batch")
-        if not state.archived:
+        if kind == "run_complete":
+            if iteration != state.iteration:
+                raise ValueError(f"run_complete at iteration {iteration}, "
+                                 f"after iteration {state.iteration} completed")
+            state.completed = True
+        elif not state.archived:
             raise ValueError("the run archives no agent, not even the root")
-        state.iteration = event["iteration"]
+        else:
+            state.iteration = iteration
     elif kind == "run_start":
         state.archive.mode_tag, state.run_id = event["mode"], event["run_id"]
-    elif kind == "run_complete":
-        state.completed = True
 
 
 _RECORD_KINDS = {

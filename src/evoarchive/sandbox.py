@@ -10,16 +10,18 @@ Python code runs in the child and the spawn keeps CPython's vfork path:
     /bin/sh -c 'ulimit -S -t N && ulimit -H -t N+1 && exec "$@"' sh ARGV...
 
 The command gets a fresh, empty network namespace without a program of its
-own. One daemon thread per process, the spawner, starts every isolated
-command, one at a time: it calls ``unshare(CLONE_NEWNET)`` through libc and
-starts the prefix from inside that namespace (a namespace belongs to one
-thread, and the child inherits the thread's). The spawner never goes back,
-so no other thread ever leaves the host namespace. Its first entry is the
-probe: where no fresh namespace can be entered, the spawner ends, commands
-run without one, one warning is logged, and every outcome reports
-``network_isolated=False``. Once isolation is available, a call that cannot
-enter a fresh namespace is a ``SandboxSpawnError`` that starts nothing, and
-the spawner serves the next call. A forked child starts a spawner of its own.
+own. The spawner, the one worker of a process-wide ``ThreadPoolExecutor``,
+starts every isolated command, one at a time: it calls
+``unshare(CLONE_NEWNET)`` through libc and starts the prefix from inside that
+namespace (a namespace belongs to one thread, and the child inherits the
+thread's). The spawner never goes back, so no other thread ever leaves the
+host namespace; it is joined at interpreter exit rather than being a daemon.
+Its first task is the probe: where no fresh namespace can be entered, the
+executor is shut down, commands run without one, one warning is logged, and
+every outcome reports ``network_isolated=False``. Once isolation is
+available, a call that cannot enter a fresh namespace is a
+``SandboxSpawnError`` that starts nothing, and the spawner serves the next
+call. A forked child starts a spawner of its own.
 
 The shell sets the soft CPU limit to N seconds
 (SIGXCPU, exit status -24) and the hard limit to N+1 (SIGKILL if SIGXCPU is
@@ -40,13 +42,13 @@ import ctypes
 import functools
 import logging
 import os
-import queue
 import select
 import shutil
 import signal
 import subprocess
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import IO, Optional, Sequence
 
@@ -108,64 +110,26 @@ def _enter_fresh_namespace() -> None:
         raise OSError(err, f"unshare(CLONE_NEWNET): {os.strerror(err)}")
 
 
-class _Spawner:
-    """A daemon thread that starts isolated commands one at a time, each from
-    a fresh network namespace it enters just before the spawn. It never
-    returns to the host namespace, and no other thread ever leaves it."""
-
-    def __init__(self) -> None:
-        """Start the thread and probe with one entry; raise the OSError of a
-        failed probe, after which the thread has ended."""
-        self._requests: queue.SimpleQueue = queue.SimpleQueue()
-        probe: queue.SimpleQueue = queue.SimpleQueue()
-        thread = threading.Thread(
-            target=self._serve, args=(probe,), name="evoarchive-spawner", daemon=True
-        )
-        thread.start()
-        failure = probe.get()
-        if failure is not None:
-            thread.join()
-            raise failure
-
-    def _serve(self, probe: queue.SimpleQueue) -> None:
-        try:
-            _enter_fresh_namespace()
-        except OSError as exc:
-            probe.put(exc)
-            return
-        probe.put(None)
-        while True:
-            command, argv, stdin_data, reply = self._requests.get()
-            try:
-                _enter(command)
-                reply.put(_start(command, argv, stdin_data))
-            except BaseException as exc:  # raised in the caller's thread
-                reply.put(exc)
-
-    def spawn(
-        self, command: Sequence[str], argv: list[str], stdin_data: Optional[bytes]
-    ) -> subprocess.Popen:
-        reply: queue.SimpleQueue = queue.SimpleQueue()
-        self._requests.put((command, argv, stdin_data, reply))
-        result = reply.get()
-        if isinstance(result, BaseException):
-            raise result
-        return result
-
-
 _probe_lock = threading.Lock()
 
 
 @functools.lru_cache(maxsize=1)
-def _probed_spawner() -> Optional[_Spawner]:
+def _probed_spawner() -> Optional[ThreadPoolExecutor]:
+    """The spawner: one worker that starts isolated commands, each from a fresh
+    network namespace it enters just before the spawn; it never returns to the
+    host namespace, and no other thread ever leaves it. None, its worker ended,
+    where the probe cannot enter a fresh namespace."""
+    spawner = ThreadPoolExecutor(max_workers=1, thread_name_prefix="evoarchive-spawner")
     try:
-        return _Spawner()
+        spawner.submit(_enter_fresh_namespace).result()
     except OSError:
+        spawner.shutdown()
         logger.warning("network namespace isolation unavailable; commands run without it")
         return None
+    return spawner
 
 
-def _spawner() -> Optional[_Spawner]:
+def _spawner() -> Optional[ThreadPoolExecutor]:
     """The process's spawner, started on first use; None where no fresh
     namespace can be entered."""
     with _probe_lock:
@@ -278,20 +242,24 @@ def _start(command: Sequence[str], argv: list[str], stdin_data: Optional[bytes])
         raise SandboxSpawnError(f"failed to spawn {command!r}: {exc}") from exc
 
 
-def _enter(command: Sequence[str]) -> None:
+def _start_isolated(
+    command: Sequence[str], argv: list[str], stdin_data: Optional[bytes]
+) -> subprocess.Popen:
+    """On the spawner: enter a fresh network namespace, then start `argv`."""
     try:
         _enter_fresh_namespace()
     except OSError as exc:
         raise SandboxSpawnError(
             f"failed to spawn {command!r}: no fresh network namespace: {exc}"
         ) from exc
+    return _start(command, argv, stdin_data)
 
 
 def _spawn(
     command: Sequence[str],
     limits: SandboxLimits,
     stdin_data: Optional[bytes],
-    spawner: Optional[_Spawner],
+    spawner: Optional[ThreadPoolExecutor],
 ) -> subprocess.Popen:
     """Start the limit prefix and `command`; given `spawner`, from a fresh
     network namespace or not at all."""
@@ -301,7 +269,7 @@ def _spawn(
     argv = _limit_prefix(limits) + argv
     if spawner is None:
         return _start(command, argv, stdin_data)
-    return spawner.spawn(command, argv, stdin_data)
+    return spawner.submit(_start_isolated, command, argv, stdin_data).result()
 
 
 def sandbox_execute(

@@ -1,10 +1,10 @@
 """Slow, obvious references for the package's optimized kernels, and the archive
 builders the tests share.
 
-Each kernel that must keep its bits (the node selection score, the
-score-child-prop distribution, the growth score and transfer selection, the
-bootstrap medians, node record bytes, improvement@k) has one reference here
-and one `assert_*` helper that compares the kernel with it. A helper takes the
+Each kernel that must keep its bits (the node selection score, each
+selection variant's distribution, the growth score and transfer selection,
+the bootstrap medians, node record bytes, improvement@k) has one reference
+here and one `assert_*` helper that compares the kernel with it. A helper takes the
 kernel under test as an argument, the package's own by default, so
 `test_oracles.py` can show that it refuses a kernel known to be wrong.
 """
@@ -35,6 +35,8 @@ from evoarchive.evaluation import node_selection_score
 from evoarchive.metrics import GrowthScoreParams, ImpAtKRequest
 from evoarchive.rng import substream
 from evoarchive.selection import (
+    STAGNATION_FACTOR,
+    STAGNATION_VARIANCE,
     ScoreChildPropParams,
     SelectionPolicy,
     dynamic_midpoint,
@@ -187,6 +189,67 @@ def assert_score_child_prop_bits(view: Sequence[tuple[float, int]],
         return None
     assert kernel(view, policy).tobytes() == expected.tobytes()
     return weights
+
+
+# --- uniform-random, softmax and ucb selection -------------------------------------
+
+
+def uniform_random(view: Sequence[tuple[float, int]]) -> np.ndarray:
+    """1/(t+1) for each of the t+1 candidates, whatever their scores."""
+    return np.array([1.0 / len(view)] * len(view))
+
+
+def softmax(view: Sequence[tuple[float, int]], temperature: float) -> np.ndarray:
+    """exp((score - best) / temperature) per candidate, one `np.exp` call each,
+    over the weights' float64 `np.sum`."""
+    scores = [float(score) for score, _ in view]
+    best = max(scores)
+    weights = np.array([np.exp((score - best) / temperature) for score in scores])
+    return weights / np.sum(weights)
+
+
+def ucb(view: Sequence[tuple[float, int]], exploration_weight: float,
+        stagnation_boost: bool) -> np.ndarray:
+    """Each candidate's min-max normalized score plus exploration * sqrt(log(N + 1) /
+    (children + 1)), N the children of all candidates; the exploration is raised by
+    STAGNATION_FACTOR where boosted and the scores' `np.var` is below
+    STAGNATION_VARIANCE. The candidates at the maximum share the probability."""
+    scores = [float(score) for score, _ in view]
+    exploration = exploration_weight
+    if stagnation_boost and float(np.var(scores)) < STAGNATION_VARIANCE:
+        exploration *= STAGNATION_FACTOR
+    lo, hi = min(scores), max(scores)
+    total = sum(int(children) for _, children in view)
+    values = []
+    for score, (_, children) in zip(scores, view):
+        normalized = 0.5 if hi == lo else (score - lo) / (hi - lo)
+        values.append(normalized + exploration * math.sqrt(
+            math.log(total + 1) / (int(children) + 1.0)))
+    best = [value == max(values) for value in values]
+    return np.array([1.0 / sum(best) if at_best else 0.0 for at_best in best])
+
+
+def assert_uniform_random_bits(view: Sequence[tuple[float, int]],
+                               kernel=selection_distribution) -> None:
+    """`kernel`'s uniform-random distribution has the bits of `uniform_random`'s."""
+    got = kernel(view, SelectionPolicy(variant="uniform-random"))
+    assert got.tobytes() == uniform_random(view).tobytes()
+
+
+def assert_softmax_bits(view: Sequence[tuple[float, int]], temperature: float,
+                        kernel=selection_distribution) -> None:
+    """`kernel`'s softmax distribution has the bits of `softmax`'s."""
+    got = kernel(view, SelectionPolicy(variant="softmax", temperature=temperature))
+    assert got.tobytes() == softmax(view, temperature).tobytes()
+
+
+def assert_ucb_bits(view: Sequence[tuple[float, int]], exploration_weight: float,
+                    stagnation_boost: bool, kernel=selection_distribution) -> None:
+    """`kernel`'s ucb distribution has the bits of `ucb`'s."""
+    policy = SelectionPolicy(variant="ucb", exploration_weight=exploration_weight,
+                             stagnation_boost=stagnation_boost)
+    got = kernel(view, policy)
+    assert got.tobytes() == ucb(view, exploration_weight, stagnation_boost).tobytes()
 
 
 # --- growth score and transfer selection -------------------------------------------

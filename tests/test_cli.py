@@ -1008,6 +1008,18 @@ def the_root_deleted(events: list[dict]) -> int:
     return 2
 
 
+def a_run_complete(iteration, *unarchived: int):
+    """An edit that commits one more batch: copies of node 2's `evaluation` under the
+    ids `unarchived`, then `run_complete` at `iteration`; names the `run_complete`."""
+    def edit(events: list[dict]) -> int:
+        evaluation = next(e for e in reversed(events) if e["event"] == "evaluation")
+        events.extend({**evaluation, "node_id": node_id} for node_id in unarchived)
+        events.append({"event": "run_complete", "time": "t", "iteration": iteration})
+        return len(events)
+
+    return edit
+
+
 RUN_START_RULE = "run_start must be the first event, and only the first"
 NOT_ARCHIVED = ValueError("node 2 is evaluated but not archived in its batch")
 
@@ -1046,6 +1058,12 @@ FOLD_REFUSALS = {
     "an evaluation a batch early": (an_evaluation_a_batch_early, NOT_ARCHIVED),
     "the last archive_add deleted": (the_last_archive_add_deleted, NOT_ARCHIVED),
     "the root deleted": (the_root_deleted, NO_AGENT),
+    "a run_complete after an unarchived evaluation": (
+        a_run_complete(2, 3), ValueError("node 3 is evaluated but not archived in its batch")),
+    "a run_complete at a later iteration": (
+        a_run_complete(3), ValueError("run_complete at iteration 3, after iteration 2 completed")),
+    "run_complete iteration true": (a_run_complete(True),
+                                    TypeError("iteration True is not an integer")),
 }
 
 

@@ -101,3 +101,23 @@ def test_the_event_log_has_one_writer():
                   if isinstance(node, ast.Call) and "append_events" in (
                       getattr(node.func, "id", None), getattr(node.func, "attr", None))]
     assert calls == ["engine.py:_commit"]
+
+
+def test_every_thread_the_package_starts_is_an_executor_worker():
+    # a hand-rolled thread brings its own queues, replies and re-raise; a
+    # `ThreadPoolExecutor` worker has them built in, and is joined at exit
+    found = []
+    for path in sorted((ROOT / "src" / "evoarchive").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [
+                    f"{node.module}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                names = [f"{node.value.id}.{node.attr}"]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.split(".")[0] == "queue" or name == "threading.Thread"]
+    assert found == []

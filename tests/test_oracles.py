@@ -19,6 +19,7 @@ from evoarchive.selection import (
     ScoreChildPropParams,
     SelectionPolicy,
     dynamic_midpoint,
+    selection_distribution,
     weights_to_distribution,
 )
 
@@ -80,6 +81,58 @@ def test_selection_oracle_refuses_np_exp():
     oracles.assert_score_child_prop_bits(view, params)
     with pytest.raises(AssertionError):
         oracles.assert_score_child_prop_bits(view, params, kernel=np_exp_score_child_prop)
+
+
+def exact_sum_uniform(view, policy: SelectionPolicy) -> np.ndarray:
+    """uniform-random whose last probability takes up the rounding, so that the
+    distribution sums to exactly 1."""
+    probs = np.full(len(view), 1.0 / len(view))
+    probs[-1] = 1.0 - probs[:-1].sum()
+    return probs
+
+
+def test_uniform_random_oracle_refuses_an_exact_sum():
+    view = [(0.5, 0)] * 3
+    oracles.assert_uniform_random_bits(view)
+    oracles.assert_uniform_random_bits(view[:2], kernel=exact_sum_uniform)
+    with pytest.raises(AssertionError):
+        oracles.assert_uniform_random_bits(view, kernel=exact_sum_uniform)
+
+
+def math_exp_softmax(view, policy: SelectionPolicy) -> np.ndarray:
+    """softmax with `math.exp`, which rounds some results otherwise than `np.exp`."""
+    scores = np.array([score for score, _ in view], dtype=float)
+    shifted = ((scores - scores.max()) / policy.temperature).tolist()
+    weights = np.fromiter(map(math.exp, shifted), float, len(view))
+    return weights / weights.sum()
+
+
+def test_softmax_oracle_refuses_math_exp():
+    rng = np.random.default_rng(30)
+    view = list(zip(rng.random(1000).tolist(), rng.integers(0, 6, 1000).tolist()))
+    policy = SelectionPolicy(variant="softmax", temperature=0.3)
+    assert (math_exp_softmax(view, policy) != selection_distribution(view, policy)).any(), \
+        "math.exp rounds as np.exp does on every input: it is no wrong kernel here"
+    oracles.assert_softmax_bits(view, 0.3)
+    oracles.assert_softmax_bits([(0.5, 0)], 0.3, kernel=math_exp_softmax)
+    with pytest.raises(AssertionError):
+        oracles.assert_softmax_bits(view, 0.3, kernel=math_exp_softmax)
+
+
+def argmax_ucb(view, policy: SelectionPolicy) -> np.ndarray:
+    """ucb that gives a tie at the maximum to its first candidate alone."""
+    shared = oracles.ucb(view, policy.exploration_weight, policy.stagnation_boost)
+    probs = np.zeros(len(view))
+    probs[int(np.argmax(shared))] = 1.0
+    return probs
+
+
+def test_ucb_oracle_refuses_a_tie_given_to_the_first_candidate():
+    tie = [(0.5, 1), (0.25, 0), (0.5, 1)]
+    oracles.assert_ucb_bits(tie, 0.0, False)
+    oracles.assert_ucb_bits([(0.5, 1), (0.25, 0)], 0.0, False, kernel=argmax_ucb)
+    with pytest.raises(AssertionError):
+        oracles.assert_ucb_bits(tie, 0.0, False, kernel=argmax_ucb)
 
 
 def descending_transfer_select(arch, params: GrowthScoreParams) -> Optional[int]:

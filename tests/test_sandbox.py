@@ -347,7 +347,7 @@ def test_concurrent_isolated_calls_get_their_own_namespaces():
 def _spawner_threads() -> set[int]:
     import threading
 
-    return {t.native_id for t in threading.enumerate() if t.name == "evoarchive-spawner"}
+    return {t.native_id for t in threading.enumerate() if t.name.startswith("evoarchive-spawner")}
 
 
 def _threads_off_host(host: str) -> set[int]:

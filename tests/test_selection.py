@@ -19,7 +19,15 @@ from evoarchive.selection import (
     weights_to_distribution,
 )
 
-from oracles import archives, assert_score_child_prop_bits, novelty_bonus, sigmoid_transform
+from oracles import (
+    archives,
+    assert_score_child_prop_bits,
+    assert_softmax_bits,
+    assert_ucb_bits,
+    assert_uniform_random_bits,
+    novelty_bonus,
+    sigmoid_transform,
+)
 
 SCP = SelectionPolicy(variant="score-child-prop")
 
@@ -254,6 +262,19 @@ def test_distribution_sums_to_one_and_non_negative(arch):
         probabilities = selection_distribution(view, policy)
         assert abs(float(np.sum(probabilities)) - 1.0) <= 1e-12
         assert np.all(probabilities >= 0)
+
+
+TEMPERATURES = st.sampled_from([1.0, 0.3, 1e-3]) | st.floats(1e-3, 10.0)
+EXPLORATION_WEIGHTS = st.sampled_from([0.0, 1.0, 1.45]) | st.floats(0.0, 10.0)
+
+
+@given(archives(), TEMPERATURES, EXPLORATION_WEIGHTS, st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_every_other_variant_has_its_reference_bits(arch, temperature, exploration, boost):
+    view = selection_view(arch)
+    assert_uniform_random_bits(view)
+    assert_softmax_bits(view, temperature)
+    assert_ucb_bits(view, exploration, boost)
 
 
 @given(archives(), st.integers(min_value=0, max_value=2**32 - 1))
