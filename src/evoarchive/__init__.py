@@ -3,9 +3,9 @@
 from .archive import AgentNode, Archive, DomainScores
 from .engine import MODES, RunConfig, RunState, resume, run, step
 from .evaluation import DomainSpec, Gate, ScoreReport, StagedEvalPolicy
-from .metrics import GrowthScoreParams, ImpAtKRequest, bootstrap_ci, improvement_at_k
+from .metrics import GrowthScoreParams, bootstrap_ci, improvement_at_k
 from .sandbox import SandboxLimits, SandboxOutcome, sandbox_execute
-from .selection import ScoreChildPropParams, SelectionPolicy, selection_distribution
+from .selection import SelectionPolicy, selection_distribution
 
 __version__ = "0.1.0"
 
@@ -16,13 +16,11 @@ __all__ = [
     "DomainSpec",
     "Gate",
     "GrowthScoreParams",
-    "ImpAtKRequest",
     "MODES",
     "RunConfig",
     "RunState",
     "SandboxLimits",
     "SandboxOutcome",
-    "ScoreChildPropParams",
     "ScoreReport",
     "SelectionPolicy",
     "StagedEvalPolicy",

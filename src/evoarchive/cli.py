@@ -219,16 +219,12 @@ def _impk_row(agents: list[AgentNode]) -> dict:
     scored by `node_selection_score`."""
     root, *generated = agents
     initial = node_selection_score(root)
-    request = metrics.ImpAtKRequest(
-        initial_score=initial,
-        generated_scores=tuple(node_selection_score(n) for n in generated),
-        k=max(1, len(generated)),
-    )
+    generated_scores = [node_selection_score(n) for n in generated]
     return {
         "variant": "max",
         "initial_score": repr(initial),
-        "improvement_at_k": repr(metrics.improvement_at_k(request)),
-        "k": request.k,
+        "improvement_at_k": repr(metrics.improvement_at_k(initial, generated_scores)),
+        "k": max(1, len(generated)),
     }
 
 

@@ -630,6 +630,9 @@ def _apply_event(state: RunState, event: dict, scores: dict[int, dict[str, Domai
     elif kind == "archive_add" or kind == "archive_replace":
         node = AgentNode(event["node_id"], event["parent_id"], event["payload_ref"], True,
                          scores.pop(event["node_id"]), 0, event["iteration"])
+        if node.created_at_iteration != state.iteration + 1:
+            raise ValueError(f"node {node.id} is created at iteration {node.created_at_iteration}"
+                             f", after iteration {state.iteration} completed")
         insert = archive_mod.add_node if kind == "archive_add" else archive_mod.replace_sole_node
         insert(state.archive, node)
         state.archived.append(node)
@@ -639,10 +642,13 @@ def _apply_event(state: RunState, event: dict, scores: dict[int, dict[str, Domai
             raise TypeError(f"iteration {iteration!r} is not an integer")
         if scores:  # a batch archives each agent it evaluates, and the first one the root
             raise ValueError(f"node {[*scores][0]!r} is evaluated but not archived in its batch")
+        if iteration != state.iteration + (kind == "iteration_complete"):
+            raise ValueError(f"{kind} at iteration {iteration}, "
+                             f"after iteration {state.iteration} completed")
         if kind == "run_complete":
-            if iteration != state.iteration:
-                raise ValueError(f"run_complete at iteration {iteration}, "
-                                 f"after iteration {state.iteration} completed")
+            if state.archived and state.archived[-1].created_at_iteration > iteration:
+                raise ValueError(f"run_complete at iteration {iteration} ends the batch "
+                                 f"that archives node {state.archived[-1].id}")
             state.completed = True
         elif not state.archived:
             raise ValueError("the run archives no agent, not even the root")

@@ -23,24 +23,6 @@ from .evaluation import node_selection_score
 
 
 @dataclass(frozen=True)
-class ImpAtKRequest:
-    """Initial score, the scores of up-to-k generated variants, and k."""
-
-    initial_score: float
-    generated_scores: tuple[float, ...]
-    k: int
-
-    def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        if len(self.generated_scores) > self.k:
-            raise ValueError("more generated scores than k")
-        values = (self.initial_score, *self.generated_scores)
-        if not all(math.isfinite(v) for v in values):
-            raise ValueError("scores must be finite")
-
-
-@dataclass(frozen=True)
 class GrowthScoreParams:
     """gamma: per-edge depth discount in (0, 1]; min_descendants: eligibility floor."""
 
@@ -54,11 +36,14 @@ class GrowthScoreParams:
             raise ValueError("min_descendants must be >= 1")
 
 
-def improvement_at_k(request: ImpAtKRequest) -> float:
-    """Best generated score minus the initial score; 0 when nothing was generated."""
-    if not request.generated_scores:
+def improvement_at_k(initial_score: float, generated_scores: Sequence[float]) -> float:
+    """Best of the generated scores minus the initial score; 0 when nothing was
+    generated. ValueError if any score is not finite."""
+    if not all(math.isfinite(v) for v in (initial_score, *generated_scores)):
+        raise ValueError("scores must be finite")
+    if not generated_scores:
         return 0.0
-    return max(request.generated_scores) - request.initial_score
+    return max(generated_scores) - initial_score
 
 
 def growth_score(archive: Archive, node_id: int, params: GrowthScoreParams) -> float:

@@ -14,7 +14,7 @@ with an optional stagnation boost.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from typing import Any, Sequence
 
 import numpy as np
@@ -27,9 +27,9 @@ STAGNATION_FACTOR = 1.4
 PROBABILITY_TOL = 1e-12
 
 # The selection-policy document: every key it accepts and that key's JSON
-# type. "variant" is required; the defaults of the others are the dataclass
-# field defaults below. score-child-prop reads the ScoreChildPropParams keys,
-# every other variant the remaining SelectionPolicy keys.
+# type, in the order of the SelectionPolicy fields. "variant" is required; the
+# defaults of the others are the field defaults. score-child-prop reads the
+# _SCORE_CHILD_PROP_KEYS, every other variant the remaining keys.
 POLICY_KEYS: dict[str, Any] = {
     "variant": str,
     "sharpness": float,
@@ -38,12 +38,14 @@ POLICY_KEYS: dict[str, Any] = {
     "exploration_weight": float,
     "stagnation_boost": bool,
 }
+_SCORE_CHILD_PROP_KEYS = ("sharpness", "midpoint_pool_size")
 
 
 def checked_type(value: Any, kind: Any, key: str) -> Any:
-    """`value` as a JSON `kind`: an int is also a float, a bool is only a bool, a
-    str is UTF-8 (no unpaired surrogate, which no log line may hold), `list[T]`
-    is a list whose items (named `key[i]`) are `T`, `Any` is anything."""
+    """`value` as a JSON `kind`: an int is also a float (if it fits one), a bool is
+    only a bool, a str is UTF-8 (no unpaired surrogate, which no log line may
+    hold), `list[T]` is a list whose items (named `key[i]`) are `T`, `Any` is
+    anything."""
     if kind is Any:
         return value
     if getattr(kind, "__origin__", None) is list:
@@ -51,7 +53,10 @@ def checked_type(value: Any, kind: Any, key: str) -> Any:
             raise ValueError(f"key '{key}' must be list")
         return [checked_type(v, kind.__args__[0], f"{key}[{i}]") for i, v in enumerate(value)]
     if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:
+            raise ValueError(f"key '{key}' is too large for a float") from None
     if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
         raise ValueError(f"key '{key}' must be {kind.__name__}")
     if kind is str:
@@ -81,23 +86,13 @@ def read_keys(
 
 
 @dataclass(frozen=True)
-class ScoreChildPropParams:
-    """sharpness: logistic steepness; midpoint_pool_size: how many top scores set the midpoint."""
+class SelectionPolicy:
+    """One field per POLICY_KEYS key. sharpness: logistic steepness;
+    midpoint_pool_size: how many top scores set the midpoint."""
 
+    variant: str = "score-child-prop"
     sharpness: float = 10.0
     midpoint_pool_size: int = 3
-
-    def __post_init__(self) -> None:
-        if self.sharpness <= 0:
-            raise ValueError("sharpness must be positive")
-        if self.midpoint_pool_size < 1:
-            raise ValueError("midpoint_pool_size must be >= 1")
-
-
-@dataclass(frozen=True)
-class SelectionPolicy:
-    variant: str = "score-child-prop"
-    params: ScoreChildPropParams = field(default_factory=ScoreChildPropParams)
     temperature: float = 1.0
     exploration_weight: float = 1.0
     stagnation_boost: bool = False
@@ -105,9 +100,14 @@ class SelectionPolicy:
     def __post_init__(self) -> None:
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown selection variant {self.variant!r}")
-        if self.temperature <= 0:
+        # `not x > 0`, not `x <= 0`: NaN is refused too
+        if not self.sharpness > 0:
+            raise ValueError("sharpness must be positive")
+        if self.midpoint_pool_size < 1:
+            raise ValueError("midpoint_pool_size must be >= 1")
+        if not self.temperature > 0:
             raise ValueError("temperature must be positive")
-        if self.exploration_weight < 0:
+        if not self.exploration_weight >= 0:
             raise ValueError("exploration_weight must be non-negative")
         if self.stagnation_boost and self.variant != "ucb":
             raise ValueError("stagnation_boost applies only to the ucb variant")
@@ -123,12 +123,9 @@ class SelectionPolicy:
         if variant not in VARIANTS:
             raise ValueError(f"key 'variant' must be one of {VARIANTS}, got {variant!r}")
         scp = variant == "score-child-prop"
-        param_keys = {f.name for f in fields(ScoreChildPropParams)}
         read = {key: kind for key, kind in POLICY_KEYS.items()
-                if key != "variant" and (key in param_keys) == scp}
+                if key != "variant" and (key in _SCORE_CHILD_PROP_KEYS) == scp}
         values = read_keys({key: spec[key] for key in read if key in spec}, read)
-        if scp:
-            return cls(variant=variant, params=ScoreChildPropParams(**values))
         return cls(variant=variant, **values)
 
 
@@ -174,9 +171,9 @@ def selection_distribution(
         # the logistic of sharpness * (score - midpoint), in its overflow-free
         # form, times the novelty bonus 1 / (1 + children); math.exp, since np.exp
         # can differ in the last bit
-        midpoint = dynamic_midpoint(scores.tolist(), policy.params.midpoint_pool_size)
+        midpoint = dynamic_midpoint(scores.tolist(), policy.midpoint_pool_size)
         with np.errstate(over="ignore", invalid="ignore"):  # inf, nan: silent, as in Python
-            z = policy.params.sharpness * (scores - midpoint)
+            z = policy.sharpness * (scores - midpoint)
         e = np.fromiter(map(math.exp, (-np.abs(z)).tolist()), float, size)
         sig = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
         if (children < 0).any():

@@ -3,14 +3,16 @@ builders the tests share.
 
 Each kernel that must keep its bits (the node selection score, each
 selection variant's distribution, the growth score and transfer selection,
-the bootstrap medians, node record bytes, improvement@k) has one reference
-here and one `assert_*` helper that compares the kernel with it. A helper takes the
-kernel under test as an argument, the package's own by default, so
-`test_oracles.py` can show that it refuses a kernel known to be wrong.
+the bootstrap medians, node record bytes, improvement@k) and the
+selection-policy reader has one reference here and one `assert_*` helper that
+compares the kernel with it. A helper takes the kernel under test as an
+argument, the package's own by default, so `test_oracles.py` can show that it
+refuses a kernel known to be wrong.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import re
@@ -32,12 +34,11 @@ from evoarchive.archive import (
     replace_sole_node,
 )
 from evoarchive.evaluation import node_selection_score
-from evoarchive.metrics import GrowthScoreParams, ImpAtKRequest
+from evoarchive.metrics import GrowthScoreParams
 from evoarchive.rng import substream
 from evoarchive.selection import (
     STAGNATION_FACTOR,
     STAGNATION_VARIANCE,
-    ScoreChildPropParams,
     SelectionPolicy,
     dynamic_midpoint,
     selection_distribution,
@@ -142,6 +143,74 @@ def assert_selection_score_bits(scores: dict[str, DomainScores],
     assert repr(kernel(scores)) == repr(selection_score(scores))
 
 
+# --- selection-policy documents ----------------------------------------------------
+
+SCP_ONLY = ("score-child-prop",)
+OTHER_VARIANTS = ("uniform-random", "softmax", "ucb")
+
+
+def _number(value) -> bool:
+    """A JSON number: an int or a float, not a bool."""
+    return type(value) in (int, float)
+
+
+# the "Selection policy" table of docs/formats.md: each key but `variant`, its
+# default, the variants that read it, and whether a value of it is in type and range
+POLICY_TABLE = {
+    "sharpness": (10.0, SCP_ONLY, lambda v: _number(v) and v > 0),
+    "midpoint_pool_size": (3, SCP_ONLY, lambda v: type(v) is int and v >= 1),
+    "temperature": (1.0, OTHER_VARIANTS, lambda v: _number(v) and v > 0),
+    "exploration_weight": (1.0, OTHER_VARIANTS, lambda v: _number(v) and v >= 0),
+    "stagnation_boost": (False, OTHER_VARIANTS, lambda v: type(v) is bool),
+}
+
+
+def policy_document(doc: dict) -> tuple:
+    """The values of `variant` and of each POLICY_TABLE key (a number as a float),
+    in table order, that `doc` sets, the defaults elsewhere. Keys its variant does
+    not read are not checked. A ValueError's args name every key that breaks the
+    table: an unknown one, `variant` if it is missing or not a variant, a value
+    out of its type or range (a number must fit a float), and a true
+    `stagnation_boost` outside `ucb`."""
+    bad = sorted(key for key in doc if key != "variant" and key not in POLICY_TABLE)
+    variant = doc.get("variant")
+    if type(variant) is not str or variant not in SCP_ONLY + OTHER_VARIANTS:
+        raise ValueError("variant", *bad)
+    values = [variant]
+    for key, (default, readers, valid) in POLICY_TABLE.items():
+        value = doc.get(key, default) if variant in readers else default
+        if type(default) is float and _number(value):
+            try:
+                value = float(value)
+            except OverflowError:  # an int beyond any float
+                value = None
+        if not valid(value) or value is True and variant != "ucb":
+            bad.append(key)
+        values.append(value)
+    if bad:
+        raise ValueError(*bad)
+    return tuple(values)
+
+
+def assert_policy_document(doc: dict, reader=SelectionPolicy.from_dict) -> None:
+    """`reader(doc)`'s fields have the values and types of `policy_document(doc)`,
+    or, where that raises, `reader` raises a ValueError naming one of its keys."""
+    try:
+        expected = policy_document(doc)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as caught:
+            reader(doc)
+        message = str(caught.value)
+        named = re.search(r"key '(\w+)'", message) or re.match(r"\w+", message)
+        assert named and named[named.lastindex or 0] in exc.args, (message, exc.args)
+        return
+    try:
+        got = dataclasses.astuple(reader(doc))
+    except ValueError as exc:
+        raise AssertionError(f"the reader refuses {doc!r}: {exc}") from exc
+    assert [(type(v), v) for v in got] == [(type(v), v) for v in expected]
+
+
 # --- score-child-prop selection --------------------------------------------------
 
 
@@ -164,25 +233,24 @@ def novelty_bonus(n_children: int) -> float:
 
 
 def score_child_prop(view: Sequence[tuple[float, int]],
-                     params: ScoreChildPropParams) -> tuple[np.ndarray, np.ndarray]:
+                     policy: SelectionPolicy) -> tuple[np.ndarray, np.ndarray]:
     """The score-child-prop weights and distribution, one candidate at a time."""
     scores = [float(score) for score, _ in view]
-    midpoint = dynamic_midpoint(scores, params.midpoint_pool_size)
-    weights = np.array([sigmoid_transform(alpha, midpoint, params.sharpness)
+    midpoint = dynamic_midpoint(scores, policy.midpoint_pool_size)
+    weights = np.array([sigmoid_transform(alpha, midpoint, policy.sharpness)
                         * novelty_bonus(int(children))
                         for alpha, (_, children) in zip(scores, view)])
     return weights, weights_to_distribution(weights)
 
 
 def assert_score_child_prop_bits(view: Sequence[tuple[float, int]],
-                                 params: ScoreChildPropParams,
+                                 policy: SelectionPolicy,
                                  kernel=selection_distribution) -> Optional[np.ndarray]:
-    """`kernel`'s score-child-prop distribution has the bits of `score_child_prop`'s,
-    or `kernel` raises the reference's ValueError. Returns the reference's
-    weights, or None where it raised."""
-    policy = SelectionPolicy(params=params)
+    """`kernel`'s score-child-prop distribution under `policy` has the bits of
+    `score_child_prop`'s, or `kernel` raises the reference's ValueError. Returns
+    the reference's weights, or None where it raised."""
     try:
-        weights, expected = score_child_prop(view, params)
+        weights, expected = score_child_prop(view, policy)
     except ValueError as exc:
         with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
             kernel(view, policy)
@@ -396,7 +464,7 @@ def improvement_at_k(initial: float, generated: Sequence[float]) -> float:
     return best - initial
 
 
-def assert_impk_matches(request: ImpAtKRequest, kernel=metrics.improvement_at_k) -> None:
-    """`kernel(request)` equals the reference on the request's scores."""
-    assert kernel(request) == improvement_at_k(request.initial_score,
-                                               list(request.generated_scores))
+def assert_impk_matches(initial: float, generated: Sequence[float],
+                        kernel=metrics.improvement_at_k) -> None:
+    """`kernel(initial, generated)` equals the reference."""
+    assert kernel(initial, generated) == improvement_at_k(initial, list(generated))

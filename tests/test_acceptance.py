@@ -31,7 +31,6 @@ from evoarchive.evaluation import (
 )
 from evoarchive.metrics import (
     GrowthScoreParams,
-    ImpAtKRequest,
     bootstrap_ci,
     growth_score,
     transfer_select,
@@ -39,7 +38,6 @@ from evoarchive.metrics import (
 from evoarchive.rng import substream
 from evoarchive.sandbox import SandboxLimits, TRUNCATION_MARKER, sandbox_execute
 from evoarchive.selection import (
-    ScoreChildPropParams,
     SelectionPolicy,
     dynamic_midpoint,
     selection_distribution,
@@ -75,10 +73,7 @@ def criterion(number: int, label: str):
 def test_criterion_1_selection_closed_form():
     start = time.monotonic()
     view = [(0.1, 2), (0.2, 0), (0.8, 1), (0.9, 0)]
-    policy = SelectionPolicy(
-        variant="score-child-prop",
-        params=ScoreChildPropParams(sharpness=10.0, midpoint_pool_size=3),
-    )
+    policy = SelectionPolicy(variant="score-child-prop", sharpness=10.0, midpoint_pool_size=3)
     probabilities = selection_distribution(view, policy)
 
     # independent high-precision recomputation of the closed forms
@@ -93,7 +88,7 @@ def test_criterion_1_selection_closed_form():
 
     for got, want in zip(probabilities, expected):
         assert abs(got - want) <= 1e-12
-    assert abs(dynamic_midpoint(scores, policy.params.midpoint_pool_size) - midpoint) <= 1e-12
+    assert abs(dynamic_midpoint(scores, policy.midpoint_pool_size) - midpoint) <= 1e-12
 
     # injected all-zero weight vector exercises the uniform fallback exactly
     probs = weights_to_distribution([0.0, 0.0, 0.0, 0.0])
@@ -179,7 +174,7 @@ def test_criterion_3_metric_oracles():
         n = int(rng.integers(0, k + 1))
         initial = float(rng.random())
         generated = tuple(float(v) for v in rng.random(n))
-        oracles.assert_impk_matches(ImpAtKRequest(initial, generated, k))
+        oracles.assert_impk_matches(initial, generated)
 
     params = GrowthScoreParams(gamma=0.6, min_descendants=3)
     mismatches = 0
@@ -291,9 +286,15 @@ ABLATION_ITERATIONS = 100
 GLOBAL_PEAK_THRESHOLD = 0.75  # above anything the local basin can produce
 
 
+# tmpfs where there is one: on a disk file system the 90 ablation runs spend
+# most of their time in the system calls that create and remove their files
+ABLATION_TMP = ("/dev/shm" if os.path.isdir("/dev/shm") and os.access("/dev/shm", os.W_OK)
+                else None)
+
+
 def _ablation_final_best(mode: str, seed: int) -> float:
     """Best selection score available in the archive at the end of the run."""
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory(dir=ABLATION_TMP) as tmp:
         config = RunConfig(
             mode=mode,
             iterations=ABLATION_ITERATIONS,

@@ -394,6 +394,9 @@ def rejected_before_the_state_is_touched(tmp_path, capsys, doc: dict) -> str:
          "domains[0].evaluator.command"),
         (("limits", "cpu_seconds"), 1.5, "limits.cpu_seconds"),
         (("policy", "sharpness"), "steep", "policy"),
+        (("policy",), {"variant": "softmax", "temperature": float("nan")}, "policy"),
+        (("policy",), {"variant": "softmax", "temperature": 10**400}, "policy"),
+        (("backend", "landscape"), {"local_height": 10**400}, "backend.landscape.local_height"),
         (("backend", "step_sigma"), "x", "backend.step_sigma"),
         (("backend", "max_probes"), 2.5, "backend.max_probes"),
         (("backend", "landscape"), {"bogus": 1}, "backend.landscape.bogus"),
@@ -1020,6 +1023,21 @@ def a_run_complete(iteration, *unarchived: int):
     return edit
 
 
+def a_batch(commit: str, iteration: int, node_3_at: int | None = None, named: int = 0):
+    """An edit that commits one more batch: node 2's `evaluation` and `archive_add`
+    copied as node 3 created at iteration `node_3_at` (if given), then `commit` at
+    `iteration`; names the line `named` lines before the commit line."""
+    def edit(events: list[dict]) -> int:
+        if node_3_at is not None:
+            events.extend({**next(e for e in reversed(events) if e["event"] == kind),
+                           "node_id": 3, "iteration": node_3_at}
+                          for kind in ("evaluation", "archive_add"))
+        events.append({"event": commit, "time": "t", "iteration": iteration})
+        return len(events) - named
+
+    return edit
+
+
 RUN_START_RULE = "run_start must be the first event, and only the first"
 NOT_ARCHIVED = ValueError("node 2 is evaluated but not archived in its batch")
 
@@ -1064,6 +1082,14 @@ FOLD_REFUSALS = {
         a_run_complete(3), ValueError("run_complete at iteration 3, after iteration 2 completed")),
     "run_complete iteration true": (a_run_complete(True),
                                     TypeError("iteration True is not an integer")),
+    "a node created in a completed iteration": (a_batch("run_complete", 2, 2, named=1),
+        ValueError("node 3 is created at iteration 2, after iteration 2 completed")),
+    "a run_complete that ends a batch archiving a node": (a_batch("run_complete", 2, 3),
+        ValueError("run_complete at iteration 2 ends the batch that archives node 3")),
+    "an iteration skipped": (a_batch("iteration_complete", 4),
+        ValueError("iteration_complete at iteration 4, after iteration 2 completed")),
+    "a node created at a later iteration": (a_batch("iteration_complete", 3, 7, named=1),
+        ValueError("node 3 is created at iteration 7, after iteration 2 completed")),
 }
 
 

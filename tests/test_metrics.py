@@ -14,7 +14,6 @@ from evoarchive.engine import replay_log, run
 from evoarchive.evaluation import node_selection_score
 from evoarchive.metrics import (
     GrowthScoreParams,
-    ImpAtKRequest,
     bootstrap_ci,
     export_progress_csv,
     export_scalars_csv,
@@ -34,21 +33,19 @@ from test_engine import make_config
 
 
 def test_impk_all_equal_is_zero():
-    request = ImpAtKRequest(initial_score=0.4, generated_scores=(0.4, 0.4), k=5)
-    assert improvement_at_k(request) == 0.0
+    assert improvement_at_k(0.4, (0.4, 0.4)) == 0.0
 
 
 def test_impk_headline_value():
-    request = ImpAtKRequest(initial_score=0.0, generated_scores=(0.1, 0.63, 0.2), k=50)
-    assert improvement_at_k(request) == pytest.approx(0.63)
+    assert improvement_at_k(0.0, (0.1, 0.63, 0.2)) == pytest.approx(0.63)
 
 
 def test_impk_empty_generated_is_zero_by_convention():
-    assert improvement_at_k(ImpAtKRequest(0.3, (), k=10)) == 0.0
+    assert improvement_at_k(0.3, ()) == 0.0
 
 
 def test_impk_can_be_negative():
-    assert improvement_at_k(ImpAtKRequest(0.9, (0.1, 0.2), k=2)) == pytest.approx(-0.7)
+    assert improvement_at_k(0.9, (0.1, 0.2)) == pytest.approx(-0.7)
 
 
 def test_impk_matches_brute_force_on_1000_random_inputs():
@@ -58,19 +55,17 @@ def test_impk_matches_brute_force_on_1000_random_inputs():
         n = int(rng.integers(0, k + 1))
         initial = float(rng.random())
         generated = tuple(float(v) for v in rng.random(n))
-        oracles.assert_impk_matches(ImpAtKRequest(initial, generated, k))
+        oracles.assert_impk_matches(initial, generated)
 
 
-def test_impk_request_validation():
+def test_impk_input_validation():
     with pytest.raises(ValueError):
-        ImpAtKRequest(0.1, (0.2, 0.3), k=1)
-    with pytest.raises(ValueError):
-        ImpAtKRequest(float("nan"), (), k=1)
+        improvement_at_k(float("nan"), ())
     for bad in (float("inf"), -float("inf"), float("nan")):
         with pytest.raises(ValueError, match="scores must be finite"):
-            ImpAtKRequest(0.1, (0.2, bad), k=2)
+            improvement_at_k(0.1, (0.2, bad))
     # numpy scalars are checked as the floats they hold
-    ImpAtKRequest(np.float64(0.1), (np.float32(0.2), 1), k=2)
+    improvement_at_k(np.float64(0.1), (np.float32(0.2), 1))
 
 
 # --- growth score ----------------------------------------------------------------

@@ -14,10 +14,10 @@ import pytest
 import oracles
 from evoarchive.archive import DomainScores
 from evoarchive.evaluation import node_selection_score
-from evoarchive.metrics import GrowthScoreParams, ImpAtKRequest, transfer_select
+from evoarchive.metrics import GrowthScoreParams, transfer_select
 from evoarchive.selection import (
-    ScoreChildPropParams,
     SelectionPolicy,
+    checked_type,
     dynamic_midpoint,
     selection_distribution,
     weights_to_distribution,
@@ -62,8 +62,8 @@ def np_exp_score_child_prop(view, policy: SelectionPolicy) -> np.ndarray:
     `math.exp` does."""
     scores = np.array([score for score, _ in view], dtype=float)
     children = np.array([count for _, count in view], dtype=int)
-    midpoint = dynamic_midpoint(scores.tolist(), policy.params.midpoint_pool_size)
-    z = policy.params.sharpness * (scores - midpoint)
+    midpoint = dynamic_midpoint(scores.tolist(), policy.midpoint_pool_size)
+    z = policy.sharpness * (scores - midpoint)
     e = np.exp(-np.abs(z))
     sig = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     return weights_to_distribution(sig * (1.0 / (1.0 + children)))
@@ -72,15 +72,31 @@ def np_exp_score_child_prop(view, policy: SelectionPolicy) -> np.ndarray:
 def test_selection_oracle_refuses_np_exp():
     rng = np.random.default_rng(14)
     view = list(zip(rng.random(1000).tolist(), rng.integers(0, 6, 1000).tolist()))
-    params = ScoreChildPropParams()
+    policy = SelectionPolicy()
     scores = [score for score, _ in view]
-    z = -np.abs(params.sharpness
-                * (np.array(scores) - dynamic_midpoint(scores, params.midpoint_pool_size)))
+    z = -np.abs(policy.sharpness
+                * (np.array(scores) - dynamic_midpoint(scores, policy.midpoint_pool_size)))
     assert (np.exp(z) != np.fromiter(map(math.exp, z.tolist()), float)).any(), \
         "np.exp rounds as math.exp does on every input: it is no wrong kernel here"
-    oracles.assert_score_child_prop_bits(view, params)
+    oracles.assert_score_child_prop_bits(view, policy)
     with pytest.raises(AssertionError):
-        oracles.assert_score_child_prop_bits(view, params, kernel=np_exp_score_child_prop)
+        oracles.assert_score_child_prop_bits(view, policy, kernel=np_exp_score_child_prop)
+
+
+def sharpness_checked_for_every_variant(doc: dict) -> SelectionPolicy:
+    """`SelectionPolicy.from_dict` that also checks `sharpness` where the variant
+    does not read it."""
+    policy = SelectionPolicy.from_dict(doc)
+    if "sharpness" in doc:
+        SelectionPolicy(sharpness=checked_type(doc["sharpness"], float, "sharpness"))
+    return policy
+
+
+def test_policy_oracle_refuses_a_reader_that_checks_sharpness_for_every_variant():
+    doc = {"variant": "softmax", "temperature": 0.5, "sharpness": "steep"}
+    oracles.assert_policy_document(doc)
+    with pytest.raises(AssertionError):
+        oracles.assert_policy_document(doc, reader=sharpness_checked_for_every_variant)
 
 
 def exact_sum_uniform(view, policy: SelectionPolicy) -> np.ndarray:
@@ -209,8 +225,7 @@ def test_bootstrap_oracle_refuses_the_upper_middle_of_an_even_row():
 
 
 def test_impk_oracle_refuses_the_last_score():
-    request = ImpAtKRequest(0.25, (0.5, 0.75, 0.625), k=3)
-    oracles.assert_impk_matches(request)
+    generated = (0.5, 0.75, 0.625)
+    oracles.assert_impk_matches(0.25, generated)
     with pytest.raises(AssertionError):
-        oracles.assert_impk_matches(
-            request, kernel=lambda r: r.generated_scores[-1] - r.initial_score)
+        oracles.assert_impk_matches(0.25, generated, kernel=lambda i, g: g[-1] - i)

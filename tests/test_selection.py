@@ -1,17 +1,19 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from evoarchive.archive import Archive
 from evoarchive.evaluation import node_selection_score
 from evoarchive.rng import substream
 from evoarchive.selection import (
-    ScoreChildPropParams,
+    POLICY_KEYS,
+    VARIANTS,
     SelectionPolicy,
     dynamic_midpoint,
     sample_parents,
@@ -21,6 +23,7 @@ from evoarchive.selection import (
 
 from oracles import (
     archives,
+    assert_policy_document,
     assert_score_child_prop_bits,
     assert_softmax_bits,
     assert_ucb_bits,
@@ -111,8 +114,8 @@ def test_equal_scores_children_zero_and_one():
 
 def test_score_child_prop_four_node_closed_form():
     view = [(0.1, 2), (0.2, 0), (0.8, 1), (0.9, 0)]
-    params = ScoreChildPropParams(sharpness=10.0, midpoint_pool_size=3)
-    probabilities = selection_distribution([*view], SelectionPolicy(params=params))
+    policy = SelectionPolicy(sharpness=10.0, midpoint_pool_size=3)
+    probabilities = selection_distribution([*view], policy)
     mid = (0.9 + 0.8 + 0.2) / 3
     sig = [1 / (1 + math.exp(-10.0 * (a - mid))) for a, _ in view]
     nov = [1 / (1 + n) for _, n in view]
@@ -124,24 +127,24 @@ def test_score_child_prop_four_node_closed_form():
 
 
 def _bit_views():
-    """(view, params) pairs: random views of several sizes, tied scores, a
-    sharpness at which every weight underflows, a pool larger than the view,
-    scores given as Python floats, ints and numpy floats, and a negative child
-    count."""
+    """(view, score-child-prop policy) pairs: random views of several sizes, tied
+    scores, a sharpness at which every weight underflows, a pool larger than the
+    view, scores given as Python floats, ints and numpy floats, and a negative
+    child count."""
     rng = np.random.default_rng(2323)
-    default = ScoreChildPropParams()
+    default = SCP
     for n in (1, 2, 3, 1000, 4290):
         scores = rng.random(n).tolist()
         children = rng.integers(0, 6, n).tolist()
         yield list(zip(scores, children)), default
-        yield list(zip(scores, children)), ScoreChildPropParams(sharpness=250.0,
-                                                                midpoint_pool_size=7)
+        yield list(zip(scores, children)), SelectionPolicy(sharpness=250.0,
+                                                           midpoint_pool_size=7)
     tied = [(0.1, int(c)) for c in rng.integers(0, 4, 50)]
     yield tied, default
     # three tied 0.1s average to just above 0.1, so at this sharpness no weight is
     # left and the distribution falls back to uniform
-    yield tied, ScoreChildPropParams(sharpness=1e300)
-    yield [(float(s), 0) for s in rng.random(5)], ScoreChildPropParams(midpoint_pool_size=40)
+    yield tied, SelectionPolicy(sharpness=1e300)
+    yield [(float(s), 0) for s in rng.random(5)], SelectionPolicy(midpoint_pool_size=40)
     yield [(int(s), int(c)) for s, c in zip(rng.integers(0, 2, 30), rng.integers(0, 3, 30))], \
         default
     yield [(np.float64(s), int(c)) for s, c in zip(rng.random(30), rng.integers(0, 3, 30))], \
@@ -151,8 +154,8 @@ def _bit_views():
 
 def test_score_child_prop_keeps_the_bits_of_the_numpy_scalar_loop():
     fallbacks = refused = 0
-    for view, params in _bit_views():
-        weights = assert_score_child_prop_bits(view, params)
+    for view, policy in _bit_views():
+        weights = assert_score_child_prop_bits(view, policy)
         if weights is None:
             refused += 1
         else:
@@ -252,7 +255,7 @@ def selection_view(arch: Archive) -> list[tuple[float, int]]:
 @settings(max_examples=150, deadline=None)
 def test_distribution_sums_to_one_and_non_negative(arch):
     view = selection_view(arch)
-    assert_score_child_prop_bits(view, SCP.params)
+    assert_score_child_prop_bits(view, SCP)
     for policy in (
         SCP,
         SelectionPolicy(variant="uniform-random"),
@@ -377,9 +380,9 @@ def test_policy_validation():
     with pytest.raises(ValueError):
         SelectionPolicy(variant="softmax", stagnation_boost=True)
     with pytest.raises(ValueError):
-        ScoreChildPropParams(sharpness=0.0)
+        SelectionPolicy(sharpness=0.0)
     with pytest.raises(ValueError):
-        ScoreChildPropParams(midpoint_pool_size=0)
+        SelectionPolicy(midpoint_pool_size=0)
 
 
 @pytest.mark.parametrize(
@@ -387,7 +390,7 @@ def test_policy_validation():
     [
         ({"variant": "score-child-prop"}, SCP),
         ({"variant": "score-child-prop", "sharpness": 4, "midpoint_pool_size": 2},
-         SelectionPolicy(params=ScoreChildPropParams(sharpness=4.0, midpoint_pool_size=2))),
+         SelectionPolicy(sharpness=4.0, midpoint_pool_size=2)),
         # keys the variant does not read are accepted and left unchecked
         ({"variant": "softmax", "temperature": 0.5, "sharpness": "steep"},
          SelectionPolicy(variant="softmax", temperature=0.5)),
@@ -399,7 +402,43 @@ def test_policy_validation():
 def test_policy_from_dict_accepts(spec, expected):
     policy = SelectionPolicy.from_dict(spec)
     assert policy == expected
-    assert type(policy.temperature) is float and type(policy.params.sharpness) is float
+    assert type(policy.temperature) is float and type(policy.sharpness) is float
+
+
+def test_policy_fields_are_the_document_keys():
+    assert [f.name for f in dataclasses.fields(SelectionPolicy)] == list(POLICY_KEYS)
+
+
+JSON_VALUES = st.one_of(
+    st.integers(), st.floats(), st.booleans(), st.text(max_size=4), st.none(),
+    st.lists(st.integers() | st.floats(), max_size=2),
+)
+
+
+@st.composite
+def policy_documents(draw) -> dict:
+    """A subset of the policy keys, each set to a value of any JSON type or, more
+    often, to one in range, and now and then an unknown key."""
+    in_range = {"variant": st.sampled_from(VARIANTS), "midpoint_pool_size": st.integers(1, 9),
+                "stagnation_boost": st.booleans()}
+    keys = draw(st.lists(st.sampled_from(list(POLICY_KEYS)[1:]), unique=True))
+    if draw(st.integers(0, 7)):
+        keys.append("variant")
+    doc = {key: draw(in_range.get(key, st.floats(min_value=0)) if draw(st.integers(0, 3))
+                     else JSON_VALUES) for key in keys}
+    if not draw(st.integers(0, 7)):
+        unknown = st.from_regex(r"[a-z_]{1,12}", fullmatch=True).filter(
+            lambda key: key not in POLICY_KEYS)
+        doc[draw(unknown)] = draw(JSON_VALUES)
+    return doc
+
+
+@given(policy_documents())
+@example({"variant": "softmax", "temperature": math.nan})
+@example({"variant": "ucb", "exploration_weight": 10 ** 400})
+@settings(max_examples=400, deadline=None)
+def test_policy_from_dict_reads_the_documented_table(doc):
+    assert_policy_document(doc)
 
 
 @pytest.mark.parametrize(
