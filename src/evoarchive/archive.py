@@ -88,6 +88,8 @@ class AgentNode:
             name, value = next((name, value) for name, value in fields if type(value) is not int
                                and (value is not None or name != "parent_id"))
             raise TypeError(f"{name} {value!r} is not an integer")
+        if type(payload_ref) is not str:
+            raise TypeError(f"payload_ref {payload_ref!r} is not a string")
         if id < 0:
             raise ValueError("node id must be non-negative")
         if compiled_children < 0:

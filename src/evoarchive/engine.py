@@ -17,13 +17,13 @@ per-child generation), so concurrency and resume cannot reorder draws.
 The event log records how far a run got, and its events are the only way run
 state changes: each iteration builds its batch of events, folds it into the
 live `RunState` by the same `_apply_event` that `replay_log` uses, then appends
-it, so a live state is always the one its log replays to. Besides the fold,
-only `_read_committed` (commit kinds) and `_commit` (archive kinds) read event
-kinds. `RunState.archived` keeps every agent the fold archived, which is what
-the CLI's `progress` and `impk` metrics read. Resuming replays the committed
-iterations and continues the same trajectory. ``archive/``, a view of the
-log, is written as `run`, `resume` or `step` returns: mid-run it is missing
-or stale.
+it, so a live state is always the one its log replays to. The fold holds every
+rule of the log, and besides it only `_read_committed`, which finds the commit
+lines, reads event kinds. `RunState.archived` keeps every agent the fold
+archived, which is what the CLI's `progress` and `impk` metrics read. Resuming
+replays the committed iterations and continues the same trajectory.
+``archive/``, a view of the log, is written as `run`, `resume` or `step`
+returns: mid-run it is missing or stale.
 """
 
 from __future__ import annotations
@@ -78,6 +78,7 @@ MODES = (
 )
 
 UNIFORM_FALLBACK = SelectionPolicy(variant="uniform-random")
+_BATCH_ENDS = (None, "iteration_complete", "run_complete")  # what precedes a batch's head
 
 
 class EngineError(Exception):
@@ -387,17 +388,13 @@ def _archive_events(iteration: int, node_id: int, parent_id: Optional[int], eval
 
 def _commit(state: RunState, events: list[dict]) -> None:
     """Fold a batch into `state` by `replay_log`'s fold, then append it to the log:
-    the one way a live run's state changes, and the log's one writer. Each
-    `evaluation` event gets the `selection_score` of its node as archived. An
-    inconsistent batch raises before anything is appended, and leaves `state`
+    the one way a live run's state changes, and the log's one writer. The fold
+    gives each `evaluation` event the `selection_score` of its node as archived.
+    An inconsistent batch raises before anything is appended, and leaves `state`
     half folded."""
-    scores: dict[int, dict[str, DomainScores]] = {}
-    evaluations = {e["node_id"]: e for e in events if e["event"] == "evaluation"}
+    pending, prior = {}, None
     for event in events:
-        _apply_event(state, event, scores)
-        if event["event"] in ("archive_add", "archive_replace"):
-            node = state.archived[-1]
-            evaluations[node.id]["selection_score"] = node_selection_score(node)
+        prior = _apply_event(state, event, pending, prior)
     append_events(state.event_log, events)
 
 
@@ -582,13 +579,13 @@ def replay_log(event_log: Path) -> tuple[RunState, int]:
     of `event_log`. `completed` is set by a `run_complete` event."""
     event_log = Path(event_log)
     state = _empty_state(event_log)
-    scores: dict[int, dict[str, DomainScores]] = {}
+    pending, prior = {}, None
     lineno = committed = 0
     for batch, committed in _read_committed(event_log):
         for event in batch:
             lineno += 1
             try:
-                _apply_event(state, event, scores)
+                prior = _apply_event(state, event, pending, prior)
             except (ValueError, KeyError, TypeError, ArchiveError) as exc:
                 raise IntegrityError(
                     f"bad event at line {lineno} of {event_log}: {exc!r}") from exc
@@ -613,9 +610,28 @@ def _load_checked(config: RunConfig, run_id: Optional[str] = None) -> tuple[RunS
     return state, committed
 
 
-def _apply_event(state: RunState, event: dict, scores: dict[int, dict[str, DomainScores]]) -> None:
+def _apply_event(state: RunState, event: dict, pending: dict, prior: Optional[str]) -> str:
+    """Fold `event` into `state` by the log's rules (docs/formats.md, Run state), and
+    return its kind. `pending` holds unarchived evaluations and their scores by node
+    id; `prior` is the previous event's kind (None first in a log or live batch)."""
     kind = event["event"]
-    if kind == "evaluation" and state.run_id is not None:  # the most common kind first
+    if (kind == "run_start") != (state.run_id is None):
+        raise ValueError("run_start must be the first event, and only the first")
+    if kind == "run_start":
+        if type(event["run_id"]) is not str:
+            raise TypeError(f"run_id {event['run_id']!r} is not a string")
+        if event["mode"] not in MODES:
+            raise ValueError(f"unknown mode {event['mode']!r}")
+        state.archive.mode_tag, state.run_id = event["mode"], event["run_id"]
+        return kind
+    # the iteration rule: the last committed one for `resume` and `run_complete`, else the next
+    iteration = event["iteration"]
+    if type(iteration) is not int:  # bool is a subclass of int
+        raise TypeError(f"iteration {iteration!r} is not an integer")
+    if iteration != state.iteration + (kind != "resume" and kind != "run_complete"):
+        raise ValueError(f"{kind} at iteration {iteration}, "
+                         f"after iteration {state.iteration} completed")
+    if kind == "evaluation":  # the most common kind first
         records = event["scores"]
         if type(records) is not dict:
             raise TypeError(f"evaluation scores are a {type(records).__name__}, not an object")
@@ -624,38 +640,30 @@ def _apply_event(state: RunState, event: dict, scores: dict[int, dict[str, Domai
         built = {}  # a loop, not a comprehension: no function call per event
         for name, record in records.items():
             built[name] = DomainScores(**record)
-        scores[event["node_id"]] = built
-    elif (kind == "run_start") != (state.run_id is None):  # also an early `evaluation`
-        raise ValueError("run_start must be the first event, and only the first")
+        pending[event["node_id"]] = event, built
     elif kind == "archive_add" or kind == "archive_replace":
+        evaluation, scores = pending.pop(event["node_id"])
         node = AgentNode(event["node_id"], event["parent_id"], event["payload_ref"], True,
-                         scores.pop(event["node_id"]), 0, event["iteration"])
-        if node.created_at_iteration != state.iteration + 1:
-            raise ValueError(f"node {node.id} is created at iteration {node.created_at_iteration}"
-                             f", after iteration {state.iteration} completed")
+                         scores, 0, iteration)
         insert = archive_mod.add_node if kind == "archive_add" else archive_mod.replace_sole_node
         insert(state.archive, node)
         state.archived.append(node)
-    elif kind == "iteration_complete" or kind == "run_complete":
-        iteration = event["iteration"]
-        if type(iteration) is not int:  # bool is a subclass of int
-            raise TypeError(f"iteration {iteration!r} is not an integer")
-        if scores:  # a batch archives each agent it evaluates, and the first one the root
-            raise ValueError(f"node {[*scores][0]!r} is evaluated but not archived in its batch")
-        if iteration != state.iteration + (kind == "iteration_complete"):
-            raise ValueError(f"{kind} at iteration {iteration}, "
-                             f"after iteration {state.iteration} completed")
-        if kind == "run_complete":
-            if state.archived and state.archived[-1].created_at_iteration > iteration:
-                raise ValueError(f"run_complete at iteration {iteration} ends the batch "
-                                 f"that archives node {state.archived[-1].id}")
-            state.completed = True
-        elif not state.archived:
+        evaluation["selection_score"] = node.selection_score  # as the live run logs it
+    elif kind == "iteration_complete":
+        if pending:  # a batch archives each agent it evaluates, and the first one the root
+            raise ValueError(f"node {[*pending][0]!r} is evaluated but not archived in its batch")
+        if not state.archived:
             raise ValueError("the run archives no agent, not even the root")
-        else:
-            state.iteration = iteration
-    elif kind == "run_start":
-        state.archive.mode_tag, state.run_id = event["mode"], event["run_id"]
+        state.iteration = iteration
+    # the place rule: `resume` heads its batch, and `run_complete` may follow it
+    elif kind == "run_complete":
+        if prior not in _BATCH_ENDS and prior != "resume":
+            raise ValueError(f"run_complete after {prior}: it follows iteration_complete "
+                             "or heads its batch")
+        state.completed = True
+    elif kind == "resume" and prior not in _BATCH_ENDS:
+        raise ValueError(f"resume after {prior}: it heads its batch")
+    return kind
 
 
 _RECORD_KINDS = {

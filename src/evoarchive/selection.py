@@ -107,8 +107,8 @@ class SelectionPolicy:
             raise ValueError("midpoint_pool_size must be >= 1")
         if not self.temperature > 0:
             raise ValueError("temperature must be positive")
-        if not self.exploration_weight >= 0:
-            raise ValueError("exploration_weight must be non-negative")
+        if not 0 <= self.exploration_weight < math.inf:  # an infinite one makes NaN weights
+            raise ValueError("exploration_weight must be non-negative and finite")
         if self.stagnation_boost and self.variant != "ucb":
             raise ValueError("stagnation_boost applies only to the ucb variant")
 

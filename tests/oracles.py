@@ -160,7 +160,7 @@ POLICY_TABLE = {
     "sharpness": (10.0, SCP_ONLY, lambda v: _number(v) and v > 0),
     "midpoint_pool_size": (3, SCP_ONLY, lambda v: type(v) is int and v >= 1),
     "temperature": (1.0, OTHER_VARIANTS, lambda v: _number(v) and v > 0),
-    "exploration_weight": (1.0, OTHER_VARIANTS, lambda v: _number(v) and v >= 0),
+    "exploration_weight": (1.0, OTHER_VARIANTS, lambda v: _number(v) and 0 <= v < math.inf),
     "stagnation_boost": (False, OTHER_VARIANTS, lambda v: type(v) is bool),
 }
 

@@ -250,6 +250,8 @@ LOAD_REFUSALS = {
     "a dangling parent": ({NODE(3): {"parent_id": 7}}, 3, "dangling parent 7"),
     "a parent id that is a string": ({NODE(1): {"parent_id": "0"}}, 1,
                                      "parent_id '0' is not an integer"),
+    "a payload_ref that is a number": ({NODE(1): {"payload_ref": 5}}, 1,
+                                       "payload_ref 5 is not a string"),
     "compiled_children one too many": ({NODE(1): {"compiled_children": 2}}, 1,
                                        "compiled_children=2, edges say 1"),
     "compiled_children one too few": ({NODE(0): {"compiled_children": 1}}, 0,

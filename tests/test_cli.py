@@ -396,6 +396,7 @@ def rejected_before_the_state_is_touched(tmp_path, capsys, doc: dict) -> str:
         (("policy", "sharpness"), "steep", "policy"),
         (("policy",), {"variant": "softmax", "temperature": float("nan")}, "policy"),
         (("policy",), {"variant": "softmax", "temperature": 10**400}, "policy"),
+        (("policy",), {"variant": "ucb", "exploration_weight": float("inf")}, "policy"),
         (("backend", "landscape"), {"local_height": 10**400}, "backend.landscape.local_height"),
         (("backend", "step_sigma"), "x", "backend.step_sigma"),
         (("backend", "max_probes"), 2.5, "backend.max_probes"),
@@ -935,11 +936,11 @@ MISTYPED_FIELDS = {
     "archived parent a string": ("archive_add", "parent_id", "1",
                                  TypeError("parent_id '1' is not an integer")),
     "archived iteration true": ("archive_add", "iteration", True,
-                                TypeError("created_at_iteration True is not an integer")),
+                                TypeError("iteration True is not an integer")),
     "archived iteration a fraction": ("archive_add", "iteration", 1.5,
-                                      TypeError("created_at_iteration 1.5 is not an integer")),
+                                      TypeError("iteration 1.5 is not an integer")),
     "archived iteration a string": ("archive_add", "iteration", "1",
-                                    TypeError("created_at_iteration '1' is not an integer")),
+                                    TypeError("iteration '1' is not an integer")),
 }
 
 
@@ -988,11 +989,11 @@ def set_last(*kinds: str, **fields):
 
 def an_evaluation_a_batch_early(events: list[dict]) -> int:
     """The last `evaluation` (node 2's) moved to just before the commit line of the
-    batch before its own; names that commit line."""
+    batch before its own; names the moved line."""
     index = max(i for i, e in enumerate(events) if e["event"] == "evaluation")
     commit = max(i for i, e in enumerate(events[:index]) if e["event"] == "iteration_complete")
     events.insert(commit, events.pop(index))
-    return commit + 2
+    return commit + 1
 
 
 def the_last_archive_add_deleted(events: list[dict]) -> int:
@@ -1011,14 +1012,15 @@ def the_root_deleted(events: list[dict]) -> int:
     return 2
 
 
-def a_run_complete(iteration, *unarchived: int):
+def a_run_complete(iteration, *unarchived: int, named: int = 0):
     """An edit that commits one more batch: copies of node 2's `evaluation` under the
-    ids `unarchived`, then `run_complete` at `iteration`; names the `run_complete`."""
+    ids `unarchived`, then `run_complete` at `iteration`; names the line `named`
+    lines before the `run_complete`."""
     def edit(events: list[dict]) -> int:
         evaluation = next(e for e in reversed(events) if e["event"] == "evaluation")
         events.extend({**evaluation, "node_id": node_id} for node_id in unarchived)
         events.append({"event": "run_complete", "time": "t", "iteration": iteration})
-        return len(events)
+        return len(events) - named
 
     return edit
 
@@ -1038,8 +1040,21 @@ def a_batch(commit: str, iteration: int, node_3_at: int | None = None, named: in
     return edit
 
 
+def lines(*kinds_at: tuple[str, int], named: int = 1):
+    """An edit that commits more lines: one of each kind at its iteration, with no
+    other field but `time`, the last a commit line; names the `named`-th of them."""
+    def edit(events: list[dict]) -> int:
+        start = len(events)
+        events.extend({"event": kind, "time": "t", "iteration": iteration}
+                      for kind, iteration in kinds_at)
+        return start + named
+
+    return edit
+
+
 RUN_START_RULE = "run_start must be the first event, and only the first"
 NOT_ARCHIVED = ValueError("node 2 is evaluated but not archived in its batch")
+RUN_COMPLETE_PLACE = "run_complete after {}: it follows iteration_complete or heads its batch"
 
 
 def landscape(**record) -> dict:
@@ -1073,23 +1088,48 @@ FOLD_REFUSALS = {
                           ArchiveError("node 2 references dangling parent 7")),
     "a duplicate id": (set_last("evaluation", "archive_add", node_id=1),
                        ArchiveError("duplicate node id 1")),
-    "an evaluation a batch early": (an_evaluation_a_batch_early, NOT_ARCHIVED),
+    "an evaluation a batch early": (an_evaluation_a_batch_early,
+        ValueError("evaluation at iteration 2, after iteration 0 completed")),
     "the last archive_add deleted": (the_last_archive_add_deleted, NOT_ARCHIVED),
     "the root deleted": (the_root_deleted, NO_AGENT),
-    "a run_complete after an unarchived evaluation": (
-        a_run_complete(2, 3), ValueError("node 3 is evaluated but not archived in its batch")),
+    "a run_complete after an unarchived evaluation": (a_run_complete(2, 3, named=1),
+        ValueError("evaluation at iteration 2, after iteration 2 completed")),
     "a run_complete at a later iteration": (
         a_run_complete(3), ValueError("run_complete at iteration 3, after iteration 2 completed")),
     "run_complete iteration true": (a_run_complete(True),
                                     TypeError("iteration True is not an integer")),
-    "a node created in a completed iteration": (a_batch("run_complete", 2, 2, named=1),
-        ValueError("node 3 is created at iteration 2, after iteration 2 completed")),
+    "a node created in a completed iteration": (a_batch("run_complete", 2, 2, named=2),
+        ValueError("evaluation at iteration 2, after iteration 2 completed")),
     "a run_complete that ends a batch archiving a node": (a_batch("run_complete", 2, 3),
-        ValueError("run_complete at iteration 2 ends the batch that archives node 3")),
+        ValueError(RUN_COMPLETE_PLACE.format("archive_add"))),
     "an iteration skipped": (a_batch("iteration_complete", 4),
         ValueError("iteration_complete at iteration 4, after iteration 2 completed")),
-    "a node created at a later iteration": (a_batch("iteration_complete", 3, 7, named=1),
-        ValueError("node 3 is created at iteration 7, after iteration 2 completed")),
+    "a node created at a later iteration": (a_batch("iteration_complete", 3, 7, named=2),
+        ValueError("evaluation at iteration 7, after iteration 2 completed")),
+    "a selection a batch late": (lines(("selection", 2), ("iteration_complete", 3)),
+        ValueError("selection at iteration 2, after iteration 2 completed")),
+    "an instruction a batch early": (lines(("instruction", 4), ("iteration_complete", 3)),
+        ValueError("instruction at iteration 4, after iteration 2 completed")),
+    "a generation two batches late": (lines(("generation", 1), ("iteration_complete", 3)),
+        ValueError("generation at iteration 1, after iteration 2 completed")),
+    "a validation at iteration -1": (lines(("validation", -1), ("iteration_complete", 3)),
+        ValueError("validation at iteration -1, after iteration 2 completed")),
+    "an archive_reject a batch late": (lines(("archive_reject", 2), ("iteration_complete", 3)),
+        ValueError("archive_reject at iteration 2, after iteration 2 completed")),
+    "an evaluation a batch late": (lines(("evaluation", 2), ("iteration_complete", 3)),
+        ValueError("evaluation at iteration 2, after iteration 2 completed")),
+    "a resume at the batch's own iteration": (lines(("resume", 3), ("iteration_complete", 3)),
+        ValueError("resume at iteration 3, after iteration 2 completed")),
+    "a resume in the middle of a batch": (
+        lines(("selection", 3), ("resume", 2), ("iteration_complete", 3), named=2),
+        ValueError("resume after selection: it heads its batch")),
+    "a run_complete after a selection": (lines(("selection", 3), ("run_complete", 2), named=2),
+        ValueError(RUN_COMPLETE_PLACE.format("selection"))),
+    "payload_ref a number": (set_last("archive_add", payload_ref=5),
+                             TypeError("payload_ref 5 is not a string")),
+    "run_id a number": (set_last("run_start", run_id=5), TypeError("run_id 5 is not a string")),
+    "an unknown mode": (set_last("run_start", mode="turbo"),
+                        ValueError("unknown mode 'turbo'")),
 }
 
 
@@ -1175,9 +1215,9 @@ def test_each_batch_is_folded_before_the_next_is_parsed(finished_run, monkeypatc
         trace.append(("parse", event))
         return event
 
-    def spy_fold(state, event, scores):
+    def spy_fold(state, event, pending, prior):
         trace.append(("fold", event))
-        return fold(state, event, scores)
+        return fold(state, event, pending, prior)
 
     loads, fold = engine.orjson.loads, engine._apply_event
     monkeypatch.setattr(engine, "orjson", types.SimpleNamespace(loads=spy_loads))

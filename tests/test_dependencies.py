@@ -86,10 +86,10 @@ def test_every_data_file_of_the_package_is_named_in_its_source():
     assert [path.name for path in data if path.name not in source] == []
 
 
-def test_the_event_log_has_one_writer():
-    # `_commit` folds each batch before it appends it, so it is the one place that
-    # calls `append_events`: no line reaches the log that a replay has not folded
-    calls = []
+def scopes_of(matches) -> list[str]:
+    """`file:function` of each syntax node in the package for which `matches` holds,
+    named by the innermost function it is in (`<module>` outside any)."""
+    found = []
     for path in sorted((ROOT / "src" / "evoarchive").glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         scope_of = {}  # node -> the innermost function it is in: `ast.walk` goes outside in
@@ -97,10 +97,24 @@ def test_the_event_log_has_one_writer():
             if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 for node in ast.walk(function):
                     scope_of[node] = function.name
-        calls += [f"{path.name}:{scope_of.get(node, '<module>')}" for node in ast.walk(tree)
-                  if isinstance(node, ast.Call) and "append_events" in (
-                      getattr(node.func, "id", None), getattr(node.func, "attr", None))]
-    assert calls == ["engine.py:_commit"]
+        found += [f"{path.name}:{scope_of.get(node, '<module>')}"
+                  for node in ast.walk(tree) if matches(node)]
+    return found
+
+
+def test_the_event_log_has_one_writer():
+    # `_commit` folds each batch before it appends it, so it is the one place that
+    # calls `append_events`: no line reaches the log that a replay has not folded
+    assert scopes_of(lambda node: isinstance(node, ast.Call) and "append_events" in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None))) == ["engine.py:_commit"]
+
+
+def test_only_the_fold_and_the_commit_reader_read_event_kinds():
+    # every rule of the log is the fold's, and `_read_committed` only finds the
+    # commit lines: a kind read anywhere else would be a rule the replay skips
+    readers = scopes_of(lambda node: isinstance(node, ast.Subscript)
+                        and isinstance(node.slice, ast.Constant) and node.slice.value == "event")
+    assert sorted(set(readers)) == ["engine.py:_apply_event", "engine.py:_read_committed"]
 
 
 def test_every_thread_the_package_starts_is_an_executor_worker():

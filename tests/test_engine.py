@@ -227,14 +227,18 @@ def test_modifiable_selection_falls_back_to_uniform_without_policy(tmp_path):
     assert all(e["fallback"] and e["policy"] == "uniform-random" for e in selections)
 
 
-def test_modifiable_selection_malformed_payload_policy_falls_back(tmp_path):
+@pytest.mark.parametrize("policy", [
+    {"variant": "ucb", "stagnation_boost": "false"},
+    {"variant": "ucb", "exploration_weight": math.inf},
+])
+def test_modifiable_selection_malformed_payload_policy_falls_back(tmp_path, policy):
     # a payload policy follows the config rules: the string "false" is not a
-    # bool, so the routine is malformed and selection falls back to uniform
+    # bool, and an infinite weight not finite, so the routine is malformed and
+    # selection falls back to uniform
     config = make_config(
         tmp_path, mode="modifiable-selection", iterations=3,
         initial={"task_skill": [0.0, 0.0], "meta_capability": 0.3,
-                 "compile_probability": 0.0,
-                 "selection_policy": {"variant": "ucb", "stagnation_boost": "false"}},
+                 "compile_probability": 0.0, "selection_policy": policy},
     )
     state = run(config)
     selections = [e for e in events_of(state) if e["event"] == "selection"]
@@ -446,6 +450,62 @@ def test_live_state_is_the_replayed_log(tmp_path, mode):
     state = resume(config)
     assert state.completed and state.next_node_id > 6
     assert_replays(state)
+
+
+def mutants(lines: list[bytes]):
+    """Each of `lines` deleted, duplicated, swapped with the next, or with its
+    `iteration` (if it has one) shifted by 5: yields the mutation, the first and
+    last line numbers it writes, and the mutated lines."""
+    for i, line in enumerate(lines):
+        yield "delete", i + 1, i + 1, lines[:i] + lines[i + 1:]
+        yield "duplicate", i + 1, i + 2, lines[:i + 1] + lines[i:]
+        if i + 1 < len(lines):
+            yield "swap", i + 1, i + 2, lines[:i] + [lines[i + 1], line] + lines[i + 2:]
+        event = json.loads(line)
+        if "iteration" in event:
+            shifted = {**event, "iteration": event["iteration"] + 5}
+            yield ("shift", i + 1, i + 1,
+                   lines[:i] + [json.dumps(shifted, sort_keys=True).encode() + b"\n"]
+                   + lines[i + 1:])
+
+
+def is_commit(line: bytes) -> bool:
+    return b'"event": "iteration_complete"' in line or b'"event": "run_complete"' in line
+
+
+def test_a_mutated_log_replays_alike_or_is_refused_where_it_breaks(tmp_path):
+    # a 6-iteration, 3-parent run with a `resume` line; a line whose `iteration` is
+    # shifted is refused at that line, and any other mutant replays to the same
+    # state or is refused no earlier than the mutation and no later than its last
+    # written line or the first commit line from the mutation on. Only the deleted
+    # trailing `run_complete`, a cut log that `resume` finishes, reads differently
+    config = make_config(tmp_path, iterations=6, parents_per_iteration=3,
+                         initial={"task_skill": [0.0, 0.0], "meta_capability": 0.3,
+                                  "compile_probability": 0.7})
+    run(config, stop_after=3)
+    expected = resume(config)
+    event_log = expected.event_log
+    lines = event_log.read_bytes().splitlines(keepends=True)
+    kinds = [json.loads(line)["event"] for line in lines]
+    assert {"resume", "archive_reject"} <= set(kinds)
+    different, shifts = [], 0
+    for mutation, first, last, mutated in mutants(lines):
+        event_log.write_bytes(b"".join(mutated))
+        try:
+            state = replay_log(event_log)[0]
+        except IntegrityError as exc:
+            refused = int(re.match(r"bad event at line (\d+) ", str(exc))[1])
+            commit = next((n for n in range(first, len(mutated) + 1)
+                           if is_commit(mutated[n - 1])), len(mutated))
+            assert (refused == first if mutation == "shift" else
+                    first <= refused <= max(last, commit)), (mutation, first, exc)
+            shifts += mutation == "shift"
+            continue
+        assert mutation != "shift", first
+        if state != expected:
+            different.append((mutation, first))
+    assert different == [("delete", len(lines))] and kinds[-1] == "run_complete"
+    assert shifts == len(lines) - 1  # every line but `run_start` has an `iteration`
 
 
 def log_lines(state) -> int:

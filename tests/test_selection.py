@@ -436,6 +436,7 @@ def policy_documents(draw) -> dict:
 @given(policy_documents())
 @example({"variant": "softmax", "temperature": math.nan})
 @example({"variant": "ucb", "exploration_weight": 10 ** 400})
+@example({"variant": "ucb", "exploration_weight": math.inf})
 @settings(max_examples=400, deadline=None)
 def test_policy_from_dict_reads_the_documented_table(doc):
     assert_policy_document(doc)
