@@ -78,7 +78,7 @@ MODES = (
 )
 
 UNIFORM_FALLBACK = SelectionPolicy(variant="uniform-random")
-_BATCH_ENDS = (None, "iteration_complete", "run_complete")  # what precedes a batch's head
+_BATCH_ENDS = (None, "iteration_complete")  # what precedes a batch's head
 
 
 class EngineError(Exception):
@@ -302,8 +302,9 @@ def payload_path(config: RunConfig, payload_ref: str) -> str:
 
 class _Runtime:
     """Wired collaborators for one `run`, `resume` or `step` call; rebuilt
-    identically on resume. Used as a context manager, which shuts down the
-    pool that runs an iteration's child slots (kept across iterations)."""
+    identically on resume. `pool` (when `concurrency` > 1) is the call's one
+    executor: it runs the root's tasks, then an iteration's slots or, for one
+    parent, each child's tasks. Used as a context manager, which shuts it down."""
 
     def __init__(
         self,
@@ -317,8 +318,7 @@ class _Runtime:
         self.backend = backend or build_backend(config, root_ref)
         self.evaluators = evaluators or build_evaluators(config, evaluator_specs or {})
         self.smoke_probe = self.evaluators[config.domains[0].name]
-        parallel = config.parents_per_iteration > 1 and config.concurrency > 1
-        self.pool = ThreadPoolExecutor(max_workers=config.concurrency) if parallel else None
+        self.pool = ThreadPoolExecutor(config.concurrency) if config.concurrency > 1 else None
 
     def __enter__(self) -> "_Runtime":
         return self
@@ -341,13 +341,14 @@ def _init_root_payload(config: RunConfig) -> str:
     return str(root_dir)
 
 
-def _evaluate_payload(runtime: _Runtime, payload_ref: str, task_concurrency: int) -> dict:
+def _evaluate_payload(runtime: _Runtime, payload_ref: str,
+                      pool: Optional[ThreadPoolExecutor]) -> dict:
     """The fields of the `evaluation` event of the payload under key `payload_ref`,
-    node id and `selection_score` aside."""
+    node id and `selection_score` aside; its tasks run on `pool` if given."""
     config = runtime.config
     path = payload_path(config, payload_ref)
     reports, combined = multi_domain_evaluate(
-        path, config.domains, runtime.evaluators, config.limits, task_concurrency
+        path, config.domains, runtime.evaluators, config.limits, pool
     )
     any_gated = any(r.gated_out for r in reports.values())
     validation: dict[str, float] = {}
@@ -358,7 +359,7 @@ def _evaluate_payload(runtime: _Runtime, payload_ref: str, task_concurrency: int
                 domain.validation_task_ids,
                 runtime.evaluators[domain.name],
                 config.limits,
-                task_concurrency,
+                pool,
             ).aggregate
     return {
         "payload_ref": payload_ref,
@@ -412,7 +413,7 @@ def _start(runtime: _Runtime, run_id: str) -> RunState:
     if not ok:
         raise EngineError(f"initial agent payload failed validity check: {cause}")
 
-    evaluation = _evaluate_payload(runtime, ROOT_PAYLOAD_KEY, config.concurrency)
+    evaluation = _evaluate_payload(runtime, ROOT_PAYLOAD_KEY, runtime.pool)
     state = _empty_state(event_log)
     _commit(state, [
         {
@@ -473,14 +474,15 @@ def _child_slot(
         events.append({"event": "archive_reject", **head, "parent_id": parent.id,
                        "payload_ref": child_key})
         return events, None
-    task_concurrency = 1 if config.parents_per_iteration > 1 else config.concurrency
-    return events, _evaluate_payload(runtime, child_key, task_concurrency)
+    # a slot on the pool must not wait on the pool: its tasks run one after another
+    tasks = None if config.parents_per_iteration > 1 else runtime.pool
+    return events, _evaluate_payload(runtime, child_key, tasks)
 
 
 def _step(runtime: _Runtime, state: RunState, head: tuple[dict, ...] = ()) -> RunState:
     """Run and commit the next iteration; its batch starts with the events `head`."""
     config = runtime.config
-    if state.iteration >= config.iterations:
+    if state.completed or state.iteration >= config.iterations:
         raise EngineError("run already completed")
     iteration = state.iteration + 1
     events: list[dict] = [*head]
@@ -514,10 +516,8 @@ def _step(runtime: _Runtime, state: RunState, head: tuple[dict, ...] = ()) -> Ru
     def slot(j: int) -> tuple[list[dict], Optional[dict]]:
         return _child_slot(runtime, state, iteration, j, parents[j])
 
-    if runtime.pool is not None:
-        outcomes = list(runtime.pool.map(slot, range(len(parents))))
-    else:
-        outcomes = [slot(j) for j in range(len(parents))]
+    slots = runtime.pool if config.parents_per_iteration > 1 else None
+    outcomes = list((slots.map if slots else map)(slot, range(len(parents))))
 
     node_id = state.next_node_id
     for parent, (slot_events, evaluation) in zip(parents, outcomes):
@@ -615,6 +615,8 @@ def _apply_event(state: RunState, event: dict, pending: dict, prior: Optional[st
     return its kind. `pending` holds unarchived evaluations and their scores by node
     id; `prior` is the previous event's kind (None first in a log or live batch)."""
     kind = event["event"]
+    if state.completed:
+        raise ValueError(f"{kind} after run_complete: nothing follows it")
     if (kind == "run_start") != (state.run_id is None):
         raise ValueError("run_start must be the first event, and only the first")
     if kind == "run_start":

@@ -24,6 +24,7 @@ import logging
 import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -155,15 +156,10 @@ def _score_batch(
     task_ids: Sequence[str],
     payload_ref: str,
     limits: SandboxLimits,
-    concurrency: int,
+    pool: Optional[ThreadPoolExecutor],
 ) -> dict[str, float]:
-    if concurrency <= 1 or len(task_ids) <= 1:
-        judged = {t: score_task(evaluator, t, payload_ref, limits) for t in task_ids}
-    else:
-        with ThreadPoolExecutor(max_workers=concurrency) as pool:
-            futures = {t: pool.submit(score_task, evaluator, t, payload_ref, limits)
-                       for t in task_ids}
-            judged = {t: f.result() for t, f in futures.items()}
+    judge = partial(score_task, evaluator, payload_ref=payload_ref, limits=limits)
+    judged = dict(zip(task_ids, (pool.map if pool else map)(judge, task_ids)))
     for task_id, (_, cause) in judged.items():
         if cause is not None:
             logger.warning("task %s failed for %s: %s", task_id, payload_ref, cause)
@@ -175,10 +171,11 @@ def evaluate_full(
     task_ids: Sequence[str],
     evaluator: Evaluator,
     limits: SandboxLimits,
-    concurrency: int = 1,
+    pool: Optional[ThreadPoolExecutor] = None,
 ) -> ScoreReport:
-    """Gate-free evaluation of a whole task list (validation splits)."""
-    per_task = _score_batch(evaluator, task_ids, payload_ref, limits, concurrency)
+    """Gate-free evaluation of a whole task list (validation splits); its tasks
+    run on `pool` if given, else one after another."""
+    per_task = _score_batch(evaluator, task_ids, payload_ref, limits, pool)
     aggregate = sum(per_task.values()) / len(task_ids) if task_ids else 0.0
     return ScoreReport(per_task, gated_out=False, aggregate=aggregate)
 
@@ -188,13 +185,15 @@ def multi_domain_evaluate(
     domains: Sequence[DomainSpec],
     evaluators: Mapping[str, Evaluator],
     limits: SandboxLimits,
-    concurrency: int = 1,
+    pool: Optional[ThreadPoolExecutor] = None,
 ) -> tuple[dict[str, ScoreReport], float]:
     """Joint staged evaluation; any failed gate zero-fills every domain.
 
     All subsets run first. If any domain's gate fails, no domain is
     evaluated beyond its subset and every report is marked gated out.
     The combined score is the unweighted mean of per-domain aggregates.
+    Each batch of tasks (a domain's subset, then its rest) runs on `pool` if
+    given, else one task after another; the scores are the same either way.
     """
     if not domains:
         raise ValueError("at least one domain required")
@@ -204,7 +203,7 @@ def multi_domain_evaluate(
     for domain in domains:
         policy = domain.staged
         subset = domain.task_ids[: policy.subset_size]
-        scores = _score_batch(evaluators[domain.name], subset, payload_ref, limits, concurrency)
+        scores = _score_batch(evaluators[domain.name], subset, payload_ref, limits, pool)
         subset_scores[domain.name] = scores
         successes = sum(1 for s in scores.values() if s > 0.0)
         if not policy.gate.passes(successes, policy.subset_size):
@@ -216,9 +215,7 @@ def multi_domain_evaluate(
         per_task = subset_scores[domain.name]
         if not any_gate_failed:
             rest = domain.task_ids[policy.subset_size : policy.full_size]
-            per_task.update(
-                _score_batch(evaluators[domain.name], rest, payload_ref, limits, concurrency)
-            )
+            per_task.update(_score_batch(evaluators[domain.name], rest, payload_ref, limits, pool))
         reports[domain.name] = ScoreReport(
             per_task,
             gated_out=any_gate_failed,

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 
@@ -33,10 +36,12 @@ def staged_evaluate(
     limits: SandboxLimits,
     concurrency: int = 1,
 ) -> ScoreReport:
-    """One-domain `multi_domain_evaluate`: subset, gate, then the rest only if it passed."""
-    reports, _ = multi_domain_evaluate(
-        payload_ref, [domain], {domain.name: evaluator}, limits, concurrency
-    )
+    """One-domain `multi_domain_evaluate`: subset, gate, then the rest only if it
+    passed; its tasks run on a pool of `concurrency` workers when that is over 1."""
+    with ThreadPoolExecutor(concurrency) if concurrency > 1 else nullcontext() as pool:
+        reports, _ = multi_domain_evaluate(
+            payload_ref, [domain], {domain.name: evaluator}, limits, pool
+        )
     return reports[domain.name]
 
 

@@ -1125,6 +1125,9 @@ FOLD_REFUSALS = {
         ValueError("resume after selection: it heads its batch")),
     "a run_complete after a selection": (lines(("selection", 3), ("run_complete", 2), named=2),
         ValueError(RUN_COMPLETE_PLACE.format("selection"))),
+    "a batch after run_complete": (
+        lines(("run_complete", 2), ("selection", 3), ("iteration_complete", 3), named=2),
+        ValueError("selection after run_complete: nothing follows it")),
     "payload_ref a number": (set_last("archive_add", payload_ref=5),
                              TypeError("payload_ref 5 is not a string")),
     "run_id a number": (set_last("run_start", run_id=5), TypeError("run_id 5 is not a string")),
@@ -1168,8 +1171,9 @@ def test_each_node_is_scored_once_per_domain(tmp_path, monkeypatch):
         assert calls == per_replay, metric  # the replay's, and none by the metric
 
     # `_step`'s view scores no node: only the children an iteration archives are
-    config = dataclasses.replace(_reload_config(finished_run / "config.json"),
-                                 iterations=7)
+    config = _reload_config(finished_run / "config.json")
+    cut_log_after(finished_run / "events.jsonl", config.iterations - 1)
+    state, _ = engine.replay_log(finished_run / "events.jsonl")
     archived = len(state.archived)
     calls = 0
     engine.step(state, config)

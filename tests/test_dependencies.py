@@ -135,3 +135,11 @@ def test_every_thread_the_package_starts_is_an_executor_worker():
             found += [f"{path.name}:{node.lineno} {name}" for name in names
                       if name.split(".")[0] == "queue" or name == "threading.Thread"]
     assert found == []
+
+
+def test_the_package_builds_one_executor_per_run_and_the_spawner():
+    # concurrency has one code path: a run's work goes to the pool its runtime
+    # builds, and the sandbox spawner is the one other executor
+    assert scopes_of(lambda node: isinstance(node, ast.Call) and "ThreadPoolExecutor" in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None))) == [
+        "engine.py:__init__", "sandbox.py:_probed_spawner"]

@@ -295,6 +295,14 @@ def test_step_rejects_completed_run(tmp_path):
     state = run(config)
     with pytest.raises(EngineError):
         step(state, config)
+    # nothing follows `run_complete`, not even for a config with more iterations:
+    # `step` raises before it generates or writes anything
+    files = sorted(config.state_dir.rglob("*"))
+    logged = state.event_log.read_bytes()
+    with pytest.raises(EngineError, match="^run already completed$"):
+        step(state, dataclasses.replace(config, iterations=4))
+    assert sorted(config.state_dir.rglob("*")) == files
+    assert state.event_log.read_bytes() == logged and state.iteration == 2
 
 
 # --- determinism and resume -----------------------------------------------------------
@@ -864,7 +872,12 @@ def test_concurrent_slots_match_serial(tmp_path):
 
 
 def test_each_call_keeps_one_slot_pool_and_shuts_it_down(tmp_path, monkeypatch):
+    # the run's one executor: `evaluation` builds none, and each `run`, `step`
+    # or `resume` call builds one, whether it runs slots (two parents) or the
+    # task batches of one child
     from concurrent.futures import ThreadPoolExecutor
+
+    from evoarchive import evaluation
 
     pools = []
 
@@ -878,28 +891,42 @@ def test_each_call_keeps_one_slot_pool_and_shuts_it_down(tmp_path, monkeypatch):
             self.maps += 1
             return super().map(*args, **kwargs)
 
+    class Refused:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("evaluation builds an executor of its own")
+
     monkeypatch.setattr(engine, "ThreadPoolExecutor", CountedPool)
-    config = make_config(tmp_path, iterations=4, seed=9, parents_per_iteration=2, concurrency=2)
-    state = run(config, stop_after=2)
-    step(state, config)
+    monkeypatch.setattr(evaluation, "ThreadPoolExecutor", Refused)
 
     class Exploding:
-        def __init__(self, inner):
-            self.inner = inner
+        def __init__(self, inner, stream):
+            self.inner, self.stream = inner, stream
 
         def generate(self, request):
-            if request.rng_stream_id == "gen/4/1":
+            if request.rng_stream_id == self.stream:
                 raise RuntimeError("backend exploded")
             return self.inner.generate(request)
 
         def selection_policy_of(self, ref):
             return self.inner.selection_policy_of(ref)
 
-    inner = engine.build_backend(config, str(config.payload_dir / "agent_root"))
-    with pytest.raises(RuntimeError, match="exploded"):
-        resume(config, backend=Exploding(inner))
-    assert [pool.maps for pool in pools] == [2, 1, 1]
-    assert all(pool._shutdown for pool in pools)
+    maps = {}
+    for parents in (2, 1):
+        pools.clear()
+        config = make_config(tmp_path / str(parents), iterations=4, seed=9,
+                             parents_per_iteration=parents, concurrency=2)
+        state = run(config, stop_after=2)
+        step(state, config)
+        inner = engine.build_backend(config, str(config.payload_dir / "agent_root"))
+        with pytest.raises(RuntimeError, match="exploded"):
+            resume(config, backend=Exploding(inner, f"gen/4/{parents - 1}"))
+        assert len(pools) == 3 and all(pool._shutdown for pool in pools)
+        maps[parents] = [pool.maps for pool in pools]
+    # two parents: the root's two task batches, then one map of slots per iteration
+    assert maps[2] == [4, 1, 1]
+    # one parent: each evaluation's subset and rest, the root's and two children's
+    # in `run`, one child's in `step`, none in the `resume` that fails before it
+    assert maps[1] == [6, 2, 0]
 
 
 # --- config validation ---------------------------------------------------------------

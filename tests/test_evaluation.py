@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import logging
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -170,8 +171,8 @@ def test_a_failed_task_warns_once_and_a_failed_probe_does_not_warn(tmp_path, cap
             raise EvaluatorError("dead")
         return "0.5" if task_id.endswith("1") else 1.0
 
-    with caplog.at_level(logging.INFO):
-        report = evaluate_full("p", ["t0", "t1", "t2", "t3"], half_broken, LIMITS, concurrency=2)
+    with caplog.at_level(logging.INFO), ThreadPoolExecutor(2) as pool:
+        report = evaluate_full("p", ["t0", "t1", "t2", "t3"], half_broken, LIMITS, pool)
         assert validate_child(tmp_path, "smoke-0", LIMITS, half_broken) == (
             False, "EvaluatorError: dead")
     assert report.per_task == {"t0": 0.0, "t1": 0.0, "t2": 1.0, "t3": 1.0}
