@@ -235,6 +235,12 @@ def _now() -> str:
     return _dt.datetime.now(_dt.timezone.utc).isoformat()
 
 
+def _event(kind: str, iteration: int, **fields) -> dict:
+    """A log line after `run_start`: its kind, the time it is built, its iteration
+    and `fields`."""
+    return {"event": kind, "time": _now(), "iteration": iteration, **fields}
+
+
 # --- wiring -------------------------------------------------------------------
 
 
@@ -379,11 +385,9 @@ def _archive_events(iteration: int, node_id: int, parent_id: Optional[int], eval
     """The `evaluation` and `archive_add` (or `archive_replace`) events that
     archive an agent evaluated as `evaluation` under id `node_id`."""
     return [
-        {"event": "evaluation", "time": _now(), "iteration": iteration, "node_id": node_id,
-         **evaluation},
-        {"event": "archive_replace" if replace else "archive_add", "time": _now(),
-         "iteration": iteration, "node_id": node_id, "parent_id": parent_id,
-         "payload_ref": evaluation["payload_ref"]},
+        _event("evaluation", iteration, node_id=node_id, **evaluation),
+        _event("archive_replace" if replace else "archive_add", iteration, node_id=node_id,
+               parent_id=parent_id, payload_ref=evaluation["payload_ref"]),
     ]
 
 
@@ -421,7 +425,7 @@ def _start(runtime: _Runtime, run_id: str) -> RunState:
             "mode": config.mode, "seed": config.seed, "iterations": config.iterations,
         },
         *_archive_events(0, 0, None, evaluation),
-        {"event": "iteration_complete", "time": _now(), "iteration": 0},
+        _event("iteration_complete", 0),
     ])
     return state
 
@@ -459,27 +463,24 @@ def _child_slot(
         child_payload_ref=payload_path(config, child_key),
     )
     result = generate_child(runtime.backend, request, runtime.smoke_probe, config.limits)
-    head = {"time": _now(), "iteration": iteration, "slot": slot}
     events = [
-        {
-            "event": "generation", **head, "parent_id": parent.id,
-            "modifier_id": 0 if config.mode == "no-self-improve" else parent.id,
-            "child_payload": child_key, "compiled": result.compiled,
-            "wall_time": result.wall_time, "validity_log": Path(result.validity_log).name,
-            "rng": request.rng_stream_id,
-        },
-        {"event": "validation", **head, "payload_ref": child_key, "ok": result.compiled},
+        _event("generation", iteration, slot=slot, parent_id=parent.id,
+               modifier_id=0 if config.mode == "no-self-improve" else parent.id,
+               child_payload=child_key, compiled=result.compiled,
+               wall_time=result.wall_time, validity_log=Path(result.validity_log).name,
+               rng=request.rng_stream_id),
+        _event("validation", iteration, slot=slot, payload_ref=child_key, ok=result.compiled),
     ]
     if not result.compiled:
-        events.append({"event": "archive_reject", **head, "parent_id": parent.id,
-                       "payload_ref": child_key})
+        events.append(_event("archive_reject", iteration, slot=slot, parent_id=parent.id,
+                             payload_ref=child_key))
         return events, None
     # a slot on the pool must not wait on the pool: its tasks run one after another
     tasks = None if config.parents_per_iteration > 1 else runtime.pool
     return events, _evaluate_payload(runtime, child_key, tasks)
 
 
-def _step(runtime: _Runtime, state: RunState, head: tuple[dict, ...] = ()) -> RunState:
+def _step(runtime: _Runtime, state: RunState, head: tuple[dict, ...]) -> None:
     """Run and commit the next iteration; its batch starts with the events `head`."""
     config = runtime.config
     if state.completed or state.iteration >= config.iterations:
@@ -494,24 +495,15 @@ def _step(runtime: _Runtime, state: RunState, head: tuple[dict, ...] = ()) -> Ru
     rng = substream(config.seed, sel_stream)
     parent_indices = sample_parents(probabilities, config.parents_per_iteration, rng)
     parents = [state.archive.nodes[i] for i in parent_indices]
-    events.append(
-        {
-            "event": "selection", "time": _now(), "iteration": iteration,
-            "selector_id": selector_id, "policy": policy.variant,
-            "fallback": fallback, "parents": [p.id for p in parents],
-            "probabilities": probabilities.tolist(),
-            "rng": sel_stream,
-        }
-    )
+    events.append(_event("selection", iteration, selector_id=selector_id,
+                         policy=policy.variant, fallback=fallback,
+                         parents=[p.id for p in parents],
+                         probabilities=probabilities.tolist(), rng=sel_stream))
     if config.mode == "dgm-fixed-instruction":
         template = config.instruction_template or default_instruction_template()
         for parent in parents:
-            events.append(
-                {
-                    "event": "instruction", "time": _now(), "iteration": iteration,
-                    "parent_id": parent.id, "template": str(template),
-                }
-            )
+            events.append(_event("instruction", iteration, parent_id=parent.id,
+                                 template=str(template)))
 
     def slot(j: int) -> tuple[list[dict], Optional[dict]]:
         return _child_slot(runtime, state, iteration, j, parents[j])
@@ -527,10 +519,30 @@ def _step(runtime: _Runtime, state: RunState, head: tuple[dict, ...] = ()) -> Ru
                                           replace=config.mode == "no-open-ended"))
             node_id += 1
 
-    events.append({"event": "iteration_complete", "time": _now(), "iteration": iteration})
+    events.append(_event("iteration_complete", iteration))
     if iteration >= config.iterations:
-        events.append({"event": "run_complete", "time": _now(), "iteration": iteration})
+        events.append(_event("run_complete", iteration))
     _commit(state, events)
+
+
+def _advance(config: RunConfig, wiring: tuple, until: int, state: Optional[RunState] = None,
+             run_id: Optional[str] = None, head: tuple[dict, ...] = ()) -> RunState:
+    """The one driver of `run`, `step` and `resume`. On one `_Runtime` (of `config`
+    and `wiring`, built only if there is work): start the run as `run_id` (or
+    "run") when `state` is None, then commit iterations up to `until`, the first
+    batch headed by `head`. A run at its last iteration without `run_complete`
+    (one killed between the two) gets it, after `head` if no batch took that.
+    Then write `archive/`."""
+    if state is None or state.iteration < until:
+        with _Runtime(config, *wiring) as runtime:
+            if state is None:
+                state = _start(runtime, run_id or "run")
+            while state.iteration < until:
+                _step(runtime, state, head)
+                head = ()
+    if state.iteration >= config.iterations and not state.completed:
+        _commit(state, [*head, _event("run_complete", state.iteration)])
+    archive_mod.persist(state.archive, config.state_dir / "archive", run_id=state.run_id)
     return state
 
 
@@ -542,10 +554,7 @@ def step(
     evaluator_specs: Optional[dict[str, dict]] = None,
 ) -> RunState:
     """Apply one iteration to `state`, then write `archive/`. Requires iteration < T."""
-    with _Runtime(config, backend, evaluators, evaluator_specs) as runtime:
-        state = _step(runtime, state)
-    archive_mod.persist(state.archive, config.state_dir / "archive", run_id=state.run_id)
-    return state
+    return _advance(config, (backend, evaluators, evaluator_specs), state.iteration + 1, state)
 
 
 def run(
@@ -557,13 +566,8 @@ def run(
     stop_after: Optional[int] = None,
 ) -> RunState:
     """Evaluate the root at t=0, run T iterations (or stop_after), write `archive/`."""
-    with _Runtime(config, backend, evaluators, evaluator_specs) as runtime:
-        state = _start(runtime, run_id or "run")
-        limit = config.iterations if stop_after is None else min(stop_after, config.iterations)
-        while state.iteration < limit:
-            state = _step(runtime, state)
-    archive_mod.persist(state.archive, config.state_dir / "archive", run_id=state.run_id)
-    return state
+    until = config.iterations if stop_after is None else min(stop_after, config.iterations)
+    return _advance(config, (backend, evaluators, evaluator_specs), until, run_id=run_id)
 
 
 def _empty_state(event_log: Path) -> RunState:
@@ -703,18 +707,11 @@ def resume(
     RunIdMismatch before any check of the config's domains or any write."""
     state, committed = _load_checked(config, run_id)
     os.truncate(state.event_log, committed)
+    state.already_complete = state.completed
     if state.completed:
         logger.info("run %s already completed at iteration %d; nothing to resume",
                     state.run_id, state.iteration)
-        state.already_complete = True
-    else:
-        # the `resume` line heads the first batch this writes
-        head = ({"event": "resume", "time": _now(), "iteration": state.iteration},)
-        with _Runtime(config, backend, evaluators, evaluator_specs) as runtime:
-            while state.iteration < config.iterations:
-                state, head = _step(runtime, state, head), ()
-        if not state.completed:  # killed between its last commit and `run_complete`
-            _commit(state, [*head, {"event": "run_complete", "time": _now(),
-                                    "iteration": state.iteration}])
-    archive_mod.persist(state.archive, config.state_dir / "archive", run_id=state.run_id)
-    return state
+    # the `resume` line heads the first batch this writes; a completed run writes none
+    until = state.iteration if state.completed else config.iterations
+    return _advance(config, (backend, evaluators, evaluator_specs), until, state,
+                    head=(_event("resume", state.iteration),))

@@ -33,7 +33,9 @@ the command itself.
 
 The calling thread writes stdin once before it waits (all of it, for a
 request that fits the pipe); one ``poll`` loop then writes any rest, drains
-stdout and stderr under the byte cap and stops at the wall-clock deadline.
+stdout and stderr under the byte cap, waits for the command's exit on a pidfd
+(Linux 5.3 and later; elsewhere the exit is polled once the pipes are done)
+and stops at the wall-clock deadline.
 """
 
 from __future__ import annotations
@@ -184,12 +186,14 @@ def _pump(
     stdin_data: Optional[bytes],
     captures: dict[int, _Capture],
     deadline: float,
+    pidfd: Optional[int],
 ) -> bool:
-    """Move bytes until every pipe is done; False if the deadline came first."""
+    """Move bytes until every pipe is done and, given the command's `pidfd`, the
+    command has exited; False if the deadline came first."""
     poller = select.poll()
-    for fd in captures:
+    for fd in [*captures, pidfd] if pidfd is not None else captures:
         poller.register(fd, select.POLLIN)
-    open_pipes = len(captures)
+    open_pipes = len(captures) + (pidfd is not None)
     pending = memoryview(stdin_data or b"")
     if proc.stdin is not None:
         os.set_blocking(proc.stdin.fileno(), False)
@@ -207,7 +211,7 @@ def _pump(
                 if block:
                     captures[fd].feed(block)
                     continue
-            else:
+            elif fd != pidfd:
                 pending = _feed(proc.stdin, pending)
                 if pending:
                     continue
@@ -228,31 +232,21 @@ def _feed(stdin: IO[bytes], pending: memoryview) -> memoryview:
     return pending
 
 
-def _start(command: Sequence[str], argv: list[str], stdin_data: Optional[bytes]) -> subprocess.Popen:
-    try:
-        return subprocess.Popen(
-            argv,
-            stdin=subprocess.PIPE if stdin_data else subprocess.DEVNULL,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            start_new_session=True,
-            bufsize=0,
-        )
-    except (OSError, ValueError) as exc:
-        raise SandboxSpawnError(f"failed to spawn {command!r}: {exc}") from exc
-
-
-def _start_isolated(
-    command: Sequence[str], argv: list[str], stdin_data: Optional[bytes]
-) -> subprocess.Popen:
-    """On the spawner: enter a fresh network namespace, then start `argv`."""
-    try:
-        _enter_fresh_namespace()
-    except OSError as exc:
-        raise SandboxSpawnError(
-            f"failed to spawn {command!r}: no fresh network namespace: {exc}"
-        ) from exc
-    return _start(command, argv, stdin_data)
+def _start(argv: list[str], stdin_data: Optional[bytes], isolated: bool) -> subprocess.Popen:
+    """Start `argv`; if `isolated` (on the spawner), from a fresh network namespace."""
+    if isolated:
+        try:
+            _enter_fresh_namespace()
+        except OSError as exc:
+            raise OSError(f"no fresh network namespace: {exc}") from exc
+    return subprocess.Popen(
+        argv,
+        stdin=subprocess.PIPE if stdin_data else subprocess.DEVNULL,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        start_new_session=True,
+        bufsize=0,
+    )
 
 
 def _spawn(
@@ -267,9 +261,12 @@ def _spawn(
     if not argv or shutil.which(argv[0]) is None:
         raise SandboxSpawnError(f"failed to spawn {command!r}: not an executable file")
     argv = _limit_prefix(limits) + argv
-    if spawner is None:
-        return _start(command, argv, stdin_data)
-    return spawner.submit(_start_isolated, command, argv, stdin_data).result()
+    try:
+        if spawner is None:
+            return _start(argv, stdin_data, False)
+        return spawner.submit(_start, argv, stdin_data, True).result()
+    except (OSError, ValueError) as exc:
+        raise SandboxSpawnError(f"failed to spawn {command!r}: {exc}") from exc
 
 
 def sandbox_execute(
@@ -281,20 +278,25 @@ def sandbox_execute(
     spawner = _spawner()
     start = time.monotonic()
     proc = _spawn(command, limits, stdin_data, spawner)
+    try:
+        pidfd = os.pidfd_open(proc.pid)  # readable once the command exits
+    except (AttributeError, OSError):  # no pidfd here (before Linux 5.3)
+        pidfd = None
 
     out = _Capture(limits.max_output_bytes)
     err = _Capture(limits.max_output_bytes)
     deadline = start + limits.wall_clock_seconds
     try:
-        finished = _pump(
-            proc, stdin_data, {proc.stdout.fileno(): out, proc.stderr.fileno(): err}, deadline
-        )
-        if finished:
+        finished = _pump(proc, stdin_data, {proc.stdout.fileno(): out, proc.stderr.fileno(): err},
+                         deadline, pidfd)
+        if finished and pidfd is None:  # the pipes are done; poll for the exit
             try:
                 proc.wait(timeout=max(deadline - time.monotonic(), 0.0))
             except subprocess.TimeoutExpired:
                 finished = False
     finally:
+        if pidfd is not None:
+            os.close(pidfd)
         # a timeout ends here, and so does anything the command left running
         _reap(proc)
     elapsed = time.monotonic() - start

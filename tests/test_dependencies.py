@@ -143,3 +143,29 @@ def test_the_package_builds_one_executor_per_run_and_the_spawner():
     assert scopes_of(lambda node: isinstance(node, ast.Call) and "ThreadPoolExecutor" in (
         getattr(node.func, "id", None), getattr(node.func, "attr", None))) == [
         "engine.py:__init__", "sandbox.py:_probed_spawner"]
+
+
+def test_one_builder_stamps_every_line_after_run_start():
+    # `_event` builds the `event`, `time` and `iteration` envelope that the fold's
+    # iteration rule reads, so no line can carry a hand-written one
+    kinds = []
+
+    def event_literal(node) -> bool:
+        if isinstance(node, ast.Dict):
+            for key, value in zip(node.keys, node.values):
+                if isinstance(key, ast.Constant) and key.value == "event":
+                    kinds.append(ast.unparse(value))
+                    return True
+        return False
+
+    scopes = scopes_of(event_literal)
+    assert sorted(zip(scopes, kinds)) == [
+        ("engine.py:_event", "kind"), ("engine.py:_start", "'run_start'")]
+
+
+def test_one_driver_builds_the_runtime():
+    # `run`, `step` and `resume` are calls into `_advance`, which builds each
+    # call's collaborators and pool, commits its iterations and writes `archive/`
+    assert scopes_of(lambda node: isinstance(node, ast.Call) and "_Runtime" in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None))) == [
+        "engine.py:_advance"]

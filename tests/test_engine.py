@@ -343,6 +343,28 @@ def test_split_run_equals_uninterrupted(tmp_path):
     assert fp_full == fp_split
 
 
+@pytest.mark.parametrize("mode", MODES)
+def test_run_step_and_resume_reach_the_uninterrupted_run(tmp_path, mode):
+    # `run`, `step` and `resume` drive one loop: a run cut at iteration 2, stepped
+    # once and resumed logs what an uninterrupted one does, besides its `resume` line
+    def config(name: str) -> RunConfig:
+        return make_config(tmp_path / name, mode=mode, iterations=5, parents_per_iteration=2)
+
+    whole, pieces = config("whole"), config("pieces")
+    run(whole)
+    state = step(run(pieces, stop_after=2), pieces)
+    assert (state.iteration, state.completed) == (3, False)
+    assert resume(pieces).completed
+
+    def logged(config: RunConfig) -> list[dict]:
+        return strip_times(read_events(config.state_dir / "events.jsonl"))
+
+    assert [e["iteration"] for e in logged(pieces) if e["event"] == "resume"] == [3]
+    assert [e for e in logged(pieces) if e["event"] != "resume"] == logged(whole)
+    assert (fingerprint(pieces.state_dir / "archive")
+            == fingerprint(whole.state_dir / "archive"))
+
+
 def test_resume_of_completed_run_is_noop(tmp_path, caplog):
     config = make_config(tmp_path, iterations=3)
     run(config)

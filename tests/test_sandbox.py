@@ -219,6 +219,65 @@ def test_exit_status_passes_through(script, status):
     assert outcome.exit_status == status
 
 
+def _pidfd_available() -> bool:
+    try:
+        os.close(os.pidfd_open(os.getpid()))
+    except (AttributeError, OSError):
+        return False
+    return True
+
+
+def test_sequential_calls_never_sleep_waiting_for_an_exit(monkeypatch):
+    # the exit is awaited on a pidfd in the poll loop, not polled between sleeps,
+    # and the pidfd is closed with the call
+    if not _pidfd_available():
+        pytest.skip("no pidfd here (Linux before 5.3)")
+    limits = SandboxLimits(wall_clock_seconds=10)
+    sandbox_execute(["/bin/sh", "-c", "true"], limits)  # starts the spawner
+    fds = sorted(os.listdir("/proc/self/fd"))
+    slept = []
+    real_sleep = time.sleep
+    monkeypatch.setattr(time, "sleep", lambda seconds: (slept.append(seconds), real_sleep(seconds)))
+    for call in range(50):
+        outcome = sandbox_execute(["/bin/sh", "-c", f"echo {call}"], limits)
+        assert (outcome.exit_status, outcome.stdout) == (0, f"{call}\n".encode())
+    assert slept == []
+    assert sorted(os.listdir("/proc/self/fd")) == fds
+
+
+@pytest.fixture
+def no_pidfd(monkeypatch):
+    """`os.pidfd_open` as on a kernel without it; the calls it refused."""
+    refused = []
+
+    def enosys(pid):
+        refused.append(pid)
+        raise OSError(errno.ENOSYS, os.strerror(errno.ENOSYS))
+
+    monkeypatch.setattr(os, "pidfd_open", enosys, raising=False)
+    return refused
+
+
+@pytest.mark.parametrize(
+    "script, status, stdout",
+    [("echo out", 0, b"out\n"), ("exit 3", 3, b""), ("kill -9 $$", -9, b"")],
+)
+def test_without_a_pidfd_the_exit_is_polled(no_pidfd, script, status, stdout):
+    outcome = sandbox_execute(["sh", "-c", script], SandboxLimits(wall_clock_seconds=30))
+    assert no_pidfd
+    assert not outcome.timed_out
+    assert (outcome.exit_status, outcome.stdout) == (status, stdout)
+
+
+def test_without_a_pidfd_a_timeout_still_kills(no_pidfd):
+    limits = SandboxLimits(wall_clock_seconds=1.0)
+    start = time.monotonic()
+    outcome = sandbox_execute([sys.executable, "-c", "import time; time.sleep(30)"], limits)
+    assert no_pidfd
+    assert outcome.timed_out and outcome.exit_status is None
+    assert time.monotonic() - start < limits.wall_clock_seconds + 1.0
+
+
 def test_non_executable_file_is_a_spawn_error(tmp_path):
     script = tmp_path / "script.sh"
     script.write_text("#!/bin/sh\necho hi\n")
