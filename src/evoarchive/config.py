@@ -168,6 +168,9 @@ def parse_config(doc: dict, base_dir: Optional[Path] = None) -> tuple[RunConfig,
         if "initial" in values:
             read_keys(values["initial"], INITIAL_KEYS, "initial.")
             _build("initial", initial_genome, values["initial"])
+            ref = values["initial"].get("payload_ref")
+            if ref and base_dir is not None:  # a new dict: the document keeps `ref` as written
+                values["initial"] = {**values["initial"], "payload_ref": str(base_dir / ref)}
         if "backend" in values:
             backend = _read_kind(values["backend"], BACKEND_KINDS, "simulated", "backend.")
             if "landscape" in backend:

@@ -45,7 +45,6 @@ from .archive import AgentNode, Archive, ArchiveError, DomainScores
 from .evaluation import (
     DomainSpec,
     Evaluator,
-    SyntheticEvaluator,
     CommandEvaluator,
     evaluate_full,
     multi_domain_evaluate,
@@ -56,6 +55,7 @@ from .generation import (
     GenerationRequest,
     ModelClientBackend,
     SimulatedBackend,
+    SyntheticEvaluator,
     generate_child,
     initial_genome,
     snapshot_payload,

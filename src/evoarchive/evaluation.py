@@ -25,11 +25,9 @@ import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from pathlib import Path
 from typing import Callable, Mapping, Optional, Sequence
 
 from .archive import AgentNode
-from .landscape import DEFAULT_LANDSCAPE, TwoPeakLandscape
 from .sandbox import SandboxLimits, SandboxSpawnError, sandbox_execute
 
 logger = logging.getLogger(__name__)
@@ -242,26 +240,6 @@ def node_selection_score(node: AgentNode) -> float:
 
 
 # --- evaluator implementations ----------------------------------------------
-
-
-class SyntheticEvaluator:
-    """In-process evaluator scoring genome payloads on the synthetic surface.
-
-    Implements the same (task_id, payload_ref, limits) -> score contract as
-    the out-of-process command evaluator.
-    """
-
-    def __init__(self, landscape: TwoPeakLandscape = DEFAULT_LANDSCAPE):
-        self.landscape = landscape
-
-    def __call__(self, task_id: str, payload_ref: str, limits: SandboxLimits) -> float:
-        genome_path = Path(payload_ref) / "genome.json"
-        try:
-            genome = json.loads(genome_path.read_text(encoding="utf-8"))
-            skill = [float(v) for v in genome["task_skill"]]
-        except (OSError, TypeError, ValueError, KeyError, json.JSONDecodeError) as exc:
-            raise EvaluatorError(f"unreadable genome at {genome_path}: {exc}") from exc
-        return self.landscape.fitness(skill)
 
 
 class CommandEvaluator:

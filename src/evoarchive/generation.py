@@ -33,7 +33,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .evaluation import Evaluator, score_task
+from .evaluation import Evaluator, EvaluatorError, score_task
 from .landscape import DEFAULT_LANDSCAPE, TwoPeakLandscape
 from .rng import substream
 from .sandbox import SandboxLimits, SandboxSpawnError, sandbox_execute
@@ -102,18 +102,23 @@ class SimulatedAgentGenome:
         return json.dumps(doc, sort_keys=True, indent=1) + "\n"
 
     @classmethod
+    def from_dict(cls, raw) -> "SimulatedAgentGenome":
+        """The genome that a decoded genome document describes; ValueError,
+        KeyError or TypeError refuse any other document."""
+        return cls(
+            task_skill=[float(v) for v in raw["task_skill"]],
+            meta_capability=float(raw["meta_capability"]),
+            compile_probability=float(raw["compile_probability"]),
+            selection_policy=raw.get("selection_policy"),
+        )
+
+    @classmethod
     def from_payload(cls, payload_ref: str | Path) -> "SimulatedAgentGenome":
         """The genome in the payload's `genome.json`. GenerationError names a file
         that is torn, not UTF-8 or not a genome; OSError one that cannot be read."""
         path = Path(payload_ref) / "genome.json"
         try:
-            raw = json.loads(path.read_text(encoding="utf-8"))
-            return cls(
-                task_skill=[float(v) for v in raw["task_skill"]],
-                meta_capability=float(raw["meta_capability"]),
-                compile_probability=float(raw["compile_probability"]),
-                selection_policy=raw.get("selection_policy"),
-            )
+            return cls.from_dict(json.loads(path.read_text(encoding="utf-8")))
         except (ValueError, KeyError, TypeError) as exc:
             raise GenerationError(f"unreadable genome {path}: {exc!r}") from exc
 
@@ -126,12 +131,9 @@ class SimulatedAgentGenome:
 def initial_genome(initial: dict) -> SimulatedAgentGenome:
     """The root agent's genome as a config's `initial` section describes it;
     its `payload_ref` key, when set, replaces this genome with a copied payload."""
-    return SimulatedAgentGenome(
-        task_skill=[float(v) for v in initial.get("task_skill", [0.0, 0.0])],
-        meta_capability=float(initial.get("meta_capability", 0.15)),
-        compile_probability=float(initial.get("compile_probability", 0.95)),
-        selection_policy=initial.get("selection_policy"),
-    )
+    return SimulatedAgentGenome.from_dict(
+        {"task_skill": [0.0, 0.0], "meta_capability": 0.15, "compile_probability": 0.95,
+         **initial})
 
 
 def snapshot_payload(
@@ -177,6 +179,22 @@ def _write_validity_log(child_dir: str | Path, compiled: bool, cause: str) -> st
     path = Path(child_dir).parent / (Path(child_dir).name + ".validity.log")
     path.write_text(f"compiled={compiled}\ncause={cause}\n", encoding="utf-8")
     return str(path)
+
+
+class SyntheticEvaluator:
+    """In-process evaluator: a simulated agent's fitness on the synthetic surface.
+    It reads the agent by `from_payload`, as the backend does, so as the validity
+    probe it accepts exactly the payloads that the backend can read."""
+
+    def __init__(self, landscape: TwoPeakLandscape = DEFAULT_LANDSCAPE):
+        self.landscape = landscape
+
+    def __call__(self, task_id: str, payload_ref: str, limits: SandboxLimits) -> float:
+        try:
+            genome = SimulatedAgentGenome.from_payload(payload_ref)
+        except (OSError, GenerationError) as exc:
+            raise EvaluatorError(str(exc)) from exc
+        return self.landscape.fitness(genome.task_skill)
 
 
 class SimulatedBackend:

@@ -42,10 +42,10 @@ _SCORE_CHILD_PROP_KEYS = ("sharpness", "midpoint_pool_size")
 
 
 def checked_type(value: Any, kind: Any, key: str) -> Any:
-    """`value` as a JSON `kind`: an int is also a float (if it fits one), a bool is
-    only a bool, a str is UTF-8 (no unpaired surrogate, which no log line may
-    hold), `list[T]` is a list whose items (named `key[i]`) are `T`, `Any` is
-    anything."""
+    """`value` as a JSON `kind`: an int is also a float (if it fits one), a float is
+    finite (JSON has no NaN or Infinity), a bool is only a bool, a str is UTF-8 (no
+    unpaired surrogate, which no log line may hold), `list[T]` is a list whose items
+    (named `key[i]`) are `T`, `Any` is anything."""
     if kind is Any:
         return value
     if getattr(kind, "__origin__", None) is list:
@@ -59,6 +59,8 @@ def checked_type(value: Any, kind: Any, key: str) -> Any:
             raise ValueError(f"key '{key}' is too large for a float") from None
     if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
         raise ValueError(f"key '{key}' must be {kind.__name__}")
+    if kind is float and not math.isfinite(value):
+        raise ValueError(f"key '{key}' must be a finite number")
     if kind is str:
         try:
             value.encode("utf-8")

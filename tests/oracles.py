@@ -155,11 +155,12 @@ def _number(value) -> bool:
 
 
 # the "Selection policy" table of docs/formats.md: each key but `variant`, its
-# default, the variants that read it, and whether a value of it is in type and range
+# default, the variants that read it, and whether a value of it is in type and
+# range (a number is finite: JSON has no NaN or Infinity)
 POLICY_TABLE = {
-    "sharpness": (10.0, SCP_ONLY, lambda v: _number(v) and v > 0),
+    "sharpness": (10.0, SCP_ONLY, lambda v: _number(v) and 0 < v < math.inf),
     "midpoint_pool_size": (3, SCP_ONLY, lambda v: type(v) is int and v >= 1),
-    "temperature": (1.0, OTHER_VARIANTS, lambda v: _number(v) and v > 0),
+    "temperature": (1.0, OTHER_VARIANTS, lambda v: _number(v) and 0 < v < math.inf),
     "exploration_weight": (1.0, OTHER_VARIANTS, lambda v: _number(v) and 0 <= v < math.inf),
     "stagnation_boost": (False, OTHER_VARIANTS, lambda v: type(v) is bool),
 }

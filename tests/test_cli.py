@@ -35,7 +35,7 @@ from evoarchive.config import (
 )
 from evoarchive.engine import append_events, load_state, run
 from evoarchive.evaluation import Gate
-from evoarchive.generation import SimulatedAgentGenome, SimulatedBackend
+from evoarchive.generation import GenerationError, SimulatedAgentGenome, SimulatedBackend
 from evoarchive.landscape import TwoPeakLandscape
 from evoarchive.metrics import export_scalars_csv
 from evoarchive.sandbox import SandboxLimits
@@ -403,6 +403,10 @@ def rejected_before_the_state_is_touched(tmp_path, capsys, doc: dict) -> str:
         (("backend", "landscape"), {"bogus": 1}, "backend.landscape.bogus"),
         (("backend", "landscape"), {"local_center": [0.8, "y"]},
          "backend.landscape.local_center[1]"),
+        (("backend", "step_sigma"), float("nan"), "backend.step_sigma"),
+        (("backend", "landscape"), {"base_level": float("nan")}, "backend.landscape.base_level"),
+        (("limits", "wall_clock_seconds"), float("inf"), "limits.wall_clock_seconds"),
+        (("policy",), {"variant": "softmax", "temperature": float("inf")}, "policy"),
         (("backend",), {"kind": "external-process", "command": []}, "backend.command"),
         (("backend",), {"kind": "model-client", "url": 3}, "backend.url"),
         (("domains", 0, "name"), "\ud800", "domains[0].name"),
@@ -438,6 +442,21 @@ def test_unreadable_instruction_template_exits_2_and_keeps_the_earlier_run(
            "instruction_template": "t.txt"}
     err = rejected_before_the_state_is_touched(tmp_path, capsys, doc)
     assert "'instruction_template'" in err and "t.txt" in err
+
+
+def test_initial_payload_ref_is_read_beside_the_config(tmp_path, monkeypatch):
+    (tmp_path / "elsewhere").mkdir()
+    monkeypatch.chdir(tmp_path / "elsewhere")
+    root = SimulatedAgentGenome([0.5, 0.0, 0.0], 0.05, 0.95)
+    root.write_payload(tmp_path / "agent")
+    config_path = write_config(tmp_path, initial={"payload_ref": "agent"})
+    assert main(["run", "--config", str(config_path)]) == 0
+    state = tmp_path / "state"
+    assert SimulatedAgentGenome.from_payload(state / "payloads" / "agent_root") == root
+    # the snapshot keeps the value as written: `resume` never reads the initial payload
+    assert json.loads((state / "config.json").read_text())["initial"] == {"payload_ref": "agent"}
+    cut_log_after(state / "events.jsonl", 2)
+    assert main(["resume", "--state", str(state)]) == 0
 
 
 def test_instruction_template_is_read_beside_the_config(tmp_path, monkeypatch):
@@ -543,6 +562,30 @@ def test_model_client_non_utf8_payload_file_exits_1(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "GenerationError" in err and "blob.bin" in err
         assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("genome", [
+    '{"task_skill": ["0.0", "0.0", "0.0"], "compile_probability": "0.95"}',
+    '{"task_skill": ["nan", "0.0", "0.0"], "meta_capability": "0.05",'
+    ' "compile_probability": "0.95"}',
+    '{"task_skill": ["0.0", "0.0", "0.0"], "meta_capability": "0.05",'
+    ' "compile_probability": "2"}',
+    '["0.0", "0.0", "0.0"]',
+], ids=["no meta_capability", "a nan skill", "compile_probability 2", "an array"])
+def test_a_root_that_is_no_genome_fails_run_before_any_log(tmp_path, capsys, genome):
+    # the probe reads the root by the backend's rule: a root that it accepted
+    # would halt the run at iteration 1, and every resume after it
+    root = tmp_path / "root_agent"
+    root.mkdir()
+    (root / "genome.json").write_text(genome, encoding="utf-8")
+    config_path = write_config(tmp_path, initial={"payload_ref": str(root)})
+    assert main(["run", "--config", str(config_path)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    with pytest.raises(GenerationError) as verdict:
+        SimulatedAgentGenome.from_payload(tmp_path / "state" / "payloads" / "agent_root")
+    assert "validity check" in err and "genome.json" in err and str(verdict.value) in err
+    assert not (tmp_path / "state" / "events.jsonl").exists()
 
 
 # --- analyze ------------------------------------------------------------------

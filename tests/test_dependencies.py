@@ -169,3 +169,11 @@ def test_one_driver_builds_the_runtime():
     assert scopes_of(lambda node: isinstance(node, ast.Call) and "_Runtime" in (
         getattr(node.func, "id", None), getattr(node.func, "attr", None))) == [
         "engine.py:_advance"]
+
+
+def test_one_decoder_reads_every_genome():
+    # the validity probe and the simulated backend both read an agent through
+    # `from_payload`, so the probe archives no agent that the backend cannot read
+    scopes = scopes_of(lambda node: isinstance(node, ast.Constant) and node.value == "genome.json")
+    assert sorted(set(scopes)) == [
+        "generation.py:from_payload", "generation.py:generate", "generation.py:write_payload"]

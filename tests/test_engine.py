@@ -35,10 +35,9 @@ from evoarchive.evaluation import (
     DomainSpec,
     Gate,
     StagedEvalPolicy,
-    SyntheticEvaluator,
     node_selection_score,
 )
-from evoarchive.generation import SimulatedAgentGenome
+from evoarchive.generation import SimulatedAgentGenome, SyntheticEvaluator
 from evoarchive.sandbox import SandboxLimits
 from evoarchive.selection import SelectionPolicy
 

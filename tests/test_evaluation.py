@@ -18,13 +18,13 @@ from evoarchive.evaluation import (
     EvaluatorTimeout,
     Gate,
     StagedEvalPolicy,
-    SyntheticEvaluator,
     evaluate_full,
     multi_domain_evaluate,
     node_selection_score,
     score_task,
 )
-from evoarchive.generation import SMOKE_TASK, SimulatedAgentGenome, validate_child
+from evoarchive.generation import (
+    SMOKE_TASK, SimulatedAgentGenome, SyntheticEvaluator, validate_child)
 from evoarchive.sandbox import SandboxLimits
 
 import oracles

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from evoarchive.evaluation import SyntheticEvaluator, CommandEvaluator
+from evoarchive.evaluation import CommandEvaluator
 from evoarchive.generation import (
     ExternalProcessBackend,
     GenerationError,
@@ -19,6 +19,7 @@ from evoarchive.generation import (
     ModelClientBackend,
     SimulatedAgentGenome,
     SimulatedBackend,
+    SyntheticEvaluator,
     generate_child,
     snapshot_payload,
     validate_child,
@@ -508,6 +509,23 @@ def test_model_client_writes_nested_bundle_keys_inside_child(tmp_path):
     result = generate_child(backend, request, SyntheticEvaluator(), LIMITS)
     assert result.compiled
     assert (Path(request.child_payload_ref) / "notes" / "a.txt").read_text() == "a"
+
+
+def test_model_client_child_that_the_backend_cannot_read_is_not_compiled(tmp_path):
+    # its skill sits on the global peak, but the simulated backend could never
+    # take it as a parent: the probe reads it by the backend's rule
+    parent = write_parent(tmp_path)
+    backend = ModelClientBackend(
+        url="https://example.invalid/generate",
+        transport=lambda doc: {"child_payload": {
+            "genome.json": '{"task_skill": ["2.6", "0", "0"]}'}},
+    )
+    request = request_for(tmp_path, parent)
+    result = generate_child(backend, request, SyntheticEvaluator(), LIMITS)
+    assert not result.compiled
+    with pytest.raises(GenerationError):
+        SimulatedAgentGenome.from_payload(request.child_payload_ref)
+    assert "meta_capability" in Path(result.validity_log).read_text()
 
 
 @pytest.mark.parametrize("generated", [["improve"], "improve", None, 3])

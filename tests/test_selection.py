@@ -435,6 +435,7 @@ def policy_documents(draw) -> dict:
 
 @given(policy_documents())
 @example({"variant": "softmax", "temperature": math.nan})
+@example({"variant": "softmax", "temperature": math.inf})
 @example({"variant": "ucb", "exploration_weight": 10 ** 400})
 @example({"variant": "ucb", "exploration_weight": math.inf})
 @settings(max_examples=400, deadline=None)
