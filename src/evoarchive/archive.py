@@ -21,6 +21,8 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterator, Optional
 
+from .selection import left_sum
+
 
 class ArchiveError(Exception):
     """Engine-logic corruption (duplicate id, dangling parent); base of ArchiveLoadError."""
@@ -102,12 +104,12 @@ class AgentNode:
         self.compiled, self.compiled_children = compiled, compiled_children
         self.created_at_iteration = created_at_iteration
         self.scores = scores = {} if scores is MISSING else scores  # a new dict per node
-        if len(scores) == 1:  # `0.0 +` turns -0.0 into 0.0, as `sum` does
+        if len(scores) == 1:  # `0.0 +` turns -0.0 into 0.0, as `left_sum` does
             (record,) = scores.values()
             self.selection_score = 0.0 + record.selection_component()
         else:
             values = [scores[name].selection_component() for name in sorted(scores)]
-            self.selection_score = sum(values) / len(values) if values else None
+            self.selection_score = left_sum(values) / len(values) if values else None
 
 
 @dataclass

@@ -40,13 +40,15 @@ from .selection import POLICY_KEYS
 ANALYZE_METRICS = ("impk", "transfer", "ci", "progress", "tree")
 
 # analyze's numeric flags and the values that `metrics.GrowthScoreParams`
-# (--gamma, --min-descendants) and `metrics.bootstrap_ci` (--resamples,
-# --level) accept; any other value exits 2 before the state is read
+# (--gamma, --min-descendants), `metrics.bootstrap_ci` (--resamples, --level)
+# and `rng.substream` (--ci-seed, of which it keeps 32 bits) accept; any other
+# value exits 2 before the state is read
 ANALYZE_RANGES = {
     "gamma": ("in (0, 1]", lambda v: 0.0 < v <= 1.0),
     "min_descendants": (">= 1", lambda v: v >= 1),
     "resamples": (">= 1", lambda v: v >= 1),
     "level": ("in (0, 100)", lambda v: 0.0 < v < 100.0),
+    "ci_seed": ("in [0, 2**32)", lambda v: 0 <= v < 2**32),
 }
 
 # Failures of `run`, `resume` and `analyze` that exit 1 with a one-line

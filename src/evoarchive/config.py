@@ -2,8 +2,8 @@
 
 One JSON file fully describes a run. Each section's keys and their JSON
 types are listed once below, and `selection.read_keys` reads every section
-by its table: unknown keys are rejected everywhere and every value is
-checked, so a bad config fails loudly before anything starts. An absent key
+by its table, on the CLI and library paths alike: unknown keys are rejected
+everywhere and every value is checked before anything starts. An absent key
 takes the default of the object its section builds (`RunConfig`, `Gate`,
 `SandboxLimits`, `TwoPeakLandscape`, `SimulatedBackend`, the root genome of
 `generation.initial_genome`). The effective config is re-serialized into
@@ -14,14 +14,17 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Optional
 
-from .engine import RunConfig
 from .evaluation import CommandEvaluator, DomainSpec, Gate, StagedEvalPolicy
 from .generation import ExternalProcessBackend, initial_genome
 from .sandbox import SandboxLimits
 from .selection import SelectionPolicy, checked_type, read_keys
+
+MODES = ("full", "no-self-improve", "no-open-ended", "dgm-fixed-instruction",
+         "modifiable-selection")
 
 
 class ConfigError(Exception):
@@ -103,15 +106,16 @@ EVALUATOR_KINDS: dict[str, tuple[dict[str, Any], tuple[str, ...]]] = {
 
 
 def _build(context: str, make: Callable, *args, **kwargs):
-    """`make(*args, **kwargs)`; its ValueError is a ConfigError naming `context`."""
+    """`make(*args, **kwargs)`; its ValueError is one naming `context`."""
     try:
         return make(*args, **kwargs)
     except ValueError as exc:
-        raise ConfigError(f"key '{context}': {exc}") from None
+        raise ValueError(f"key '{context}': {exc}") from None
 
 
 def _read_kind(spec: dict, kinds: dict, default: str, context: str) -> dict:
     """`spec` read by the table of its `kind`, which is `default` when absent."""
+    spec = checked_type(spec, dict, context[:-1])
     kind = checked_type(spec.get("kind", default), str, context + "kind")
     if kind not in kinds:
         raise ValueError(f"key '{context}kind' must be one of {sorted(kinds)}, got {kind!r}")
@@ -119,14 +123,64 @@ def _read_kind(spec: dict, kinds: dict, default: str, context: str) -> dict:
     return read_keys(spec, keys, context, required)
 
 
+def read_evaluator(spec: dict, context: str) -> dict:
+    """An evaluator spec read by the table of its kind, its keys named after `context`."""
+    evaluator = _read_kind(spec, EVALUATOR_KINDS, "synthetic", context)
+    if "command" in evaluator:
+        _build(context + "command", CommandEvaluator, evaluator["command"])
+    return evaluator
+
+
+@dataclass
+class RunConfig:
+    """A run's settings. Its `backend` and `initial` documents are checked by the
+    tables above and kept as given; a ValueError names the offending key."""
+
+    mode: str
+    iterations: int
+    seed: int
+    state_dir: Path
+    domains: list[DomainSpec]
+    policy: SelectionPolicy = field(default_factory=SelectionPolicy)
+    backend: dict = field(default_factory=lambda: {"kind": "simulated"})
+    initial: dict = field(default_factory=dict)
+    parents_per_iteration: int = 1
+    concurrency: int = 1
+    limits: SandboxLimits = field(default_factory=SandboxLimits)
+    payload_dir: Optional[Path] = None
+    instruction_template: Optional[Path] = None
+
+    def __post_init__(self) -> None:
+        read_keys(checked_type(self.initial, dict, "initial"), INITIAL_KEYS, "initial.")
+        _build("initial", initial_genome, self.initial)
+        backend = _read_kind(self.backend, BACKEND_KINDS, "simulated", "backend.")
+        if "landscape" in backend:
+            read_keys(backend["landscape"], LANDSCAPE_KEYS, "backend.landscape.")
+        if self.mode not in MODES:
+            raise ValueError(f"unknown mode {self.mode!r}")
+        if self.iterations < 1:
+            raise ValueError("iterations must be >= 1")
+        if not 0 <= self.seed < 2**32:  # `rng.substream` keeps 32 bits of it
+            raise ValueError("seed must be in [0, 2**32)")
+        if self.parents_per_iteration < 1:
+            raise ValueError("parents_per_iteration must be >= 1")
+        if self.concurrency < 1:
+            raise ValueError("concurrency must be >= 1")
+        if not self.domains:
+            raise ValueError("at least one domain required")
+        if "command" in backend:
+            _build("backend.command", ExternalProcessBackend, backend["command"], self.limits)
+        self.state_dir = Path(self.state_dir)
+        if self.payload_dir is None:
+            self.payload_dir = self.state_dir / "payloads"
+        self.payload_dir = Path(self.payload_dir)
+
+
 def _parse_domain(spec: dict, context: str) -> tuple[DomainSpec, dict]:
     values = read_keys(spec, DOMAIN_KEYS, context, ("name", "task_ids", "subset_size", "gate"))
     gate = _build(context + "gate", Gate,
                   **read_keys(values.pop("gate"), GATE_KEYS, context + "gate.", ("kind",)))
-    evaluator = _read_kind(values.pop("evaluator", {}), EVALUATOR_KINDS, "synthetic",
-                           context + "evaluator.")
-    if "command" in evaluator:
-        _build(context + "evaluator.command", CommandEvaluator, evaluator["command"])
+    evaluator = read_evaluator(values.pop("evaluator", {}), context + "evaluator.")
     values = {key: tuple(v) if isinstance(v, list) else v for key, v in values.items()}
     staged = _build(context[:-1], StagedEvalPolicy, values.pop("subset_size"),
                     values.pop("full_size", len(values["task_ids"])), gate)
@@ -165,20 +219,10 @@ def parse_config(doc: dict, base_dir: Optional[Path] = None) -> tuple[RunConfig,
         if "limits" in values:
             values["limits"] = _build("limits", SandboxLimits,
                                       **read_keys(values["limits"], LIMITS_KEYS, "limits."))
-        if "initial" in values:
-            read_keys(values["initial"], INITIAL_KEYS, "initial.")
-            _build("initial", initial_genome, values["initial"])
-            ref = values["initial"].get("payload_ref")
-            if ref and base_dir is not None:  # a new dict: the document keeps `ref` as written
-                values["initial"] = {**values["initial"], "payload_ref": str(base_dir / ref)}
-        if "backend" in values:
-            backend = _read_kind(values["backend"], BACKEND_KINDS, "simulated", "backend.")
-            if "landscape" in backend:
-                read_keys(backend["landscape"], LANDSCAPE_KEYS, "backend.landscape.")
         config = RunConfig(**values)
-        if "command" in config.backend:
-            _build("backend.command", ExternalProcessBackend, config.backend["command"],
-                   config.limits)
+        ref = config.initial.get("payload_ref")
+        if ref and base_dir is not None:  # a new dict: the document keeps `ref` as written
+            config.initial = {**config.initial, "payload_ref": str(base_dir / ref)}
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return config, {domain.name: evaluator for domain, evaluator in domains}

@@ -42,6 +42,7 @@ import orjson
 
 from . import archive as archive_mod
 from .archive import AgentNode, Archive, ArchiveError, DomainScores
+from .config import MODES, RunConfig, read_evaluator
 from .evaluation import (
     DomainSpec,
     Evaluator,
@@ -64,18 +65,9 @@ from .generation import (
 )
 from .landscape import TwoPeakLandscape
 from .rng import stream_id, substream
-from .sandbox import SandboxLimits
-from .selection import SelectionPolicy, sample_parents, selection_distribution
+from .selection import SelectionPolicy, read_keys, sample_parents, selection_distribution
 
 logger = logging.getLogger(__name__)
-
-MODES = (
-    "full",
-    "no-self-improve",
-    "no-open-ended",
-    "dgm-fixed-instruction",
-    "modifiable-selection",
-)
 
 UNIFORM_FALLBACK = SelectionPolicy(variant="uniform-random")
 _BATCH_ENDS = (None, "iteration_complete")  # what precedes a batch's head
@@ -95,41 +87,6 @@ class RunIdMismatch(EngineError):
     def __init__(self, expected: str, recorded: str):
         super().__init__(f"expected run id {expected}, the log records {recorded}")
         self.expected, self.recorded = expected, recorded
-
-
-@dataclass
-class RunConfig:
-    mode: str
-    iterations: int
-    seed: int
-    state_dir: Path
-    domains: list[DomainSpec]
-    policy: SelectionPolicy = field(default_factory=SelectionPolicy)
-    backend: dict = field(default_factory=lambda: {"kind": "simulated"})
-    initial: dict = field(default_factory=dict)
-    parents_per_iteration: int = 1
-    concurrency: int = 1
-    limits: SandboxLimits = field(default_factory=SandboxLimits)
-    payload_dir: Optional[Path] = None
-    instruction_template: Optional[Path] = None
-
-    def __post_init__(self) -> None:
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
-        if not 0 <= self.seed < 2**32:  # `rng.substream` keeps 32 bits of it
-            raise ValueError("seed must be in [0, 2**32)")
-        if self.parents_per_iteration < 1:
-            raise ValueError("parents_per_iteration must be >= 1")
-        if self.concurrency < 1:
-            raise ValueError("concurrency must be >= 1")
-        if not self.domains:
-            raise ValueError("at least one domain required")
-        self.state_dir = Path(self.state_dir)
-        if self.payload_dir is None:
-            self.payload_dir = self.state_dir / "payloads"
-        self.payload_dir = Path(self.payload_dir)
 
 
 @dataclass
@@ -264,30 +221,27 @@ def build_backend(config: RunConfig, root_payload_ref: str):
         )
     if kind == "external-process":
         return ExternalProcessBackend(argv=spec["command"], limits=config.limits)
-    if kind == "model-client":
-        template = None
-        if config.mode == "dgm-fixed-instruction":
-            template_path = config.instruction_template or default_instruction_template()
-            template = Path(template_path).read_text(encoding="utf-8")
-        return ModelClientBackend(
-            url=spec["url"],
-            token_env=spec.get("token_env", "EVOARCHIVE_TOKEN"),
-            instruction_template=template,
-        )
-    raise ValueError(f"unknown backend kind {kind!r}")
+    template = None  # a model-client backend: `RunConfig` admits no other kind
+    if config.mode == "dgm-fixed-instruction":
+        template_path = config.instruction_template or default_instruction_template()
+        template = Path(template_path).read_text(encoding="utf-8")
+    return ModelClientBackend(
+        url=spec["url"],
+        token_env=spec.get("token_env", "EVOARCHIVE_TOKEN"),
+        instruction_template=template,
+    )
 
 
 def build_evaluators(config: RunConfig, evaluator_specs: dict[str, dict]) -> dict[str, Evaluator]:
+    """Each domain's evaluator, from its spec (synthetic if none) read by `read_evaluator`;
+    a spec keyed by no configured domain is an unknown key."""
+    names = [domain.name for domain in config.domains]
+    read_keys(evaluator_specs, dict.fromkeys(names, dict), "evaluator_specs.")
     evaluators: dict[str, Evaluator] = {}
-    for domain in config.domains:
-        spec = dict(evaluator_specs.get(domain.name, {"kind": "synthetic"}))
-        kind = spec.pop("kind", "synthetic")
-        if kind == "synthetic":
-            evaluators[domain.name] = SyntheticEvaluator(_landscape(config))
-        elif kind == "command":
-            evaluators[domain.name] = CommandEvaluator(spec["command"])
-        else:
-            raise ValueError(f"unknown evaluator kind {kind!r} for domain {domain.name}")
+    for i, name in enumerate(names):
+        spec = read_evaluator(evaluator_specs.get(name, {}), f"domains[{i}].evaluator.")
+        evaluators[name] = (CommandEvaluator(spec["command"]) if "command" in spec
+                            else SyntheticEvaluator(_landscape(config)))
     return evaluators
 
 

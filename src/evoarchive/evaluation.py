@@ -29,6 +29,7 @@ from typing import Callable, Mapping, Optional, Sequence
 
 from .archive import AgentNode
 from .sandbox import SandboxLimits, SandboxSpawnError, sandbox_execute
+from .selection import left_sum
 
 logger = logging.getLogger(__name__)
 
@@ -174,7 +175,7 @@ def evaluate_full(
     """Gate-free evaluation of a whole task list (validation splits); its tasks
     run on `pool` if given, else one after another."""
     per_task = _score_batch(evaluator, task_ids, payload_ref, limits, pool)
-    aggregate = sum(per_task.values()) / len(task_ids) if task_ids else 0.0
+    aggregate = left_sum(per_task.values()) / len(task_ids) if task_ids else 0.0
     return ScoreReport(per_task, gated_out=False, aggregate=aggregate)
 
 
@@ -217,10 +218,10 @@ def multi_domain_evaluate(
         reports[domain.name] = ScoreReport(
             per_task,
             gated_out=any_gate_failed,
-            aggregate=sum(per_task.values()) / policy.full_size,
+            aggregate=left_sum(per_task.values()) / policy.full_size,
         )
 
-    combined = sum(r.aggregate for r in reports.values()) / len(reports)
+    combined = left_sum(r.aggregate for r in reports.values()) / len(reports)
     return reports, combined
 
 

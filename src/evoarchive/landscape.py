@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+from .selection import left_sum
+
 
 @dataclass(frozen=True)
 class TwoPeakLandscape:
@@ -35,7 +37,7 @@ class TwoPeakLandscape:
     def _bump(
         point: Sequence[float], center: tuple[float, ...], height: float, width: float
     ) -> float:
-        d2 = sum((p - c) ** 2 for p, c in zip(point, center))
+        d2 = left_sum((p - c) ** 2 for p, c in zip(point, center))
         return height * math.exp(-d2 / (2.0 * width * width))
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -131,12 +131,20 @@ class SelectionPolicy:
         return cls(variant=variant, **values)
 
 
+def left_sum(values: Iterable[float]) -> float:
+    """`values` added left to right from 0, as `sum()` adds floats before Python 3.12."""
+    total = 0
+    for value in values:
+        total += value
+    return total
+
+
 def dynamic_midpoint(scores: Sequence[float], pool_size: int) -> float:
     """Mean of the top min(pool_size, len) scores."""
     if len(scores) == 0:
         raise ValueError("empty score list")
     top = sorted(scores, reverse=True)[: min(pool_size, len(scores))]
-    return sum(top) / len(top)
+    return left_sum(top) / len(top)
 
 
 def weights_to_distribution(weights: Sequence[float]) -> np.ndarray:

@@ -7,7 +7,8 @@ the bootstrap medians, node record bytes, improvement@k) and the
 selection-policy reader has one reference here and one `assert_*` helper that
 compares the kernel with it. A helper takes the kernel under test as an
 argument, the package's own by default, so `test_oracles.py` can show that it
-refuses a kernel known to be wrong.
+refuses a kernel known to be wrong. `sum_312` emulates the builtin `sum()` of
+Python 3.12, so that a run on an older interpreter can be checked under it.
 """
 
 from __future__ import annotations
@@ -469,3 +470,47 @@ def assert_impk_matches(initial: float, generated: Sequence[float],
                         kernel=metrics.improvement_at_k) -> None:
     """`kernel(initial, generated)` equals the reference."""
     assert kernel(initial, generated) == improvement_at_k(initial, list(generated))
+
+
+# --- the builtin sum() of Python 3.12 ----------------------------------------------
+
+
+def sum_312(iterable):
+    """The builtin `sum()` of CPython 3.12, in pure Python: ints add exactly until
+    the first other item; from a float on, floats add with Neumaier's compensation,
+    and the compensation is added once at the end (or before an item that is
+    neither a float nor an int that fits a C long) unless it is 0 or not finite.
+    Any other item adds with `+`, left to right."""
+    items = iter(iterable)
+    result = 0
+    for item in items:
+        if type(item) is not int and type(item) is not bool:
+            result = result + item
+            break
+        result += item
+    else:
+        return result
+    if type(result) is float:
+        total, compensation = result, 0.0
+        for item in items:
+            if type(item) is float:
+                step = total + item
+                if abs(total) >= abs(item):
+                    compensation += (total - step) + item
+                else:
+                    compensation += (item - step) + total
+                total = step
+            elif isinstance(item, int) and -2**63 <= item < 2**63:
+                total += float(item)
+            else:
+                if compensation and math.isfinite(compensation):
+                    total += compensation
+                result = total + item
+                break
+        else:
+            if compensation and math.isfinite(compensation):
+                total += compensation
+            return total
+    for item in items:
+        result = result + item
+    return result

@@ -8,6 +8,7 @@ import itertools
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -421,6 +422,37 @@ def test_bad_config_exits_2_and_keeps_the_earlier_run(tmp_path, capsys, path, va
         section = section[step]
     section[last] = value
     assert f"'{key}'" in rejected_before_the_state_is_touched(tmp_path, capsys, doc)
+
+
+@pytest.mark.parametrize(
+    "settings, evaluator_specs, key",
+    [
+        ({"backend": {"kind": "simulated", "step_sigma": "0.1"}}, {}, "backend.step_sigma"),
+        ({"backend": {"landscape": {"local_center": "xyz"}}}, {},
+         "backend.landscape.local_center"),
+        ({"backend": {"kind": "external-process", "command": ["/bin/true"],
+                      "comand": ["/bin/true"]}}, {}, "backend.comand"),
+        ({"initial": {"task_skil": [0.5, 0.0]}}, {}, "initial.task_skil"),
+        ({"initial": {"task_skill": "abc"}}, {}, "initial.task_skill"),
+        ({"initial": {"payload_ref": 5}}, {}, "initial.payload_ref"),
+        ({"initial": 5}, {}, "initial"),
+        ({"backend": "simulated"}, {}, "backend"),
+        ({}, {"landscape": "synthetic"}, "evaluator_specs.landscape"),
+        ({}, {"landscape": {"kind": "synthetic", "extra": 1}}, "domains[0].evaluator.extra"),
+        ({}, {"landscpe": {"kind": "synthetic"}}, "evaluator_specs.landscpe"),
+    ],
+)
+def test_a_bad_library_config_raises_before_the_earlier_run_is_touched(
+        tmp_path, settings, evaluator_specs, key):
+    # the library path reads the documents by the CLI's tables: `RunConfig` its
+    # `backend` and `initial`, `run` its evaluator specs
+    assert main(["run", "--config", str(write_config(tmp_path / "a"))]) == 0
+    state = tmp_path / "a" / "state"
+    before = tree_state(state)
+    with pytest.raises(ValueError, match=re.escape(f"'{key}'")):
+        run(make_config(tmp_path, state_dir=state, **settings), evaluator_specs=evaluator_specs)
+    assert tree_state(state) == before
+    assert main(["resume", "--state", str(state)]) == 0
 
 
 @pytest.mark.parametrize("seed", [-1, 2**32, 2**70])
@@ -1353,6 +1385,8 @@ def test_analyze_missing_state(tmp_path, capsys):
         ("--level", "0"),
         ("--resamples", "0"),
         ("--resamples", "-3"),
+        ("--ci-seed", "-1"),
+        ("--ci-seed", str(2**32)),
     ],
 )
 @pytest.mark.parametrize("metric", ["transfer", "ci"])

@@ -177,3 +177,19 @@ def test_one_decoder_reads_every_genome():
     scopes = scopes_of(lambda node: isinstance(node, ast.Constant) and node.value == "genome.json")
     assert sorted(set(scopes)) == [
         "generation.py:from_payload", "generation.py:generate", "generation.py:write_payload"]
+
+
+def test_the_builtin_sum_adds_no_float():
+    # since Python 3.12 the builtin `sum()` compensates float rounding, so a run's
+    # scores would depend on the interpreter: floats are added by
+    # `selection.left_sum`, and the builtin keeps one integer count
+    calls = []
+
+    def builtin_sum(node) -> bool:
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "sum":
+            calls.append(ast.unparse(node))
+            return True
+        return False
+
+    assert list(zip(scopes_of(builtin_sum), calls)) == [
+        ("evaluation.py:multi_domain_evaluate", "sum((1 for s in scores.values() if s > 0.0))")]

@@ -19,6 +19,7 @@ from evoarchive.selection import (
     SelectionPolicy,
     checked_type,
     dynamic_midpoint,
+    left_sum,
     selection_distribution,
     weights_to_distribution,
 )
@@ -229,3 +230,36 @@ def test_impk_oracle_refuses_the_last_score():
     oracles.assert_impk_matches(0.25, generated)
     with pytest.raises(AssertionError):
         oracles.assert_impk_matches(0.25, generated, kernel=lambda i, g: g[-1] - i)
+
+
+class _Float(float):
+    """A float that Python 3.12's `sum()` adds outside its compensated loop."""
+
+
+# (values, the hex of `sum(values)` on CPython 3.12.1, that of a left-to-right
+# sum as CPython 3.11 gives it), recorded once from each interpreter
+SUMS = [
+    ([0.1, 0.2, 0.3], "0x1.3333333333333p-1", "0x1.3333333333334p-1"),
+    ([0.1] * 10, "0x1.0000000000000p+0", "0x1.fffffffffffffp-1"),
+    ([0.333, 0.251, 0.87], "0x1.74395810624ddp+0", "0x1.74395810624dep+0"),
+    ([0.7, 0.1, 0.2, 0.3, 0.9], "0x1.199999999999ap+1", "0x1.199999999999ap+1"),
+    ([1e100, 1.0, -1e100], "0x1.0000000000000p+0", "0x0.0p+0"),
+    ([1e16, 1.0, 1.0], "0x1.1c37937e08001p+53", "0x1.1c37937e08000p+53"),
+    ([1e16, 1.0, 1.0, _Float(0.0)], "0x1.1c37937e08001p+53", "0x1.1c37937e08000p+53"),
+    ([1, 0.1, 0.2], "0x1.4cccccccccccdp+0", "0x1.4cccccccccccdp+0"),
+    ([0.1, 2**70, 0.2], "0x1.0000000000000p+70", "0x1.0000000000000p+70"),
+    ([-0.0], "0x0.0p+0", "0x0.0p+0"),
+    ([1e308, 1e308, -1e308], "inf", "inf"),
+]
+
+
+@pytest.mark.parametrize("values, python_312, left_to_right", SUMS)
+def test_sum_312_oracle_gives_the_recorded_bits_of_python_3_12(values, python_312,
+                                                               left_to_right):
+    assert oracles.sum_312(values).hex() == python_312
+    assert left_sum(values).hex() == left_to_right
+
+
+def test_sum_312_oracle_refuses_a_left_to_right_sum():
+    # bound in place of `sum`, the emulation changes what a left-to-right sum gives
+    assert sum(python_312 != left for _, python_312, left in SUMS) == 6
