@@ -173,7 +173,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     if not state_dir.exists():
         print(f"no state directory {state_dir}", file=sys.stderr)
         return 2
-    state, _ = engine.replay_log(state_dir / "events.jsonl")
+    state = engine.replay_log(state_dir / "events.jsonl")
     arch = state.archive
 
     if args.metric == "tree":

@@ -91,12 +91,12 @@ class RunIdMismatch(EngineError):
 
 @dataclass
 class RunState:
-    """A run as its committed events fold: `completed` once `run_complete` is
-    logged, and `archived` every agent an `archive_add` or `archive_replace`
-    took in, in id order. Outside `no-open-ended` mode `archived` holds the
-    archive's own nodes; in it, also every agent a later one replaced.
-    `already_complete` is no event's: `resume` sets it when the log it loaded
-    already held `run_complete`, so it ran nothing."""
+    """A run as its committed events fold: `completed` once `run_complete` is logged,
+    `archived` every agent an `archive_add` or `archive_replace` took in, in id order,
+    and `log_bytes` the committed lines' length, where the log ends before a call
+    appends. Outside `no-open-ended` mode `archived` holds the archive's own nodes;
+    in it, also every agent a later one replaced. `already_complete` is no event's:
+    `resume` sets it when the log it loaded already held `run_complete`."""
 
     archive: Archive
     iteration: int
@@ -105,6 +105,7 @@ class RunState:
     completed: bool = False
     archived: list[AgentNode] = field(default_factory=list)
     already_complete: bool = False
+    log_bytes: int = field(default=0, compare=False)
 
     @property
     def next_node_id(self) -> int:
@@ -128,10 +129,10 @@ def _check_depth(line: bytes) -> None:
         raise ValueError(f"more than {MAX_OPENERS} '[' and '{{' bytes")
 
 
-def append_events(path: Path, events: list[dict]) -> None:
-    """Append one line per event in one write. An event the reader would refuse
-    (a NaN or infinity, an unpaired surrogate, too deep a line, a value JSON
-    cannot hold) raises EngineError naming its kind before any byte is appended."""
+def append_events(path: Path, events: list[dict]) -> int:
+    """Append one line per event in one write; return its bytes. An event the reader
+    would refuse (a NaN or infinity, an unpaired surrogate, too deep a line, a value
+    JSON cannot hold) raises EngineError naming its kind before any byte is appended."""
     lines = []
     for event in events:
         try:
@@ -143,7 +144,7 @@ def append_events(path: Path, events: list[dict]) -> None:
             raise EngineError(f"cannot log event {event.get('event')!r}: {exc}") from exc
         lines.append(line)
     with open(path, "ab") as fh:
-        fh.write(b"".join(lines))
+        return fh.write(b"".join(lines))
 
 
 def read_events(path: Path) -> list[dict]:
@@ -152,10 +153,10 @@ def read_events(path: Path) -> list[dict]:
     return [event for batch, _ in _read_committed(path) for event in batch]
 
 
-def _read_committed(path: Path) -> Iterator[tuple[list[dict], int]]:
-    """Each committed batch of the log (its events up to and including a commit
-    line), yielded once that commit line is read, with the length in bytes of
-    the lines read so far. The lines after the last commit (an unfinished
+def _read_committed(path: Path, start: int = 0) -> Iterator[tuple[list[dict], int]]:
+    """Each committed batch of the log from byte `start` on (its events up to and
+    including a commit line), yielded once that commit line is read, with the log's
+    length in bytes up to there. The lines after the last commit (an unfinished
     batch, a torn line) are dropped. A malformed line before a commit raises
     IntegrityError naming the line at that commit, after yielding the events
     that precede it in its batch (the length unchanged): a fold of what this
@@ -164,9 +165,10 @@ def _read_committed(path: Path) -> Iterator[tuple[list[dict], int]]:
     `_check_depth`): no other encoding, no NaN or Infinity, no unpaired
     surrogate."""
     batch: list[dict] = []
-    size = 0
+    size = start
     error: Optional[IntegrityError] = None
     with open(path, "rb") as fh:
+        fh.seek(start)
         for lineno, line in enumerate(fh, start=1):
             try:
                 if len(line) > MAX_OPENERS:
@@ -354,7 +356,7 @@ def _commit(state: RunState, events: list[dict]) -> None:
     pending, prior = {}, None
     for event in events:
         prior = _apply_event(state, event, pending, prior)
-    append_events(state.event_log, events)
+    state.log_bytes += append_events(state.event_log, events)
 
 
 def _start(runtime: _Runtime, run_id: str) -> RunState:
@@ -481,19 +483,24 @@ def _step(runtime: _Runtime, state: RunState, head: tuple[dict, ...]) -> None:
 
 def _advance(config: RunConfig, wiring: tuple, until: int, state: Optional[RunState] = None,
              run_id: Optional[str] = None, head: tuple[dict, ...] = ()) -> RunState:
-    """The one driver of `run`, `step` and `resume`. On one `_Runtime` (of `config`
-    and `wiring`, built only if there is work): start the run as `run_id` (or
-    "run") when `state` is None, then commit iterations up to `until`, the first
-    batch headed by `head`. A run at its last iteration without `run_complete`
-    (one killed between the two) gets it, after `head` if no batch took that.
-    Then write `archive/`."""
-    if state is None or state.iteration < until:
-        with _Runtime(config, *wiring) as runtime:
-            if state is None:
-                state = _start(runtime, run_id or "run")
-            while state.iteration < until:
-                _step(runtime, state, head)
-                head = ()
+    """The one driver of `run`, `step` and `resume`. On one `_Runtime` (of `config` and
+    `wiring`, built before any write): start the run as `run_id` (or "run") when `state`
+    is None, else cut the log back to `state.log_bytes` (a stale `state`, one its log is
+    shorter than or commits past, raises IntegrityError). Commit iterations up to `until`,
+    the first headed by `head`; a run killed just before `run_complete` gets that line,
+    after `head` if no batch took it. Then write `archive/`."""
+    with _Runtime(config, *wiring) as runtime:
+        if state is None:
+            state = _start(runtime, run_id or "run")
+        elif (size := os.path.getsize(state.event_log)) != state.log_bytes:
+            if size < state.log_bytes or next(  # a batch, for a commit line past it
+                    _read_committed(state.event_log, state.log_bytes), None):
+                raise IntegrityError(f"{state.event_log} has changed since iteration "
+                                     f"{state.iteration} was committed: the state is stale")
+            os.truncate(state.event_log, state.log_bytes)
+        while state.iteration < until:
+            _step(runtime, state, head)
+            head = ()
     if state.iteration >= config.iterations and not state.completed:
         _commit(state, [*head, _event("run_complete", state.iteration)])
     archive_mod.persist(state.archive, config.state_dir / "archive", run_id=state.run_id)
@@ -507,7 +514,8 @@ def step(
     evaluators: Optional[dict[str, Evaluator]] = None,
     evaluator_specs: Optional[dict[str, dict]] = None,
 ) -> RunState:
-    """Apply one iteration to `state`, then write `archive/`. Requires iteration < T."""
+    """Apply one iteration to `state`, then write `archive/`. Requires iteration < T;
+    cuts an uncommitted tail off the log and refuses a stale `state` (`_advance`)."""
     return _advance(config, (backend, evaluators, evaluator_specs), state.iteration + 1, state)
 
 
@@ -529,17 +537,17 @@ def _empty_state(event_log: Path) -> RunState:
     return RunState(Archive(), -1, event_log, None)
 
 
-def replay_log(event_log: Path) -> tuple[RunState, int]:
-    """Rebuild a run's state (mode and run id from `run_start`) from the committed
-    events of `event_log`, and the committed lines' length in bytes; writes
+def replay_log(event_log: Path) -> RunState:
+    """Rebuild a run's state (mode and run id from `run_start`, `log_bytes` the
+    committed lines' length) from the committed events of `event_log`; writes
     nothing. Each committed batch is folded as soon as it is parsed, so the fold
     holds the archive plus one batch whatever the log's length. Errors name lines
     of `event_log`. `completed` is set by a `run_complete` event."""
     event_log = Path(event_log)
     state = _empty_state(event_log)
     pending, prior = {}, None
-    lineno = committed = 0
-    for batch, committed in _read_committed(event_log):
+    lineno = 0
+    for batch, state.log_bytes in _read_committed(event_log):
         for event in batch:
             lineno += 1
             try:
@@ -549,23 +557,18 @@ def replay_log(event_log: Path) -> tuple[RunState, int]:
                     f"bad event at line {lineno} of {event_log}: {exc!r}") from exc
     if state.iteration < 0:
         raise IntegrityError(f"{event_log} holds no completed iteration")
-    return state, committed
+    return state
 
 
-def load_state(config: RunConfig) -> RunState:
-    """`replay_log` of the run's event log, checked against its config."""
-    return _load_checked(config)[0]
-
-
-def _load_checked(config: RunConfig, run_id: Optional[str] = None) -> tuple[RunState, int]:
-    """`load_state` and the committed lines' length in bytes: checks the logged
+def load_state(config: RunConfig, run_id: Optional[str] = None) -> RunState:
+    """`replay_log` of the run's event log, checked against its config: the logged
     run id against `run_id` (if given), then the nodes' scores against the
     config's domains."""
-    state, committed = replay_log(config.state_dir / "events.jsonl")
+    state = replay_log(config.state_dir / "events.jsonl")
     if run_id is not None and run_id != state.run_id:
         raise RunIdMismatch(run_id, state.run_id)
     _check_score_coverage(state.archive, config.domains)
-    return state, committed
+    return state
 
 
 def _apply_event(state: RunState, event: dict, pending: dict, prior: Optional[str]) -> str:
@@ -658,9 +661,8 @@ def resume(
     """Cut the log back to its last commit, continue the run to completion and
     rewrite `archive/` from it; for a completed run that rebuilds `archive/` alone
     and sets `already_complete`. A `run_id` other than the logged one raises
-    RunIdMismatch before any check of the config's domains or any write."""
-    state, committed = _load_checked(config, run_id)
-    os.truncate(state.event_log, committed)
+    RunIdMismatch before any check of the config's domains or specs, or any write."""
+    state = load_state(config, run_id)
     state.already_complete = state.completed
     if state.completed:
         logger.info("run %s already completed at iteration %d; nothing to resume",

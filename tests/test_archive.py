@@ -266,6 +266,12 @@ LOAD_REFUSALS = {
     "a no-open-ended record with a parent": (
         {MANIFEST: {"mode_tag": "no-open-ended", "node_ids": [2], "node_count": 1}}, 2,
         "one node, without a parent"),
+    "a record at another id's slot": ({NODE(2): {"id": 5}}, 2, "carries id 5, manifest says 2"),
+    "a root with a parent": ({NODE(0): {"parent_id": 1}}, 0, "first node must be the root"),
+    "a negative compiled_children": ({NODE(3): {"compiled_children": -1}}, 3,
+                                     "compiled_children must be non-negative"),
+    "a negative created_at_iteration": ({NODE(1): {"created_at_iteration": -1}}, 1,
+                                        "created_at_iteration must be non-negative"),
 }
 
 

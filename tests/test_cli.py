@@ -900,6 +900,36 @@ def test_a_log_that_archives_no_agent_exits_1_and_writes_nothing(tmp_path, capsy
     assert tree_state(tmp_path) == before
 
 
+NOT_COMMITTED = {
+    "an empty log": lambda run_start: b"",
+    "a torn first batch": lambda run_start: run_start + b'{"event": "evaluation", "iter',
+}
+
+
+@pytest.mark.parametrize("command", [*ANALYZE_METRICS, "resume", "load_state"])
+@pytest.mark.parametrize("log", sorted(NOT_COMMITTED))
+def test_a_log_with_no_committed_iteration_exits_1_and_writes_nothing(tmp_path, capsys, log,
+                                                                      command):
+    # a run killed before its root was logged cannot be resumed, nor analyzed
+    state_dir = rootless_state(tmp_path)
+    event_log = state_dir / "events.jsonl"
+    event_log.write_bytes(NOT_COMMITTED[log](event_log.read_bytes().splitlines(True)[0]))
+    before = tree_state(tmp_path)
+    message = f"IntegrityError: {event_log} holds no completed iteration"
+    if command == "load_state":
+        with pytest.raises(engine.IntegrityError) as caught:
+            load_state(_reload_config(state_dir / "config.json"))
+        assert f"{type(caught.value).__name__}: {caught.value}" == message
+    else:
+        argv = (["resume", "--state", str(state_dir)] if command == "resume" else
+                ["analyze", "--state", str(state_dir), "--metric", command,
+                 "--out", str(tmp_path / "out")])
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"{argv[0]} halted: {message}\n"
+    assert tree_state(tmp_path) == before
+
+
 def rewrite_committed_log(state_dir: Path, edit) -> int:
     """Cut the log back to iteration 2's commit, so that `resume` has work left,
     and let `edit` change the committed events in place; returns the line number
@@ -962,7 +992,7 @@ def assert_bad_event_refused(state_dir: Path, tmp_path: Path, capsys, command: s
     live_log = tmp_path / "live" / "events.jsonl"
     live_log.parent.mkdir()
     append_events(live_log, [event for batch in batches[:index] for event in batch])
-    state = engine.replay_log(live_log)[0] if index else engine._empty_state(live_log)
+    state = engine.replay_log(live_log) if index else engine._empty_state(live_log)
     committed = live_log.read_bytes()
     with pytest.raises(type(error)) as caught:
         engine._commit(state, batches[index])
@@ -1236,7 +1266,7 @@ def test_each_node_is_scored_once_per_domain(tmp_path, monkeypatch):
         return component(scores)
 
     monkeypatch.setattr(DomainScores, "selection_component", counting)
-    state, _ = engine.replay_log(finished_run / "events.jsonl")
+    state = engine.replay_log(finished_run / "events.jsonl")
     per_replay = 3 * len(state.archived)
     assert calls == per_replay
     for metric in ANALYZE_METRICS:
@@ -1248,7 +1278,7 @@ def test_each_node_is_scored_once_per_domain(tmp_path, monkeypatch):
     # `_step`'s view scores no node: only the children an iteration archives are
     config = _reload_config(finished_run / "config.json")
     cut_log_after(finished_run / "events.jsonl", config.iterations - 1)
-    state, _ = engine.replay_log(finished_run / "events.jsonl")
+    state = engine.replay_log(finished_run / "events.jsonl")
     archived = len(state.archived)
     calls = 0
     engine.step(state, config)

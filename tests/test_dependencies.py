@@ -109,6 +109,14 @@ def test_the_event_log_has_one_writer():
         getattr(node.func, "id", None), getattr(node.func, "attr", None))) == ["engine.py:_commit"]
 
 
+def test_the_log_is_cut_in_one_place():
+    # `_advance` cuts a crash's uncommitted tail only once the call's wiring is
+    # built and the state is known not to be stale: no other call shrinks the log
+    assert scopes_of(lambda node: isinstance(node, ast.Call) and "truncate" in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None))) == [
+        "engine.py:_advance"]
+
+
 def test_only_the_fold_and_the_commit_reader_read_event_kinds():
     # every rule of the log is the fold's, and `_read_committed` only finds the
     # commit lines: a kind read anywhere else would be a rule the replay skips

@@ -406,7 +406,7 @@ def test_every_append_of_run_and_resume_ends_with_a_commit_line(tmp_path, monkey
 
     def spy(path, events):
         appended.append([e["event"] for e in events])
-        real(path, events)
+        return real(path, events)
 
     monkeypatch.setattr(engine, "append_events", spy)
     config = make_config(tmp_path, iterations=4)
@@ -437,6 +437,84 @@ def test_resume_checks_the_run_id_before_any_write(tmp_path):
     state = resume(config, run_id="abc")
     assert state.completed and not state.already_complete
     assert resume(config, run_id="abc").already_complete
+
+
+def test_step_after_a_crash_cuts_the_torn_line_and_reaches_the_uninterrupted_run(tmp_path):
+    def config(name: str) -> RunConfig:
+        return make_config(tmp_path / name, iterations=5, parents_per_iteration=3)
+
+    whole, pieces = config("whole"), config("pieces")
+    run(whole)
+    run(pieces, stop_after=2)
+    with open(pieces.state_dir / "events.jsonl", "a", encoding="utf-8") as fh:
+        fh.write('{"event": "selection", "iter')  # a line torn by a crash
+    iterations = []
+    while not iterations or iterations[-1] < pieces.iterations:
+        iterations.append(step(load_state(pieces), pieces).iteration)
+    assert iterations == [3, 4, 5]
+
+    def logged(config: RunConfig) -> list[dict]:
+        lines = (config.state_dir / "events.jsonl").read_bytes().splitlines()
+        return strip_times([json.loads(line) for line in lines])
+
+    assert logged(pieces) == logged(whole)
+    assert (fingerprint(pieces.state_dir / "archive")
+            == fingerprint(whole.state_dir / "archive"))
+
+
+def corrupt_first_line_after(event_log: Path, offset: int) -> None:
+    data = event_log.read_bytes()
+    event_log.write_bytes(data[:offset] + b"x" + data[offset + 1:])
+
+
+# how the log moved on from a state taken at iteration 2's commit: another call
+# committed iteration 3 (its first line intact or corrupt), or the log was cut shorter
+STALE = {
+    "committed past it": lambda log, state: None,
+    "committed past it after a bad line": lambda log, state: corrupt_first_line_after(
+        log, state.log_bytes),
+    "shorter": lambda log, state: os.truncate(log, state.log_bytes - 1),
+}
+
+
+@pytest.mark.parametrize("how", sorted(STALE))
+def test_step_of_a_stale_state_raises_and_writes_nothing(tmp_path, how):
+    config = make_config(tmp_path, iterations=5)
+    stale = run(config, stop_after=2)
+    state = step(load_state(config), config)
+    assert state.iteration == 3
+    event_log = config.state_dir / "events.jsonl"
+    victim = state if how == "shorter" else stale
+    STALE[how](event_log, stale)
+    before = (event_log.read_bytes(), event_log.stat().st_mtime_ns,
+              fingerprint(config.state_dir / "archive"))
+    with pytest.raises(IntegrityError) as caught:
+        step(victim, config)
+    assert str(caught.value) == (f"{event_log} has changed since iteration "
+                                 f"{victim.iteration} was committed: the state is stale")
+    assert (event_log.read_bytes(), event_log.stat().st_mtime_ns,
+            fingerprint(config.state_dir / "archive")) == before
+
+
+def written_state(config: RunConfig) -> list[tuple]:
+    """Each file of the state directory but the payloads: path, bytes, mtime."""
+    return [(path, path.read_bytes(), path.stat().st_mtime_ns)
+            for path in sorted(config.state_dir.rglob("*"))
+            if path.is_file() and config.payload_dir not in path.parents]
+
+
+@pytest.mark.parametrize("completed", [True, False])
+def test_resume_refuses_a_bad_evaluator_spec_before_any_write(tmp_path, completed):
+    config = make_config(tmp_path, iterations=3)
+    run(config, stop_after=None if completed else 1)
+    if not completed:
+        with open(config.state_dir / "events.jsonl", "a", encoding="utf-8") as fh:
+            fh.write('{"event": "selection", "iter')  # a tail resume would cut off
+    before = written_state(config)
+    assert {"events.jsonl", "manifest.json"} <= {path.name for path, *_ in before}
+    with pytest.raises(ValueError, match=r"^unknown key 'evaluator_specs\.landscpe'$"):
+        resume(config, evaluator_specs={"landscpe": {"command": ["true"]}})
+    assert written_state(config) == before
 
 
 def test_each_call_writes_archive_once(tmp_path, monkeypatch):
@@ -488,7 +566,7 @@ def test_live_state_is_the_replayed_log(tmp_path, mode):
                          domains=[landscape_domain(has_validation=True)])
 
     def assert_replays(state) -> None:
-        replayed = replay_log(state.event_log)[0]
+        replayed = replay_log(state.event_log)
         assert replayed.archive.mode_tag == state.archive.mode_tag == mode
         assert replayed.archive.nodes == state.archive.nodes
         assert replayed.archived == state.archived
@@ -497,6 +575,8 @@ def test_live_state_is_the_replayed_log(tmp_path, mode):
         assert all(s.validation is not None for n in state.archive for s in n.scores.values())
         assert ((replayed.iteration, replayed.run_id, replayed.next_node_id, replayed.completed)
                 == (state.iteration, state.run_id, state.next_node_id, state.completed))
+        # `_commit` counts what it appends, so the live state knows where its log ends
+        assert replayed.log_bytes == state.log_bytes == state.event_log.stat().st_size
 
     state = run(config, run_id="live", stop_after=2)
     assert_replays(state)
@@ -548,7 +628,7 @@ def test_a_mutated_log_replays_alike_or_is_refused_where_it_breaks(tmp_path):
     for mutation, first, last, mutated in mutants(lines):
         event_log.write_bytes(b"".join(mutated))
         try:
-            state = replay_log(event_log)[0]
+            state = replay_log(event_log)
         except IntegrityError as exc:
             refused = int(re.match(r"bad event at line (\d+) ", str(exc))[1])
             commit = next((n for n in range(first, len(mutated) + 1)

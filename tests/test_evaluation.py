@@ -293,7 +293,7 @@ def test_stored_score_has_the_bits_of_the_formula(tmp_path):
         ]
     events.append({"event": "iteration_complete", "time": "t", "iteration": 0})
     append_events(tmp_path / "events.jsonl", events)
-    folded = replay_log(tmp_path / "events.jsonl")[0].archive
+    folded = replay_log(tmp_path / "events.jsonl").archive
     persist(folded, tmp_path / "archive")
     loaded = load(tmp_path / "archive")
     direct = [_node({name: DomainScores(**r) for name, r in scores.items()})

@@ -457,7 +457,7 @@ def series_from_archive(arch: Archive, iterations: int) -> metrics_mod.ProgressS
 def test_series_from_log_equals_series_from_archive(tmp_path):
     config = make_config(tmp_path, iterations=10, seed=6)
     state = run(config)
-    replayed = replay_log(state.event_log)[0]
+    replayed = replay_log(state.event_log)
     from_log = progress_series(replayed.archived, replayed.iteration)
     from_archive = series_from_archive(state.archive, config.iterations)
     assert from_log == from_archive

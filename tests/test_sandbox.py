@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from evoarchive import sandbox
 from evoarchive.sandbox import (
     SandboxLimits,
     SandboxSpawnError,
@@ -269,13 +270,45 @@ def test_without_a_pidfd_the_exit_is_polled(no_pidfd, script, status, stdout):
     assert (outcome.exit_status, outcome.stdout) == (status, stdout)
 
 
-def test_without_a_pidfd_a_timeout_still_kills(no_pidfd):
+def live_members(group: int) -> list[int]:
+    """The pids in process group `group` that have not exited: a zombie, which
+    only waits for its parent to reap it, is not one."""
+    found = []
+    for entry in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            with open(f"/proc/{entry}/stat", encoding="utf-8") as fh:
+                state, _, pgrp = fh.read().rsplit(")", 1)[1].split()[:3]
+        except OSError:  # exited while listed
+            continue
+        if int(pgrp) == group and state != "Z":
+            found.append(int(entry))
+    return found
+
+
+@pytest.mark.parametrize("command", [
+    [sys.executable, "-c", "import time; time.sleep(30)"],
+    # its pipes end at once, so the exit is polled for until the deadline
+    ["sh", "-c", "exec >&- 2>&-; sleep 30"],
+], ids=["sleeps", "closes its pipes"])
+def test_without_a_pidfd_a_timeout_still_kills(no_pidfd, monkeypatch, command):
+    groups = []
+
+    def spy_reap(proc):
+        groups.append(proc.pid)  # the command's process group: `start_new_session`
+        real_reap(proc)
+
+    real_reap = sandbox._reap
+    monkeypatch.setattr(sandbox, "_reap", spy_reap)
     limits = SandboxLimits(wall_clock_seconds=1.0)
     start = time.monotonic()
-    outcome = sandbox_execute([sys.executable, "-c", "import time; time.sleep(30)"], limits)
+    outcome = sandbox_execute(command, limits)
     assert no_pidfd
     assert outcome.timed_out and outcome.exit_status is None
     assert time.monotonic() - start < limits.wall_clock_seconds + 1.0
+    deadline = time.monotonic() + 5  # SIGKILL is sent; a killed `sleep 30` exits soon
+    while live_members(groups[0]) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert live_members(groups[0]) == []
 
 
 def test_non_executable_file_is_a_spawn_error(tmp_path):
