@@ -246,7 +246,8 @@ def _node_filename(node_id: int) -> str:
 
 
 def persist(archive: Archive, location: str | Path, run_id: str = "") -> None:
-    """Write the archive under `location`; load(persist(a)) == a, byte-stable."""
+    """Write the records, then the manifest, then remove each `nodes/` file that the
+    manifest does not list (a replaced no-open-ended agent's); byte-stable."""
     root = Path(location)
     (root / _NODE_DIR).mkdir(parents=True, exist_ok=True)
     prefix = os.path.join(root, _NODE_DIR, "")
@@ -262,6 +263,11 @@ def persist(archive: Archive, location: str | Path, run_id: str = "") -> None:
     (root / _MANIFEST).write_text(
         json.dumps(manifest, sort_keys=True, indent=1) + "\n", encoding="utf-8"
     )
+    listed = {_node_filename(node.id) for node in archive.nodes}
+    with os.scandir(prefix) as entries:  # a kill here leaves only unlisted files
+        for entry in entries:
+            if entry.name not in listed:
+                os.remove(entry.path)
 
 
 def _read(location: str | Path) -> tuple[Archive, str]:

@@ -150,21 +150,6 @@ def score_task(
     return 0.0, f"malformed answer {answer!r}"
 
 
-def _score_batch(
-    evaluator: Evaluator,
-    task_ids: Sequence[str],
-    payload_ref: str,
-    limits: SandboxLimits,
-    pool: Optional[ThreadPoolExecutor],
-) -> dict[str, float]:
-    judge = partial(score_task, evaluator, payload_ref=payload_ref, limits=limits)
-    judged = dict(zip(task_ids, (pool.map if pool else map)(judge, task_ids)))
-    for task_id, (_, cause) in judged.items():
-        if cause is not None:
-            logger.warning("task %s failed for %s: %s", task_id, payload_ref, cause)
-    return {t: score for t, (score, _) in judged.items()}
-
-
 def evaluate_full(
     payload_ref: str,
     task_ids: Sequence[str],
@@ -172,9 +157,15 @@ def evaluate_full(
     limits: SandboxLimits,
     pool: Optional[ThreadPoolExecutor] = None,
 ) -> ScoreReport:
-    """Gate-free evaluation of a whole task list (validation splits); its tasks
-    run on `pool` if given, else one after another."""
-    per_task = _score_batch(evaluator, task_ids, payload_ref, limits, pool)
+    """Gate-free evaluation of one batch of tasks: a staged subset, its rest or a
+    validation split. Each task is judged by `score_task`, on `pool` if given,
+    else one after another; a failed task scores 0 and logs one warning."""
+    judge = partial(score_task, evaluator, payload_ref=payload_ref, limits=limits)
+    judged = dict(zip(task_ids, (pool.map if pool else map)(judge, task_ids)))
+    for task_id, (_, cause) in judged.items():
+        if cause is not None:
+            logger.warning("task %s failed for %s: %s", task_id, payload_ref, cause)
+    per_task = {t: score for t, (score, _) in judged.items()}
     aggregate = left_sum(per_task.values()) / len(task_ids) if task_ids else 0.0
     return ScoreReport(per_task, gated_out=False, aggregate=aggregate)
 
@@ -191,8 +182,8 @@ def multi_domain_evaluate(
     All subsets run first. If any domain's gate fails, no domain is
     evaluated beyond its subset and every report is marked gated out.
     The combined score is the unweighted mean of per-domain aggregates.
-    Each batch of tasks (a domain's subset, then its rest) runs on `pool` if
-    given, else one task after another; the scores are the same either way.
+    Each batch of tasks (a domain's subset, then its rest) runs through
+    `evaluate_full`, on `pool` if given; the scores are the same either way.
     """
     if not domains:
         raise ValueError("at least one domain required")
@@ -202,7 +193,7 @@ def multi_domain_evaluate(
     for domain in domains:
         policy = domain.staged
         subset = domain.task_ids[: policy.subset_size]
-        scores = _score_batch(evaluators[domain.name], subset, payload_ref, limits, pool)
+        scores = evaluate_full(payload_ref, subset, evaluators[domain.name], limits, pool).per_task
         subset_scores[domain.name] = scores
         successes = sum(1 for s in scores.values() if s > 0.0)
         if not policy.gate.passes(successes, policy.subset_size):
@@ -214,7 +205,8 @@ def multi_domain_evaluate(
         per_task = subset_scores[domain.name]
         if not any_gate_failed:
             rest = domain.task_ids[policy.subset_size : policy.full_size]
-            per_task.update(_score_batch(evaluators[domain.name], rest, payload_ref, limits, pool))
+            per_task.update(
+                evaluate_full(payload_ref, rest, evaluators[domain.name], limits, pool).per_task)
         reports[domain.name] = ScoreReport(
             per_task,
             gated_out=any_gate_failed,

@@ -201,3 +201,12 @@ def test_the_builtin_sum_adds_no_float():
 
     assert list(zip(scopes_of(builtin_sum), calls)) == [
         ("evaluation.py:multi_domain_evaluate", "sum((1 for s in scores.values() if s > 0.0))")]
+
+
+def test_one_scorer_runs_every_batch():
+    # a staged subset, its rest and a validation split all run through
+    # `evaluate_full`, which logs each failed task's cause; the validity probe
+    # judges its one smoke task alike, and logs at INFO itself. A name, not a
+    # call: `evaluate_full` hands `score_task` to `partial`, then to the pool
+    assert scopes_of(lambda node: isinstance(node, ast.Name) and node.id == "score_task") == [
+        "evaluation.py:evaluate_full", "generation.py:validate_child"]

@@ -558,6 +558,27 @@ def test_written_archive_loads_equal_to_its_replay(tmp_path, shape):
     assert len(written) == 1 if shape == "no-open-ended" else len(written) > 6
 
 
+@pytest.mark.parametrize("then", ["step", "resume"])
+def test_nodes_holds_only_the_records_the_manifest_lists(tmp_path, then):
+    # a no-open-ended iteration replaces the sole agent, and `persist` removes
+    # the record it replaced: after every call `archive/` holds only the fold's view
+    config = make_config(tmp_path, mode="no-open-ended", iterations=8)
+    location = config.state_dir / "archive"
+
+    def records() -> tuple[list[str], list[str]]:
+        ids = json.loads((location / "manifest.json").read_bytes())["node_ids"]
+        return (sorted(os.listdir(location / "nodes")),
+                [f"node_{node_id:06d}.json" for node_id in ids])
+
+    state = run(config, stop_after=2)
+    _, first = records()
+    for _ in range(5 if then == "step" else 1):
+        state = step(state, config) if then == "step" else resume(config)
+        listed, expected = records()
+        assert listed == expected
+    assert expected != first  # the sole agent was replaced since the run stopped
+
+
 @pytest.mark.parametrize("mode", MODES)
 def test_live_state_is_the_replayed_log(tmp_path, mode):
     # a live run changes its state only by folding the batches it logs, so after
