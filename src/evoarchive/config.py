@@ -19,7 +19,8 @@ from pathlib import Path
 from typing import Any, Callable, Optional
 
 from .evaluation import CommandEvaluator, DomainSpec, Gate, StagedEvalPolicy
-from .generation import ExternalProcessBackend, initial_genome
+from .generation import ExternalProcessBackend, SimulatedAgentGenome, initial_genome
+from .landscape import TwoPeakLandscape
 from .sandbox import SandboxLimits
 from .selection import SelectionPolicy, checked_type, read_keys
 
@@ -133,8 +134,10 @@ def read_evaluator(spec: dict, context: str) -> dict:
 
 @dataclass
 class RunConfig:
-    """A run's settings. Its `backend` and `initial` documents are checked by the
-    tables above and kept as given; a ValueError names the offending key."""
+    """A run's settings, each checked here, so that the CLI and library paths refuse
+    the same ones; a ValueError names the offending key. `backend` and `initial` are
+    read by the tables above and kept as given, and the `landscape` and `root_genome`
+    they describe are built here once: use `dataclasses.replace` to change them."""
 
     mode: str
     iterations: int
@@ -149,13 +152,15 @@ class RunConfig:
     limits: SandboxLimits = field(default_factory=SandboxLimits)
     payload_dir: Optional[Path] = None
     instruction_template: Optional[Path] = None
+    landscape: TwoPeakLandscape = field(init=False, repr=False)
+    root_genome: SimulatedAgentGenome = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         read_keys(checked_type(self.initial, dict, "initial"), INITIAL_KEYS, "initial.")
-        _build("initial", initial_genome, self.initial)
+        self.root_genome = _build("initial", initial_genome, self.initial)
         backend = _read_kind(self.backend, BACKEND_KINDS, "simulated", "backend.")
-        if "landscape" in backend:
-            read_keys(backend["landscape"], LANDSCAPE_KEYS, "backend.landscape.")
+        landscape = read_keys(backend.get("landscape", {}), LANDSCAPE_KEYS, "backend.landscape.")
+        self.landscape = _build("backend.landscape", TwoPeakLandscape, **landscape)
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.iterations < 1:
@@ -174,6 +179,18 @@ class RunConfig:
         if self.payload_dir is None:
             self.payload_dir = self.state_dir / "payloads"
         self.payload_dir = Path(self.payload_dir)
+        for key in ("state_dir", "payload_dir", "instruction_template"):
+            path = str(getattr(self, key))
+            try:  # the run writes these paths into its UTF-8 logs and payload files
+                path.encode("utf-8")
+            except UnicodeEncodeError:
+                raise ValueError(f"key '{key}': path {path!r} is not UTF-8") from None
+        if self.instruction_template is not None:
+            try:
+                Path(self.instruction_template).read_text(encoding="utf-8")
+            except (OSError, UnicodeError) as exc:
+                raise ValueError(
+                    f"key 'instruction_template': cannot read {self.instruction_template}: {exc}")
 
 
 def _parse_domain(spec: dict, context: str) -> tuple[DomainSpec, dict]:
@@ -198,22 +215,8 @@ def parse_config(doc: dict, base_dir: Optional[Path] = None) -> tuple[RunConfig,
         if not values.get("instruction_template"):
             values.pop("instruction_template", None)  # empty means the default
         for key in ("state_dir", "payload_dir", "instruction_template"):
-            if key in values:
-                path = Path(values[key])
-                if base_dir is not None and not path.is_absolute():
-                    path = base_dir / path
-                # the run writes these paths into its UTF-8 logs and payload files
-                try:
-                    str(path).encode("utf-8")
-                except UnicodeEncodeError:
-                    raise ValueError(f"key '{key}': path {str(path)!r} is not UTF-8") from None
-                values[key] = path
-        template = values.get("instruction_template")
-        if template is not None:
-            try:
-                template.read_text(encoding="utf-8")
-            except (OSError, UnicodeError) as exc:
-                raise ValueError(f"key 'instruction_template': cannot read {template}: {exc}")
+            if key in values:  # beside the config file: `Path(a, b)` is `b` if `b` is absolute
+                values[key] = Path(base_dir or "", values[key])
         if "policy" in values:
             values["policy"] = _build("policy", SelectionPolicy.from_dict, values["policy"])
         if "limits" in values:

@@ -58,12 +58,10 @@ from .generation import (
     SimulatedBackend,
     SyntheticEvaluator,
     generate_child,
-    initial_genome,
     snapshot_payload,
     validate_child,
     SMOKE_TASK,
 )
-from .landscape import TwoPeakLandscape
 from .rng import stream_id, substream
 from .selection import SelectionPolicy, read_keys, sample_parents, selection_distribution
 
@@ -203,11 +201,6 @@ def _event(kind: str, iteration: int, **fields) -> dict:
 # --- wiring -------------------------------------------------------------------
 
 
-def _landscape(config: RunConfig) -> TwoPeakLandscape:
-    """The synthetic surface shared by the simulated backend and evaluator."""
-    return TwoPeakLandscape(**config.backend.get("landscape", {}))
-
-
 def build_backend(config: RunConfig, root_payload_ref: str):
     spec = dict(config.backend)
     kind = spec.pop("kind", "simulated")
@@ -215,7 +208,7 @@ def build_backend(config: RunConfig, root_payload_ref: str):
         spec.pop("landscape", None)
         return SimulatedBackend(
             master_seed=config.seed,
-            landscape=_landscape(config),
+            landscape=config.landscape,
             self_improve=config.mode != "no-self-improve",
             root_payload_ref=root_payload_ref,
             evolve_selection_policy=config.mode == "modifiable-selection",
@@ -227,11 +220,7 @@ def build_backend(config: RunConfig, root_payload_ref: str):
     if config.mode == "dgm-fixed-instruction":
         template_path = config.instruction_template or default_instruction_template()
         template = Path(template_path).read_text(encoding="utf-8")
-    return ModelClientBackend(
-        url=spec["url"],
-        token_env=spec.get("token_env", "EVOARCHIVE_TOKEN"),
-        instruction_template=template,
-    )
+    return ModelClientBackend(**spec, instruction_template=template)
 
 
 def build_evaluators(config: RunConfig, evaluator_specs: dict[str, dict]) -> dict[str, Evaluator]:
@@ -243,7 +232,7 @@ def build_evaluators(config: RunConfig, evaluator_specs: dict[str, dict]) -> dic
     for i, name in enumerate(names):
         spec = read_evaluator(evaluator_specs.get(name, {}), f"domains[{i}].evaluator.")
         evaluators[name] = (CommandEvaluator(spec["command"]) if "command" in spec
-                            else SyntheticEvaluator(_landscape(config)))
+                            else SyntheticEvaluator(config.landscape))
     return evaluators
 
 
@@ -299,7 +288,7 @@ def _init_root_payload(config: RunConfig) -> str:
     if initial.get("payload_ref"):
         snapshot_payload(initial["payload_ref"], root_dir, copy=True)  # never link the user's files
     else:
-        initial_genome(initial).write_payload(root_dir)
+        config.root_genome.write_payload(root_dir)
     return str(root_dir)
 
 

@@ -27,7 +27,7 @@ import math
 import os
 import shutil
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -181,13 +181,13 @@ def _write_validity_log(child_dir: str | Path, compiled: bool, cause: str) -> st
     return str(path)
 
 
+@dataclass(eq=False)
 class SyntheticEvaluator:
     """In-process evaluator: a simulated agent's fitness on the synthetic surface.
     It reads the agent by `from_payload`, as the backend does, so as the validity
     probe it accepts exactly the payloads that the backend can read."""
 
-    def __init__(self, landscape: TwoPeakLandscape = DEFAULT_LANDSCAPE):
-        self.landscape = landscape
+    landscape: TwoPeakLandscape = DEFAULT_LANDSCAPE
 
     def __call__(self, task_id: str, payload_ref: str, limits: SandboxLimits) -> float:
         try:
@@ -197,6 +197,7 @@ class SyntheticEvaluator:
         return self.landscape.fitness(genome.task_skill)
 
 
+@dataclass(eq=False)
 class SimulatedBackend:
     """Genome mutation on the synthetic fitness surface.
 
@@ -211,36 +212,20 @@ class SimulatedBackend:
     quality and children inherit their parent's value untouched.
     """
 
-    def __init__(
-        self,
-        master_seed: int,
-        landscape: TwoPeakLandscape = DEFAULT_LANDSCAPE,
-        self_improve: bool = True,
-        root_payload_ref: Optional[str] = None,
-        evolve_selection_policy: bool = False,
-        step_sigma: float = 0.1,
-        bold_probability: float = 0.4,
-        bold_base: float = 0.25,
-        bold_meta_gain: float = 2.5,
-        meta_sigma: float = 0.2,
-        meta_drift: float = -0.01,
-        max_probes: int = 10,
-        mutation_scale: float = 1.0,
-    ):
-        self.master_seed = master_seed
-        self.landscape = landscape
-        self.self_improve = self_improve
-        self.root_payload_ref = root_payload_ref
-        self.evolve_selection_policy = evolve_selection_policy
-        self.step_sigma = step_sigma
-        self.bold_probability = bold_probability
-        self.bold_base = bold_base
-        self.bold_meta_gain = bold_meta_gain
-        self.meta_sigma = meta_sigma
-        self.meta_drift = meta_drift
-        self.max_probes = max_probes
-        self.mutation_scale = mutation_scale
-        self._root_meta: Optional[float] = None
+    master_seed: int
+    landscape: TwoPeakLandscape = DEFAULT_LANDSCAPE
+    self_improve: bool = True
+    root_payload_ref: Optional[str] = None
+    evolve_selection_policy: bool = False
+    step_sigma: float = 0.1
+    bold_probability: float = 0.4
+    bold_base: float = 0.25
+    bold_meta_gain: float = 2.5
+    meta_sigma: float = 0.2
+    meta_drift: float = -0.01
+    max_probes: int = 10
+    mutation_scale: float = 1.0
+    _root_meta: Optional[float] = field(default=None, init=False, repr=False)
 
     def _acting_meta(self, parent: SimulatedAgentGenome) -> float:
         if self.self_improve:
@@ -366,6 +351,7 @@ class ExternalProcessBackend(_PolicyFileBackend):
         return f"exit {outcome.exit_status}" if outcome.exit_status != 0 else None
 
 
+@dataclass(eq=False)
 class ModelClientBackend(_PolicyFileBackend):
     """Child generation through one HTTPS request per child.
 
@@ -379,19 +365,14 @@ class ModelClientBackend(_PolicyFileBackend):
     the modification request's instruction text.
     """
 
-    def __init__(
-        self,
-        url: str,
-        token_env: str = "EVOARCHIVE_TOKEN",
-        instruction_template: Optional[str] = None,
-        transport: Optional[Callable[[dict], dict]] = None,
-        timeout: float = 120.0,
-    ):
-        self.url = url
-        self.token_env = token_env
-        self.instruction_template = instruction_template
-        self.transport = transport or self._http_post
-        self.timeout = timeout
+    url: str
+    token_env: str = "EVOARCHIVE_TOKEN"
+    instruction_template: Optional[str] = None
+    transport: Optional[Callable[[dict], dict]] = None
+    timeout: float = 120.0
+
+    def __post_init__(self) -> None:
+        self.transport = self.transport or self._http_post
 
     def _http_post(self, document: dict) -> dict:
         # imported here: urllib.request pulls ssl and http.client into every process

@@ -26,6 +26,12 @@ class TwoPeakLandscape:
     global_height: float = 0.7
     global_width: float = 0.4
 
+    def __post_init__(self) -> None:
+        for name in ("local_width", "global_width"):  # `_bump` divides by 2 * width**2
+            width = getattr(self, name)
+            if not 2.0 * width * width > 0:  # 0, NaN, or a square that underflows
+                raise ValueError(f"{name} {width!r} is too close to 0")
+
     def fitness(self, point: Sequence[float]) -> float:
         """Base level plus the two bumps, clipped to [0, 1]."""
         value = self.base_level

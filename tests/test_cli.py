@@ -412,6 +412,20 @@ def rejected_before_the_state_is_touched(tmp_path, capsys, doc: dict) -> str:
         (("backend",), {"kind": "model-client", "url": 3}, "backend.url"),
         (("domains", 0, "name"), "\ud800", "domains[0].name"),
         (("domains", 0, "task_ids"), ["probe-1", "a\udfff"], "domains[0].task_ids[1]"),
+        # `_bump` divides by 2 * width**2, which rounds to 0 for a tiny width
+        (("backend", "landscape"), {"local_width": 0.0}, "backend.landscape"),
+        (("backend", "landscape"), {"global_width": 1e-200}, "backend.landscape"),
+        # the domain rules of `Gate`, `StagedEvalPolicy` and `DomainSpec`
+        (("domains", 0, "gate", "count"), 0, "domains[0].gate"),
+        (("domains", 0, "gate"), {"kind": "min-fraction", "fraction": 1.5}, "domains[0].gate"),
+        (("domains", 0, "subset_size"), 0, "domains[0]"),
+        (("domains", 0, "full_size"), 0, "domains[0]"),
+        (("domains", 0, "task_ids"), [], "domains[0]"),
+        (("domains", 0, "task_ids"), ["probe-1", "probe-2", "probe-1"], "domains[0]"),
+        (("domains", 0, "full_size"), 4, "domains[0]"),
+        (("domains", 0, "has_validation"), True, "domains[0]"),
+        (("domains", 0), {**demo_config()["domains"][0], "has_validation": True,
+                          "validation_task_ids": ["probe-4", "probe-4"]}, "domains[0]"),
     ],
 )
 def test_bad_config_exits_2_and_keeps_the_earlier_run(tmp_path, capsys, path, value, key):
@@ -440,17 +454,25 @@ def test_bad_config_exits_2_and_keeps_the_earlier_run(tmp_path, capsys, path, va
         ({}, {"landscape": "synthetic"}, "evaluator_specs.landscape"),
         ({}, {"landscape": {"kind": "synthetic", "extra": 1}}, "domains[0].evaluator.extra"),
         ({}, {"landscpe": {"kind": "synthetic"}}, "evaluator_specs.landscpe"),
+        # the paths as `parse_config` resolves them: here beside the current directory
+        ({"mode": "dgm-fixed-instruction", "instruction_template": Path("no-such-template.txt")},
+         {}, "instruction_template"),
+        ({"state_dir": Path(os.fsdecode(b"state\xff"))}, {}, "state_dir"),
     ],
 )
 def test_a_bad_library_config_raises_before_the_earlier_run_is_touched(
-        tmp_path, settings, evaluator_specs, key):
+        tmp_path, monkeypatch, settings, evaluator_specs, key):
     # the library path reads the documents by the CLI's tables: `RunConfig` its
-    # `backend` and `initial`, `run` its evaluator specs
+    # `backend` and `initial`, `run` its evaluator specs; and it checks the paths
+    # as `evoarchive run` does
     assert main(["run", "--config", str(write_config(tmp_path / "a"))]) == 0
     state = tmp_path / "a" / "state"
     before = tree_state(state)
+    monkeypatch.chdir(tmp_path)
     with pytest.raises(ValueError, match=re.escape(f"'{key}'")):
-        run(make_config(tmp_path, state_dir=state, **settings), evaluator_specs=evaluator_specs)
+        run(make_config(tmp_path, **{"state_dir": state, **settings}),
+            evaluator_specs=evaluator_specs)
+    assert sorted(os.listdir(tmp_path)) == ["a"]
     assert tree_state(state) == before
     assert main(["resume", "--state", str(state)]) == 0
 

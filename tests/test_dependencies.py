@@ -7,12 +7,11 @@ from pathlib import Path
 
 import pytest
 
-tomllib = pytest.importorskip("tomllib")
-
 ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_every_third_party_import_of_the_package_is_a_declared_dependency():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 on: the other pins run on 3.10
     project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
     declared = {re.match(r"[A-Za-z0-9_.-]+", spec).group().lower().replace("-", "_")
                 for spec in project["dependencies"]}
@@ -210,3 +209,20 @@ def test_one_scorer_runs_every_batch():
     # call: `evaluate_full` hands `score_task` to `partial`, then to the pool
     assert scopes_of(lambda node: isinstance(node, ast.Name) and node.id == "score_task") == [
         "evaluation.py:evaluate_full", "generation.py:validate_child"]
+
+
+def test_one_build_of_each_config_object():
+    # `RunConfig` builds the run's surface and root genome once, as it checks
+    # them, and the engine reads `config.landscape` and `config.root_genome`
+    builders = ("TwoPeakLandscape", "initial_genome")
+
+    def builds(node) -> bool:
+        if not isinstance(node, ast.Call):
+            return False
+        called = [node.func]
+        if getattr(node.func, "id", None) == "_build":  # `_build(context, make, ...)`
+            called += node.args[1:2]
+        return any(getattr(f, "id", getattr(f, "attr", None)) in builders for f in called)
+
+    assert sorted(scopes_of(builds)) == [
+        "config.py:__post_init__", "config.py:__post_init__", "landscape.py:<module>"]

@@ -220,6 +220,18 @@ def test_snapshot_payload_hardlinks_and_writes_delta(tmp_path):
     ).stat().st_ino
 
 
+def test_snapshot_payload_makes_a_linked_directory_empty(tmp_path):
+    # a payload's link to a directory is not followed out of the payload
+    (tmp_path / "outside").mkdir()
+    (tmp_path / "outside" / "memo.txt").write_text("note\n")
+    parent = tmp_path / "parent"
+    parent.mkdir()
+    (parent / "linked").symlink_to(tmp_path / "outside", target_is_directory=True)
+    snapshot_payload(parent, tmp_path / "child")
+    linked = tmp_path / "child" / "linked"
+    assert linked.is_dir() and not linked.is_symlink() and list(linked.iterdir()) == []
+
+
 def test_child_links_every_parent_file_but_writes_a_new_genome(tmp_path):
     parent = write_parent(tmp_path, compile_probability=0.5)
     (parent / "tool.py").write_text("print('hi')\n")
